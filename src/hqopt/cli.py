@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 2 input error, 3 unbounded or infeasible relaxation,
 4 rounding produced no feasible point, 5 a verification check failed.  A
-numerically failed solve exits 1.  The only environment variable honored is
-HQOPT_THREADS (sweep worker count).
+numerically failed solve exits 1.  No environment variable is read.
 """
 
 import argparse
@@ -20,9 +19,7 @@ from .rounding import (
     SIGN_MAX,
     RoundingParams,
     complex_exact_extraction,
-    gaussian_round_max,
-    gaussian_round_min,
-    sign_round_max,
+    round_solution,
 )
 from .sdp import (
     COMPLEX,
@@ -81,17 +78,8 @@ def cmd_round(args, out) -> int:
         return _status_exit(sol.status)
     if args.scheme == _EXACT_SCHEME:
         report = complex_exact_extraction(inst, reduce_rank(sol, inst))
-    elif args.scheme == GAUSSIAN_MIN:
-        low = reduce_rank(sol, inst)
-        params = RoundingParams(GAUSSIAN_MIN, num_samples=args.samples, seed=args.seed)
-        report = gaussian_round_min(inst, low, params)
-    elif args.scheme == SIGN_MAX:
-        low = reduce_rank(sol, inst)
-        params = RoundingParams(SIGN_MAX, num_samples=args.samples, seed=args.seed)
-        report = sign_round_max(inst, low, params)
     else:
-        params = RoundingParams(GAUSSIAN_MAX, num_samples=args.samples, seed=args.seed)
-        report = gaussian_round_max(inst, sol, params)
+        report = round_solution(inst, sol, RoundingParams(args.scheme, args.samples, args.seed))
     _emit(report.to_json_dict(), out)
     return EXIT_ROUNDING if report.failed else EXIT_OK
 

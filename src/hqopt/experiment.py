@@ -6,33 +6,23 @@ constraint count m, instance index i) the derivation is
     instance_seed, rounding_seed = SeedSequence((root_seed, c, m, i)).generate_state(2)
 
 so any single record can be reproduced in isolation from the numbers in its
-row.  Records are produced in deterministic order regardless of worker count
-(results are gathered by index, never by completion order); the worker count
-comes from the HQOPT_THREADS environment variable and defaults to 1.
+row.  Records are produced one after another in task order.  A record whose
+relaxation is not solved keeps the solver status; one whose rounding found
+no point (including a max instance without a positive definite constraint
+aggregate) gets status RoundingFailed.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .instances import CASES, GeneratorSpec, OBJECTIVE_IDENTITY, OBJECTIVE_INDEFINITE, generate
-from .lowrank import reduce_rank
-from .rounding import (
-    GAUSSIAN_MAX,
-    GAUSSIAN_MIN,
-    SIGN_MAX,
-    RoundingParams,
-    complex_exact_extraction,
-    gaussian_round_max,
-    gaussian_round_min,
-    sign_round_max,
-)
+from .rounding import GAUSSIAN_MIN, SCHEMES, RoundingParams, round_solution
 from .sdp import COMPLEX, MAXIMIZE, MINIMIZE, OPTIMAL, REAL, solve_instance
 
 CSV_HEADER = "case,m,instance_seed,status,v_sdp,v_hat_qp,ratio,bound"
+ROUNDING_FAILED = "RoundingFailed"
 
 _SUMMARY_STATUSES = ("SummaryMin", "SummaryMean", "SummaryMax")
 
@@ -102,7 +92,7 @@ class ExperimentConfig:
             raise ValueError("m_list must hold positive integers")
         if self.instances_per_m < 0 or self.samples < 1 or self.n < 2:
             raise ValueError("need instances_per_m >= 0, samples >= 1, n >= 2")
-        if self.scheme not in (GAUSSIAN_MIN, SIGN_MAX, GAUSSIAN_MAX):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.field == COMPLEX and self.scheme != GAUSSIAN_MIN:
             raise ValueError("complex sweeps support the GaussianMin scheme only")
@@ -164,22 +154,8 @@ def run_single(config: ExperimentConfig, case: str, case_index: int, m: int, ind
             solve_status=sol.status,
         )
 
-    params_kwargs = dict(num_samples=config.samples, seed=rounding_seed)
-    if config.scheme == GAUSSIAN_MIN:
-        low = reduce_rank(sol, inst)
-        report = None
-        if config.field == COMPLEX and inst.m <= 3:
-            report = complex_exact_extraction(inst, low)
-            if report.failed:
-                report = None
-        if report is None:
-            report = gaussian_round_min(inst, low, RoundingParams(GAUSSIAN_MIN, **params_kwargs))
-    elif config.scheme == SIGN_MAX:
-        low = reduce_rank(sol, inst)
-        report = sign_round_max(inst, low, RoundingParams(SIGN_MAX, **params_kwargs))
-    else:
-        report = gaussian_round_max(inst, sol, RoundingParams(GAUSSIAN_MAX, **params_kwargs))
-
+    params = RoundingParams(config.scheme, config.samples, rounding_seed)
+    report = round_solution(inst, sol, params, exact_first=True)
     return ExperimentRecord(
         case=case,
         m=m,
@@ -188,7 +164,7 @@ def run_single(config: ExperimentConfig, case: str, case_index: int, m: int, ind
         v_hat_qp=report.best_objective,
         empirical_ratio=report.empirical_ratio,
         theoretical_bound=report.theoretical_bound,
-        solve_status=sol.status,
+        solve_status=ROUNDING_FAILED if report.failed else sol.status,
     )
 
 
@@ -219,15 +195,6 @@ def summarize(records) -> tuple:
     return tuple(out)
 
 
-def worker_count() -> int:
-    raw = os.environ.get("HQOPT_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"HQOPT_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, count)
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     tasks = [
         (case, ci, m, i)
@@ -235,12 +202,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for m in config.m_list
         for i in range(config.instances_per_m)
     ]
-    workers = worker_count()
-    if workers == 1:
-        records = [run_single(config, *t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda t: run_single(config, *t), tasks))
+    records = [run_single(config, *t) for t in tasks]
     return ExperimentResult(config=config, records=tuple(records), summaries=summarize(records))
 
 

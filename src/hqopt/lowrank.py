@@ -18,14 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import HermMatrix, SymMatrix, embed_factor
-from .sdp import COMPLEX, OPTIMAL, QcqpInstance, SdpSolution
+from .sdp import COMPLEX, OPTIMAL, PSD_TOL, QcqpInstance, SdpSolution
 
 _RANK_TOL = 1e-9
 _VALUE_TOL = 1e-7
 
 
 class NotPsdError(RuntimeError):
-    """Raised when a factorization input has an eigenvalue below -tol."""
+    """Raised when a factorization input has an eigenvalue below -PSD_TOL."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +76,8 @@ def factorize(X, tol: float = 1e-9) -> np.ndarray:
     """U with columns sqrt(lam_i) q_i for eigenvalues above tol * lam_max.
 
     Accepts SymMatrix, HermMatrix, or a plain (possibly complex) ndarray.
-    Raises NotPsdError when an eigenvalue sits below -tol.
+    Raises NotPsdError when an eigenvalue sits below -PSD_TOL, the solver's
+    own acceptance threshold for an Optimal solution.
     """
     if isinstance(X, SymMatrix):
         arr = X.a
@@ -85,8 +86,8 @@ def factorize(X, tol: float = 1e-9) -> np.ndarray:
     else:
         arr = np.asarray(X)
     vals, vecs = np.linalg.eigh(arr)
-    if vals[0] < -tol:
-        raise NotPsdError(f"matrix has eigenvalue {vals[0]:.3e} below -{tol:.1e}")
+    if vals[0] < -PSD_TOL:
+        raise NotPsdError(f"matrix has eigenvalue {vals[0]:.3e} below -{PSD_TOL:.1e}")
     lam_max = max(float(vals[-1]), 0.0)
     keep = vals > tol * lam_max if lam_max > 0 else np.zeros(len(vals), bool)
     return vecs[:, keep] * np.sqrt(vals[keep])

@@ -274,42 +274,39 @@ def exhaustive_sign_prob(w) -> tuple[float, float]:
     return count / total, m4 / total
 
 
-def _mc_chi2_prob(taus: np.ndarray, samples: int, rng: np.random.Generator) -> int:
+def _mc_count(samples: int, draw: Callable[[int], np.ndarray],
+              event: Callable[[np.ndarray], np.ndarray]) -> int:
+    """Monte Carlo hits: draw(k) returns k sampled values, event marks the hits.
+
+    Samples are drawn in chunks of _MC_CHUNK, so the sequence of generator
+    calls depends on the sample count only.
+    """
     hits = 0
-    done = 0
-    while done < samples:
-        chunk = min(_MC_CHUNK, samples - done)
-        g = rng.standard_normal((chunk, taus.size))
-        psi = (g * g - 1.0) @ taus
-        hits += int(np.count_nonzero(psi >= 0.0))
-        done += chunk
+    for start in range(0, samples, _MC_CHUNK):
+        hits += int(np.count_nonzero(event(draw(min(_MC_CHUNK, samples - start)))))
     return hits
 
 
-def _mc_exp_prob(taus: np.ndarray, samples: int, rng: np.random.Generator) -> int:
-    hits = 0
-    done = 0
-    while done < samples:
-        chunk = min(_MC_CHUNK, samples - done)
-        e = rng.standard_exponential((chunk, taus.size))
-        psi = (e - 1.0) @ taus
-        hits += int(np.count_nonzero(psi >= 0.0))
-        done += chunk
-    return hits
+def _mc_chi2_prob(taus: np.ndarray, samples: int, rng: np.random.Generator,
+                  level: float = 0.0) -> int:
+    return _mc_count(samples, lambda k: (rng.standard_normal((k, taus.size)) ** 2 - 1.0) @ taus,
+                     lambda psi: psi >= level)
+
+
+def _mc_exp_prob(taus: np.ndarray, samples: int, rng: np.random.Generator,
+                 level: float = 0.0) -> int:
+    return _mc_count(samples, lambda k: (rng.standard_exponential((k, taus.size)) - 1.0) @ taus,
+                     lambda psi: psi >= level)
 
 
 def _mc_sign_prob(w: np.ndarray, samples: int, rng: np.random.Generator) -> int:
     wm = w + w.T
-    n = w.shape[0]
-    hits = 0
-    done = 0
-    while done < samples:
-        chunk = min(_MC_CHUNK, samples - done)
-        signs = rng.integers(0, 2, size=(chunk, n)).astype(float) * 2.0 - 1.0
-        psi = 0.5 * np.einsum("ij,ij->i", signs @ wm, signs)
-        hits += int(np.count_nonzero(psi <= 0.0))
-        done += chunk
-    return hits
+
+    def psi(k: int) -> np.ndarray:
+        signs = rng.integers(0, 2, size=(k, w.shape[0])).astype(float) * 2.0 - 1.0
+        return 0.5 * np.einsum("ij,ij->i", signs @ wm, signs)
+
+    return _mc_count(samples, psi, lambda v: v <= 0.0)
 
 
 def asym_prob(kind: str, weights, method: str = "auto",
@@ -726,13 +723,7 @@ def _quantile_event_check(check_id: str, draw, ceiling: float, samples: int,
             lam[0] *= 100.0
         gamma = 1.0 if i % 4 == 0 else float(rng.random())
         mean = float(np.sum(lam))
-        hits = 0
-        done = 0
-        while done < samples:
-            chunk = min(_MC_CHUNK, samples - done)
-            q = draw(rng, chunk, lam)
-            hits += int(np.count_nonzero(q < gamma * mean))
-            done += chunk
+        hits = _mc_count(samples, lambda k: draw(rng, k, lam), lambda q: q < gamma * mean)
         est = hits / samples
         radius = _wilson_radius(hits, samples)
         results.append(AsymmetryResult(check_id, 0.0, est, radius, "MonteCarlo", samples))
@@ -798,17 +789,9 @@ def _check_l5_1(samples: int, cases: int, seed: int) -> CheckOutcome:
         if params.sigma == 0.0:
             continue
         bound = chernoff_tail(params)
-        hits = 0
-        done = 0
-        while done < samples:
-            chunk = min(_MC_CHUNK, samples - done)
-            if fieldname == "Real":
-                q = (rng.standard_normal((chunk, r)) ** 2 - 1.0) @ lam
-            else:
-                q = (rng.standard_exponential((chunk, r)) - 1.0) @ lam
-            hits += int(np.count_nonzero(q >= alpha * params.sigma))
-            done += chunk
-        freq = hits / samples
+        # real squared normals; complex forms reduce to exponential weights
+        count = _mc_chi2_prob if fieldname == "Real" else _mc_exp_prob
+        freq = count(lam, samples, rng, alpha * params.sigma) / samples
         if freq > bound:
             passed = False
             notes.append(f"case {i}: exceedance frequency {freq:.5f} above bound {bound:.5f}")
@@ -816,13 +799,8 @@ def _check_l5_1(samples: int, cases: int, seed: int) -> CheckOutcome:
         lam_pos = np.abs(lam) / max(np.sum(np.abs(lam)), 1e-12)
         alpha_c = float(1.5 + 5.0 * rng.random())
         cheb = chebyshev_tail(lam_pos, alpha_c)
-        hits = 0
-        done = 0
-        while done < samples:
-            chunk = min(_MC_CHUNK, samples - done)
-            q = (rng.standard_normal((chunk, r)) ** 2) @ lam_pos
-            hits += int(np.count_nonzero(q >= alpha_c))
-            done += chunk
+        hits = _mc_count(samples, lambda k: (rng.standard_normal((k, r)) ** 2) @ lam_pos,
+                         lambda q: q >= alpha_c)
         freq = hits / samples
         if freq > cheb:
             passed = False

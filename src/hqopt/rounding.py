@@ -10,12 +10,14 @@ Three schemes extract feasible rank-one points from a solved relaxation:
 * GaussianMax -- draw xi ~ N(0, X_hat) and rescale by the largest constraint
   value, for maximization problems with any number of indefinite constraints.
 
-Every sample is rescaled by its own binding constraint value, which dominates
-the accept/reject argument behind the worst-case ratios.  The fixed-threshold
-joint events those arguments use are counted separately so the stated success
+All three run the same sampler: points xi = F d for draws d, each rescaled
+by its own binding constraint value, which dominates the accept/reject
+argument behind the worst-case ratios.  The fixed-threshold joint events
+those arguments use are counted separately so the stated success
 probabilities can be audited.  Complex instances are handled in the 2n real
 embedding; a complex Gaussian coordinate has independent real and imaginary
-parts of variance one half.
+parts of variance one half.  round_solution picks the scheme for a solved
+instance.
 
 Sample i is generated from a stream seeded by (seed, i), so a prefix of the
 sample sequence never depends on num_samples and parallel evaluation cannot
@@ -25,10 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .lowrank import LowRankSolution, factorize
+from .lowrank import LowRankSolution, factorize, reduce_rank
 from .matrices import SymMatrix, embed_factor, herm_embed, j_symmetrize, sym_eig, vec_embed
 from .sdp import (
     COMPLEX,
@@ -52,20 +55,23 @@ SCHEMES = (GAUSSIAN_MIN, SIGN_MAX, GAUSSIAN_MAX)
 _ZERO_TOL = 1e-9
 # relative slack when comparing an empirical ratio against its certificate
 _CERT_SLACK = 1e-9
+# exact extraction certifies ratio 1 to 1e-4 (its face search is a grid)
+_EXACT_SLACK = 5e-5
 # samples evaluated per vectorized block; sample values do not depend on it
 _SAMPLE_CHUNK = 2048
+_NO_AGGREGATE = (
+    "no nonnegative combination of the constraints is positive definite; "
+    "the rescaling denominator is not guaranteed positive"
+)
 
 
 @dataclass(frozen=True)
 class RoundingParams:
-    """Knobs for one rounding run; gamma/mu/alpha default to the cited choices."""
+    """Scheme, sample count and seed of one rounding run."""
 
     scheme: str
     num_samples: int = 100
     seed: int = 0
-    gamma: float | None = None
-    mu: float | None = None
-    alpha: float | None = None
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
@@ -74,12 +80,6 @@ class RoundingParams:
             raise ValueError("num_samples must be a positive integer")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if self.gamma is not None and not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must lie in (0, 1]")
-        if self.mu is not None and self.mu <= 1.0:
-            raise ValueError("mu must exceed 1")
-        if self.alpha is not None and self.alpha <= 1.0:
-            raise ValueError("alpha must exceed 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,6 +90,8 @@ class RoundingReport:
     complex ones.  empirical_ratio is best/v_sdp for minimization and
     v_sdp/best for maximization.  theoretical_bound is +inf when no bound is
     claimed (more than one indefinite constraint in a scheme that allows one).
+    samples_feasible + samples_discarded == num_samples whenever samples were
+    drawn.
     """
 
     scheme: str
@@ -142,18 +144,15 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
 
 
-def _gaussian_rows(seed: int, start: int, count: int, r: int, scale: float) -> np.ndarray:
-    g = np.empty((count, r))
+def _draw_rows(seed: int, start: int, count: int, r: int, scale: float | None) -> np.ndarray:
+    """Rows for samples start..start+count-1: N(0, scale^2), or +-1 signs when scale is None."""
+    rows = np.empty((count, r))
     for i in range(count):
-        g[i] = sample_rng(seed, start + i).standard_normal(r)
-    return g * scale
-
-
-def _sign_rows(seed: int, start: int, count: int, r: int) -> np.ndarray:
-    s = np.empty((count, r))
-    for i in range(count):
-        s[i] = sample_rng(seed, start + i).integers(0, 2, r)
-    return s * 2.0 - 1.0
+        rng = sample_rng(seed, start + i)
+        rows[i] = rng.integers(0, 2, r) if scale is None else rng.standard_normal(r)
+    if scale is None:
+        return rows * 2.0 - 1.0
+    return rows * scale
 
 
 def _sampling_mats(inst: QcqpInstance) -> tuple[np.ndarray, list]:
@@ -168,6 +167,60 @@ def _batched_quadforms(Xi: np.ndarray, mats: list) -> np.ndarray:
     for j, a in enumerate(mats):
         out[:, j] = np.einsum("si,si->s", Xi @ a, Xi)
     return out
+
+
+@dataclass(frozen=True)
+class _Draws:
+    """What the sampler kept: the best rescaled point and the sample counts."""
+
+    best_objective: float = math.nan
+    best_x: np.ndarray | None = None
+    feasible: int = 0
+    discarded: int = 0
+    joint: int = 0
+
+
+def _sample(
+    inst: QcqpInstance,
+    F: np.ndarray,
+    p: RoundingParams,
+    joint_event: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    signs: bool = False,
+) -> _Draws:
+    """Draw p.num_samples points xi = F d and keep the best rescaled one.
+
+    d is a +-1 vector when signs is set, else standard Gaussian (variance
+    one half per real coordinate for complex instances).  The denominator is min_k xi*A_k xi for minimization and max_k for
+    maximization; a sample with a nonpositive denominator is discarded,
+    otherwise xi / sqrt(denominator) is a feasible point with objective
+    xi*C xi / denominator.  joint_event(denominator, xi*C xi) marks the
+    samples inside the scheme's fixed-threshold joint event.
+    """
+    if F.shape[1] == 0:
+        # every point is zero, so every denominator is
+        return _Draws(discarded=p.num_samples)
+    scale = None if signs else (math.sqrt(0.5) if inst.field == COMPLEX else 1.0)
+    obj_mat, cons_mats = _sampling_mats(inst)
+    sign = 1.0 if inst.sense == MINIMIZE else -1.0
+    best = math.inf  # sign * objective, smaller is better
+    best_x = None
+    feasible = joint = 0
+    for start in range(0, p.num_samples, _SAMPLE_CHUNK):
+        count = min(_SAMPLE_CHUNK, p.num_samples - start)
+        Xi = _draw_rows(p.seed, start, count, F.shape[1], scale) @ F.T
+        vals = _batched_quadforms(Xi, cons_mats)
+        dens = vals.min(axis=1) if sign > 0 else vals.max(axis=1)
+        raw = np.einsum("si,si->s", Xi @ obj_mat, Xi)
+        joint += int(np.count_nonzero(joint_event(dens, raw)))
+        ok = np.flatnonzero(dens > 0.0)
+        feasible += ok.size
+        if ok.size:
+            keys = sign * (raw[ok] / dens[ok])
+            j = int(np.argmin(keys))
+            if keys[j] < best:
+                best = float(keys[j])
+                best_x = Xi[ok[j]] / math.sqrt(dens[ok[j]])
+    return _Draws(sign * best, best_x, feasible, p.num_samples - feasible, joint)
 
 
 def bound_certificate_min(m: int, field: str) -> float:
@@ -280,37 +333,63 @@ def _ratio_min(best: float, v_sdp: float) -> float:
         return math.inf if best > _ZERO_TOL else 1.0
     return best / v_sdp
 
+
 def _ratio_max(best: float, v_sdp: float) -> float:
     if abs(best) <= _ZERO_TOL:
         return math.inf if v_sdp > _ZERO_TOL else 1.0
     return v_sdp / best
 
 
-def _certificate(ratio: float, bound: float, claimed: bool, failed: bool) -> bool:
-    if failed or not claimed or math.isnan(ratio):
-        return False
-    return ratio <= bound * (1.0 + _CERT_SLACK) + _CERT_SLACK
+def _report(
+    scheme: str,
+    seed: int,
+    num_samples: int,
+    sense: str,
+    v_sdp: float,
+    bound: float,
+    claimed: bool,
+    warn: bool,
+    draws: _Draws,
+    message: str = "every sample had a nonpositive rescaling denominator",
+    cert_slack: float = _CERT_SLACK,
+) -> RoundingReport:
+    """The one constructor of RoundingReport; it stores plain Python scalars.
 
-
-def _failure(scheme, seed, num_samples, v_sdp, bound, claimed, warn, discarded, joint, message):
+    The run failed when draws holds no point, and message then says why.
+    The certificate holds when a claimed bound covers the ratio up to
+    cert_slack (relative and absolute).
+    """
+    v_sdp, bound = float(v_sdp), float(bound)
+    failed = draws.best_x is None
+    if failed:
+        best = ratio = math.nan
+    else:
+        best = float(draws.best_objective)
+        ratio = float((_ratio_min if sense == MINIMIZE else _ratio_max)(best, v_sdp))
     return RoundingReport(
         scheme=scheme,
         seed=seed,
         num_samples=num_samples,
-        best_x=None,
-        best_objective=math.nan,
+        best_x=None if failed else tuple(float(v) for v in draws.best_x),
+        best_objective=best,
         v_sdp=v_sdp,
-        empirical_ratio=math.nan,
-        samples_feasible=0,
-        samples_discarded=discarded,
-        joint_event_count=joint,
+        empirical_ratio=ratio,
+        samples_feasible=draws.feasible,
+        samples_discarded=draws.discarded,
+        joint_event_count=draws.joint,
         theoretical_bound=bound,
-        certificate_satisfied=False,
-        bound_is_claimed=claimed,
-        multi_indefinite_warning=warn,
-        failed=True,
-        message=message,
+        certificate_satisfied=bool(claimed and ratio <= bound * (1.0 + cert_slack) + cert_slack),
+        bound_is_claimed=bool(claimed),
+        multi_indefinite_warning=bool(warn),
+        failed=failed,
+        message=message if failed else "",
     )
+
+
+def _require_positive_aggregate(inst: QcqpInstance, slater: SlaterReport | None) -> None:
+    report = slater if slater is not None else slater_check(inst)
+    if not report.dual_slater:
+        raise ValueError(_NO_AGGREGATE)
 
 
 def gaussian_round_min(
@@ -322,9 +401,9 @@ def gaussian_round_min(
     making its smallest constraint value exactly 1.  The joint event
     {min_k xi*A_k xi >= gamma, xi*C xi <= mu v_sdp} is counted at the cited
     gamma = pi/(1e4 m^2), mu = 100 (real) or gamma = 1/(40 m), mu = 60
-    (complex) unless overridden.  With more than one indefinite constraint no
-    worst-case bound exists and the report says so; with a single constraint
-    the reduced solution is rank one and the bound is exactly 1.
+    (complex).  With more than one indefinite constraint no worst-case bound
+    exists and the report says so; with a single constraint the reduced
+    solution is rank one and the bound is exactly 1.
     """
     if inst.sense != MINIMIZE:
         raise ValueError("gaussian_round_min needs a minimization instance")
@@ -332,89 +411,24 @@ def gaussian_round_min(
         raise ValueError(f"params.scheme is {p.scheme!r}, expected {GAUSSIAN_MIN!r}")
     complex_field = inst.field == COMPLEX
     v_sdp = lowrank.objective_value
-    m_eff = inst.m
+    m = inst.m
     warn = len(inst.indefinite_indices) > 1
-
     if warn:
-        bound, claimed = math.inf, False
-    elif m_eff == 0:
-        bound, claimed = 1.0, True
+        bound = math.inf
     else:
-        bound, claimed = bound_certificate_min(m_eff, inst.field), True
+        bound = 1.0 if m == 0 else bound_certificate_min(m, inst.field)
 
-    if p.gamma is not None:
-        gamma = p.gamma
-    elif m_eff == 0:
+    if m == 0:
         gamma = 1.0
     elif complex_field:
-        gamma = 1.0 / (40.0 * m_eff)
+        gamma = 1.0 / (40.0 * m)
     else:
-        gamma = math.pi / (1.0e4 * m_eff * m_eff)
-    mu = p.mu if p.mu is not None else (60.0 if complex_field else 100.0)
+        gamma = math.pi / (1.0e4 * m * m)
+    mu = 60.0 if complex_field else 100.0
 
     F = embed_factor(lowrank.U) if complex_field else lowrank.U
-    g_scale = math.sqrt(0.5) if complex_field else 1.0
-
-    obj_mat, cons_mats = _sampling_mats(inst)
-    best_obj = math.inf
-    best_x = None
-    feasible = 0
-    joint = 0
-    for start in range(0, p.num_samples, _SAMPLE_CHUNK):
-        count = min(_SAMPLE_CHUNK, p.num_samples - start)
-        Xi = _gaussian_rows(p.seed, start, count, F.shape[1], g_scale) @ F.T
-        vals = _batched_quadforms(Xi, cons_mats)
-        raw = np.einsum("si,si->s", Xi @ obj_mat, Xi)
-        min_vals = vals.min(axis=1)
-        joint += int(np.count_nonzero((min_vals >= gamma) & (raw <= mu * v_sdp)))
-        ok = min_vals > 0.0
-        feasible += int(np.count_nonzero(ok))
-        if np.any(ok):
-            objs = raw[ok] / min_vals[ok]
-            j = int(np.argmin(objs))
-            if objs[j] < best_obj:
-                best_obj = float(objs[j])
-                s = int(np.flatnonzero(ok)[j])
-                best_x = Xi[s] / math.sqrt(min_vals[s])
-
-    if feasible == 0:
-        return _failure(
-            p.scheme, p.seed, p.num_samples, v_sdp, bound, claimed, warn, 0, joint,
-            "no sample had all constraint values positive",
-        )
-    ratio = _ratio_min(best_obj, v_sdp)
-    return RoundingReport(
-        scheme=p.scheme,
-        seed=p.seed,
-        num_samples=p.num_samples,
-        best_x=tuple(float(v) for v in best_x),
-        best_objective=best_obj,
-        v_sdp=v_sdp,
-        empirical_ratio=ratio,
-        samples_feasible=feasible,
-        samples_discarded=0,
-        joint_event_count=joint,
-        theoretical_bound=bound,
-        certificate_satisfied=_certificate(ratio, bound, claimed, False),
-        bound_is_claimed=claimed,
-        multi_indefinite_warning=warn,
-        failed=False,
-        message="",
-    )
-
-
-def _require_positive_aggregate(inst: QcqpInstance, slater: SlaterReport | None) -> SlaterReport:
-    report = slater if slater is not None else slater_check(inst)
-    if not report.dual_slater:
-        raise ValueError(
-            "no nonnegative combination of the constraints is positive definite; "
-            "the rescaling denominator is not guaranteed positive"
-        )
-    return report
-
-
-def _rank_of_product(A: SymMatrix, X: np.ndarray) -> int:
-    return int(np.linalg.matrix_rank(A.a @ X))
+    draws = _sample(inst, F, p, lambda dens, raw: (dens >= gamma) & (raw <= mu * v_sdp))
+    return _report(p.scheme, p.seed, p.num_samples, inst.sense, v_sdp, bound, not warn, warn, draws)
 
 
 def sign_round_max(
@@ -426,12 +440,12 @@ def sign_round_max(
     """Round a real maximization solution with +-1 vectors through U Q.
 
     Q diagonalizes U^T C U, so every sign vector carries the full objective
-    value Tr(C X_hat) and only the rescaling denominator max_k xi^T Ahat_k xi
+    value Tr(C X_hat) and only the rescaling denominator max_k xi^T A_k xi
     varies.  Denominators that are not positive are discarded with a counter
     (they signal a violated positivity assumption).  The claimed bound is
-    2 log(174 m mu_eff) with mu_eff = min{m, max_k rank(A_k X_hat)}, provided
-    at most one constraint is indefinite; the joint event counts samples with
-    denominator at most alpha.
+    alpha = 2 log(174 m mu_eff) with mu_eff = min{m, max_k rank(A_k X_hat)},
+    provided at most one constraint is indefinite; the joint event counts
+    samples with denominator at most alpha.
     """
     if inst.sense != MAXIMIZE:
         raise ValueError("sign_round_max needs a maximization instance")
@@ -442,71 +456,20 @@ def sign_round_max(
     _require_positive_aggregate(inst, slater)
 
     U = lowrank.U
-    r = U.shape[1]
-    v_sdp = lowrank.objective_value
-    if r == 0:
-        return _failure(p.scheme, p.seed, p.num_samples, v_sdp, math.inf, False, False, 0, 0, "zero-rank factor")
-    Q = sym_eig(U.T @ inst.objective.a @ U).vectors
-    B = U @ Q
-    A_hats = [B.T @ A.a @ B for A in inst.constraints]
-
     X_hat = lowrank.reconstruct()
-    m_eff = inst.m
+    m = inst.m
     warn = len(inst.indefinite_indices) > 1
-    mu_eff = max(1, min(m_eff, max(_rank_of_product(A, X_hat) for A in inst.constraints))) if m_eff >= 1 else 1
+    mu_eff = max(1, min(m, max(int(np.linalg.matrix_rank(A.a @ X_hat)) for A in inst.constraints)))
+    alpha = 2.0 * math.log(174.0 * max(1, m) * mu_eff)
     if warn:
-        bound, claimed = math.inf, False
-    elif m_eff == 0:
-        bound, claimed = 1.0, True
+        bound = math.inf
     else:
-        bound, claimed = 2.0 * math.log(174.0 * m_eff * mu_eff), True
-    alpha = p.alpha if p.alpha is not None else 2.0 * math.log(174.0 * max(1, m_eff) * mu_eff)
+        bound = 1.0 if m == 0 else alpha
 
-    best_obj = -math.inf
-    best_x = None
-    feasible = 0
-    discarded = 0
-    joint = 0
-    for start in range(0, p.num_samples, _SAMPLE_CHUNK):
-        count = min(_SAMPLE_CHUNK, p.num_samples - start)
-        S = _sign_rows(p.seed, start, count, r)
-        dens = _batched_quadforms(S, A_hats).max(axis=1)
-        joint += int(np.count_nonzero(dens <= alpha))
-        ok = dens > 0.0
-        discarded += int(np.count_nonzero(~ok))
-        feasible += int(np.count_nonzero(ok))
-        if np.any(ok):
-            Xc = (S[ok] @ B.T) / np.sqrt(dens[ok])[:, None]
-            objs = np.einsum("si,si->s", Xc @ inst.objective.a, Xc)
-            j = int(np.argmax(objs))
-            if objs[j] > best_obj:
-                best_obj = float(objs[j])
-                best_x = Xc[j]
-
-    if feasible == 0:
-        return _failure(
-            p.scheme, p.seed, p.num_samples, v_sdp, bound, claimed, warn, discarded, joint,
-            "every sample had a nonpositive rescaling denominator",
-        )
-    ratio = _ratio_max(best_obj, v_sdp)
-    return RoundingReport(
-        scheme=p.scheme,
-        seed=p.seed,
-        num_samples=p.num_samples,
-        best_x=tuple(float(v) for v in best_x),
-        best_objective=best_obj,
-        v_sdp=v_sdp,
-        empirical_ratio=ratio,
-        samples_feasible=feasible,
-        samples_discarded=discarded,
-        joint_event_count=joint,
-        theoretical_bound=bound,
-        certificate_satisfied=_certificate(ratio, bound, claimed, False),
-        bound_is_claimed=claimed,
-        multi_indefinite_warning=warn,
-        failed=False,
-        message="",
-    )
+    Q = sym_eig(U.T @ inst.objective.a @ U).vectors
+    draws = _sample(inst, U @ Q, p, lambda dens, raw: dens <= alpha, signs=True)
+    return _report(p.scheme, p.seed, p.num_samples, inst.sense, lowrank.objective_value,
+                   bound, not warn, warn, draws)
 
 
 def gaussian_round_max(
@@ -528,67 +491,13 @@ def gaussian_round_max(
     if sol.status != OPTIMAL:
         raise ValueError("gaussian_round_max needs an Optimal solution")
     _require_positive_aggregate(inst, slater)
-    complex_field = inst.field == COMPLEX
 
-    cert = bound_certificate_max(inst, sol.X)
-    bound = cert["bound"]
-    alpha = p.alpha if p.alpha is not None else cert["alpha"]
+    alpha = bound_certificate_max(inst, sol.X)["alpha"]
     v_sdp = sol.objective_value
-
-    X_emb = j_symmetrize(sol.X.a) if complex_field else sol.X.a
+    X_emb = j_symmetrize(sol.X.a) if inst.field == COMPLEX else sol.X.a
     F = factorize(SymMatrix(X_emb), 1e-9)
-    g_scale = math.sqrt(0.5) if complex_field else 1.0
-    if F.shape[1] == 0:
-        return _failure(p.scheme, p.seed, p.num_samples, v_sdp, bound, True, False, 0, 0, "X_hat is zero")
-
-    obj_mat, cons_mats = _sampling_mats(inst)
-    best_obj = -math.inf
-    best_x = None
-    feasible = 0
-    discarded = 0
-    joint = 0
-    for start in range(0, p.num_samples, _SAMPLE_CHUNK):
-        count = min(_SAMPLE_CHUNK, p.num_samples - start)
-        Xi = _gaussian_rows(p.seed, start, count, F.shape[1], g_scale) @ F.T
-        vals = _batched_quadforms(Xi, cons_mats)
-        raw = np.einsum("si,si->s", Xi @ obj_mat, Xi)
-        max_vals = vals.max(axis=1)
-        joint += int(np.count_nonzero((max_vals <= alpha) & (raw >= v_sdp)))
-        ok = max_vals > 0.0
-        discarded += int(np.count_nonzero(~ok))
-        feasible += int(np.count_nonzero(ok))
-        if np.any(ok):
-            objs = raw[ok] / max_vals[ok]
-            j = int(np.argmax(objs))
-            if objs[j] > best_obj:
-                best_obj = float(objs[j])
-                s = int(np.flatnonzero(ok)[j])
-                best_x = Xi[s] / math.sqrt(max_vals[s])
-
-    if feasible == 0:
-        return _failure(
-            p.scheme, p.seed, p.num_samples, v_sdp, bound, True, False, discarded, joint,
-            "every sample had a nonpositive rescaling denominator",
-        )
-    ratio = _ratio_max(best_obj, v_sdp)
-    return RoundingReport(
-        scheme=p.scheme,
-        seed=p.seed,
-        num_samples=p.num_samples,
-        best_x=tuple(float(v) for v in best_x),
-        best_objective=best_obj,
-        v_sdp=v_sdp,
-        empirical_ratio=ratio,
-        samples_feasible=feasible,
-        samples_discarded=discarded,
-        joint_event_count=joint,
-        theoretical_bound=bound,
-        certificate_satisfied=_certificate(ratio, bound, True, False),
-        bound_is_claimed=True,
-        multi_indefinite_warning=False,
-        failed=False,
-        message="",
-    )
+    draws = _sample(inst, F, p, lambda dens, raw: (dens <= alpha) & (raw >= v_sdp))
+    return _report(p.scheme, p.seed, p.num_samples, inst.sense, v_sdp, alpha, True, False, draws)
 
 
 def _lorentz_row(H: np.ndarray) -> tuple[float, np.ndarray]:
@@ -688,52 +597,51 @@ def complex_exact_extraction(inst: QcqpInstance, lowrank: LowRankSolution) -> Ro
     v_sdp = lowrank.objective_value
     r = lowrank.r
 
-    def finish(x_c: np.ndarray):
-        vals = constraint_values(inst, x_c)
-        min_val = float(vals.min())
-        if min_val <= 0.0:
-            return None
-        x = x_c / math.sqrt(min_val) if min_val < 1.0 else x_c
-        obj = objective_value(inst, x)
-        emb = vec_embed(x)
-        ratio = _ratio_min(obj, v_sdp)
-        return RoundingReport(
-            scheme="ComplexExact",
-            seed=0,
-            num_samples=0,
-            best_x=tuple(float(v) for v in emb),
-            best_objective=obj,
-            v_sdp=v_sdp,
-            empirical_ratio=ratio,
-            samples_feasible=1,
-            samples_discarded=0,
-            joint_event_count=0,
-            theoretical_bound=1.0,
-            certificate_satisfied=bool(ratio <= 1.0 + 1e-4),
-            bound_is_claimed=True,
-            multi_indefinite_warning=False,
-            failed=False,
-            message="",
-        )
+    def finish(x_c: np.ndarray | None, message: str) -> RoundingReport:
+        draws = _Draws()
+        if x_c is not None:
+            min_val = float(constraint_values(inst, x_c).min())
+            if min_val > 0.0:
+                x = x_c / math.sqrt(min_val) if min_val < 1.0 else x_c
+                draws = _Draws(objective_value(inst, x), vec_embed(x), feasible=1)
+        return _report("ComplexExact", 0, 0, MINIMIZE, v_sdp, 1.0, True, False, draws,
+                       message, cert_slack=_EXACT_SLACK)
 
     if r == 1:
-        report = finish(lowrank.U[:, 0])
-        if report is not None:
-            return report
-        message = "rank-one factor is not feasible"
-    elif r == 2:
+        return finish(lowrank.U[:, 0], "rank-one factor is not feasible")
+    if r == 2:
         U = lowrank.U
         C_hat = np.conj(U.T) @ inst.objective.to_complex() @ U
         A_hats = [np.conj(U.T) @ A.to_complex() @ U for A in inst.constraints]
         w = _rank_one_on_face(C_hat, A_hats, v_sdp)
-        if w is not None:
-            report = finish(U @ w)
-            if report is not None:
-                return report
-            message = "rank-one point is not feasible"
-        else:
-            message = "no rank-one point found on the optimal face"
-    else:
-        message = f"factor rank {r} exceeds 2"
+        if w is None:
+            return finish(None, "no rank-one point found on the optimal face")
+        return finish(U @ w, "rank-one point is not feasible")
+    return finish(None, f"factor rank {r} exceeds 2")
 
-    return _failure("ComplexExact", 0, 0, v_sdp, 1.0, True, False, 0, 0, message)
+
+def round_solution(
+    inst: QcqpInstance, sol: SdpSolution, p: RoundingParams, exact_first: bool = False
+) -> RoundingReport:
+    """Round an Optimal relaxation with the scheme p.scheme names.
+
+    GaussianMin and SignMax round the rank-reduced solution, GaussianMax the
+    full one.  A max scheme without a positive definite constraint aggregate
+    yields a failed report instead of an exception.  With exact_first, a
+    complex minimization with m <= 3 tries complex_exact_extraction first and
+    falls back to Gaussian sampling when it finds no point.
+    """
+    if p.scheme == GAUSSIAN_MIN:
+        low = reduce_rank(sol, inst)
+        if exact_first and inst.field == COMPLEX and inst.m <= 3:
+            report = complex_exact_extraction(inst, low)
+            if not report.failed:
+                return report
+        return gaussian_round_min(inst, low, p)
+    slater = slater_check(inst)
+    if inst.sense == MAXIMIZE and not slater.dual_slater:
+        return _report(p.scheme, p.seed, p.num_samples, inst.sense, sol.objective_value,
+                       math.inf, False, False, _Draws(), _NO_AGGREGATE)
+    if p.scheme == GAUSSIAN_MAX:
+        return gaussian_round_max(inst, sol, p, slater)
+    return sign_round_max(inst, reduce_rank(sol, inst), p, slater)

@@ -40,6 +40,9 @@ UNBOUNDED = "Unbounded"
 NUMERICAL_FAILURE = "NumericalFailure"
 STATUSES = (OPTIMAL, INFEASIBLE, UNBOUNDED, NUMERICAL_FAILURE)
 
+# an Optimal solution may have eigenvalues down to -PSD_TOL; factorizations
+# of it accept the same
+PSD_TOL = 1e-8
 _TAG_TOL = 1e-9
 _SLATER_TOL = 1e-9
 
@@ -275,7 +278,7 @@ def solve(
         mult = np.maximum(flip * res.y, 0.0)
         status = OPTIMAL
         message = res.message
-        if float(np.linalg.eigvalsh(res.X)[0]) < -1e-8:
+        if float(np.linalg.eigvalsh(res.X)[0]) < -PSD_TOL:
             status, message = NUMERICAL_FAILURE, "returned iterate lost definiteness"
         return SdpSolution(
             status=status,

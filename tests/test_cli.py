@@ -10,6 +10,7 @@ import pytest
 from hqopt.cli import main
 from hqopt.experiment import (
     CSV_HEADER,
+    ROUNDING_FAILED,
     ExperimentConfig,
     derive_seeds,
     run_experiment,
@@ -17,7 +18,7 @@ from hqopt.experiment import (
     summarize,
     write_csv,
 )
-from hqopt.instances import CASE_A, CASE_B
+from hqopt.instances import CASE_A, CASE_B, CASE_C
 from hqopt.matrices import SymMatrix
 from hqopt.rounding import GAUSSIAN_MAX, GAUSSIAN_MIN, SIGN_MAX
 from hqopt.sdp import MINIMIZE, OPTIMAL, REAL, QcqpInstance
@@ -101,13 +102,6 @@ class TestRunExperiment:
         assert [r.empirical_ratio for r in a.records] == [r.empirical_ratio for r in b.records]
         assert [(r.case, r.m) for r in a.records] == [(CASE_A, 2)] * 3 + [(CASE_A, 3)] * 3
 
-    def test_threaded_run_matches_serial(self, monkeypatch):
-        config = ExperimentConfig(m_list=(2,), instances_per_m=4, samples=20, n=5)
-        serial = run_experiment(config)
-        monkeypatch.setenv("HQOPT_THREADS", "3")
-        threaded = run_experiment(config)
-        assert [r.csv_row() for r in serial.records] == [r.csv_row() for r in threaded.records]
-
     def test_summary_matches_recomputation(self):
         config = ExperimentConfig(m_list=(2, 4), instances_per_m=4, samples=20, n=5)
         result = run_experiment(config)
@@ -145,6 +139,31 @@ class TestRunExperiment:
         assert body[1] == CSV_HEADER
         data_rows = [ln for ln in body[2:] if "Summary" not in ln]
         assert all(ln.split(",")[-1] == "inf" for ln in data_rows)
+
+
+class TestSweepRobustness:
+    """A bad record becomes a row status; it never aborts the sweep or hides."""
+
+    def test_max_sweep_without_definite_aggregate_completes(self):
+        config = ExperimentConfig(cases=(CASE_C,), m_list=(5,), instances_per_m=20, scheme=GAUSSIAN_MAX)
+        records = run_experiment(config).records
+        assert len(records) == 20
+        # instance 8 has no positive definite constraint aggregate
+        assert records[8].solve_status == ROUNDING_FAILED
+        assert math.isnan(records[8].empirical_ratio)
+
+    def test_failed_rounding_is_not_labelled_optimal(self):
+        config = ExperimentConfig(cases=(CASE_B,), m_list=(60,), instances_per_m=20)
+        records = run_experiment(config).records
+        assert not any(r.solve_status == OPTIMAL and math.isnan(r.empirical_ratio) for r in records)
+        assert any(r.solve_status == ROUNDING_FAILED for r in records)
+
+    def test_slightly_negative_solver_eigenvalue_is_accepted(self):
+        # instance 4's Optimal solution has an eigenvalue of -3.85e-9
+        config = ExperimentConfig(cases=(CASE_C,), m_list=(10,), instances_per_m=10, scheme=SIGN_MAX)
+        records = run_experiment(config).records
+        assert len(records) == 10
+        assert all(r.solve_status == OPTIMAL and math.isfinite(r.empirical_ratio) for r in records)
 
 
 class TestCliSolve:
@@ -209,6 +228,20 @@ class TestCliRound:
         report = json.loads(text)
         assert report["failed"] is True
         assert report["samples_feasible"] == 0
+
+    @pytest.mark.parametrize(
+        "scheme, example",
+        [(GAUSSIAN_MIN, "min_coupling"), (SIGN_MAX, "max_coupling"), (GAUSSIAN_MAX, "max_coupling")],
+    )
+    def test_every_scheme_prints_a_json_report(self, tmp_path, scheme, example):
+        path = str(tmp_path / "e.json")
+        run_cli(["example", "--id", example, "--M", "10", "--out", path])
+        rc, text = run_cli(["round", path, "--scheme", scheme, "--samples", "200"])
+        assert rc == 0
+        report = json.loads(text)
+        assert report["scheme"] == scheme
+        assert report["failed"] is False
+        assert report["samples_feasible"] + report["samples_discarded"] == 200
 
     def test_unbounded_instance_skips_rounding(self, tmp_path):
         run_cli(["example", "--id", "max_unbounded_relaxation", "--out", str(tmp_path / "e.json")])

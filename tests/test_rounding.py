@@ -1,6 +1,7 @@
 """Tests for the randomized rounding schemes and their ratio certificates."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from hqopt.rounding import (
     gaussian_round_max,
     gaussian_round_min,
     per_constraint_tail_bound,
+    round_solution,
     sample_rng,
     sign_round_max,
     sign_union_tail,
@@ -104,7 +106,7 @@ class TestRoundingParams:
         p = RoundingParams(GAUSSIAN_MIN)
         assert p.num_samples == 100
         assert p.seed == 0
-        assert p.gamma is None and p.mu is None and p.alpha is None
+        assert [f.name for f in dataclasses.fields(p)] == ["scheme", "num_samples", "seed"]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -113,10 +115,10 @@ class TestRoundingParams:
             {"scheme": GAUSSIAN_MIN, "num_samples": 0},
             {"scheme": GAUSSIAN_MIN, "num_samples": 1.5},
             {"scheme": GAUSSIAN_MIN, "seed": -1},
-            {"scheme": GAUSSIAN_MIN, "gamma": 0.0},
-            {"scheme": GAUSSIAN_MIN, "gamma": 1.5},
-            {"scheme": GAUSSIAN_MIN, "mu": 1.0},
-            {"scheme": SIGN_MAX, "alpha": 1.0},
+            {"scheme": GAUSSIAN_MIN, "num_samples": -5},
+            {"scheme": GAUSSIAN_MIN, "seed": 1.5},
+            {"scheme": "gaussianmin"},
+            {"scheme": "ComplexExact"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -614,3 +616,84 @@ class TestReportJson:
         assert isinstance(payload["best_x"], list)
         assert isinstance(payload["empirical_ratio"], float)
         assert payload["theoretical_bound"] == pytest.approx(bound_certificate_min(inst.m, REAL))
+
+
+class TestSampleCounts:
+    def test_gaussian_min_counts_discards(self):
+        # two indefinite constraints: some samples have a negative smallest value
+        M = 10.0
+        inst = QcqpInstance(
+            sense=MINIMIZE,
+            field=REAL,
+            objective=SymMatrix(np.eye(2)),
+            constraints=(
+                SymMatrix(np.diag([0.0, 1.0])),
+                SymMatrix(np.array([[1.0, M / 2], [M / 2, 0.0]])),
+                SymMatrix(np.array([[1.0, -M / 2], [-M / 2, 0.0]])),
+            ),
+        )
+        sol, low = solved_pipeline(inst)
+        report = gaussian_round_min(inst, low, RoundingParams(GAUSSIAN_MIN, num_samples=400, seed=1))
+        assert report.samples_discarded > 0
+        assert report.samples_feasible + report.samples_discarded == 400
+
+    @pytest.mark.parametrize("scheme", [GAUSSIAN_MIN, SIGN_MAX, GAUSSIAN_MAX])
+    def test_feasible_plus_discarded_is_num_samples(self, scheme, min_pipeline, max_pipeline):
+        inst, sol, _ = min_pipeline if scheme == GAUSSIAN_MIN else max_pipeline
+        report = round_solution(inst, sol, RoundingParams(scheme, num_samples=3000, seed=2))
+        assert not report.failed
+        assert report.samples_feasible + report.samples_discarded == 3000
+
+
+class TestRoundSolution:
+    def test_matches_the_scheme_functions(self, min_pipeline, max_pipeline):
+        inst, sol, low = min_pipeline
+        p = RoundingParams(GAUSSIAN_MIN, num_samples=50, seed=3)
+        assert round_solution(inst, sol, p).best_x == gaussian_round_min(inst, low, p).best_x
+        inst, sol, low = max_pipeline
+        p = RoundingParams(SIGN_MAX, num_samples=50, seed=3)
+        assert round_solution(inst, sol, p).best_x == sign_round_max(inst, low, p).best_x
+        p = RoundingParams(GAUSSIAN_MAX, num_samples=50, seed=3)
+        assert round_solution(inst, sol, p).best_x == gaussian_round_max(inst, sol, p).best_x
+
+    @pytest.mark.parametrize("scheme", [SIGN_MAX, GAUSSIAN_MAX])
+    def test_no_definite_aggregate_is_a_failed_report(self, scheme):
+        # max x1^2 - x2^2 s.t. x1^2 - x2^2 <= 1: bounded, but no multiple of
+        # the single indefinite constraint is positive definite
+        inst = QcqpInstance(
+            sense=MAXIMIZE,
+            field=REAL,
+            objective=SymMatrix(np.diag([1.0, -1.0])),
+            constraints=(SymMatrix(np.diag([1.0, -1.0])),),
+        )
+        sol = solve_instance(inst)
+        assert sol.status == OPTIMAL
+        report = round_solution(inst, sol, RoundingParams(scheme, num_samples=20))
+        assert report.failed
+        assert "positive definite" in report.message
+        assert report.samples_feasible == 0
+
+    def test_exact_first_for_small_complex_min(self):
+        rng = np.random.default_rng(7)
+        inst = QcqpInstance(
+            sense=MINIMIZE,
+            field=COMPLEX,
+            objective=herm_pd(rng, 4),
+            constraints=tuple(herm_pd(rng, 4) for _ in range(3)),
+        )
+        sol = solve_instance(inst)
+        p = RoundingParams(GAUSSIAN_MIN, num_samples=20)
+        assert round_solution(inst, sol, p, exact_first=True).scheme == "ComplexExact"
+        assert round_solution(inst, sol, p).scheme == GAUSSIAN_MIN
+
+
+class TestReportScalars:
+    @pytest.mark.parametrize("scheme", [GAUSSIAN_MIN, SIGN_MAX, GAUSSIAN_MAX])
+    def test_fields_are_plain_python_values(self, scheme, min_pipeline, max_pipeline):
+        inst, sol, _ = min_pipeline if scheme == GAUSSIAN_MIN else max_pipeline
+        report = round_solution(inst, sol, RoundingParams(scheme, num_samples=50))
+        for name in ("best_objective", "v_sdp", "empirical_ratio", "theoretical_bound"):
+            assert type(getattr(report, name)) is float
+        for name in ("certificate_satisfied", "bound_is_claimed", "multi_indefinite_warning", "failed"):
+            assert type(getattr(report, name)) is bool
+        json.dumps(report.to_json_dict())

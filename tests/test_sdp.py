@@ -7,8 +7,6 @@ import pytest
 from hqopt import sdp
 from hqopt.matrices import HermMatrix, SymMatrix
 
-cp = pytest.importorskip("cvxpy")
-
 
 def sym(a):
     return SymMatrix(np.asarray(a, float))
@@ -91,6 +89,7 @@ def random_instance(rng, n, m, sense):
 
 
 def clarabel_value(inst):
+    cp = pytest.importorskip("cvxpy")
     X = cp.Variable((inst.n, inst.n), symmetric=True)
     tr = [cp.trace(a.a @ X) for a in inst.constraints]
     if inst.sense == sdp.MINIMIZE:
@@ -279,6 +278,7 @@ class TestSolve:
         assert np.allclose(sol5.X.a, base.X.a, atol=1e-6)
 
     def test_matches_clarabel_on_random_instances(self):
+        pytest.importorskip("cvxpy")
         rng = np.random.default_rng(7)
         solved = 0
         for trial in range(24):
@@ -302,6 +302,7 @@ class TestSolve:
         assert solved >= 10
 
     def test_complex_solve_matches_clarabel(self):
+        cp = pytest.importorskip("cvxpy")
         rng = np.random.default_rng(11)
         for _ in range(6):
             n = int(rng.integers(2, 5))
