@@ -33,15 +33,15 @@ class ConicResult:
     y: np.ndarray
     Z: np.ndarray
     w: np.ndarray
-    objective: float
-    dual_objective: float
-    primal_residual: float
-    dual_residual: float
-    rel_gap: float
     iterations: int
-    ray: tuple[np.ndarray, np.ndarray] | None
-    farkas: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     message: str
+    objective: float = np.nan
+    dual_objective: float = np.nan
+    primal_residual: float = np.nan
+    dual_residual: float = np.nan
+    rel_gap: float = np.nan
+    ray: tuple[np.ndarray, np.ndarray] | None = None
+    farkas: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 def _sym(M):
@@ -302,34 +302,6 @@ def solve_conic(
             X, s, y, Z, w = best[1]
             tau = 1.0
 
-    if status == "optimal":
-        xh, sh = X / tau, s / tau
-        yh, Zh, wh = y / tau, Z / tau, w / tau
-        pres = float(np.max(np.abs(opA(xh, sh) - bs))) / norm_b
-        Rdh = Cs - opAt_mat(yh) - Zh
-        rdh = cl - Gs.T @ yh - wh
-        dres = max(float(np.linalg.norm(Rdh)), float(np.max(np.abs(rdh), initial=0.0))) / norm_c
-        pobj = _ip(Cs, xh) + cl @ sh
-        dobj = bs @ yh
-        relgap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
-        return ConicResult(
-            status="optimal",
-            X=_sym(xh),
-            s=sh,
-            y=yh * cn / rown,
-            Z=_sym(Zh) * cn,
-            w=wh * cn,
-            objective=pobj * cn,
-            dual_objective=dobj * cn,
-            primal_residual=pres,
-            dual_residual=dres,
-            rel_gap=relgap,
-            iterations=it,
-            ray=None,
-            farkas=None,
-            message=message,
-        )
-
     if status == "unbounded":
         rX, rs = ray
         scale = cn * max(-(_ip(Cs, rX) + cl @ rs), 1e-300)
@@ -344,11 +316,8 @@ def solve_conic(
             objective=-np.inf,
             dual_objective=-np.inf,
             primal_residual=float(np.max(np.abs(np.einsum("ijk,jk->i", Amat, rX) + G @ rs))),
-            dual_residual=np.nan,
-            rel_gap=np.nan,
             iterations=it,
             ray=(_sym(rX), rs),
-            farkas=None,
             message=message,
         )
 
@@ -362,37 +331,32 @@ def solve_conic(
             y=fy,
             Z=_sym(fZ),
             w=fw,
-            objective=np.nan,
-            dual_objective=np.nan,
-            primal_residual=np.nan,
             dual_residual=float(
                 max(
                     np.linalg.norm(np.einsum("i,ijk->jk", fy, Amat) + fZ),
                     np.max(np.abs(G.T @ fy + fw), initial=0.0),
                 )
             ),
-            rel_gap=np.nan,
             iterations=it,
-            ray=None,
             farkas=(fy, _sym(fZ), fw),
             message=message,
         )
 
+    # optimal or numerical_failure: the iterate, unscaled
     pres, dres, relgap, pobj, dobj = metrics() if tau > 1e-12 else (np.nan,) * 5
+    t = max(tau, 1e-300)
     return ConicResult(
-        status="numerical_failure",
-        X=_sym(X / max(tau, 1e-300)),
-        s=s / max(tau, 1e-300),
-        y=y / max(tau, 1e-300) * cn / rown,
-        Z=_sym(Z / max(tau, 1e-300)) * cn,
-        w=w / max(tau, 1e-300) * cn,
-        objective=pobj * cn if np.isfinite(pobj) else np.nan,
-        dual_objective=dobj * cn if np.isfinite(dobj) else np.nan,
+        status=status,
+        X=_sym(X / t),
+        s=s / t,
+        y=y / t * cn / rown,
+        Z=_sym(Z / t) * cn,
+        w=w / t * cn,
+        objective=pobj * cn,
+        dual_objective=dobj * cn,
         primal_residual=pres,
         dual_residual=dres,
         rel_gap=relgap,
         iterations=it,
-        ray=None,
-        farkas=None,
         message=message,
     )

@@ -7,9 +7,10 @@ constraint count m, instance index i) the derivation is
 
 so any single record can be reproduced in isolation from the numbers in its
 row.  Records are produced one after another in task order.  A record whose
-relaxation is not solved keeps the solver status; one whose rounding found
-no point (including a max instance without a positive definite constraint
-aggregate) gets status RoundingFailed.
+instance could not be generated (the feasibility retries ran out) gets
+status GenerationFailed; one whose relaxation is not solved keeps the solver
+status; one whose rounding found no point (including a max instance without
+a positive definite constraint aggregate) gets status RoundingFailed.
 """
 
 import math
@@ -23,6 +24,7 @@ from .sdp import COMPLEX, MAXIMIZE, MINIMIZE, OPTIMAL, REAL, solve_instance
 
 CSV_HEADER = "case,m,instance_seed,status,v_sdp,v_hat_qp,ratio,bound"
 ROUNDING_FAILED = "RoundingFailed"
+GENERATION_FAILED = "GenerationFailed"
 
 _SUMMARY_STATUSES = ("SummaryMin", "SummaryMean", "SummaryMax")
 
@@ -140,18 +142,23 @@ def run_single(config: ExperimentConfig, case: str, case_index: int, m: int, ind
         seed=instance_seed,
         field=config.field,
     )
-    inst = generate(spec)
-    sol = solve_instance(inst)
-    if sol.status != OPTIMAL:
+    try:
+        inst = generate(spec)
+    except RuntimeError:  # no feasible draw within the retry budget
+        v_sdp, status = math.nan, GENERATION_FAILED
+    else:
+        sol = solve_instance(inst)
+        v_sdp, status = sol.objective_value, sol.status
+    if status != OPTIMAL:
         return ExperimentRecord(
             case=case,
             m=m,
             instance_seed=instance_seed,
-            v_sdp=sol.objective_value,
+            v_sdp=v_sdp,
             v_hat_qp=math.nan,
             empirical_ratio=math.nan,
             theoretical_bound=math.nan,
-            solve_status=sol.status,
+            solve_status=status,
         )
 
     params = RoundingParams(config.scheme, config.samples, rounding_seed)

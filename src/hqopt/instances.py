@@ -151,8 +151,7 @@ def indefinite_matrix(rng: np.random.Generator, n: int, complex_field: bool = Fa
     regenerated = 0
     while True:
         mat = _conjugated_diag(rng, n, rng.standard_normal(n), complex_field)
-        arr = mat.to_complex() if complex_field else mat.a
-        vals = np.linalg.eigvalsh(arr)
+        vals = np.linalg.eigvalsh(mat.a)
         tol = _SPECTRUM_TOL * max(1.0, float(np.abs(vals).max()))
         if vals[0] < -tol and vals[-1] > tol:
             return mat, regenerated

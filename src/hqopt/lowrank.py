@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import HermMatrix, SymMatrix, embed_factor
-from .sdp import COMPLEX, OPTIMAL, PSD_TOL, QcqpInstance, SdpSolution
+from .matrices import HermMatrix, SymMatrix
+from .sdp import COMPLEX, OPTIMAL, PSD_TOL, QcqpInstance, SdpSolution, to_embedded, to_field
 
 _RANK_TOL = 1e-9
 _VALUE_TOL = 1e-7
@@ -42,6 +42,11 @@ class LowRankSolution:
     def reconstruct(self) -> np.ndarray:
         return self.U @ np.conj(self.U.T)
 
+    @property
+    def sampling_factor(self) -> np.ndarray:
+        """Real factor F with F F^T = X in sample coordinates (the 2n embedding for complex)."""
+        return to_embedded(self.U, self.field)
+
     def factor_to_json(self) -> str:
         """Serialize the factor as {"n", "r", "entries"} with row-major entries.
 
@@ -49,7 +54,7 @@ class LowRankSolution:
         always describes a real matrix whose outer product reconstructs the
         (possibly embedded) solution.
         """
-        F = embed_factor(self.U) if self.field == COMPLEX else self.U
+        F = self.sampling_factor
         return json.dumps(
             {"n": F.shape[0], "r": F.shape[1], "entries": [float(v) for v in F.ravel()]}
         )
@@ -79,12 +84,7 @@ def factorize(X, tol: float = 1e-9) -> np.ndarray:
     Raises NotPsdError when an eigenvalue sits below -PSD_TOL, the solver's
     own acceptance threshold for an Optimal solution.
     """
-    if isinstance(X, SymMatrix):
-        arr = X.a
-    elif isinstance(X, HermMatrix):
-        arr = X.to_complex()
-    else:
-        arr = np.asarray(X)
+    arr = X.a if isinstance(X, (SymMatrix, HermMatrix)) else np.asarray(X)
     vals, vecs = np.linalg.eigh(arr)
     if vals[0] < -PSD_TOL:
         raise NotPsdError(f"matrix has eigenvalue {vals[0]:.3e} below -{PSD_TOL:.1e}")
@@ -152,19 +152,9 @@ def reduce_rank(
     """
     if sol.status != OPTIMAL:
         raise ValueError("rank reduction needs an Optimal solution")
-    complex_field = inst.field == COMPLEX
-    if complex_field:
-        from .matrices import complex_from_embedding
-
-        target = complex_from_embedding(sol.X.a).to_complex()
-        mats = [a.to_complex() for a in inst.constraints]
-        C = inst.objective.to_complex()
-        vec, unvec = _hvec, _unhvec
-    else:
-        target = sol.X.a
-        mats = [a.a for a in inst.constraints]
-        C = inst.objective.a
-        vec, unvec = _svec, _unsvec
+    target = to_field(sol.X, inst.field)
+    C, mats = inst.field_view
+    vec, unvec = (_hvec, _unhvec) if inst.field == COMPLEX else (_svec, _unsvec)
 
     values = np.array([float(np.real(np.trace(A @ target))) for A in mats])
     obj_value = float(np.real(np.trace(C @ target)))

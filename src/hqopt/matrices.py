@@ -4,9 +4,11 @@ Conventions used throughout the package:
 
 * real symmetric matrices are stored as full dense ``float64`` arrays and
   are symmetrized ``(M + M.T) / 2`` on construction;
-* Hermitian matrices are stored as a (real, imaginary) pair and are consumed
-  by the optimization layers exclusively through the real ``2n x 2n``
-  embedding ``[[Re, -Im], [Im, Re]]``;
+* Hermitian matrices are stored as a (real, imaginary) pair;
+* the real ``2n x 2n`` embedding ``[[Re, -Im], [Im, Re]]`` of Hermitian
+  data, of complex factors and of complex vectors is defined here and
+  nowhere else.  Other layers reach it only through ``hqopt.sdp``: an
+  instance's cached embedded view, ``to_field`` and ``to_embedded``;
 * spectra report eigenvalues in descending order with matching orthonormal
   eigenvector columns.
 """
@@ -27,11 +29,9 @@ __all__ = [
     "complex_from_embedding",
     "embed_factor",
     "frobenius_norm",
-    "herm_eig",
     "herm_embed",
     "j_symmetrize",
     "sym_eig",
-    "trace_inner",
     "vec_embed",
     "vec_unembed",
 ]
@@ -135,6 +135,11 @@ class HermMatrix:
 
     def to_complex(self) -> np.ndarray:
         return self.re + 1j * self.im
+
+    @property
+    def a(self) -> np.ndarray:
+        """The complex array, under the name SymMatrix gives its real one."""
+        return self.to_complex()
 
     def to_json(self) -> str:
         return json.dumps(
@@ -271,69 +276,7 @@ def embed_factor(u: np.ndarray) -> np.ndarray:
     return np.block([[u.real, -u.imag], [u.imag, u.real]])
 
 
-def herm_eig(h: HermMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian eigendecomposition computed through the real embedding.
-
-    Returns ``(vals, U)`` with eigenvalues descending and complex orthonormal
-    eigenvector columns. Each embedded eigenvalue appears with doubled
-    multiplicity; the J-pairing ``(a; b) ~ a + ib``, ``J(a; b) ~ i(a + ib)``
-    collapses every real 2d-dimensional eigenspace to d complex vectors.
-    """
-    n = h.n
-    spec = sym_eig(herm_embed(h))
-    vals_all, vecs_all = spec.eigenvalues, spec.vectors
-    scale = max(1.0, float(np.max(np.abs(vals_all), initial=0.0)))
-    out_vals: list[float] = []
-    out_vecs: list[np.ndarray] = []
-    i = 0
-    while i < 2 * n:
-        j = i + 1
-        while j < 2 * n and vals_all[i] - vals_all[j] <= 1e-10 * scale:
-            j += 1
-        block = vecs_all[:, i:j]  # real eigenspace, dimension j - i (even)
-        picked: list[np.ndarray] = []
-        for col in range(block.shape[1]):
-            w = block[:, col].copy()
-            for v in picked:
-                w -= (v @ w) * v
-            norm = float(np.linalg.norm(w))
-            if norm < 1e-8:
-                continue
-            w /= norm
-            jw = np.concatenate([-w[n:], w[:n]])  # multiplication by i
-            for v in picked:
-                jw -= (v @ jw) * v
-            jw /= np.linalg.norm(jw)
-            picked.extend([w, jw])
-            out_vals.append(float(vals_all[i]))
-            out_vecs.append(w[:n] + 1j * w[n:])
-        i = j
-    if len(out_vals) != n:
-        raise DecompositionError(
-            f"embedding pairing produced {len(out_vals)} eigenvalues, expected {n}"
-        )
-    return np.array(out_vals), np.column_stack(out_vecs)
-
-
-def trace_inner(a: AnyMatrix, b: AnyMatrix) -> float:
-    """Trace inner product ``Tr(AB)`` of two symmetric or two Hermitian matrices."""
-    if isinstance(a, SymMatrix) and isinstance(b, SymMatrix):
-        if a.n != b.n:
-            raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-        return float(np.tensordot(a.a, b.a, axes=2))
-    if isinstance(a, HermMatrix) and isinstance(b, HermMatrix):
-        if a.n != b.n:
-            raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-        # Tr(AB) is real for Hermitian A, B: sum Re(A) Re(B) + Im(A) Im(B).
-        return float(np.tensordot(a.re, b.re, axes=2) + np.tensordot(a.im, b.im, axes=2))
-    raise ValueError("trace_inner requires two SymMatrix or two HermMatrix operands")
-
-
 def frobenius_norm(a: AnyMatrix | np.ndarray) -> float:
-    """Frobenius norm of a matrix (wrapper types or a plain ndarray)."""
-    if isinstance(a, SymMatrix):
-        return float(np.linalg.norm(a.a, "fro"))
-    if isinstance(a, HermMatrix):
-        return float(np.sqrt(np.sum(a.re**2) + np.sum(a.im**2)))
-    arr = np.asarray(a, dtype=float)
+    """Frobenius norm of a matrix (wrapper types or a plain, possibly complex, ndarray)."""
+    arr = a.a if isinstance(a, (SymMatrix, HermMatrix)) else np.asarray(a)
     return float(np.linalg.norm(arr, "fro"))

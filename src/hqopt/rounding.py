@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .lowrank import LowRankSolution, factorize, reduce_rank
-from .matrices import SymMatrix, embed_factor, herm_embed, j_symmetrize, sym_eig, vec_embed
+from .matrices import SymMatrix, sym_eig
 from .sdp import (
     COMPLEX,
     MAXIMIZE,
@@ -44,6 +44,8 @@ from .sdp import (
     constraint_values,
     objective_value,
     slater_check,
+    to_embedded,
+    to_field,
 )
 
 GAUSSIAN_MIN = "GaussianMin"
@@ -155,14 +157,7 @@ def _draw_rows(seed: int, start: int, count: int, r: int, scale: float | None) -
     return rows * scale
 
 
-def _sampling_mats(inst: QcqpInstance) -> tuple[np.ndarray, list]:
-    """Objective and constraint arrays in the coordinates samples live in."""
-    if inst.field == COMPLEX:
-        return herm_embed(inst.objective).a, [herm_embed(a).a for a in inst.constraints]
-    return inst.objective.a, [a.a for a in inst.constraints]
-
-
-def _batched_quadforms(Xi: np.ndarray, mats: list) -> np.ndarray:
+def _batched_quadforms(Xi: np.ndarray, mats: np.ndarray) -> np.ndarray:
     out = np.empty((Xi.shape[0], len(mats)))
     for j, a in enumerate(mats):
         out[:, j] = np.einsum("si,si->s", Xi @ a, Xi)
@@ -200,7 +195,7 @@ def _sample(
         # every point is zero, so every denominator is
         return _Draws(discarded=p.num_samples)
     scale = None if signs else (math.sqrt(0.5) if inst.field == COMPLEX else 1.0)
-    obj_mat, cons_mats = _sampling_mats(inst)
+    obj_mat, cons_mats = inst.embedded_view
     sign = 1.0 if inst.sense == MINIMIZE else -1.0
     best = math.inf  # sign * objective, smaller is better
     best_x = None
@@ -250,13 +245,6 @@ def sign_union_tail(m: int, mu: float, alpha: float) -> float:
     return 2.0 * m * mu * math.exp(-alpha / 2.0)
 
 
-def _product_frobenius(A, X, complex_field: bool) -> float:
-    if complex_field:
-        P = A.to_complex() @ X
-        return float(math.sqrt(np.sum(np.abs(P) ** 2)))
-    return float(np.linalg.norm(A.a @ X))
-
-
 def bound_certificate_max(inst: QcqpInstance, X_hat: SymMatrix) -> dict:
     """Data-dependent max-form ratio certificate.
 
@@ -272,21 +260,17 @@ def bound_certificate_max(inst: QcqpInstance, X_hat: SymMatrix) -> dict:
     tail bounds at that alpha, and success_floor is the union-bound lower
     estimate for the joint event probability.
     """
-    complex_field = inst.field == COMPLEX
-    if complex_field:
-        from .matrices import complex_from_embedding
-
-        X = complex_from_embedding(j_symmetrize(X_hat.a)).to_complex()
+    if inst.field == COMPLEX:
         c0, c1, c2 = 15.0, 4.0, 40.0
         exp_div, cheb_mult, floor = 4.0, 1.0, 0.05
     else:
-        X = X_hat.a
         c0, c1, c2 = 20.0, 8.0, 200.0
         exp_div, cheb_mult, floor = 8.0, 2.0, 0.03
 
+    X = to_field(X_hat, inst.field)
     tags = inst.tags
     indef = set(inst.indefinite_indices)
-    norms = [_product_frobenius(A, X, complex_field) for A in inst.constraints]
+    norms = [float(np.linalg.norm(A @ X)) for A in inst.field_view.A]
 
     terms = []
     n_def = len(inst.constraints) - len(indef)
@@ -300,8 +284,7 @@ def bound_certificate_max(inst: QcqpInstance, X_hat: SymMatrix) -> dict:
 
     per_constraint = []
     slack = alpha - 1.0
-    for k, A in enumerate(inst.constraints):
-        s = norms[k]
+    for k, s in enumerate(norms):
         if s <= 1e-300:
             exp_tail = 0.0
             cheb_tail = 0.0
@@ -403,7 +386,9 @@ def gaussian_round_min(
     gamma = pi/(1e4 m^2), mu = 100 (real) or gamma = 1/(40 m), mu = 60
     (complex).  With more than one indefinite constraint no worst-case bound
     exists and the report says so; with a single constraint the reduced
-    solution is rank one and the bound is exactly 1.
+    solution is rank one and the bound is exactly 1.  A complex instance
+    claims 2400 m for every m: bound_certificate_min's 1 for m <= 3 is the
+    relaxation's gap, which only complex_exact_extraction attains.
     """
     if inst.sense != MINIMIZE:
         raise ValueError("gaussian_round_min needs a minimization instance")
@@ -415,8 +400,10 @@ def gaussian_round_min(
     warn = len(inst.indefinite_indices) > 1
     if warn:
         bound = math.inf
+    elif m == 0:
+        bound = 1.0
     else:
-        bound = 1.0 if m == 0 else bound_certificate_min(m, inst.field)
+        bound = 2400.0 * m if complex_field else bound_certificate_min(m, inst.field)
 
     if m == 0:
         gamma = 1.0
@@ -426,8 +413,8 @@ def gaussian_round_min(
         gamma = math.pi / (1.0e4 * m * m)
     mu = 60.0 if complex_field else 100.0
 
-    F = embed_factor(lowrank.U) if complex_field else lowrank.U
-    draws = _sample(inst, F, p, lambda dens, raw: (dens >= gamma) & (raw <= mu * v_sdp))
+    draws = _sample(inst, lowrank.sampling_factor, p,
+                    lambda dens, raw: (dens >= gamma) & (raw <= mu * v_sdp))
     return _report(p.scheme, p.seed, p.num_samples, inst.sense, v_sdp, bound, not warn, warn, draws)
 
 
@@ -494,8 +481,9 @@ def gaussian_round_max(
 
     alpha = bound_certificate_max(inst, sol.X)["alpha"]
     v_sdp = sol.objective_value
-    X_emb = j_symmetrize(sol.X.a) if inst.field == COMPLEX else sol.X.a
-    F = factorize(SymMatrix(X_emb), 1e-9)
+    # for complex data this factors the solver's X projected onto the
+    # embedded Hermitian space, not the raw X
+    F = factorize(to_embedded(to_field(sol.X, inst.field), inst.field), 1e-9)
     draws = _sample(inst, F, p, lambda dens, raw: (dens <= alpha) & (raw >= v_sdp))
     return _report(p.scheme, p.seed, p.num_samples, inst.sense, v_sdp, alpha, True, False, draws)
 
@@ -603,7 +591,7 @@ def complex_exact_extraction(inst: QcqpInstance, lowrank: LowRankSolution) -> Ro
             min_val = float(constraint_values(inst, x_c).min())
             if min_val > 0.0:
                 x = x_c / math.sqrt(min_val) if min_val < 1.0 else x_c
-                draws = _Draws(objective_value(inst, x), vec_embed(x), feasible=1)
+                draws = _Draws(objective_value(inst, x), to_embedded(x, COMPLEX), feasible=1)
         return _report("ComplexExact", 0, 0, MINIMIZE, v_sdp, 1.0, True, False, draws,
                        message, cert_slack=_EXACT_SLACK)
 
@@ -611,8 +599,9 @@ def complex_exact_extraction(inst: QcqpInstance, lowrank: LowRankSolution) -> Ro
         return finish(lowrank.U[:, 0], "rank-one factor is not feasible")
     if r == 2:
         U = lowrank.U
-        C_hat = np.conj(U.T) @ inst.objective.to_complex() @ U
-        A_hats = [np.conj(U.T) @ A.to_complex() @ U for A in inst.constraints]
+        C, mats = inst.field_view
+        C_hat = np.conj(U.T) @ C @ U
+        A_hats = [np.conj(U.T) @ A @ U for A in mats]
         w = _rank_one_on_face(C_hat, A_hats, v_sdp)
         if w is None:
             return finish(None, "no rank-one point found on the optimal face")

@@ -10,17 +10,34 @@ and its relaxation replaces xx* by a PSD matrix variable.  Complex data is
 solved through the real 2n x 2n embedding, whose traces are twice the
 complex ones, so embedded right-hand sides are 2 and embedded objectives
 are reported halved.
+
+This module is the one place outside ``hqopt.matrices`` that knows the
+embedding.  Each instance caches two views of its data: ``field_view`` in
+its own field and ``embedded_view`` in the real coordinates the solver and
+the sampler use.  ``to_field`` reads a solution matrix back into the
+instance's field, and ``to_embedded`` takes a field factor or vector the
+other way.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _ipm
-from .matrices import HermMatrix, SymMatrix, frobenius_norm, herm_embed
+from .matrices import (
+    HermMatrix,
+    SymMatrix,
+    complex_from_embedding,
+    embed_factor,
+    frobenius_norm,
+    herm_embed,
+    vec_embed,
+)
 
 MINIMIZE = "Minimize"
 MAXIMIZE = "Maximize"
@@ -56,18 +73,33 @@ _STATUS_JSON = {
 }
 
 
-def tag_matrix(mat: SymMatrix | HermMatrix) -> str:
-    """Classify by spectrum: PSD iff min eig >= -1e-9 ||A||_F, NSD mirrored."""
-    if isinstance(mat, HermMatrix):
-        vals = np.linalg.eigvalsh(mat.to_complex())
-    else:
-        vals = np.linalg.eigvalsh(mat.a)
-    tol = _TAG_TOL * frobenius_norm(mat)
+def tag_matrix(mat: SymMatrix | HermMatrix | np.ndarray) -> str:
+    """Classify by spectrum: PSD iff min eig >= -1e-9 ||A||_F, NSD mirrored.
+
+    mat is a SymMatrix, a HermMatrix, or its array in its own field.
+    """
+    arr = mat.a if isinstance(mat, (SymMatrix, HermMatrix)) else mat
+    vals = np.linalg.eigvalsh(arr)
+    tol = _TAG_TOL * frobenius_norm(arr)
     if vals[0] >= -tol:
         return PSD
     if vals[-1] <= tol:
         return NSD
     return INDEFINITE
+
+
+class MatrixView(NamedTuple):
+    """An instance's objective and stacked constraints, read-only."""
+
+    C: np.ndarray
+    A: np.ndarray  # shape (m + 1, d, d)
+
+
+def _view(C: np.ndarray, A: list) -> MatrixView:
+    view = MatrixView(C, np.stack(A))
+    for arr in view:
+        arr.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,8 +134,21 @@ class QcqpInstance:
         return len(self.constraints) - 1
 
     @cached_property
+    def field_view(self) -> MatrixView:
+        """C and the A_k in the instance's own field (complex for complex data)."""
+        return _view(self.objective.a, [a.a for a in self.constraints])
+
+    @cached_property
+    def embedded_view(self) -> MatrixView:
+        """C and the A_k in the real 2n embedding; the field view for real data."""
+        if self.field == REAL:
+            return self.field_view
+        C, *A = (herm_embed(h).a for h in (self.objective, *self.constraints))
+        return _view(C, A)
+
+    @cached_property
     def tags(self) -> tuple:
-        return tuple(tag_matrix(a) for a in self.constraints)
+        return tuple(tag_matrix(a) for a in self.field_view.A)
 
     @property
     def psd_indices(self) -> tuple:
@@ -139,24 +184,48 @@ class QcqpInstance:
         return QcqpInstance(sense, fld, objective, constraints)
 
 
-def quad_value(mat: SymMatrix | HermMatrix, x: np.ndarray) -> float:
-    """x* M x for a real vector, complex vector, or real 2n embedding."""
+def _view_for(inst: QcqpInstance, x: np.ndarray) -> tuple[np.ndarray, MatrixView]:
+    """x with the view it pairs with: a real 2n vector of a complex instance is embedded."""
     x = np.asarray(x)
-    if isinstance(mat, SymMatrix):
-        return float(np.real(x @ (mat.a @ x)))
-    if np.iscomplexobj(x):
-        return float(np.real(np.conj(x) @ (mat.to_complex() @ x)))
-    if x.shape[0] == 2 * mat.n:
-        return float(x @ (herm_embed(mat).a @ x))
-    raise ValueError("complex quadratic form needs a complex or embedded vector")
+    if inst.field == COMPLEX and not np.iscomplexobj(x):
+        if x.shape != (2 * inst.n,):
+            raise ValueError("complex quadratic form needs a complex or embedded vector")
+        return x, inst.embedded_view
+    return x, inst.field_view
 
 
 def constraint_values(inst: QcqpInstance, x: np.ndarray) -> np.ndarray:
-    return np.array([quad_value(a, x) for a in inst.constraints])
+    """x* A_k x for every k; x is a field vector or, for complex data, (Re; Im)."""
+    x, view = _view_for(inst, x)
+    xh = np.conj(x)
+    return np.array([float(np.real(xh @ (a @ x))) for a in view.A])
 
 
 def objective_value(inst: QcqpInstance, x: np.ndarray) -> float:
-    return quad_value(inst.objective, x)
+    x, view = _view_for(inst, x)
+    return float(np.real(np.conj(x) @ (view.C @ x)))
+
+
+def to_field(X: SymMatrix, field: str) -> np.ndarray:
+    """A relaxation matrix in its own field.
+
+    For complex data X is the real 2n embedding; it is projected onto the
+    embedded Hermitian space and read back as the n x n complex array.
+    """
+    return complex_from_embedding(X.a).to_complex() if field == COMPLEX else X.a
+
+
+def to_embedded(a: np.ndarray, field: str) -> np.ndarray:
+    """A field array in the real coordinates the solver and sampler use.
+
+    For complex data an n x r array maps to the 2n x 2r block
+    [[Re, -Im], [Im, Re]], so a factor of Z = U U* becomes a factor of Z's
+    embedding and a Hermitian Z becomes its embedding; an n-vector maps to
+    (Re; Im).  Real data is returned as it is.
+    """
+    if field != COMPLEX:
+        return a
+    return vec_embed(a) if np.ndim(a) == 1 else embed_factor(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +234,7 @@ class SdpStandardForm:
 
     n: int
     C: np.ndarray
-    A: tuple
+    A: np.ndarray
     b: np.ndarray
     G: np.ndarray
     c_lin: np.ndarray
@@ -181,22 +250,14 @@ def build_relaxation(inst: QcqpInstance) -> SdpStandardForm:
     Embedded traces double, so complex right-hand sides become 2 and the
     embedded optimum is reported halved (report_scale).
     """
-    if inst.field == COMPLEX:
-        mats = tuple(herm_embed(a).a for a in inst.constraints)
-        C = herm_embed(inst.objective).a
-        rhs = 2.0
-        scale = 0.5
-    else:
-        mats = tuple(a.a for a in inst.constraints)
-        C = inst.objective.a
-        rhs = 1.0
-        scale = 1.0
-    p = len(mats)
+    C, A = inst.embedded_view
+    rhs, scale = (2.0, 0.5) if inst.field == COMPLEX else (1.0, 1.0)
+    p = A.shape[0]
     sign = 1.0 if inst.sense == MAXIMIZE else -1.0
     return SdpStandardForm(
         n=C.shape[0],
         C=C,
-        A=mats,
+        A=A,
         b=np.full(p, rhs),
         G=sign * np.eye(p),
         c_lin=np.zeros(p),
@@ -207,19 +268,21 @@ def build_relaxation(inst: QcqpInstance) -> SdpStandardForm:
     )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class SdpSolution:
+    """A packaged solve; X, dual_slack and ray are in the real 2n embedding for complex data."""
+
     status: str
-    X: SymMatrix | None
-    objective_value: float
-    dual_multipliers: tuple
-    dual_slack: SymMatrix | None
-    primal_residual: float
-    dual_residual: float
-    gap: float
+    X: SymMatrix | None = None
+    objective_value: float = math.nan
+    dual_multipliers: tuple = ()
+    dual_slack: SymMatrix | None = None
+    primal_residual: float = math.nan
+    dual_residual: float = math.nan
+    gap: float = math.nan
     iterations: int
-    ray: SymMatrix | None
-    infeasibility_certificate: tuple | None
+    ray: SymMatrix | None = None
+    infeasibility_certificate: tuple | None = None
     field: str
     n_orig: int
     report_scale: float
@@ -231,19 +294,20 @@ class SdpSolution:
                 return None if v is None or v != v else ("inf" if v > 0 else "-inf")
             return float(v)
 
+        def mat(m):
+            return None if m is None else json.loads(m.to_json())
+
         return {
             "status": _STATUS_JSON[self.status],
             "objective_value": num(self.objective_value),
             "dual_multipliers": [float(v) for v in self.dual_multipliers],
-            "X": json.loads(self.X.to_json()) if self.X is not None else None,
-            "dual_slack": json.loads(self.dual_slack.to_json())
-            if self.dual_slack is not None
-            else None,
+            "X": mat(self.X),
+            "dual_slack": mat(self.dual_slack),
             "primal_residual": num(self.primal_residual),
             "dual_residual": num(self.dual_residual),
             "gap": num(self.gap),
             "iterations": self.iterations,
-            "ray": json.loads(self.ray.to_json()) if self.ray is not None else None,
+            "ray": mat(self.ray),
             "infeasibility_certificate": list(self.infeasibility_certificate)
             if self.infeasibility_certificate is not None
             else None,
@@ -273,88 +337,53 @@ def solve(
         max_iter=max_iter,
     )
     flip = -1.0 if form.maximize else 1.0
-
+    status, message = NUMERICAL_FAILURE, res.message
     if res.status == "optimal":
-        mult = np.maximum(flip * res.y, 0.0)
         status = OPTIMAL
-        message = res.message
         if float(np.linalg.eigvalsh(res.X)[0]) < -PSD_TOL:
             status, message = NUMERICAL_FAILURE, "returned iterate lost definiteness"
-        return SdpSolution(
-            status=status,
+        out = dict(
             X=SymMatrix(res.X),
             objective_value=form.report_scale * flip * res.objective,
-            dual_multipliers=tuple(float(v) for v in mult),
+            dual_multipliers=tuple(float(v) for v in np.maximum(flip * res.y, 0.0)),
             dual_slack=SymMatrix(flip * res.Z if form.maximize else res.Z),
             primal_residual=res.primal_residual,
             dual_residual=res.dual_residual,
             gap=res.rel_gap,
-            iterations=res.iterations,
-            ray=None,
-            infeasibility_certificate=None,
-            field=form.field,
-            n_orig=form.n_orig,
-            report_scale=form.report_scale,
-            message=message,
         )
-
-    if res.status == "unbounded":
+    elif res.status == "unbounded":
         # improving ray, normalized so Tr(C D) = 1 (max) or -1 (min)
-        ray = SymMatrix(res.ray[0])
-        return SdpSolution(
-            status=UNBOUNDED,
-            X=None,
+        status = UNBOUNDED
+        out = dict(
             objective_value=np.inf if form.maximize else -np.inf,
-            dual_multipliers=(),
-            dual_slack=None,
             primal_residual=res.primal_residual,
-            dual_residual=np.nan,
-            gap=np.nan,
-            iterations=res.iterations,
-            ray=ray,
-            infeasibility_certificate=None,
-            field=form.field,
-            n_orig=form.n_orig,
-            report_scale=form.report_scale,
-            message=res.message,
+            ray=SymMatrix(res.ray[0]),
         )
-
-    if res.status == "infeasible":
+    elif res.status == "infeasible":
+        status = INFEASIBLE
         fy, fZ, _ = res.farkas
-        return SdpSolution(
-            status=INFEASIBLE,
-            X=None,
+        out = dict(
             objective_value=np.inf if not form.maximize else -np.inf,
             dual_multipliers=tuple(float(v) for v in np.maximum(flip * fy, 0.0)),
             dual_slack=SymMatrix(fZ),
-            primal_residual=np.nan,
             dual_residual=res.dual_residual,
-            gap=np.nan,
-            iterations=res.iterations,
-            ray=None,
             infeasibility_certificate=tuple(float(v) for v in fy),
-            field=form.field,
-            n_orig=form.n_orig,
-            report_scale=form.report_scale,
-            message=res.message,
         )
-
+    else:
+        out = dict(
+            X=SymMatrix(res.X) if np.all(np.isfinite(res.X)) else None,
+            primal_residual=res.primal_residual,
+            dual_residual=res.dual_residual,
+            gap=res.rel_gap,
+        )
     return SdpSolution(
-        status=NUMERICAL_FAILURE,
-        X=SymMatrix(res.X) if np.all(np.isfinite(res.X)) else None,
-        objective_value=np.nan,
-        dual_multipliers=(),
-        dual_slack=None,
-        primal_residual=res.primal_residual,
-        dual_residual=res.dual_residual,
-        gap=res.rel_gap,
+        status=status,
         iterations=res.iterations,
-        ray=None,
-        infeasibility_certificate=None,
         field=form.field,
         n_orig=form.n_orig,
         report_scale=form.report_scale,
-        message=res.message,
+        message=message,
+        **out,
     )
 
 
@@ -382,13 +411,7 @@ class SlaterReport:
     indeterminate: bool
 
 
-def _embedded_constraints(inst: QcqpInstance) -> list:
-    if inst.field == COMPLEX:
-        return [herm_embed(a).a for a in inst.constraints]
-    return [a.a for a in inst.constraints]
-
-
-def _probe_definite(mats: list, sign: float, max_iter: int) -> tuple:
+def _probe_definite(mats: np.ndarray, sign: float, max_iter: int) -> tuple:
     """Best lambda_min(sign * sum mu_k A_k) over the multiplier simplex.
 
     Epigraph game form: minimize u subject to u >= Tr(sign*A_k X) for all k,
@@ -396,11 +419,10 @@ def _probe_definite(mats: list, sign: float, max_iter: int) -> tuple:
     lambda_min and the row multipliers recover mu.  The free epigraph level
     is shifted by R = 1 + max ||A_k||_F to keep it in the orthant.
     """
-    n = mats[0].shape[0]
-    p = len(mats)
-    B = [sign * M for M in mats]
+    p, n = mats.shape[:2]
+    B = sign * mats
     R = 1.0 + max(float(np.linalg.norm(M)) for M in B)
-    rows = [-M for M in B] + [np.eye(n)]
+    rows = np.concatenate([-B, np.eye(n)[None]])
     q = p + 1  # u plus one surplus per epigraph row
     G = np.zeros((p + 1, q))
     G[:p, 0] = 1.0
@@ -417,13 +439,13 @@ def _probe_definite(mats: list, sign: float, max_iter: int) -> tuple:
     if mu_raw is None or float(mu_raw.sum()) < 1e-9:
         return -np.inf, tuple(np.zeros(p)), solver_ok
     mu = mu_raw / mu_raw.sum()
-    S = np.einsum("i,ijk->jk", mu, np.asarray(B))
+    S = np.einsum("i,ijk->jk", mu, B)
     lam = float(np.linalg.eigvalsh(0.5 * (S + S.T))[0])
     return lam, tuple(float(v) for v in mu), solver_ok
 
 
 def slater_check(inst: QcqpInstance, *, max_iter: int = 200) -> SlaterReport:
-    mats = _embedded_constraints(inst)
+    mats = inst.embedded_view.A
     pos_t, pos_mu, pos_ok = _probe_definite(mats, 1.0, max_iter)
     neg_t, neg_mu, neg_ok = _probe_definite(mats, -1.0, max_iter)
     found_pos = pos_t > _SLATER_TOL

@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from hqopt import experiment
 from hqopt.cli import main
 from hqopt.experiment import (
     CSV_HEADER,
+    GENERATION_FAILED,
     ROUNDING_FAILED,
     ExperimentConfig,
     derive_seeds,
@@ -21,7 +23,7 @@ from hqopt.experiment import (
 from hqopt.instances import CASE_A, CASE_B, CASE_C
 from hqopt.matrices import SymMatrix
 from hqopt.rounding import GAUSSIAN_MAX, GAUSSIAN_MIN, SIGN_MAX
-from hqopt.sdp import MINIMIZE, OPTIMAL, REAL, QcqpInstance
+from hqopt.sdp import COMPLEX, MINIMIZE, OPTIMAL, REAL, QcqpInstance
 
 
 def run_cli(argv):
@@ -157,6 +159,35 @@ class TestSweepRobustness:
         records = run_experiment(config).records
         assert not any(r.solve_status == OPTIMAL and math.isnan(r.empirical_ratio) for r in records)
         assert any(r.solve_status == ROUNDING_FAILED for r in records)
+
+    def test_exhausted_generation_retries_keep_the_row(self, monkeypatch):
+        real_generate = experiment.generate
+        bad_seed = derive_seeds(0, 0, 5, 1)[0]
+
+        def generate(spec):
+            if spec.seed == bad_seed:
+                raise RuntimeError("no feasible instance after 20 retries")
+            return real_generate(spec)
+
+        monkeypatch.setattr(experiment, "generate", generate)
+        config = ExperimentConfig(cases=(CASE_A,), m_list=(5,), instances_per_m=3)
+        records = run_experiment(config).records
+        assert len(records) == 3
+        assert [r.solve_status for r in records] == [OPTIMAL, GENERATION_FAILED, OPTIMAL]
+        failed = records[1]
+        assert failed.instance_seed == bad_seed
+        assert all(math.isnan(v) for v in (failed.v_sdp, failed.v_hat_qp, failed.empirical_ratio,
+                                           failed.theoretical_bound))
+
+    def test_complex_gaussian_fallback_claims_sampling_bound(self):
+        # exact extraction finds no rank-one point on this m = 3 instance, so
+        # the record is Gaussian-sampled (ratio about 1.0126) and may not claim 1
+        config = ExperimentConfig(cases=(CASE_A,), m_list=(3,), instances_per_m=14, field=COMPLEX)
+        rec = run_single(config, CASE_A, 0, 3, 13)
+        assert rec.instance_seed == 527385492
+        assert rec.solve_status == OPTIMAL
+        assert rec.empirical_ratio > 1.0 + 1e-4
+        assert rec.empirical_ratio <= rec.theoretical_bound == 2400.0 * 3
 
     def test_slightly_negative_solver_eigenvalue_is_accepted(self):
         # instance 4's Optimal solution has an eigenvalue of -3.85e-9

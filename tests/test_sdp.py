@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hqopt import sdp
-from hqopt.matrices import HermMatrix, SymMatrix
+from hqopt.matrices import HermMatrix, SymMatrix, herm_embed, vec_embed
 
 
 def sym(a):
@@ -179,9 +179,70 @@ class TestInstance:
 
     def test_quad_complex_embedding_agrees(self):
         h = HermMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([[0.0, -0.7], [0.7, 0.0]]))
+        inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.COMPLEX, h, (h,))
         z = np.array([1.0 + 2.0j, -0.5 + 0.25j])
         emb = np.concatenate([z.real, z.imag])
-        assert sdp.quad_value(h, z) == pytest.approx(sdp.quad_value(h, emb), rel=1e-12)
+        assert sdp.constraint_values(inst, z)[0] == pytest.approx(
+            sdp.constraint_values(inst, emb)[0], rel=1e-12
+        )
+        assert sdp.objective_value(inst, z) == pytest.approx(sdp.objective_value(inst, emb), rel=1e-12)
+        with pytest.raises(ValueError, match="embedded vector"):
+            sdp.constraint_values(inst, z.real)
+
+
+def random_instance(field, n=3, p=3, seed=0):
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        a = rng.standard_normal((n, n))
+        if field == sdp.REAL:
+            return sym(a)
+        return HermMatrix(a, rng.standard_normal((n, n)))
+
+    return sdp.QcqpInstance(sdp.MINIMIZE, field, draw(), tuple(draw() for _ in range(p)))
+
+
+class TestFieldViews:
+    @pytest.mark.parametrize("field", sdp.FIELDS)
+    def test_views_match_each_matrix(self, field):
+        inst = random_instance(field)
+        mats = (inst.objective, *inst.constraints)
+        C, A = inst.field_view
+        Ce, Ae = inst.embedded_view
+        for mat, f, e in zip(mats, (C, *A), (Ce, *Ae)):
+            if field == sdp.COMPLEX:
+                assert np.array_equal(f, mat.to_complex())
+                assert np.array_equal(e, herm_embed(mat).a)
+            else:
+                assert np.array_equal(f, mat.a)
+                assert np.array_equal(e, mat.a)
+        assert A.shape == (inst.m + 1, inst.n, inst.n)
+        assert not A.flags.writeable and not Ce.flags.writeable
+
+    @pytest.mark.parametrize("field", sdp.FIELDS)
+    def test_views_are_built_once(self, field):
+        inst = random_instance(field)
+        assert inst.field_view is inst.field_view
+        assert inst.embedded_view is inst.embedded_view
+        if field == sdp.REAL:
+            assert inst.embedded_view is inst.field_view
+
+    def test_constraint_values_on_vector_and_embedding(self):
+        inst = random_instance(sdp.COMPLEX, n=4, p=5, seed=3)
+        rng = np.random.default_rng(4)
+        z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        np.testing.assert_allclose(
+            sdp.constraint_values(inst, z), sdp.constraint_values(inst, vec_embed(z)), rtol=1e-12
+        )
+
+    def test_solution_conversions_roundtrip(self):
+        inst = random_instance(sdp.COMPLEX, seed=5)
+        h = inst.constraints[0]
+        emb = sdp.to_embedded(h.to_complex(), sdp.COMPLEX)
+        assert np.array_equal(emb, herm_embed(h).a)
+        assert np.array_equal(sdp.to_field(SymMatrix(emb), sdp.COMPLEX), h.to_complex())
+        x = SymMatrix(np.eye(3))
+        assert sdp.to_field(x, sdp.REAL) is x.a and sdp.to_embedded(x.a, sdp.REAL) is x.a
 
 
 class TestBuildRelaxation:
