@@ -19,9 +19,14 @@ embedding; a complex Gaussian coordinate has independent real and imaginary
 parts of variance one half.  round_solution picks the scheme for a solved
 instance.
 
-Sample i is generated from a stream seeded by (seed, i), so a prefix of the
-sample sequence never depends on num_samples and parallel evaluation cannot
-change results.
+All draws of one rounding call come from a single counter-based Philox4x64
+stream (Salmon et al., SC'11) keyed by the seed.  Every sample consumes a
+fixed number w of 64-bit words: r rounded up to even for Gaussians
+(Box-Muller on pairs of 53-bit uniforms) and r for signs (one bit per word).
+Sample i owns the counter blocks [i b, (i + 1) b) with b = ceil(w / 4), each
+block yielding four words, so its draw is a pure function of (seed, i): a
+prefix of the sample sequence never depends on num_samples, and neither the
+chunk size nor the order in which chunks are evaluated changes results.
 """
 from __future__ import annotations
 
@@ -80,8 +85,9 @@ class RoundingParams:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not isinstance(self.num_samples, int) or self.num_samples < 1:
             raise ValueError("num_samples must be a positive integer")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**128:
+            # the seed is the 128-bit key of the sample stream
+            raise ValueError("seed must be an integer in [0, 2**128)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,20 +147,26 @@ class RoundingReport:
         }
 
 
-def sample_rng(seed: int, index: int) -> np.random.Generator:
-    """Generator for sample `index`, keyed by (seed, index) so prefixes are stable."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
-
-
 def _draw_rows(seed: int, start: int, count: int, r: int, scale: float | None) -> np.ndarray:
-    """Rows for samples start..start+count-1: N(0, scale^2), or +-1 signs when scale is None."""
-    rows = np.empty((count, r))
-    for i in range(count):
-        rng = sample_rng(seed, start + i)
-        rows[i] = rng.integers(0, 2, r) if scale is None else rng.standard_normal(r)
+    """Rows for samples start..start+count-1: N(0, scale^2), or +-1 signs when scale is None.
+
+    One Philox stream keyed by seed is advanced to sample start's first
+    counter block, and the whole chunk is read in one call.
+    """
+    w = r if scale is None else r + r % 2
+    b = -(-w // 4)
+    gen = np.random.Philox(key=seed)
+    gen.advance(start * b)
+    words = gen.random_raw(count * 4 * b).reshape(count, 4 * b)[:, :w]
     if scale is None:
-        return rows * 2.0 - 1.0
-    return rows * scale
+        return 1.0 - 2.0 * (words >> 63)
+    # Box-Muller; the radius uniform lies in (0, 1] so its log is finite
+    angle = (2.0 * math.pi * 2.0**-53) * (words[:, 0::2] >> 11)
+    radius = scale * np.sqrt(-2.0 * np.log(2.0**-53 * ((words[:, 1::2] >> 11) + 1)))
+    rows = np.empty((count, w))
+    rows[:, 0::2] = radius * np.cos(angle)
+    rows[:, 1::2] = radius * np.sin(angle)
+    return rows[:, :r]
 
 
 def _batched_quadforms(Xi: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -481,9 +493,7 @@ def gaussian_round_max(
 
     alpha = bound_certificate_max(inst, sol.X)["alpha"]
     v_sdp = sol.objective_value
-    # for complex data this factors the solver's X projected onto the
-    # embedded Hermitian space, not the raw X
-    F = factorize(to_embedded(to_field(sol.X, inst.field), inst.field), 1e-9)
+    F = factorize(sol.X.a, 1e-9)
     draws = _sample(inst, F, p, lambda dens, raw: (dens <= alpha) & (raw >= v_sdp))
     return _report(p.scheme, p.seed, p.num_samples, inst.sense, v_sdp, alpha, True, False, draws)
 

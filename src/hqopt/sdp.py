@@ -36,6 +36,7 @@ from .matrices import (
     embed_factor,
     frobenius_norm,
     herm_embed,
+    j_symmetrize,
     vec_embed,
 )
 
@@ -340,10 +341,13 @@ def solve(
     status, message = NUMERICAL_FAILURE, res.message
     if res.status == "optimal":
         status = OPTIMAL
-        if float(np.linalg.eigvalsh(res.X)[0]) < -PSD_TOL:
+        # C and every A_k lie in the embedded Hermitian space, so projecting
+        # a complex optimum onto it moves objective and constraints by round-off
+        X = j_symmetrize(res.X) if form.field == COMPLEX else res.X
+        if float(np.linalg.eigvalsh(X)[0]) < -PSD_TOL:
             status, message = NUMERICAL_FAILURE, "returned iterate lost definiteness"
         out = dict(
-            X=SymMatrix(res.X),
+            X=SymMatrix(X),
             objective_value=form.report_scale * flip * res.objective,
             dual_multipliers=tuple(float(v) for v in np.maximum(flip * res.y, 0.0)),
             dual_slack=SymMatrix(flip * res.Z if form.maximize else res.Z),

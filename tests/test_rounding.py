@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hqopt import rounding
 from hqopt.lowrank import LowRankSolution, reduce_rank
 from hqopt.matrices import HermMatrix, SymMatrix
 from hqopt.rounding import (
@@ -24,7 +25,6 @@ from hqopt.rounding import (
     gaussian_round_min,
     per_constraint_tail_bound,
     round_solution,
-    sample_rng,
     sign_round_max,
     sign_union_tail,
 )
@@ -119,11 +119,15 @@ class TestRoundingParams:
             {"scheme": GAUSSIAN_MIN, "seed": 1.5},
             {"scheme": "gaussianmin"},
             {"scheme": "ComplexExact"},
+            {"scheme": GAUSSIAN_MIN, "seed": 2**128},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             RoundingParams(**kwargs)
+
+    def test_accepts_largest_stream_key(self):
+        assert RoundingParams(GAUSSIAN_MIN, seed=2**128 - 1).seed == 2**128 - 1
 
     def test_frozen(self):
         p = RoundingParams(GAUSSIAN_MIN)
@@ -131,16 +135,72 @@ class TestRoundingParams:
             p.seed = 1
 
 
-class TestSampleRng:
-    def test_prefix_stability(self):
-        a = sample_rng(3, 5).standard_normal(4)
-        b = sample_rng(3, 5).standard_normal(4)
-        assert np.array_equal(a, b)
+class TestSampleStream:
+    """Sample i's draw is a pure function of (seed, i)."""
 
-    def test_distinct_indices(self):
-        a = sample_rng(3, 5).standard_normal(4)
-        b = sample_rng(3, 6).standard_normal(4)
-        assert not np.array_equal(a, b)
+    @pytest.mark.parametrize("scale", [1.0, math.sqrt(0.5), None])
+    def test_random_access_matches_full_draw(self, scale):
+        full = rounding._draw_rows(3, 0, 200, 5, scale)
+        assert np.array_equal(rounding._draw_rows(3, 37, 50, 5, scale), full[37:87])
+        assert np.array_equal(rounding._draw_rows(3, 199, 1, 5, scale), full[199:])
+
+    def test_chunk_size_does_not_change_reports(self, min_pipeline, max_pipeline, monkeypatch):
+        def reports():
+            inst, _, low = min_pipeline
+            mx, mx_sol, mx_low = max_pipeline
+            return [
+                gaussian_round_min(inst, low, RoundingParams(GAUSSIAN_MIN, 500, seed=4)),
+                sign_round_max(mx, mx_low, RoundingParams(SIGN_MAX, 500, seed=4)),
+                gaussian_round_max(mx, mx_sol, RoundingParams(GAUSSIAN_MAX, 500, seed=4)),
+            ]
+
+        default = [r.to_json_dict() for r in reports()]
+        monkeypatch.setattr(rounding, "_SAMPLE_CHUNK", 7)
+        assert [r.to_json_dict() for r in reports()] == default
+
+    def test_prefix_independent_of_num_samples(self, min_pipeline, monkeypatch):
+        inst, _, low = min_pipeline
+        drawn = []
+        draw_rows = rounding._draw_rows
+
+        def recording(*args):
+            drawn.append(draw_rows(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(rounding, "_draw_rows", recording)
+        gaussian_round_min(inst, low, RoundingParams(GAUSSIAN_MIN, 100, seed=9))
+        short = np.concatenate(drawn)
+        drawn.clear()
+        gaussian_round_min(inst, low, RoundingParams(GAUSSIAN_MIN, 10_000, seed=9))
+        long = np.concatenate(drawn)
+        assert short.shape[0] == 100 and long.shape[0] == 10_000
+        assert np.array_equal(long[:100], short)
+
+    @pytest.mark.parametrize("scale", [1.0, None])
+    def test_distinct_seeds(self, scale):
+        a = rounding._draw_rows(3, 0, 20, 6, scale)
+        assert not np.array_equal(a, rounding._draw_rows(4, 0, 20, 6, scale))
+        assert not np.array_equal(a, rounding._draw_rows(2**64 + 3, 0, 20, 6, scale))
+
+    @pytest.mark.parametrize("scale", [1.0, math.sqrt(0.5)])
+    def test_gaussian_moments(self, scale):
+        # variance one, or one half per real coordinate of a complex draw;
+        # odd r leaves the last Box-Muller pair of every sample half used
+        n = 200_000
+        x = rounding._draw_rows(5, 0, n, 3, scale)
+        var, five_sigma = scale * scale, 5.0 / math.sqrt(n)
+        assert np.all(np.isfinite(x))
+        assert np.all(np.abs(x.mean(axis=0)) <= five_sigma * scale)
+        assert np.all(np.abs(x.var(axis=0) - var) <= math.sqrt(2.0) * five_sigma * var)
+        cov = np.cov(x.T)
+        assert np.all(np.abs(cov[~np.eye(3, dtype=bool)]) <= five_sigma * var)
+
+    def test_signs_are_balanced(self):
+        n = 200_000
+        s = rounding._draw_rows(7, 0, n, 3, None)
+        assert set(np.unique(s)) == {-1.0, 1.0}
+        assert np.all(np.abs(s.mean(axis=0)) <= 5.0 / math.sqrt(n))
+        assert abs(np.mean(s[:, 0] * s[:, 1])) <= 5.0 / math.sqrt(n)
 
 
 class TestBoundCertificateMin:

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from hqopt import sdp
-from hqopt.matrices import HermMatrix, SymMatrix, herm_embed, vec_embed
+from hqopt.instances import (
+    CASE_A,
+    OBJECTIVE_IDENTITY,
+    OBJECTIVE_INDEFINITE,
+    GeneratorSpec,
+    generate,
+)
+from hqopt.matrices import HermMatrix, SymMatrix, herm_embed, j_symmetrize, vec_embed
 
 
 def sym(a):
@@ -395,6 +402,29 @@ class TestSolve:
         assert unb["status"] == "unbounded"
         assert unb["objective_value"] == "inf"
         assert unb["ray"] is not None
+
+    @pytest.mark.parametrize(
+        "sense, objective_kind",
+        [(sdp.MINIMIZE, OBJECTIVE_IDENTITY), (sdp.MAXIMIZE, OBJECTIVE_INDEFINITE)],
+    )
+    def test_complex_optimum_is_exact_embedding(self, sense, objective_kind):
+        # the raw iterate of this instance is 7e-8 (min) and 2e-7 (max) off
+        # the embedded Hermitian space
+        spec = GeneratorSpec(
+            n=6, m=5, case=CASE_A, sense=sense, objective_kind=objective_kind,
+            seed=3, field=sdp.COMPLEX,
+        )
+        inst = generate(spec)
+        sol = sdp.solve_instance(inst)
+        assert sol.status == sdp.OPTIMAL
+        X = sol.X.a
+        assert np.max(np.abs(X - j_symmetrize(X))) <= 1e-15 * np.max(np.abs(X))
+        # C and A_k lie in that space: the projection keeps objective and constraints
+        C, A = inst.embedded_view
+        assert 0.5 * np.tensordot(C, X, 2) == pytest.approx(sol.objective_value, rel=1e-8)
+        traces = 0.5 * np.tensordot(A, X, 2)
+        slack = traces - 1.0 if sense == sdp.MINIMIZE else 1.0 - traces
+        assert np.all(slack >= -1e-7)
 
 
 class TestSlater:
