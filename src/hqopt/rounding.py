@@ -45,7 +45,6 @@ from .sdp import (
     OPTIMAL,
     QcqpInstance,
     SdpSolution,
-    SlaterReport,
     constraint_values,
     objective_value,
     slater_check,
@@ -381,12 +380,6 @@ def _report(
     )
 
 
-def _require_positive_aggregate(inst: QcqpInstance, slater: SlaterReport | None) -> None:
-    report = slater if slater is not None else slater_check(inst)
-    if not report.dual_slater:
-        raise ValueError(_NO_AGGREGATE)
-
-
 def gaussian_round_min(
     inst: QcqpInstance, lowrank: LowRankSolution, p: RoundingParams
 ) -> RoundingReport:
@@ -430,12 +423,7 @@ def gaussian_round_min(
     return _report(p.scheme, p.seed, p.num_samples, inst.sense, v_sdp, bound, not warn, warn, draws)
 
 
-def sign_round_max(
-    inst: QcqpInstance,
-    lowrank: LowRankSolution,
-    p: RoundingParams,
-    slater: SlaterReport | None = None,
-) -> RoundingReport:
+def sign_round_max(inst: QcqpInstance, lowrank: LowRankSolution, p: RoundingParams) -> RoundingReport:
     """Round a real maximization solution with +-1 vectors through U Q.
 
     Q diagonalizes U^T C U, so every sign vector carries the full objective
@@ -444,7 +432,9 @@ def sign_round_max(
     (they signal a violated positivity assumption).  The claimed bound is
     alpha = 2 log(174 m mu_eff) with mu_eff = min{m, max_k rank(A_k X_hat)},
     provided at most one constraint is indefinite; the joint event counts
-    samples with denominator at most alpha.
+    samples with denominator at most alpha.  Without a positive definite
+    constraint aggregate (slater_check) the report is a failed one and no
+    sample is drawn.
     """
     if inst.sense != MAXIMIZE:
         raise ValueError("sign_round_max needs a maximization instance")
@@ -452,7 +442,9 @@ def sign_round_max(
         raise ValueError(f"params.scheme is {p.scheme!r}, expected {SIGN_MAX!r}")
     if inst.field == COMPLEX:
         raise ValueError("sign rounding is defined for real instances")
-    _require_positive_aggregate(inst, slater)
+    if not slater_check(inst).dual_slater:
+        return _report(p.scheme, p.seed, p.num_samples, inst.sense, lowrank.objective_value,
+                       math.inf, False, False, _Draws(), _NO_AGGREGATE)
 
     U = lowrank.U
     X_hat = lowrank.reconstruct()
@@ -471,17 +463,14 @@ def sign_round_max(
                    bound, not warn, warn, draws)
 
 
-def gaussian_round_max(
-    inst: QcqpInstance,
-    sol: SdpSolution,
-    p: RoundingParams,
-    slater: SlaterReport | None = None,
-) -> RoundingReport:
+def gaussian_round_max(inst: QcqpInstance, sol: SdpSolution, p: RoundingParams) -> RoundingReport:
     """Round a maximization solution by Gaussian sampling from the full X_hat.
 
     Works with any number of indefinite constraints; the claimed bound is the
     data-dependent certificate of bound_certificate_max.  The joint event
-    counts samples with max_k xi*A_k xi <= alpha and xi*C xi >= v_sdp.
+    counts samples with max_k xi*A_k xi <= alpha and xi*C xi >= v_sdp.  As
+    in sign_round_max, no positive definite constraint aggregate gives a
+    failed report.
     """
     if inst.sense != MAXIMIZE:
         raise ValueError("gaussian_round_max needs a maximization instance")
@@ -489,7 +478,9 @@ def gaussian_round_max(
         raise ValueError(f"params.scheme is {p.scheme!r}, expected {GAUSSIAN_MAX!r}")
     if sol.status != OPTIMAL:
         raise ValueError("gaussian_round_max needs an Optimal solution")
-    _require_positive_aggregate(inst, slater)
+    if not slater_check(inst).dual_slater:
+        return _report(p.scheme, p.seed, p.num_samples, inst.sense, sol.objective_value,
+                       math.inf, False, False, _Draws(), _NO_AGGREGATE)
 
     alpha = bound_certificate_max(inst, sol.X)["alpha"]
     v_sdp = sol.objective_value
@@ -625,10 +616,9 @@ def round_solution(
     """Round an Optimal relaxation with the scheme p.scheme names.
 
     GaussianMin and SignMax round the rank-reduced solution, GaussianMax the
-    full one.  A max scheme without a positive definite constraint aggregate
-    yields a failed report instead of an exception.  With exact_first, a
-    complex minimization with m <= 3 tries complex_exact_extraction first and
-    falls back to Gaussian sampling when it finds no point.
+    full one.  With exact_first, a complex minimization with m <= 3 tries
+    complex_exact_extraction first and falls back to Gaussian sampling when
+    it finds no point.
     """
     if p.scheme == GAUSSIAN_MIN:
         low = reduce_rank(sol, inst)
@@ -637,10 +627,6 @@ def round_solution(
             if not report.failed:
                 return report
         return gaussian_round_min(inst, low, p)
-    slater = slater_check(inst)
-    if inst.sense == MAXIMIZE and not slater.dual_slater:
-        return _report(p.scheme, p.seed, p.num_samples, inst.sense, sol.objective_value,
-                       math.inf, False, False, _Draws(), _NO_AGGREGATE)
     if p.scheme == GAUSSIAN_MAX:
-        return gaussian_round_max(inst, sol, p, slater)
-    return sign_round_max(inst, reduce_rank(sol, inst), p, slater)
+        return gaussian_round_max(inst, sol, p)
+    return sign_round_max(inst, reduce_rank(sol, inst), p)

@@ -17,6 +17,11 @@ its own field and ``embedded_view`` in the real coordinates the solver and
 the sampler use.  ``to_field`` reads a solution matrix back into the
 instance's field, and ``to_embedded`` takes a field factor or vector the
 other way.
+
+slater_check decides whether some nonnegative combination of the A_k is
+positive definite, which the max-form rounding needs.  Under the paper's
+hypothesis for max problems (all but one A_k PSD) the answer follows from
+eigenvalues; only the remaining instances run an interior-point probe.
 """
 from __future__ import annotations
 
@@ -397,71 +402,111 @@ def solve_instance(inst: QcqpInstance, **kwargs) -> SdpSolution:
 
 @dataclass(frozen=True)
 class SlaterReport:
-    """Outcome of probing for mu >= 0, sum mu = 1 with sum mu_k A_k definite.
+    """Whether some mu >= 0 with sum mu = 1 makes sum mu_k A_k positive definite.
 
-    Both signs are probed; ``dual_slater`` reflects the positive-definite
-    combination, which is the one the rounding schemes rely on.  Verification
-    is by direct eigenvalue computation on the recovered multipliers, so a
-    True is never based on the solver's word alone.
+    Every answer is checked by eigenvalues on the instance's own data.  A
+    yes carries its certificate mu and t = lambda_min(sum mu_k A_k) >
+    _SLATER_TOL.  A no carries either a unit witness x ((Re; Im) for complex
+    data) with t = max_k x*A_k x <= _SLATER_TOL, which bounds lambda_min of
+    every combination from above, and an empty certificate; or, from the
+    interior-point probe, the probe's best mu and its lambda_min as t, with
+    indeterminate set when the probe did not converge.
     """
 
     dual_slater: bool
     certificate: tuple
     t: float
-    definite_sign: str  # positive | negative | neither
-    positive_t: float
-    negative_t: float
-    negative_certificate: tuple
-    indeterminate: bool
+    witness: tuple | None = None
+    indeterminate: bool = False
 
 
-def _probe_definite(mats: np.ndarray, sign: float, max_iter: int) -> tuple:
-    """Best lambda_min(sign * sum mu_k A_k) over the multiplier simplex.
+def _probe_definite(mats: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The IPM's mu maximizing lambda_min(sum mu_k A_k) over the simplex, and its convergence.
 
-    Epigraph game form: minimize u subject to u >= Tr(sign*A_k X) for all k,
+    Epigraph game form: minimize u subject to u >= Tr(A_k X) for all k,
     Tr(X) = 1, X PSD; by duality the optimal u equals the best achievable
     lambda_min and the row multipliers recover mu.  The free epigraph level
     is shifted by R = 1 + max ||A_k||_F to keep it in the orthant.
     """
     p, n = mats.shape[:2]
-    B = sign * mats
-    R = 1.0 + max(float(np.linalg.norm(M)) for M in B)
-    rows = np.concatenate([-B, np.eye(n)[None]])
+    R = 1.0 + max(float(np.linalg.norm(M)) for M in mats)
+    rows = np.concatenate([-mats, np.eye(n)[None]])
     q = p + 1  # u plus one surplus per epigraph row
     G = np.zeros((p + 1, q))
     G[:p, 0] = 1.0
-    for k in range(p):
-        G[k, 1 + k] = -1.0
+    G[:p, 1:] = -np.eye(p)
     b = np.concatenate([np.full(p, R), [1.0]])
     c_lin = np.zeros(q)
     c_lin[0] = 1.0
-    res = _ipm.solve_conic(
-        np.zeros((n, n)), rows, b, G, c_lin, max_iter=max_iter
-    )
-    solver_ok = res.status == "optimal"
-    mu_raw = np.maximum(res.y[:p], 0.0) if np.all(np.isfinite(res.y[:p])) else None
-    if mu_raw is None or float(mu_raw.sum()) < 1e-9:
-        return -np.inf, tuple(np.zeros(p)), solver_ok
-    mu = mu_raw / mu_raw.sum()
-    S = np.einsum("i,ijk->jk", mu, B)
-    lam = float(np.linalg.eigvalsh(0.5 * (S + S.T))[0])
-    return lam, tuple(float(v) for v in mu), solver_ok
+    res = _ipm.solve_conic(np.zeros((n, n)), rows, b, G, c_lin)
+    converged = res.status == "optimal"
+    mu = np.maximum(res.y[:p], 0.0)
+    if not mu.sum() >= 1e-9:  # also when y is not finite
+        return np.zeros(p), converged
+    return mu / mu.sum(), converged
 
 
-def slater_check(inst: QcqpInstance, *, max_iter: int = 200) -> SlaterReport:
-    mats = inst.embedded_view.A
-    pos_t, pos_mu, pos_ok = _probe_definite(mats, 1.0, max_iter)
-    neg_t, neg_mu, neg_ok = _probe_definite(mats, -1.0, max_iter)
-    found_pos = pos_t > _SLATER_TOL
-    found_neg = neg_t > _SLATER_TOL
-    sign = "positive" if found_pos else ("negative" if found_neg else "neither")
-    return SlaterReport(
-        dual_slater=found_pos,
-        certificate=pos_mu,
-        t=pos_t,
-        definite_sign=sign,
-        positive_t=pos_t,
-        negative_t=neg_t,
-        negative_certificate=neg_mu,
-        indeterminate=not found_pos and not pos_ok,
-    )
+def _combination(A: np.ndarray, mu: np.ndarray, converged: bool = True) -> SlaterReport:
+    """The report for weights mu: a yes exactly when lambda_min(sum mu_k A_k) > _SLATER_TOL."""
+    t = float(np.linalg.eigvalsh(np.tensordot(mu, A, 1))[0])
+    found = t > _SLATER_TOL
+    return SlaterReport(found, tuple(float(v) for v in mu), t, indeterminate=not found and not converged)
+
+
+def _refute(inst: QcqpInstance, x: np.ndarray) -> SlaterReport | None:
+    """The no that the unit field vector x proves, if max_k x*A_k x <= _SLATER_TOL."""
+    t = float(constraint_values(inst, x).max())
+    if t > _SLATER_TOL:
+        return None
+    return SlaterReport(False, (), t, tuple(float(v) for v in to_embedded(x, inst.field)))
+
+
+def _closed_form(inst: QcqpInstance) -> SlaterReport | None:
+    """Decide dual Slater from eigenvalues when at most one A_k is not PSD.
+
+    Let P be the sum of the PSD constraints.  P > 0: mu is uniform on them.
+    No other constraint: a kernel vector of P refutes.  Exactly one other,
+    A_j: by Finsler's lemma (Polik & Terlaky, SIAM Review 2007) some
+    A_j + s P is definite exactly when N* A_j N > 0, N spanning ker P, and
+    otherwise N's bottom direction refutes.  None when the answer is open
+    (two or more non-PSD constraints and P not definite) or fails its check.
+    """
+    A = inst.field_view.A
+    psd, others = list(inst.psd_indices), inst.non_psd_indices
+    on_psd = np.zeros(len(A))
+    on_psd[psd] = 1.0
+    if psd:
+        report = _combination(A, on_psd / len(psd))
+        if report.dual_slater:
+            return report
+    if len(others) > 1:
+        return None
+    P = np.tensordot(on_psd, A, 1)
+    lam, V = np.linalg.eigh(P)
+    if not others:
+        return _refute(inst, V[:, 0])
+    Aj = A[others[0]]
+    kernel = lam <= _TAG_TOL * frobenius_norm(P)
+    N, R = V[:, kernel], V[:, ~kernel]
+    lam_n, W = np.linalg.eigh(np.conj(N.T) @ Aj @ N)
+    if lam_n.size and lam_n[0] <= _SLATER_TOL:
+        return _refute(inst, N @ W[:, 0])
+    # in the basis (R, N), A_j + s P > 0 iff s diag(lam_R) > S, where -S is
+    # the Schur complement of A_j's kernel block; s* is the least such s
+    B = (np.conj(R.T) @ Aj @ N) @ W / np.sqrt(lam_n)
+    S = B @ np.conj(B.T) - np.conj(R.T) @ Aj @ R
+    d = 1.0 / np.sqrt(lam[~kernel])
+    s_star = np.max(np.linalg.eigvalsh(d[:, None] * S * d[None, :]), initial=0.0)
+    mu = (2.0 * s_star + 1.0) * on_psd
+    mu[others[0]] = 1.0
+    report = _combination(A, mu / mu.sum())
+    return report if report.dual_slater else None
+
+
+def slater_check(inst: QcqpInstance) -> SlaterReport:
+    """Decide dual Slater in closed form; run the IPM probe only when that is open."""
+    report = _closed_form(inst)
+    if report is not None:
+        return report
+    mu, converged = _probe_definite(inst.embedded_view.A)
+    return _combination(inst.field_view.A, mu, converged)

@@ -8,6 +8,10 @@ v_hat_qp, ratio and bound to 1e-9 relative (NaN matches NaN).
 Regenerate the fixtures only when a change moves a value on purpose:
 
     PYTHONPATH=src python tests/test_golden.py
+
+A committed line that the rerun still matches keeps its text: BLAS round-off
+moves last digits between machines, and the diff should show only rows that
+moved beyond REL_TOL.
 """
 
 import io
@@ -53,6 +57,12 @@ def _close(a: str, b: str) -> bool:
     return abs(x - y) <= REL_TOL * max(abs(x), abs(y))
 
 
+def _same_row(got: str, expected: str) -> bool:
+    """case, m, instance_seed and status equal; v_sdp, v_hat_qp, ratio and bound within REL_TOL."""
+    gc, ec = got.split(","), expected.split(",")
+    return len(gc) == len(ec) and gc[:4] == ec[:4] and all(map(_close, gc[4:8], ec[4:8]))
+
+
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_sweep_matches_golden_fixture(name):
     expected = (FIXTURES / f"{name}.csv").read_text().splitlines()
@@ -60,14 +70,15 @@ def test_sweep_matches_golden_fixture(name):
     assert got[:2] == expected[:2]
     assert len(got) == len(expected)
     for row, (g, e) in enumerate(zip(got[2:], expected[2:]), start=3):
-        gc, ec = g.split(","), e.split(",")
-        assert gc[:4] == ec[:4], f"{name} line {row}: {g!r} != {e!r}"
-        for col in range(4, 8):
-            assert _close(gc[col], ec[col]), f"{name} line {row} column {col}: {g!r} != {e!r}"
+        assert _same_row(g, e), f"{name} line {row}: {g!r} != {e!r}"
 
 
 if __name__ == "__main__":
     FIXTURES.mkdir(exist_ok=True)
     for sweep in SWEEPS:
-        (FIXTURES / f"{sweep}.csv").write_text(sweep_csv(sweep))
-        print(f"wrote {FIXTURES / sweep}.csv")
+        path = FIXTURES / f"{sweep}.csv"
+        old = path.read_text().splitlines() if path.exists() else []
+        new = sweep_csv(sweep).splitlines()
+        lines = [o if _same_row(n, o) else n for n, o in zip(new, old)] + new[len(old):]
+        path.write_text("".join(line + "\n" for line in lines))
+        print(f"wrote {path}")

@@ -518,7 +518,7 @@ class TestSignRoundMax:
         with pytest.raises(ValueError, match="real"):
             sign_round_max(inst, low, RoundingParams(SIGN_MAX))
 
-    def test_rejects_without_positive_aggregate(self):
+    def test_fails_without_positive_aggregate(self):
         # no nonnegative combination of a single indefinite constraint is positive definite
         inst = QcqpInstance(
             sense=MAXIMIZE,
@@ -534,8 +534,11 @@ class TestSignRoundMax:
             meets_bound=True,
             steps=0,
         )
-        with pytest.raises(ValueError, match="positive definite"):
-            sign_round_max(inst, low, RoundingParams(SIGN_MAX))
+        report = sign_round_max(inst, low, RoundingParams(SIGN_MAX, num_samples=20))
+        assert report.failed and report.message == rounding._NO_AGGREGATE
+        assert report.best_x is None and math.isnan(report.empirical_ratio)
+        assert report.samples_feasible == report.samples_discarded == 0
+        assert report.theoretical_bound == math.inf and not report.bound_is_claimed
 
 
 class TestGaussianRoundMax:

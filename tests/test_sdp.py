@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from hqopt import sdp
+from hqopt import _ipm, sdp
 from hqopt.instances import (
     CASE_A,
+    CASES,
     OBJECTIVE_IDENTITY,
     OBJECTIVE_INDEFINITE,
     GeneratorSpec,
@@ -427,6 +428,68 @@ class TestSolve:
         assert np.all(slack >= -1e-7)
 
 
+@pytest.fixture
+def ipm_calls(monkeypatch):
+    """Counts calls into the interior-point core."""
+    calls = []
+    real = _ipm.solve_conic
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_ipm, "solve_conic", counting)
+    return calls
+
+
+def recheck_slater(inst, rep):
+    """Verify a SlaterReport's certificate or witness by eigenvalues of the instance's own data."""
+    A = inst.field_view.A
+    if rep.dual_slater or rep.witness is None:
+        mu = np.array(rep.certificate)
+        assert np.all(mu >= 0.0) and mu.sum() == pytest.approx(1.0)
+        t = np.linalg.eigvalsh(np.tensordot(mu, A, 1))[0]
+        assert t == pytest.approx(rep.t, rel=1e-9, abs=1e-12)
+        assert (t > sdp._SLATER_TOL) == rep.dual_slater
+        return
+    x = np.array(rep.witness)
+    assert rep.certificate == ()
+    assert np.linalg.norm(x) == pytest.approx(1.0)
+    values = sdp.constraint_values(inst, x)
+    assert values.max() == pytest.approx(rep.t, rel=1e-9, abs=1e-12)
+    assert rep.t <= sdp._SLATER_TOL
+    # x bounds lambda_min of every combination on the simplex
+    for mu in np.random.default_rng(0).dirichlet(np.ones(len(A)), size=20):
+        assert np.linalg.eigvalsh(np.tensordot(mu, A, 1))[0] <= sdp._SLATER_TOL
+
+
+def probe_decides(inst):
+    """The reference answer: the interior-point probe's best mu, checked by eigenvalues."""
+    mu, _ = sdp._probe_definite(inst.embedded_view.A)
+    return np.linalg.eigvalsh(np.tensordot(mu, inst.field_view.A, 1))[0] > sdp._SLATER_TOL
+
+
+def rotated_max_instance(field, mats, seed=0):
+    """Maximization instance with constraints Q* A_k Q, Q a random orthogonal (unitary) matrix."""
+    rng = np.random.default_rng(seed)
+    n = len(mats[0])
+    G = rng.standard_normal((n, n))
+    if field == sdp.COMPLEX:
+        G = G + 1j * rng.standard_normal((n, n))
+    Q = np.linalg.qr(G)[0]
+    wrap = HermMatrix.from_complex if field == sdp.COMPLEX else SymMatrix
+    cons = tuple(wrap(np.conj(Q.T) @ np.asarray(a, float) @ Q) for a in mats)
+    return sdp.QcqpInstance(sdp.MAXIMIZE, field, wrap(np.eye(n)), cons)
+
+
+E1, E2 = np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])
+# with P = E1 + E2, ker P = e3 and A_j restricted to it is 1 > 0: A_j + s P > 0 for s > 5
+FINSLER_YES = [E1, E2, [[-1.0, 0.0, 2.0], [0.0, -1.0, 0.0], [2.0, 0.0, 1.0]]]
+# A_j restricted to ker P is -1
+FINSLER_NO = [E1, E2, np.diag([1.0, 1.0, -1.0])]
+PSD_SINGULAR = [E1, E2]
+
+
 class TestSlater:
     def test_identity_alone(self):
         inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, sym(np.eye(2)), (sym(np.eye(2)),))
@@ -438,7 +501,7 @@ class TestSlater:
     def test_coupled_max_example_against_grid(self):
         inst = example_4_3(10.0)
         rep = sdp.slater_check(inst)
-        assert rep.dual_slater and rep.definite_sign == "positive"
+        assert rep.dual_slater
         # independent oracle: best lambda_min over a simplex grid
         mats = [a.a for a in inst.constraints]
         best = -np.inf
@@ -455,18 +518,63 @@ class TestSlater:
     def test_unbounded_example_fails(self):
         rep = sdp.slater_check(example_4_4())
         assert not rep.dual_slater
-        assert rep.definite_sign == "neither"
         assert not rep.indeterminate
 
-    def test_negative_probe(self):
+    def test_negative_identity_has_a_witness(self, ipm_calls):
         inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, sym(np.eye(2)), (sym(-np.eye(2)),))
         rep = sdp.slater_check(inst)
         assert not rep.dual_slater
-        assert rep.definite_sign == "negative"
-        assert rep.negative_t == pytest.approx(1.0, abs=1e-6)
+        assert rep.certificate == () and rep.t == pytest.approx(-1.0)
+        recheck_slater(inst, rep)
+        assert len(ipm_calls) == 0
 
     def test_complex_probe(self):
         h = HermMatrix(np.eye(2), np.zeros((2, 2)))
         inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.COMPLEX, h, (h,))
         rep = sdp.slater_check(inst)
         assert rep.dual_slater and rep.t == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("field", sdp.FIELDS)
+    @pytest.mark.parametrize(
+        "mats, dual_slater",
+        [(FINSLER_YES, True), (FINSLER_NO, False), (PSD_SINGULAR, False)],
+        ids=["finsler-yes", "finsler-no", "psd-singular"],
+    )
+    def test_closed_form_outcomes(self, ipm_calls, field, mats, dual_slater):
+        inst = rotated_max_instance(field, mats)
+        rep = sdp.slater_check(inst)
+        assert rep.dual_slater == dual_slater
+        assert (rep.witness is None) == dual_slater
+        recheck_slater(inst, rep)
+        assert len(ipm_calls) == 0
+        assert probe_decides(inst) == dual_slater
+
+    @pytest.mark.parametrize("inst, dual_slater", [(example_4_3(10.0), True), (example_4_4(), False)])
+    def test_two_indefinite_runs_one_probe(self, ipm_calls, inst, dual_slater):
+        rep = sdp.slater_check(inst)
+        assert len(ipm_calls) == 1
+        assert rep.dual_slater == dual_slater and rep.witness is None
+        recheck_slater(inst, rep)
+
+    def test_witness_failing_its_check_goes_to_the_probe(self, ipm_calls):
+        # uniform mu gives lambda_min 0.95e-9 <= tol, but the kernel candidate e1
+        # has x*A_0 x = 1.9e-9 > tol, so neither closed-form answer holds
+        A0, A1 = sym(np.diag([1.9e-9, 1.0])), sym(np.diag([0.0, 1.0]))
+        inst = sdp.QcqpInstance(sdp.MAXIMIZE, sdp.REAL, sym(np.eye(2)), (A0, A1))
+        rep = sdp.slater_check(inst)
+        assert len(ipm_calls) == 1 and rep.witness is None
+        recheck_slater(inst, rep)
+
+    @pytest.mark.parametrize("field", sdp.FIELDS)
+    @pytest.mark.parametrize("case", CASES)
+    def test_generated_max_instances_agree_with_probe(self, ipm_calls, case, field):
+        for n, m in [(6, 5), (6, 30), (10, 5), (10, 30), (10, 100)]:
+            spec = GeneratorSpec(n=n, m=m, case=case, sense=sdp.MAXIMIZE,
+                                 objective_kind=OBJECTIVE_IDENTITY, seed=n + m, field=field)
+            inst = generate(spec)
+            rep = sdp.slater_check(inst)
+            recheck_slater(inst, rep)
+            assert len(ipm_calls) == 0, (n, m)
+            if m < 100:
+                assert probe_decides(inst) == rep.dual_slater, (n, m)
+                ipm_calls.clear()
