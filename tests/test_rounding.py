@@ -518,7 +518,7 @@ class TestSignRoundMax:
         with pytest.raises(ValueError, match="real"):
             sign_round_max(inst, low, RoundingParams(SIGN_MAX))
 
-    def test_fails_without_positive_aggregate(self):
+    def test_rejects_without_positive_aggregate(self):
         # no nonnegative combination of a single indefinite constraint is positive definite
         inst = QcqpInstance(
             sense=MAXIMIZE,

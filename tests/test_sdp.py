@@ -520,7 +520,7 @@ class TestSlater:
         assert not rep.dual_slater
         assert not rep.indeterminate
 
-    def test_negative_identity_has_a_witness(self, ipm_calls):
+    def test_negative_probe(self, ipm_calls):
         inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, sym(np.eye(2)), (sym(-np.eye(2)),))
         rep = sdp.slater_check(inst)
         assert not rep.dual_slater
