@@ -68,11 +68,12 @@ def _nt_scaling(X, Z):
     return R, Rinv, R @ R.T, sig
 
 
-def _psd_step_limit(D_scaled, sig):
-    # max alpha with diag(sig) + alpha*D >= 0, via I + alpha*S
+def _psd_step_limit(dX_scaled, dZ_scaled, sig):
+    # max alpha with diag(sig) + alpha*D >= 0 for both directions, via
+    # I + alpha*S, from one stacked eigvalsh
     root = np.sqrt(sig)
-    S = D_scaled / np.outer(root, root)
-    lmin = float(np.linalg.eigvalsh(_sym(S))[0])
+    S = np.stack([dX_scaled, dZ_scaled]) / np.outer(root, root)
+    lmin = float(np.linalg.eigvalsh(0.5 * (S + S.swapaxes(1, 2)))[:, 0].min())
     return np.inf if lmin >= -1e-300 else 1.0 / (-lmin)
 
 
@@ -243,8 +244,7 @@ def solve_conic(
             return dX, ds_, dy, dZ, dw_, dtau, dkappa
 
         def step_limit(dX, ds_, dZ, dw_, dtau, dkappa):
-            a = _psd_step_limit(Rinv @ dX @ Rinv.T, sig)
-            a = min(a, _psd_step_limit(R.T @ dZ @ R, sig))
+            a = _psd_step_limit(Rinv @ dX @ Rinv.T, R.T @ dZ @ R, sig)
             a = min(a, _ratio_limit(s, ds_), _ratio_limit(w, dw_))
             if dtau < 0:
                 a = min(a, -tau / dtau)

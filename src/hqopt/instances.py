@@ -114,30 +114,54 @@ def _generator_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def _orthogonal(rng: np.random.Generator, n: int, complex_field: bool) -> np.ndarray:
-    g = rng.standard_normal((n, n))
-    if complex_field:
-        g = g + 1j * rng.standard_normal((n, n))
-    q, _ = np.linalg.qr(g)
-    return q
+def _full_rank(rng: np.random.Generator, n: int) -> np.ndarray:
+    return np.abs(rng.standard_normal(n))
 
 
-def _conjugated_diag(rng, n, d, complex_field):
-    q = _orthogonal(rng, n, complex_field)
-    mat = rng.uniform() * (np.conj(q.T) @ np.diag(d) @ q)
-    if complex_field:
-        return HermMatrix.from_complex(mat)
-    return SymMatrix(mat)
-
-
-def full_rank_psd(rng: np.random.Generator, n: int, complex_field: bool = False):
-    return _conjugated_diag(rng, n, np.abs(rng.standard_normal(n)), complex_field)
-
-
-def rank_one_psd(rng: np.random.Generator, n: int, complex_field: bool = False):
+def _rank_one(rng: np.random.Generator, n: int) -> np.ndarray:
     d = np.zeros(n)
     d[0] = abs(rng.standard_normal())
-    return _conjugated_diag(rng, n, d, complex_field)
+    return d
+
+
+def _indefinite(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.standard_normal(n)
+
+
+FULL_RANK = "full_rank"
+RANK_ONE = "rank_one"
+INDEFINITE_SPECTRUM = "indefinite"
+_SPECTRA = {FULL_RANK: _full_rank, RANK_ONE: _rank_one, INDEFINITE_SPECTRUM: _indefinite}
+
+
+def random_matrices(
+    rng: np.random.Generator, n: int, count: int, spectrum: str, complex_field: bool = False
+) -> list:
+    """count draws of rand * Q* diag(d) Q, with d from spectrum and Q from a QR.
+
+    The stream is read one matrix after another (d, the Gaussian behind Q and
+    its imaginary part for complex data, then the scale), exactly as
+    one-at-a-time draws read it; one stacked QR and one batched product then
+    build the whole stack.
+    """
+    spectrum_draw = _SPECTRA[spectrum]
+    dtype = complex if complex_field else float
+    d = np.empty((count, n))
+    g = np.empty((count, n, n), dtype=dtype)
+    scale = np.empty(count)
+    for k in range(count):
+        d[k] = spectrum_draw(rng, n)
+        g[k] = rng.standard_normal((n, n))
+        if complex_field:
+            g[k] += 1j * rng.standard_normal((n, n))
+        scale[k] = rng.uniform()
+    if not count:
+        return []
+    q, _ = np.linalg.qr(g)
+    mats = scale[:, None, None] * ((np.conj(q.swapaxes(-1, -2)) * d[:, None, :]) @ q)
+    if complex_field:
+        return [HermMatrix.from_complex(a) for a in mats]
+    return [SymMatrix(a) for a in mats]
 
 
 def indefinite_matrix(rng: np.random.Generator, n: int, complex_field: bool = False):
@@ -150,7 +174,7 @@ def indefinite_matrix(rng: np.random.Generator, n: int, complex_field: bool = Fa
         raise ValueError("an indefinite matrix needs dimension at least 2")
     regenerated = 0
     while True:
-        mat = _conjugated_diag(rng, n, rng.standard_normal(n), complex_field)
+        (mat,) = random_matrices(rng, n, 1, INDEFINITE_SPECTRUM, complex_field)
         vals = np.linalg.eigvalsh(mat.a)
         tol = _SPECTRUM_TOL * max(1.0, float(np.abs(vals).max()))
         if vals[0] < -tol and vals[-1] > tol:
@@ -168,9 +192,8 @@ def _draw_instance(spec: GeneratorSpec, rng: np.random.Generator):
         mat, redraws = indefinite_matrix(rng, spec.n, complex_field)
         regenerated += redraws
         constraints.append(mat)
-    psd_draw = rank_one_psd if spec.psd_rank == 1 else full_rank_psd
-    while len(constraints) < spec.m + 1:
-        constraints.append(psd_draw(rng, spec.n, complex_field))
+    spectrum = RANK_ONE if spec.psd_rank == 1 else FULL_RANK
+    constraints += random_matrices(rng, spec.n, spec.m + 1 - len(constraints), spectrum, complex_field)
 
     if spec.objective_kind == OBJECTIVE_IDENTITY:
         eye = np.eye(spec.n, dtype=complex if complex_field else float)

@@ -27,6 +27,7 @@ __all__ = [
     "Spectrum",
     "SymMatrix",
     "complex_from_embedding",
+    "embed_blocks",
     "embed_factor",
     "frobenius_norm",
     "herm_embed",
@@ -219,13 +220,28 @@ def sym_eig(m: SymMatrix | np.ndarray) -> Spectrum:
     return Spectrum(_freeze(vals), _freeze(vecs))
 
 
+def embed_blocks(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The real block array ``[[re, -im], [im, re]]`` over the last two axes.
+
+    Leading axes are a stack: ``(k, n, r)`` parts give ``(k, 2n, 2r)``.
+    """
+    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+    *lead, n, r = re.shape
+    out = np.empty((*lead, 2 * n, 2 * r))
+    out[..., :n, :r] = re
+    out[..., :n, r:] = -im
+    out[..., n:, :r] = im
+    out[..., n:, r:] = re
+    return out
+
+
 def herm_embed(h: HermMatrix) -> SymMatrix:
     """Real ``2n x 2n`` embedding ``[[Re, -Im], [Im, Re]]`` of a Hermitian matrix.
 
     The embedding doubles every eigenvalue's multiplicity and doubles traces:
     ``Tr(embed(H)) = 2 Tr(H)`` and ``Tr(embed(A) embed(B)) = 2 Tr(AB)``.
     """
-    return SymMatrix(np.block([[h.re, -h.im], [h.im, h.re]]))
+    return SymMatrix(embed_blocks(h.re, h.im))
 
 
 def j_symmetrize(x: np.ndarray) -> np.ndarray:
@@ -240,7 +256,7 @@ def j_symmetrize(x: np.ndarray) -> np.ndarray:
     im = 0.5 * (c - b)
     re = 0.5 * (re + re.T)
     im = 0.5 * (im - im.T)
-    return np.block([[re, -im], [im, re]])
+    return embed_blocks(re, im)
 
 
 def complex_from_embedding(x: np.ndarray) -> HermMatrix:
@@ -273,7 +289,7 @@ def embed_factor(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2:
         raise ValueError("factor must be 2-D")
-    return np.block([[u.real, -u.imag], [u.imag, u.real]])
+    return embed_blocks(u.real, u.imag)
 
 
 def frobenius_norm(a: AnyMatrix | np.ndarray) -> float:

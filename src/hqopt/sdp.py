@@ -38,9 +38,9 @@ from .matrices import (
     HermMatrix,
     SymMatrix,
     complex_from_embedding,
+    embed_blocks,
     embed_factor,
     frobenius_norm,
-    herm_embed,
     j_symmetrize,
     vec_embed,
 )
@@ -79,19 +79,21 @@ _STATUS_JSON = {
 }
 
 
-def tag_matrix(mat: SymMatrix | HermMatrix | np.ndarray) -> str:
+def tag_matrix(mat: SymMatrix | HermMatrix | np.ndarray) -> str | tuple:
     """Classify by spectrum: PSD iff min eig >= -1e-9 ||A||_F, NSD mirrored.
 
-    mat is a SymMatrix, a HermMatrix, or its array in its own field.
+    mat is a SymMatrix, a HermMatrix, or its array in its own field; a
+    stack of arrays (k, n, n) gives a tuple of k tags from one eigvalsh.
     """
-    arr = mat.a if isinstance(mat, (SymMatrix, HermMatrix)) else mat
+    arr = mat.a if isinstance(mat, (SymMatrix, HermMatrix)) else np.asarray(mat)
+    if arr.ndim == 2:
+        return tag_matrix(arr[None])[0]
     vals = np.linalg.eigvalsh(arr)
-    tol = _TAG_TOL * frobenius_norm(arr)
-    if vals[0] >= -tol:
-        return PSD
-    if vals[-1] <= tol:
-        return NSD
-    return INDEFINITE
+    tol = _TAG_TOL * np.linalg.norm(arr, axis=(-2, -1))
+    return tuple(
+        PSD if lo >= -t else NSD if hi <= t else INDEFINITE
+        for lo, hi, t in zip(vals[:, 0].tolist(), vals[:, -1].tolist(), tol.tolist())
+    )
 
 
 class MatrixView(NamedTuple):
@@ -101,11 +103,10 @@ class MatrixView(NamedTuple):
     A: np.ndarray  # shape (m + 1, d, d)
 
 
-def _view(C: np.ndarray, A: list) -> MatrixView:
-    view = MatrixView(C, np.stack(A))
-    for arr in view:
-        arr.flags.writeable = False
-    return view
+def _view(stack: np.ndarray) -> MatrixView:
+    """The view of one (m + 2, d, d) stack: C first, then the A_k."""
+    stack.flags.writeable = False
+    return MatrixView(stack[0], stack[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,19 +143,19 @@ class QcqpInstance:
     @cached_property
     def field_view(self) -> MatrixView:
         """C and the A_k in the instance's own field (complex for complex data)."""
-        return _view(self.objective.a, [a.a for a in self.constraints])
+        return _view(np.stack([h.a for h in (self.objective, *self.constraints)]))
 
     @cached_property
     def embedded_view(self) -> MatrixView:
         """C and the A_k in the real 2n embedding; the field view for real data."""
         if self.field == REAL:
             return self.field_view
-        C, *A = (herm_embed(h).a for h in (self.objective, *self.constraints))
-        return _view(C, A)
+        mats = (self.objective, *self.constraints)
+        return _view(embed_blocks(np.stack([h.re for h in mats]), np.stack([h.im for h in mats])))
 
     @cached_property
     def tags(self) -> tuple:
-        return tuple(tag_matrix(a) for a in self.field_view.A)
+        return tag_matrix(self.field_view.A)
 
     @property
     def psd_indices(self) -> tuple:
