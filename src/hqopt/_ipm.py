@@ -10,6 +10,13 @@ the simplified homogeneous model, so infeasibility and unboundedness come
 out as certificates instead of crashes.  Residuals are reported in
 row-normalized units: each row is divided by max(1, ||(A_i, G_i)||_F)
 before solving, and the objective by max(1, ||C||_F, ||c_lin||_inf).
+
+The operators work on the constraints flattened once to a (p, n*n) array
+A2: the map X, s -> Tr(A_i X) + G_i . s is one matrix-vector product
+(op_a), its adjoint's matrix part one vector-matrix product (op_at), and
+the Schur complement M_ij = Tr(A_i W A_j W) is the single product
+A2 (W A W)^T over the stack W A_j W (schur_matrix), as SDPT3 forms it
+(Toh, Todd & Tutuncu, Optim. Methods Softw. 1999).
 """
 from __future__ import annotations
 
@@ -49,7 +56,24 @@ def _sym(M):
 
 
 def _ip(A, B):
-    return float(np.tensordot(A, B, axes=2))
+    return float(np.vdot(A, B))
+
+
+def op_a(A2, G, X, s):
+    """Tr(A_i X) + G_i . s for every row; A2 holds the A_i flattened, (p, n*n)."""
+    return A2 @ X.ravel() + G @ s
+
+
+def op_at(A2, y, n):
+    """sum_i y_i A_i as an n x n matrix (the adjoint's matrix part)."""
+    return (y @ A2).reshape(n, n)
+
+
+def schur_matrix(A2, G, W, d2):
+    """M_ij = Tr(A_i W A_j W) + sum_k G_ik d2_k G_jk, from one GEMM."""
+    p, n = A2.shape[0], W.shape[0]
+    WAW = W @ A2.reshape(p, n, n) @ W
+    return _sym(A2 @ WAW.reshape(p, n * n).T + (G * d2) @ G.T)
 
 
 def _nt_scaling(X, Z):
@@ -107,22 +131,20 @@ def solve_conic(
     c_lin = np.zeros(q) if c_lin is None else np.asarray(c_lin, float)
 
     # row and objective normalization (undone on exit)
-    rown = np.maximum(
-        1.0,
-        np.sqrt(np.einsum("ijk,ijk->i", Amat, Amat) + np.einsum("ij,ij->i", G, G)),
-    )
+    Aflat = Amat.reshape(p, n * n)
+    rown = np.maximum(1.0, np.sqrt(np.sum(Aflat * Aflat, axis=1) + np.sum(G * G, axis=1)))
     cn = max(1.0, float(np.linalg.norm(C)), float(np.max(np.abs(c_lin), initial=0.0)))
-    As = Amat / rown[:, None, None]
+    A2 = Aflat / rown[:, None]  # the row-normalized A_i, flattened
     Gs = G / rown[:, None]
     bs = b / rown
     Cs = C / cn
     cl = c_lin / cn
 
     def opA(X, s):
-        return np.einsum("ijk,jk->i", As, X) + Gs @ s
+        return op_a(A2, Gs, X, s)
 
     def opAt_mat(y):
-        return np.einsum("i,ijk->jk", y, As)
+        return op_at(A2, y, n)
 
     norm_b = 1.0 + float(np.max(np.abs(bs)))
     norm_c = 1.0 + max(float(np.linalg.norm(Cs)), float(np.max(np.abs(cl), initial=0.0)))
@@ -199,21 +221,18 @@ def solve_conic(
         v = np.sqrt(s * w) if q else np.zeros(0)
         d2 = d * d
 
-        AW = As @ W
-        WAW = W @ AW
-        M = np.einsum("ijk,ljk->il", As, WAW) + (Gs * d2) @ Gs.T
-        M = _sym(M)
+        M = schur_matrix(A2, Gs, W, d2)
         WCW = W @ Cs @ W
-        h = np.einsum("ijk,jk->i", As, WCW) + Gs @ (d2 * cl)
+        h = opA(WCW, d2 * cl)
         g = _ip(Cs, WCW) + cl @ (d2 * cl)
         WRdW = W @ Rd @ W
-        f_vec = np.einsum("ijk,jk->i", As, WRdW) + Gs @ (d2 * rd)
+        f_vec = opA(WRdW, d2 * rd)
         e_c = _ip(Cs, WRdW) + cl @ (d2 * rd)
 
         def direction(eta, Rc_t, rc_l, rc_t):
             Rc_full = _sym(R @ Rc_t @ R.T)
             rcs = d * rc_l
-            A_rc = np.einsum("ijk,jk->i", As, Rc_full) + Gs @ rcs
+            A_rc = opA(Rc_full, rcs)
             q1 = -eta * rp - A_rc + eta * f_vec
             q2 = -eta * rg + (_ip(Cs, Rc_full) + cl @ rcs) - eta * e_c + rc_t / tau
             try:
@@ -315,7 +334,7 @@ def solve_conic(
             w=np.zeros(q),
             objective=-np.inf,
             dual_objective=-np.inf,
-            primal_residual=float(np.max(np.abs(np.einsum("ijk,jk->i", Amat, rX) + G @ rs))),
+            primal_residual=float(np.max(np.abs(op_a(Aflat, G, rX, rs)))),
             iterations=it,
             ray=(_sym(rX), rs),
             message=message,
@@ -333,7 +352,7 @@ def solve_conic(
             w=fw,
             dual_residual=float(
                 max(
-                    np.linalg.norm(np.einsum("i,ijk->jk", fy, Amat) + fZ),
+                    np.linalg.norm(op_at(Aflat, fy, n) + fZ),
                     np.max(np.abs(G.T @ fy + fw), initial=0.0),
                 )
             ),

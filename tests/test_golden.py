@@ -73,12 +73,72 @@ def test_sweep_matches_golden_fixture(name):
         assert _same_row(g, e), f"{name} line {row}: {g!r} != {e!r}"
 
 
+VALUE_COLUMNS = ("v_sdp", "v_hat_qp", "ratio", "bound")
+V_SDP_REGEN_TOL = 1e-6
+
+
+def _rel_move(a: str, b: str) -> float:
+    if a == b:
+        return 0.0
+    x, y = float(a or "nan"), float(b or "nan")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y), 1e-300)
+
+
+def regeneration_problems(new: list, old: list) -> list:
+    """Why a rerun may not replace a committed fixture, as messages; empty when it may.
+
+    Every row must keep case, m, instance_seed and status, v_sdp must stay
+    within V_SDP_REGEN_TOL * max(1, |v_sdp|), and a finite ratio must stay at
+    or below its bound.
+    """
+    if new[:2] != old[:2] or len(new) != len(old):
+        return ["header or row count changed"]
+    problems = []
+    for row, (n, o) in enumerate(zip(new[2:], old[2:]), start=3):
+        nc, oc = n.split(","), o.split(",")
+        if nc[:4] != oc[:4]:
+            problems.append(f"line {row}: key or status changed: {o!r} -> {n!r}")
+            continue
+        v_new, v_old = (float(c[4] or "nan") for c in (nc, oc))
+        if not (
+            math.isnan(v_new) and math.isnan(v_old)
+            or abs(v_new - v_old) <= V_SDP_REGEN_TOL * max(1.0, abs(v_old))
+        ):
+            problems.append(f"line {row}: v_sdp moved {v_old!r} -> {v_new!r}")
+        ratio, bound = float(nc[6] or "nan"), float(nc[7] or "nan")
+        if math.isfinite(ratio) and not math.isnan(bound) and not ratio <= bound:
+            problems.append(f"line {row}: ratio {ratio!r} above bound {bound!r}")
+    return problems
+
+
 if __name__ == "__main__":
+    # print every rewritten row and the largest move per column; write
+    # nothing if any fixture fails regeneration_problems
     FIXTURES.mkdir(exist_ok=True)
+    planned, failures = {}, []
     for sweep in SWEEPS:
         path = FIXTURES / f"{sweep}.csv"
         old = path.read_text().splitlines() if path.exists() else []
         new = sweep_csv(sweep).splitlines()
         lines = [o if _same_row(n, o) else n for n, o in zip(new, old)] + new[len(old):]
+        moved = [(o, n) for o, n in zip(old[2:], lines[2:]) if o != n]
+        print(f"{sweep}: {len(moved)} of {len(lines) - 2} rows rewritten")
+        for o, n in moved:
+            print(f"  - {o}\n  + {n}")
+        if moved:
+            largest = {
+                col: max(_rel_move(n.split(",")[4 + i], o.split(",")[4 + i]) for o, n in moved)
+                for i, col in enumerate(VALUE_COLUMNS)
+            }
+            print("  largest relative move: " + ", ".join(f"{c} {v:.2e}" for c, v in largest.items()))
+        if old:
+            failures += [f"{sweep} {msg}" for msg in regeneration_problems(new, old)]
+        planned[path] = lines
+    if failures:
+        print("not regenerated:", *failures, sep="\n  ")
+        raise SystemExit(1)
+    for path, lines in planned.items():
         path.write_text("".join(line + "\n" for line in lines))
         print(f"wrote {path}")
