@@ -3,7 +3,11 @@
 Generation follows the published experiment recipe: constraint matrices are
 rand * Q^T diag(d) Q with Q orthogonal from a QR factorization of a Gaussian
 matrix, where d is abs(randn) entries (full-rank PSD), a single abs(randn)
-entry padded with zeros (rank-one PSD), or randn entries (indefinite).  The
+entry padded with zeros (rank-one PSD), or randn entries (indefinite).  An
+instance's PSD constraints are drawn as one stack (random_matrices): the
+random stream is read matrix by matrix in the one-at-a-time order, then one
+stacked QR and one batched product build them, so a seed gives the same
+matrices bit for bit as separate draws would.  The
 four canonical examples pin down worst-case behaviour of the relaxation:
 an unbounded minimization gap, coupled indefinite pairs whose true optimum
 grows like M^2, a maximization family with ratio growing like 0.382 M, and a
@@ -145,6 +149,8 @@ def random_matrices(
     build the whole stack.
     """
     spectrum_draw = _SPECTRA[spectrum]
+    if not count:
+        return []
     dtype = complex if complex_field else float
     d = np.empty((count, n))
     g = np.empty((count, n, n), dtype=dtype)
@@ -155,8 +161,6 @@ def random_matrices(
         if complex_field:
             g[k] += 1j * rng.standard_normal((n, n))
         scale[k] = rng.uniform()
-    if not count:
-        return []
     q, _ = np.linalg.qr(g)
     mats = scale[:, None, None] * ((np.conj(q.swapaxes(-1, -2)) * d[:, None, :]) @ q)
     if complex_field:
