@@ -1,6 +1,6 @@
-"""Homogeneous self-dual interior-point core for small dense conic programs.
+"""Homogeneous self-dual interior-point core for batches of small dense conic programs.
 
-Solves
+Solves, for every instance of a batch,
     minimize    <C, X> + c_lin . s
     subject to  Tr(A_i X) + G_i . s = b_i,   i = 1..p
                 X symmetric PSD (n x n),  s >= 0 (q scalars)
@@ -11,25 +11,59 @@ out as certificates instead of crashes.  Residuals are reported in
 row-normalized units: each row is divided by max(1, ||(A_i, G_i)||_F)
 before solving, and the objective by max(1, ||C||_F, ||c_lin||_inf).
 
-The operators work on the constraints flattened once to a (p, n*n) array
-A2: the map X, s -> Tr(A_i X) + G_i . s is one matrix-vector product
-(op_a), its adjoint's matrix part one vector-matrix product (op_at), and
-the Schur complement M_ij = Tr(A_i W A_j W) is the single product
-A2 (W A W)^T over the stack W A_j W (schur_matrix), as SDPT3 forms it
-(Toh, Todd & Tutuncu, Optim. Methods Softw. 1999).
+Batch layout.  Every array has a leading batch axis, and the instances of
+one call share n, p and q: C is (B, n, n), A (B, p, n, n), b (B, p),
+G (B, p, q), or (B, p) for diagonal G (q = p), and c_lin (B, q); a
+diagonal G and a zero c_lin take elementwise products or none, with the
+same values as the matrix products.  The constraints are flattened once to a
+(B, p, n*n) stack A2.  The map X, s -> Tr(A_i X) + G_i . s is one batched
+matrix-vector product (op_a), its adjoint's matrix part one batched
+vector-matrix product (op_at), and the Schur complement
+M_ij = Tr(A_i W A_j W) is the batched product A2 (W A W)^T over the stack
+W A_j W (schur_matrix), as SDPT3 forms it (Toh, Todd & Tutuncu, Optim.
+Methods Softw. 1999).  Every step of an iteration runs once on the stacks
+of the instances still in the batch, and each instance's slice goes
+through the same BLAS and LAPACK calls that it would alone.  So its
+iterates do not depend on the rest of the batch, and a batch of one is
+the solo solve.
+
+Leaving the batch.  An instance leaves at the top of an iteration when it
+has converged or found a certificate.  It leaves at the end of one when
+its step failed (scaling breakdown, degenerate Schur system, non-finite
+search direction, a LAPACK error) or its step size collapsed; its iterate
+is then the one that iteration started from.  A leaving instance gets the
+loose certificate test and the best-iterate fallback at once and is
+packaged as its own ConicResult; the rest go on with the stacks
+compacted.  A batched eigh, eigvalsh or solve that raises is redone one
+slice at a time, the Schur solve with the same regularized retry, so a
+failure is charged to its own instance only.
+
+The cap.  A call is solved as consecutive batches of batch_size(p, n)
+instances, which keeps B * p * (n^2 + 2p), the elements of the stacked
+constraints and Schur matrices, under _BATCH_ELEMENTS = 2^17 (1 MiB); the
+stack W A_j W is formed a quarter of that at a time.  So complex m = 100
+relaxations (n = 20 embedded), where stacking saves little, run two at a
+time, and a batch's memory is bounded whatever the number of instances.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 _STEP_FRACTION = 0.98
 _EIG_FLOOR = 1e-14
+_BATCH_ELEMENTS = 2**17
 
 
-class _DirectionFailure(Exception):
-    """Newton system produced a non-finite or degenerate direction."""
+def batch_size(p: int, n: int) -> int:
+    """Instances per batch for p constraints on n x n matrices, under _BATCH_ELEMENTS.
+
+    An instance holds p n^2 elements of constraints and 2 p^2 of Schur
+    matrix, one p^2 of them while it is symmetrized.
+    """
+    return max(1, _BATCH_ELEMENTS // (p * (n * n + 2 * p)))
 
 
 @dataclass(frozen=True)
@@ -51,61 +85,247 @@ class ConicResult:
     farkas: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
+def _t(M):
+    return M.swapaxes(-1, -2)
+
+
 def _sym(M):
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + _t(M))
 
 
-def _ip(A, B):
-    return float(np.vdot(A, B))
+def _dot(a, b):
+    """<a_k, b_k> for every instance k, as one BLAS dot per slice; shape (B,)."""
+    B = a.shape[0]
+    k = a.size // B
+    return (a.reshape(B, 1, k) @ b.reshape(B, k, 1)).ravel()
+
+
+def _mv(M, v):
+    """M_k v_k for every instance k."""
+    return (M @ v[..., None])[..., 0]
+
+
+def _diagonal(M):
+    """The diagonals of a (B, k, k) stack, as a writable (B, k) view."""
+    k = M.shape[-1]
+    return M.reshape(len(M), k * k)[:, :: k + 1]
+
+
+def _diag(v):
+    """The (B, k, k) stack of diagonal matrices with diagonals v."""
+    out = np.zeros(v.shape + v.shape[-1:])
+    _diagonal(out)[:] = v
+    return out
+
+
+def _min1(a):
+    """Python's min(1.0, a) per instance: a NaN a gives 1.0."""
+    return np.fmin(1.0, a)
+
+
+# per-instance masks are short, and a list is quicker to test than an array
+def _any(mask):
+    return any(mask.tolist())
+
+
+def _all(mask):
+    return all(mask.tolist())
+
+
+def _g(G, s):
+    """G s for every instance; G is (B, p, q), or (B, p) for a diagonal G."""
+    return G * s if G.ndim == 2 else _mv(G, s)
+
+
+def _gt(G, y):
+    """G^T y for every instance, G as in _g."""
+    return G * y if G.ndim == 2 else _mv(_t(G), y)
 
 
 def op_a(A2, G, X, s):
-    """Tr(A_i X) + G_i . s for every row; A2 holds the A_i flattened, (p, n*n)."""
-    return A2 @ X.ravel() + G @ s
+    """Tr(A_i X) + G_i . s for every row of every instance; A2 is (B, p, n*n).
+
+    G is as in _g; s None leaves out the G part.
+    """
+    AX = _mv(A2, X.reshape(X.shape[0], -1))
+    return AX if s is None else AX + _g(G, s)
 
 
 def op_at(A2, y, n):
-    """sum_i y_i A_i as an n x n matrix (the adjoint's matrix part)."""
-    return (y @ A2).reshape(n, n)
+    """sum_i y_i A_i for every instance, as a (B, n, n) stack (the adjoint's matrix part)."""
+    return (y[:, None, :] @ A2).reshape(-1, n, n)
 
 
 def schur_matrix(A2, G, W, d2):
-    """M_ij = Tr(A_i W A_j W) + sum_k G_ik d2_k G_jk, from one GEMM."""
-    p, n = A2.shape[0], W.shape[0]
-    WAW = W @ A2.reshape(p, n, n) @ W
-    return _sym(A2 @ WAW.reshape(p, n * n).T + (G * d2) @ G.T)
+    """M_ij = Tr(A_i W A_j W) + sum_k G_ik d2_k G_jk for every instance, from batched GEMMs.
+
+    G is as in _g; a diagonal G adds to the diagonal only.
+    """
+    B, p, n = A2.shape[0], A2.shape[1], W.shape[-1]
+    # the stack W A_j W is formed a quarter of the element cap at a time
+    step = max(1, _BATCH_ELEMENTS // 4 // (p * n * n))
+    parts = []
+    for lo in range(0, B, step):
+        A2k, Wk = A2[lo : lo + step], W[lo : lo + step, None]
+        WAW = Wk @ A2k.reshape(-1, p, n, n) @ Wk
+        parts.append(A2k @ _t(WAW.reshape(-1, p, n * n)))
+    M = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if G.ndim == 2:
+        _diagonal(M)[:] += (G * d2) * G
+    else:
+        M += (G * d2[:, None, :]) @ _t(G)
+    M += _t(M)  # symmetrized in place, one (B, p, p) stack fewer than _sym
+    M *= 0.5
+    return M
 
 
-def _nt_scaling(X, Z):
-    lx, Qx = np.linalg.eigh(X)
-    lx = np.maximum(lx, _EIG_FLOOR * max(lx[-1], 1e-100))
-    rx = np.sqrt(lx)
-    Xh = (Qx * rx) @ Qx.T
-    Xhi = (Qx / rx) @ Qx.T
-    M0 = _sym(Xh @ Z @ Xh)
-    lm, P = np.linalg.eigh(M0)
-    lm = np.maximum(lm, _EIG_FLOOR * max(lm[-1], 1e-100))
-    sig = np.sqrt(lm)
-    q4 = lm**0.25
-    R = Xh @ (P / q4)
-    Rinv = (P * q4).T @ Xhi
-    return R, Rinv, R @ R.T, sig
+class _AllFailed(Exception):
+    """Every instance of the batch has failed its step: the iteration stops early."""
 
 
-def _psd_step_limit(dX_scaled, dZ_scaled, sig):
-    # max alpha with diag(sig) + alpha*D >= 0 for both directions, via
-    # I + alpha*S, from one stacked eigvalsh
-    root = np.sqrt(sig)
-    S = np.stack([dX_scaled, dZ_scaled]) / np.outer(root, root)
-    lmin = float(np.linalg.eigvalsh(0.5 * (S + S.swapaxes(1, 2)))[:, 0].min())
-    return np.inf if lmin >= -1e-300 else 1.0 / (-lmin)
+def _all_failed(fail, rows):
+    if len(fail) == len(rows):
+        raise _AllFailed
 
 
-def _ratio_limit(x, dx):
-    neg = dx < 0
-    if not np.any(neg):
-        return np.inf
-    return float(np.min(-x[neg] / dx[neg]))
+def _charge(fail, bad, message):
+    """Record message for every instance in the mask bad that has no failure yet."""
+    if _any(bad):
+        for i in np.flatnonzero(bad).tolist():
+            fail.setdefault(i, message)
+
+
+def _eig(fn, stack, fail, message=None):
+    """np.linalg.eigh or eigvalsh over a stack; on LinAlgError, one slice at a time.
+
+    A slice that raises on its own is charged to its instance and gets the
+    decomposition of the identity in its place.
+    """
+    try:
+        return fn(stack)
+    except np.linalg.LinAlgError:
+        pass
+    parts = []
+    for i, mat in enumerate(stack):
+        try:
+            parts.append(fn(mat))
+        except np.linalg.LinAlgError as exc:
+            fail.setdefault(i, message or str(exc) or "linear algebra breakdown")
+            parts.append(fn(np.broadcast_to(np.eye(mat.shape[-1]), mat.shape)))
+    if isinstance(parts[0], tuple):
+        return tuple(map(np.stack, zip(*parts)))
+    return np.stack(parts)
+
+
+def _solve(M, rhs, fail):
+    """M_k u = rhs_k for every instance; a singular M_k is retried regularized, alone.
+
+    rhs is (B, p, k) with k explicit, which numpy reads the same before and
+    after 2.0.
+    """
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.zeros_like(rhs)
+    p = M.shape[-1]
+    for i in range(len(M)):
+        try:
+            out[i] = np.linalg.solve(M[i], rhs[i])
+        except np.linalg.LinAlgError:
+            reg = M[i] + (1e-13 * np.trace(M[i]) / max(p, 1) + 1e-300) * np.eye(p)
+            try:
+                out[i] = np.linalg.solve(reg, rhs[i])
+            except np.linalg.LinAlgError as exc:
+                fail.setdefault(i, str(exc) or "linear algebra breakdown")
+    return out
+
+
+class _Problem(NamedTuple):
+    """The row-normalized data of the instances in a batch.
+
+    Gs is (B, p, q), or (B, p) for diagonal G; cl is None when every
+    c_lin is zero, and the products with it are then left out, which
+    changes no value.
+    """
+
+    A2: np.ndarray  # (B, p, n*n)
+    Gs: np.ndarray
+    bs: np.ndarray
+    Cs: np.ndarray
+    cl: np.ndarray | None
+    norm_b: np.ndarray
+    norm_c: np.ndarray
+
+    def take(self, rows):
+        return _Problem(*(None if f is None else f[rows] for f in self))
+
+    def compact(self, keep):
+        """The rows in the mask keep; A2's rows move up in place, so no second A2 is made."""
+        A2 = self.A2
+        idx = np.flatnonzero(keep)
+        for j, k in enumerate(idx.tolist()):
+            if j != k:
+                A2[j] = A2[k]
+        return _Problem(A2[: len(idx)], *(None if f is None else f[keep] for f in self[1:]))
+
+    def obj(self, X, s):
+        """<Cs, X> + cl . s for every instance."""
+        v = _dot(self.Cs, X)
+        return v if self.cl is None else v + _dot(self.cl, s)
+
+
+def _split(o, q):
+    """The orthant block (s, w, tau, kappa) of a (B, 2q + 2) stack, as views."""
+    return o[:, :q], o[:, q : 2 * q], o[:, 2 * q], o[:, 2 * q + 1]
+
+
+def _metrics(P, X, y, Z, o):
+    """pres, dres, relative gap and both objectives of the iterate over tau, and that iterate.
+
+    Values of an instance with tau <= 1e-12 are not meaningful.
+    """
+    n, q = X.shape[-1], (o.shape[1] - 2) // 2
+    tau = o[:, 2 * q]
+    t1, t3 = tau[:, None], tau[:, None, None]
+    xh, yh, Zh, oh = X / t3, y / t1, Z / t3, o / t1
+    sh, wh = oh[:, :q], oh[:, q : 2 * q]
+    pres = np.abs(op_a(P.A2, P.Gs, xh, sh) - P.bs).max(axis=1) / P.norm_b
+    Rdh = P.Cs - op_at(P.A2, yh, n) - Zh
+    rdh = -_gt(P.Gs, yh) - wh if P.cl is None else P.cl - _gt(P.Gs, yh) - wh
+    dres = np.maximum(np.sqrt(_dot(Rdh, Rdh)), np.abs(rdh).max(axis=1, initial=0.0)) / P.norm_c
+    pobj = P.obj(xh, sh)
+    dobj = _dot(P.bs, yh)
+    relgap = np.abs(pobj - dobj) / (1.0 + np.maximum(np.abs(pobj), np.abs(dobj)))
+    return pres, dres, relgap, pobj, dobj, (xh, yh, Zh, oh)
+
+
+def _certificates(P, X, y, Z, o, tol, AX, Aty, Gty):
+    """Masks of the instances whose iterate is a primal ray (unbounded) or a Farkas y (infeasible).
+
+    AX, Aty and Gty are A(X, s), A^T y and G^T y.  Also returns the ray's
+    objective <C, X> + c_lin . s and the Farkas b . y that scale the
+    certificates.
+    """
+    s, w, _, _ = _split(o, (o.shape[1] - 2) // 2)
+    cobj = P.obj(X, s)
+    by = _dot(P.bs, y)
+    ray = cobj < -1e-14
+    farkas = by > 1e-14
+    if _any(ray):
+        ray &= np.abs(AX).max(axis=1) / -cobj <= tol
+        farkas &= ~ray
+    if _any(farkas):
+        R = Aty + Z
+        res = np.maximum(np.sqrt(_dot(R, R)), np.abs(Gty + w).max(axis=1, initial=0.0))
+        farkas &= res / by <= tol
+    return ray, farkas, cobj, by
+
+
+def _operators(P, X, y, o):
+    """A(X, s), A^T y and G^T y."""
+    s = o[:, : (o.shape[1] - 2) // 2]
+    return op_a(P.A2, P.Gs, X, s), op_at(P.A2, y, X.shape[-1]), _gt(P.Gs, y)
 
 
 def solve_conic(
@@ -119,263 +339,301 @@ def solve_conic(
     feas_tol: float = 1e-9,
     cert_tol: float = 1e-9,
     max_iter: int = 200,
-) -> ConicResult:
+) -> list[ConicResult]:
+    """Solve a batch of conic programs of one shape; one ConicResult per instance, in order.
+
+    A may also be a sequence of B (p, n, n) arrays, which is read without
+    stacking it.
+    """
     C = np.asarray(C, float)
-    Amat = np.asarray(A, float)
     b = np.asarray(b, float)
-    p, n = Amat.shape[0], C.shape[0]
-    if G is None:
-        G = np.zeros((p, 0))
-    G = np.asarray(G, float)
-    q = G.shape[1]
-    c_lin = np.zeros(q) if c_lin is None else np.asarray(c_lin, float)
+    B, p, n = len(A), len(A[0]), C.shape[-1]
+    G = np.zeros((B, p, 0)) if G is None else np.asarray(G, float)
+    c_lin = np.zeros((B, G.shape[-1])) if c_lin is None else np.asarray(c_lin, float)
+    size = batch_size(p, n)
+    tols = (gap_tol, feas_tol, cert_tol, max_iter)
+    return [
+        res
+        for lo in range(0, B, size)
+        for res in _solve_batch(*(a[lo : lo + size] for a in (C, A, b, G, c_lin)), *tols)
+    ]
 
-    # row and objective normalization (undone on exit)
-    Aflat = Amat.reshape(p, n * n)
-    rown = np.maximum(1.0, np.sqrt(np.sum(Aflat * Aflat, axis=1) + np.sum(G * G, axis=1)))
-    cn = max(1.0, float(np.linalg.norm(C)), float(np.max(np.abs(c_lin), initial=0.0)))
-    A2 = Aflat / rown[:, None]  # the row-normalized A_i, flattened
-    Gs = G / rown[:, None]
-    bs = b / rown
-    Cs = C / cn
-    cl = c_lin / cn
 
-    def opA(X, s):
-        return op_a(A2, Gs, X, s)
+def _solve_batch(C, A, b, G, c_lin, gap_tol, feas_tol, cert_tol, max_iter):
+    B, p, n = len(A), len(A[0]), C.shape[-1]
+    q = G.shape[-1]  # p for a diagonal G
 
-    def opAt_mat(y):
-        return op_at(A2, y, n)
-
-    norm_b = 1.0 + float(np.max(np.abs(bs)))
-    norm_c = 1.0 + max(float(np.linalg.norm(Cs)), float(np.max(np.abs(cl), initial=0.0)))
-
-    X = np.eye(n)
-    Z = np.eye(n)
-    s = np.ones(q)
-    w = np.ones(q)
-    y = np.zeros(p)
-    tau, kappa = 1.0, 1.0
-    nu = n + q + 1
-
-    best = None  # (score, snapshot)
-    status, message = "numerical_failure", "iteration cap reached"
-    ray = farkas = None
-    stalls = 0
-    it = 0
-
-    def metrics():
-        xh, sh = X / tau, s / tau
-        yh, Zh, wh = y / tau, Z / tau, w / tau
-        pres = float(np.max(np.abs(opA(xh, sh) - bs))) / norm_b
-        Rdh = Cs - opAt_mat(yh) - Zh
-        rdh = cl - Gs.T @ yh - wh
-        dres = max(float(np.linalg.norm(Rdh)), float(np.max(np.abs(rdh), initial=0.0))) / norm_c
-        pobj = _ip(Cs, xh) + cl @ sh
-        dobj = bs @ yh
-        relgap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
-        return pres, dres, relgap, pobj, dobj
-
-    def certificates(tol):
-        # dual-infeasible direction => primal ray; Farkas y => infeasible
-        cobj = _ip(Cs, X) + cl @ s
-        if cobj < -1e-14:
-            quality = float(np.max(np.abs(opA(X, s)))) / (-cobj)
-            if quality <= tol:
-                return "unbounded", (X / (-cobj), s / (-cobj)), None
-        by = bs @ y
-        if by > 1e-14:
-            res = max(
-                float(np.linalg.norm(opAt_mat(y) + Z)),
-                float(np.max(np.abs(Gs.T @ y + w), initial=0.0)),
-            )
-            if res / by <= tol:
-                return "infeasible", None, (y / by, Z / by, w / by)
-        return None, None, None
-
-    while it < max_iter:
-        if tau > 1e-12:
-            pres, dres, relgap, _, _ = metrics()
-            score = max(pres / 1e-7, dres / 1e-7, relgap / 1e-7)
-            if best is None or score < best[0]:
-                best = (score, (X / tau, s / tau, y / tau, Z / tau, w / tau))
-            if pres <= feas_tol and dres <= feas_tol and relgap <= gap_tol:
-                status, message = "optimal", "converged"
-                break
-        kind, ray_c, farkas_c = certificates(cert_tol)
-        if kind is not None:
-            status, message, ray, farkas = kind, "certificate found", ray_c, farkas_c
-            break
-
-        rp = opA(X, s) - bs * tau
-        Rd = -opAt_mat(y) + Cs * tau - Z
-        rd = -Gs.T @ y + cl * tau - w
-        rg = bs @ y - (_ip(Cs, X) + cl @ s) - kappa
-        mu = (_ip(X, Z) + s @ w + tau * kappa) / nu
-
-        try:
-            R, Rinv, W, sig = _nt_scaling(X, Z)
-        except np.linalg.LinAlgError:
-            message = "scaling breakdown"
-            break
-        d = np.sqrt(s / w) if q else np.zeros(0)
-        v = np.sqrt(s * w) if q else np.zeros(0)
-        d2 = d * d
-
-        M = schur_matrix(A2, Gs, W, d2)
-        WCW = W @ Cs @ W
-        h = opA(WCW, d2 * cl)
-        g = _ip(Cs, WCW) + cl @ (d2 * cl)
-        WRdW = W @ Rd @ W
-        f_vec = opA(WRdW, d2 * rd)
-        e_c = _ip(Cs, WRdW) + cl @ (d2 * rd)
-
-        def direction(eta, Rc_t, rc_l, rc_t):
-            Rc_full = _sym(R @ Rc_t @ R.T)
-            rcs = d * rc_l
-            A_rc = opA(Rc_full, rcs)
-            q1 = -eta * rp - A_rc + eta * f_vec
-            q2 = -eta * rg + (_ip(Cs, Rc_full) + cl @ rcs) - eta * e_c + rc_t / tau
-            try:
-                uv = np.linalg.solve(M, np.column_stack([q1, h + bs]))
-            except np.linalg.LinAlgError:
-                reg = M + (1e-13 * np.trace(M) / max(p, 1) + 1e-300) * np.eye(p)
-                uv = np.linalg.solve(reg, np.column_stack([q1, h + bs]))
-            u_, v_ = uv[:, 0], uv[:, 1]
-            den = (g + kappa / tau) + (bs - h) @ v_
-            if not np.isfinite(den) or abs(den) < 1e-300:
-                raise _DirectionFailure("degenerate Schur system")
-            dtau = (q2 - (bs - h) @ u_) / den
-            dy = u_ + v_ * dtau
-            dZ = _sym(-opAt_mat(dy) + Cs * dtau + eta * Rd)
-            dw_ = -Gs.T @ dy + cl * dtau + eta * rd
-            dX = _sym(Rc_full - W @ dZ @ W)
-            ds_ = rcs - d2 * dw_
-            dkappa = (rc_t - kappa * dtau) / tau
-            if not (
-                np.all(np.isfinite(dX))
-                and np.all(np.isfinite(ds_))
-                and np.all(np.isfinite(dy))
-                and np.all(np.isfinite(dZ))
-                and np.all(np.isfinite(dw_))
-                and np.isfinite(dtau + dkappa)
-            ):
-                raise _DirectionFailure("non-finite search direction")
-            return dX, ds_, dy, dZ, dw_, dtau, dkappa
-
-        def step_limit(dX, ds_, dZ, dw_, dtau, dkappa):
-            a = _psd_step_limit(Rinv @ dX @ Rinv.T, R.T @ dZ @ R, sig)
-            a = min(a, _ratio_limit(s, ds_), _ratio_limit(w, dw_))
-            if dtau < 0:
-                a = min(a, -tau / dtau)
-            if dkappa < 0:
-                a = min(a, -kappa / dkappa)
-            return a
-
-        try:
-            aff = direction(1.0, np.diag(-sig), -v, -tau * kappa)
-            dXa, dsa, _, dZa, dwa, dtaua, dkappaa = aff
-            a_aff = min(1.0, step_limit(dXa, dsa, dZa, dwa, dtaua, dkappaa))
-            mu_aff = (
-                _ip(X + a_aff * dXa, Z + a_aff * dZa)
-                + (s + a_aff * dsa) @ (w + a_aff * dwa)
-                + (tau + a_aff * dtaua) * (kappa + a_aff * dkappaa)
-            ) / nu
-            sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3))
-
-            dXt_a = Rinv @ dXa @ Rinv.T
-            dZt_a = R.T @ dZa @ R
-            corr = _sym(dXt_a @ dZt_a)
-            E = 0.5 * np.add.outer(sig, sig)
-            Rc_t = (sigma * mu * np.eye(n) - np.diag(sig * sig) - corr) / E
-            rc_l = (sigma * mu - v * v - (dsa / d) * (d * dwa)) / v if q else v
-            rc_t = sigma * mu - tau * kappa - dtaua * dkappaa
-            dX, ds, dy, dZ, dw, dtau, dkappa = direction(1.0 - sigma, Rc_t, rc_l, rc_t)
-            alpha = min(1.0, _STEP_FRACTION * step_limit(dX, ds, dZ, dw, dtau, dkappa))
-        except (_DirectionFailure, np.linalg.LinAlgError) as exc:
-            message = str(exc) or "linear algebra breakdown"
-            break
-        if alpha < 1e-8:
-            stalls += 1
-            if stalls >= 3:
-                message = "step size collapsed"
-                break
-        else:
-            stalls = 0
-
-        X = _sym(X + alpha * dX)
-        s = s + alpha * ds
-        y = y + alpha * dy
-        Z = _sym(Z + alpha * dZ)
-        w = w + alpha * dw
-        tau += alpha * dtau
-        kappa += alpha * dkappa
-        it += 1
-
-    # loose fallback classification when the loop ended without a verdict
-    if status == "numerical_failure":
-        kind, ray_c, farkas_c = certificates(1e-7)
-        if kind is not None:
-            status, message, ray, farkas = kind, "certificate found (loose)", ray_c, farkas_c
-        elif best is not None and best[0] <= 1.0:
-            status, message = "optimal", "accepted best iterate at fallback tolerance"
-            X, s, y, Z, w = best[1]
-            tau = 1.0
-
-    if status == "unbounded":
-        rX, rs = ray
-        scale = cn * max(-(_ip(Cs, rX) + cl @ rs), 1e-300)
-        rX, rs = rX / scale, rs / scale  # <C_orig, rX> + c_lin_orig . rs = -1
-        return ConicResult(
-            status="unbounded",
-            X=_sym(rX),
-            s=rs,
-            y=np.zeros(p),
-            Z=np.zeros((n, n)),
-            w=np.zeros(q),
-            objective=-np.inf,
-            dual_objective=-np.inf,
-            primal_residual=float(np.max(np.abs(op_a(Aflat, G, rX, rs)))),
-            iterations=it,
-            ray=(_sym(rX), rs),
-            message=message,
-        )
-
-    if status == "infeasible":
-        fy, fZ, fw = farkas
-        fy = fy / rown  # original-units multipliers, b.fy = 1
-        return ConicResult(
-            status="infeasible",
-            X=np.full((n, n), np.nan),
-            s=np.full(q, np.nan),
-            y=fy,
-            Z=_sym(fZ),
-            w=fw,
-            dual_residual=float(
-                max(
-                    np.linalg.norm(op_at(Aflat, fy, n) + fZ),
-                    np.max(np.abs(G.T @ fy + fw), initial=0.0),
-                )
-            ),
-            iterations=it,
-            farkas=(fy, _sym(fZ), fw),
-            message=message,
-        )
-
-    # optimal or numerical_failure: the iterate, unscaled
-    pres, dres, relgap, pobj, dobj = metrics() if tau > 1e-12 else (np.nan,) * 5
-    t = max(tau, 1e-300)
-    return ConicResult(
-        status=status,
-        X=_sym(X / t),
-        s=s / t,
-        y=y / t * cn / rown,
-        Z=_sym(Z / t) * cn,
-        w=w / t * cn,
-        objective=pobj * cn,
-        dual_objective=dobj * cn,
-        primal_residual=pres,
-        dual_residual=dres,
-        rel_gap=relgap,
-        iterations=it,
-        message=message,
+    # row and objective normalization (undone on exit); where() keeps Python's
+    # max(1.0, x), which ignores a NaN x
+    Aflat = [np.asarray(a, float).reshape(p, n * n) for a in A]
+    GG = G * G if G.ndim == 2 else np.sum(G * G, axis=-1)
+    rown = np.maximum(1.0, np.sqrt(np.array([np.sum(a * a, axis=-1) for a in Aflat]) + GG))
+    A2 = np.empty((B, p, n * n))
+    for a, r, out in zip(Aflat, rown, A2):
+        np.divide(a, r[:, None], out=out)
+    cn = np.sqrt(_dot(C, C))
+    cn = np.where(cn > 1.0, cn, 1.0)
+    cmax = np.abs(c_lin).max(axis=-1, initial=0.0)
+    cn = np.where(cmax > cn, cmax, cn)
+    bs, Cs, cl = b / rown, C / cn[:, None, None], c_lin / cn[:, None]
+    norm_c = 1.0 + np.maximum(np.sqrt(_dot(Cs, Cs)), np.abs(cl).max(axis=-1, initial=0.0))
+    # the working stacks, rows of the instances still in the batch: the data,
+    # X, y, Z and the orthant block o = (s, w, tau, kappa)
+    P = _Problem(
+        A2, G / rown[:, :, None] if G.ndim == 3 else G / rown, bs, Cs,
+        cl if cl.any() else None, 1.0 + np.abs(bs).max(axis=-1), norm_c,
     )
+    del A2
+    nu = n + q + 1
+    rows = np.arange(B)
+    eye = np.eye(n)
+    state = [np.tile(eye, (B, 1, 1)), np.zeros((B, p)), np.tile(eye, (B, 1, 1)), np.ones((B, 2 * q + 2))]
+    stalls = np.zeros(B, int)
+    # the best iterate over tau and its score; the first iteration's score
+    # is finite, so inf stands in for "none yet"
+    best, best_score = [np.empty_like(v) for v in state], np.full(B, np.inf)
+    converged = np.zeros(B, bool)
+    certified = np.zeros(B, bool)
+    out = [None] * B  # by position in the call
+
+    def finish(leaving, it, why):
+        """Package the leaving rows' results and drop them from the working stacks."""
+        nonlocal P, rows, state, best, best_score, stalls
+        idx = np.flatnonzero(leaving)
+        take = (lambda v: v) if len(idx) == len(rows) else (lambda v: v[idx])
+        gone = rows[idx]
+        results = _results(
+            P.take(idx) if len(idx) < len(rows) else P,
+            [take(v) for v in state], [take(v) for v in best], best_score[idx],
+            converged[gone], certified[gone], [why(k) for k in idx.tolist()], it,
+            [(Aflat[i], G[i : i + 1], rown[i], cn[i]) for i in gone.tolist()], cert_tol,
+        )
+        for i, res in zip(gone.tolist(), results):
+            out[i] = res
+        keep = ~leaving
+        P, rows, stalls, best_score = P.compact(keep), rows[keep], stalls[keep], best_score[keep]
+        state, best = [v[keep] for v in state], [v[keep] for v in best]
+        return keep
+
+    with np.errstate(all="ignore"):  # a failed instance runs on to the end of its iteration
+        for it in range(max_iter):
+            X, y, Z, o = state
+            s, w, tau, kappa = _split(o, q)
+            live = tau > 1e-12
+            pres, dres, relgap, _, _, scaled = _metrics(P, X, y, Z, o)
+            infeas = np.maximum(pres, dres)
+            score = np.maximum(infeas, relgap) / 1e-7  # the largest of the three over 1e-7
+            better = live & (score < best_score)
+            if _all(better):
+                best, best_score = list(scaled), score
+            elif _any(better):
+                best_score = np.where(better, score, best_score)
+                best = [np.where(better.reshape((-1,) + (1,) * (v.ndim - 1)), v, b) for v, b in zip(scaled, best)]
+            done = live & (infeas <= feas_tol) & (relgap <= gap_tol)
+            AX, Aty, Gty = _operators(P, X, y, o)
+            ray, farkas, cobj, by = _certificates(P, X, y, Z, o, cert_tol, AX, Aty, Gty)
+            leaving = done | ray | farkas
+            if _any(leaving):
+                converged[rows[done]] = True
+                certified[rows[leaving & ~done]] = True
+                keep = finish(leaving, it, lambda k: "converged" if done[k] else "certificate found")
+                if not len(rows):
+                    break
+                X, y, Z, o = state
+                s, w, tau, kappa = _split(o, q)
+                AX, Aty, Gty, cobj, by = (v[keep] for v in (AX, Aty, Gty, cobj, by))
+
+            fail = {}  # working row -> why its step failed, the first reason kept
+            t1, t3 = tau[:, None], tau[:, None, None]
+            rp = AX - P.bs * t1
+            Rd = -Aty + P.Cs * t3 - Z
+            rd = -Gty - w if P.cl is None else -Gty + P.cl * t1 - w
+            rg = by - cobj - kappa
+            mu = (_dot(X, Z) + _dot(s, w) + tau * kappa) / nu
+
+            try:
+                # Nesterov-Todd scaling: W = R R^T with R^T Z R = R^-1 X R^-T = diag(sig)
+                lx, Qx = _eig(np.linalg.eigh, X, fail, "scaling breakdown")
+                lx = np.maximum(lx, _EIG_FLOOR * np.maximum(lx[:, -1:], 1e-100))
+                rx = np.sqrt(lx)[:, None, :]
+                Xh = (Qx * rx) @ _t(Qx)
+                Xhi = (Qx / rx) @ _t(Qx)
+                lm, Pm = _eig(np.linalg.eigh, _sym(Xh @ Z @ Xh), fail, "scaling breakdown")
+                _all_failed(fail, rows)
+                lm = np.maximum(lm, _EIG_FLOOR * np.maximum(lm[:, -1:], 1e-100))
+                sig = np.sqrt(lm)
+                q4 = (lm**0.25)[:, None, :]
+                R = Xh @ (Pm / q4)
+                Rinv = _t(Pm * q4) @ Xhi
+                W = R @ _t(R)
+                root = np.sqrt(sig)
+                scale = (root[:, :, None] * root[:, None, :])[:, None]
+                d = np.sqrt(s / w)
+                v = np.sqrt(s * w)
+                d2 = d * d
+
+                M = schur_matrix(P.A2, P.Gs, W, d2)
+                WCW = W @ P.Cs @ W
+                dcl = None if P.cl is None else d2 * P.cl
+                h = op_a(P.A2, P.Gs, WCW, dcl)
+                g = P.obj(WCW, dcl)
+                WRdW = W @ Rd @ W
+                f_vec = op_a(P.A2, P.Gs, WRdW, d2 * rd)
+                e_c = P.obj(WRdW, d2 * rd)
+                b_h = P.bs - h
+                rhs = np.empty((len(rows), p, 2))
+                rhs[..., 1] = h + P.bs
+
+                def direction(eta, Rc_t, rc_l, rc_t):
+                    """dX, dy, dZ and the orthant block's direction (ds, dw, dtau, dkappa)."""
+                    Rc_full = _sym(R @ Rc_t @ _t(R))
+                    rcs = d * rc_l
+                    A_rc = op_a(P.A2, P.Gs, Rc_full, rcs)
+                    e1 = eta[:, None]
+                    rhs[..., 0] = -e1 * rp - A_rc + e1 * f_vec
+                    q2 = -eta * rg + P.obj(Rc_full, rcs) - eta * e_c + rc_t / tau
+                    uv = _solve(M, rhs, fail)
+                    u_, v_ = uv[..., 0], uv[..., 1]
+                    den = (g + kappa / tau) + _dot(b_h, v_)
+                    _charge(fail, ~np.isfinite(den) | (np.abs(den) < 1e-300), "degenerate Schur system")
+                    dtau = (q2 - _dot(b_h, u_)) / den
+                    dy = u_ + v_ * dtau[:, None]
+                    dZ = _sym(-op_at(P.A2, dy, n) + P.Cs * dtau[:, None, None] + eta[:, None, None] * Rd)
+                    dw_ = -_gt(P.Gs, dy)
+                    dw_ = dw_ + e1 * rd if P.cl is None else dw_ + P.cl * dtau[:, None] + e1 * rd
+                    dX = _sym(Rc_full - W @ dZ @ W)
+                    ds_ = rcs - d2 * dw_
+                    dkappa = (rc_t - kappa * dtau) / tau
+                    do = np.concatenate([ds_, dw_, dtau[:, None], dkappa[:, None]], axis=1)
+                    B_ = len(do)
+                    every = (dX.reshape(B_, -1), dZ.reshape(B_, -1), dy, do, (dtau + dkappa)[:, None])
+                    finite = np.isfinite(np.concatenate(every, axis=1)).all(axis=1)
+                    _charge(fail, ~finite, "non-finite search direction")
+                    _all_failed(fail, rows)
+                    if fail:  # the failed rows ride along on a zero direction
+                        for arr in (dX, dy, dZ, do):
+                            arr[list(fail)] = 0.0
+                    return dX, dy, dZ, do
+
+                def step_limit(dX, dZ, do):
+                    """The largest step keeping X, Z and the orthant block feasible, and the scaled dX, dZ.
+
+                    The PSD limit is max alpha with diag(sig) + alpha*D >= 0 for
+                    both scaled directions, via I + alpha*S, from one stacked
+                    eigvalsh.  The orthant ratios never compare NaN, so minimum()
+                    keeps Python's min, where a NaN PSD limit stays NaN.
+                    """
+                    dXs, dZs = Rinv @ dX @ _t(Rinv), _t(R) @ dZ @ R
+                    S = np.stack([dXs, dZs], axis=1) / scale
+                    lmin = _eig(np.linalg.eigvalsh, 0.5 * (S + _t(S)), fail)[..., 0].min(axis=1)
+                    _all_failed(fail, rows)
+                    a = np.where(lmin >= -1e-300, np.inf, 1.0 / -lmin)
+                    ratio = np.where(do < 0, -o / do, np.inf).min(axis=1)
+                    return np.minimum(a, ratio), dXs, dZs
+
+                dXa, _, dZa, doa = direction(np.ones(len(rows)), _diag(-sig), -v, -tau * kappa)
+                a_aff, dXt_a, dZt_a = step_limit(dXa, dZa, doa)
+                a_aff = _min1(a_aff)
+                a3 = a_aff[:, None, None]
+                sa, wa, ta, ka = _split(o + a_aff[:, None] * doa, q)
+                mu_aff = (_dot(X + a3 * dXa, Z + a3 * dZa) + _dot(sa, wa) + ta * ka) / nu
+                # libm's pow one value at a time, as the scalar steps have always
+                # computed it; numpy's SIMD pow can differ in the last bit
+                sigma = np.array([min(1.0, max(0.0, r**3)) for r in np.maximum(mu_aff, 0.0) / mu])
+
+                dsa, dwa, dtaua, dkappaa = _split(doa, q)
+                corr = _sym(dXt_a @ dZt_a)
+                E = 0.5 * (sig[:, :, None] + sig[:, None, :])
+                smu = sigma * mu
+                Rc_t = (smu[:, None, None] * eye - _diag(sig * sig) - corr) / E
+                rc_l = (smu[:, None] - v * v - (dsa / d) * (d * dwa)) / v if q else v
+                rc_t = smu - tau * kappa - dtaua * dkappaa
+                dX, dy, dZ, do = direction(1.0 - sigma, Rc_t, rc_l, rc_t)
+                alpha = _min1(_STEP_FRACTION * step_limit(dX, dZ, do)[0])
+
+                stalls = np.where(alpha < 1e-8, stalls + 1, 0)
+                _charge(fail, stalls >= 3, "step size collapsed")
+            except _AllFailed:
+                pass
+            if fail:
+                failed = np.zeros(len(rows), bool)
+                failed[list(fail)] = True
+                keep = finish(failed, it, fail.get)
+                if not len(rows):
+                    break
+                X, y, Z, o = state
+                dX, dy, dZ, do, alpha = (a[keep] for a in (dX, dy, dZ, do, alpha))
+            a1, a3 = alpha[:, None], alpha[:, None, None]
+            state = [_sym(X + a3 * dX), y + a1 * dy, _sym(Z + a3 * dZ), o + a1 * do]
+        else:
+            if len(rows):
+                finish(np.ones(len(rows), bool), max_iter, lambda k: "iteration cap reached")
+
+    return out
+
+
+def _results(P, state, best, best_score, converged, certified, messages, it, raw, cert_tol):
+    """One ConicResult per row of these stacks, which leave the batch after iteration it.
+
+    A row that left without a verdict gets the loose certificate test and
+    then the best-iterate fallback.  raw holds each row's original A (flat),
+    G, row norms and objective scale.
+    """
+    X, y, Z, o = state
+    B, n, q = len(X), X.shape[-1], (o.shape[1] - 2) // 2
+    kind = np.zeros(B, int)
+    with np.errstate(all="ignore"):
+        if not _all(converged):
+            tol = np.where(certified, cert_tol, 1e-7)
+            ray, farkas, cobj, by = _certificates(P, X, y, Z, o, tol, *_operators(P, X, y, o))
+            kind = np.where(converged, 0, np.where(ray, 1, np.where(farkas, 2, 0)))
+        fallback = (kind == 0) & ~converged & (best_score <= 1.0)
+        if _any(fallback):
+            X, y, Z, o = (v.copy() for v in state)
+            for i in np.flatnonzero(fallback):
+                X[i], y[i], Z[i], o[i] = (v[i] for v in best)
+                o[i, 2 * q] = 1.0
+        pres, dres, relgap, pobj, dobj, _ = _metrics(P, X, y, Z, o)
+    s, w, tau, _ = _split(o, q)
+
+    out = []
+    for i, (Aflat, G, rown, cn) in enumerate(raw):
+        if kind[i]:
+            message = messages[i] if certified[i] else "certificate found (loose)"
+        else:
+            message = "accepted best iterate at fallback tolerance" if fallback[i] else messages[i]
+        if kind[i] == 1:
+            rX, rs = X[i] / -cobj[i], s[i] / -cobj[i]
+            scale = cn * max(-P.take([i]).obj(rX[None], rs[None])[0], 1e-300)
+            rX, rs = rX / scale, rs / scale  # <C_orig, rX> + c_lin_orig . rs = -1
+            pres_ray = np.abs(op_a(Aflat[None], G, rX[None], rs[None])).max()
+            out.append(ConicResult(
+                status="unbounded", X=_sym(rX), s=rs, y=np.zeros(len(rown)), Z=np.zeros((n, n)),
+                w=np.zeros(q), objective=-np.inf, dual_objective=-np.inf,
+                primal_residual=float(pres_ray), iterations=it, ray=(_sym(rX), rs), message=message,
+            ))
+        elif kind[i] == 2:
+            fy, fZ, fw = y[i] / by[i] / rown, Z[i] / by[i], w[i] / by[i]  # b.fy = 1
+            R = op_at(Aflat[None], fy[None], n)[0] + fZ
+            res = max(np.linalg.norm(R), np.max(np.abs(_gt(G, fy[None])[0] + fw), initial=0.0))
+            out.append(ConicResult(
+                status="infeasible", X=np.full((n, n), np.nan), s=np.full(q, np.nan), y=fy,
+                Z=_sym(fZ), w=fw, dual_residual=float(res), iterations=it,
+                farkas=(fy, _sym(fZ), fw), message=message,
+            ))
+        else:
+            # optimal or numerical_failure: the iterate, unscaled
+            ok = tau[i] > 1e-12
+            t = max(tau[i], 1e-300)
+            out.append(ConicResult(
+                status="optimal" if converged[i] or fallback[i] else "numerical_failure",
+                X=_sym(X[i] / t), s=s[i] / t, y=y[i] / t * cn / rown, Z=_sym(Z[i] / t) * cn,
+                w=w[i] / t * cn,
+                objective=pobj[i] * cn if ok else np.nan,
+                dual_objective=dobj[i] * cn if ok else np.nan,
+                primal_residual=float(pres[i]) if ok else np.nan,
+                dual_residual=float(dres[i]) if ok else np.nan,
+                rel_gap=float(relgap[i]) if ok else np.nan,
+                iterations=it, message=message,
+            ))
+    return out

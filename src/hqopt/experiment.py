@@ -6,7 +6,11 @@ constraint count m, instance index i) the derivation is
     instance_seed, rounding_seed = SeedSequence((root_seed, c, m, i)).generate_state(2)
 
 so any single record can be reproduced in isolation from the numbers in its
-row.  Records are produced one after another in task order.  A record whose
+row.  Every case of a config shares n, field and p = m + 1, so the tasks of
+one m are taken in batches of the interior-point core's batch size: a
+batch's instances are generated, their relaxations solved in one batched
+call (a solve's outcome does not depend on its batch), and the records
+rounded in task order.  The records are returned in task order.  A record whose
 instance could not be generated (the feasibility retries ran out) gets
 status GenerationFailed; one whose relaxation is not solved keeps the solver
 status; one whose rounding found no point (including a max instance without
@@ -18,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._ipm import batch_size
 from .instances import CASES, GeneratorSpec, OBJECTIVE_IDENTITY, OBJECTIVE_INDEFINITE, generate
 from .rounding import GAUSSIAN_MIN, SCHEMES, RoundingParams, round_solution
-from .sdp import COMPLEX, MAXIMIZE, MINIMIZE, OPTIMAL, REAL, solve_instance
+from .sdp import COMPLEX, MAXIMIZE, MINIMIZE, OPTIMAL, REAL, solve_instances
 
 CSV_HEADER = "case,m,instance_seed,status,v_sdp,v_hat_qp,ratio,bound"
 ROUNDING_FAILED = "RoundingFailed"
@@ -130,8 +135,8 @@ def derive_seeds(root_seed: int, case_index: int, m: int, index: int) -> tuple[i
     return int(state[0]), int(state[1])
 
 
-def run_single(config: ExperimentConfig, case: str, case_index: int, m: int, index: int) -> ExperimentRecord:
-    """Generate, solve, and round one sweep instance; failures stay in-row."""
+def _draw(config: ExperimentConfig, case: str, case_index: int, m: int, index: int):
+    """One task's seeds and its instance; None when generation ran out of retries."""
     instance_seed, rounding_seed = derive_seeds(config.root_seed, case_index, m, index)
     spec = GeneratorSpec(
         n=config.n,
@@ -145,9 +150,15 @@ def run_single(config: ExperimentConfig, case: str, case_index: int, m: int, ind
     try:
         inst = generate(spec)
     except RuntimeError:  # no feasible draw within the retry budget
+        inst = None
+    return case, m, instance_seed, rounding_seed, inst
+
+
+def _record(config: ExperimentConfig, case, m, instance_seed, rounding_seed, inst, sol) -> ExperimentRecord:
+    """Round one solved task; failures stay in-row."""
+    if inst is None:
         v_sdp, status = math.nan, GENERATION_FAILED
     else:
-        sol = solve_instance(inst)
         v_sdp, status = sol.objective_value, sol.status
     if status != OPTIMAL:
         return ExperimentRecord(
@@ -173,6 +184,18 @@ def run_single(config: ExperimentConfig, case: str, case_index: int, m: int, ind
         theoretical_bound=report.theoretical_bound,
         solve_status=ROUNDING_FAILED if report.failed else sol.status,
     )
+
+
+def _run_tasks(config: ExperimentConfig, tasks) -> list:
+    """Generate every task's instance, solve them in one batched call, round in task order."""
+    drawn = [_draw(config, *t) for t in tasks]
+    sols = iter(solve_instances([d[-1] for d in drawn if d[-1] is not None]))
+    return [_record(config, *d, None if d[-1] is None else next(sols)) for d in drawn]
+
+
+def run_single(config: ExperimentConfig, case: str, case_index: int, m: int, index: int) -> ExperimentRecord:
+    """Generate, solve, and round one sweep instance; failures stay in-row."""
+    return _run_tasks(config, [(case, case_index, m, index)])[0]
 
 
 def summarize(records) -> tuple:
@@ -209,7 +232,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for m in config.m_list
         for i in range(config.instances_per_m)
     ]
-    records = [run_single(config, *t) for t in tasks]
+    # every case of one m shares n, field and p = m + 1, so its tasks batch
+    # together; one batch is generated, solved and rounded at a time
+    done = {}
+    dim = 2 * config.n if config.field == COMPLEX else config.n
+    for m in config.m_list:
+        cell = [t for t in tasks if t[2] == m]
+        size = batch_size(m + 1, dim)
+        for lo in range(0, len(cell), size):
+            done.update(zip(cell[lo : lo + size], _run_tasks(config, cell[lo : lo + size])))
+    records = [done[t] for t in tasks]
     return ExperimentResult(config=config, records=tuple(records), summaries=summarize(records))
 
 

@@ -20,7 +20,9 @@ import numpy as np
 from .matrices import HermMatrix, SymMatrix
 from .sdp import COMPLEX, OPTIMAL, PSD_TOL, QcqpInstance, SdpSolution, to_embedded, to_field
 
-_RANK_TOL = 1e-9
+# relative cut-off: an eigenvalue (singular value) counts toward a rank when
+# it exceeds RANK_TOL times the largest one
+RANK_TOL = 1e-9
 _VALUE_TOL = 1e-7
 
 
@@ -139,7 +141,7 @@ def reduce_rank(
     inst: QcqpInstance,
     *,
     seed: int = 0,
-    rank_tol: float = _RANK_TOL,
+    rank_tol: float = RANK_TOL,
     value_tol: float = _VALUE_TOL,
     max_steps: int | None = None,
 ) -> LowRankSolution:

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lowrank import LowRankSolution, factorize, reduce_rank
+from .lowrank import RANK_TOL, LowRankSolution, factorize, reduce_rank
 from .matrices import SymMatrix, sym_eig
 from .sdp import (
     COMPLEX,
@@ -423,6 +423,18 @@ def gaussian_round_min(
     return _report(p.scheme, p.seed, p.num_samples, inst.sense, v_sdp, bound, not warn, warn, draws)
 
 
+def effective_rank(A: np.ndarray, U: np.ndarray) -> int:
+    """max_k rank(A_k U U*) for a stack A of constraints and a full-column-rank factor U.
+
+    rank(A_k U U*) = rank(A_k U), so this is one stacked product and one
+    stacked singular-value call.  A singular value counts when it exceeds
+    lowrank.RANK_TOL times the largest one of the same product, the
+    cut-off the rank reduction uses, so round-off in U moves no rank.
+    """
+    sv = np.linalg.svd(A @ U, compute_uv=False)
+    return int(np.sum(sv > RANK_TOL * sv[:, :1], axis=1).max(initial=0))
+
+
 def sign_round_max(inst: QcqpInstance, lowrank: LowRankSolution, p: RoundingParams) -> RoundingReport:
     """Round a real maximization solution with +-1 vectors through U Q.
 
@@ -430,9 +442,9 @@ def sign_round_max(inst: QcqpInstance, lowrank: LowRankSolution, p: RoundingPara
     value Tr(C X_hat) and only the rescaling denominator max_k xi^T A_k xi
     varies.  Denominators that are not positive are discarded with a counter
     (they signal a violated positivity assumption).  The claimed bound is
-    alpha = 2 log(174 m mu_eff) with mu_eff = min{m, max_k rank(A_k X_hat)},
-    provided at most one constraint is indefinite; the joint event counts
-    samples with denominator at most alpha.  Without a positive definite
+    alpha = 2 log(174 m mu_eff) with mu_eff = min{m, max_k rank(A_k X_hat)}
+    (see effective_rank), provided at most one constraint is indefinite;
+    the joint event counts samples with denominator at most alpha.  Without a positive definite
     constraint aggregate (slater_check) the report is a failed one and no
     sample is drawn.
     """
@@ -447,10 +459,9 @@ def sign_round_max(inst: QcqpInstance, lowrank: LowRankSolution, p: RoundingPara
                        math.inf, False, False, _Draws(), _NO_AGGREGATE)
 
     U = lowrank.U
-    X_hat = lowrank.reconstruct()
     m = inst.m
     warn = len(inst.indefinite_indices) > 1
-    mu_eff = max(1, min(m, max(int(np.linalg.matrix_rank(A.a @ X_hat)) for A in inst.constraints)))
+    mu_eff = max(1, min(m, effective_rank(inst.field_view.A, U)))
     alpha = 2.0 * math.log(174.0 * max(1, m) * mu_eff)
     if warn:
         bound = math.inf

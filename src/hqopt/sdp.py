@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -324,36 +324,16 @@ class SdpSolution:
         }
 
 
-def solve(
-    form: SdpStandardForm,
-    *,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-9,
-    max_iter: int = 200,
-) -> SdpSolution:
-    """Run the interior-point core and package the outcome per the contracts."""
-    C_eff = -form.C if form.maximize else form.C
-    res = _ipm.solve_conic(
-        C_eff,
-        form.A,
-        form.b,
-        form.G,
-        form.c_lin,
-        gap_tol=gap_tol,
-        feas_tol=feas_tol,
-        max_iter=max_iter,
-    )
+def _package(form: SdpStandardForm, res: _ipm.ConicResult, lam_min: float) -> SdpSolution:
+    """An interior-point result as an SdpSolution; lam_min is lambda_min of an Optimal X."""
     flip = -1.0 if form.maximize else 1.0
     status, message = NUMERICAL_FAILURE, res.message
     if res.status == "optimal":
         status = OPTIMAL
-        # C and every A_k lie in the embedded Hermitian space, so projecting
-        # a complex optimum onto it moves objective and constraints by round-off
-        X = j_symmetrize(res.X) if form.field == COMPLEX else res.X
-        if float(np.linalg.eigvalsh(X)[0]) < -PSD_TOL:
+        if lam_min < -PSD_TOL:
             status, message = NUMERICAL_FAILURE, "returned iterate lost definiteness"
         out = dict(
-            X=SymMatrix(X),
+            X=SymMatrix(res.X),
             objective_value=form.report_scale * flip * res.objective,
             dual_multipliers=tuple(float(v) for v in np.maximum(flip * res.y, 0.0)),
             dual_slack=SymMatrix(flip * res.Z if form.maximize else res.Z),
@@ -397,8 +377,56 @@ def solve(
     )
 
 
+def solve_instances(
+    insts,
+    *,
+    gap_tol: float = 1e-8,
+    feas_tol: float = 1e-9,
+    max_iter: int = 200,
+) -> list[SdpSolution]:
+    """Solve every instance's relaxation, in order.
+
+    The relaxations that share a shape (embedded n and constraint count)
+    are one batched interior-point call, and their Optimal iterates get one
+    stacked lambda_min check.
+    """
+    forms = [build_relaxation(inst) for inst in insts]
+    groups: dict = {}
+    for i, form in enumerate(forms):
+        groups.setdefault(form.A.shape, []).append(i)
+    out = [None] * len(forms)
+    for idx in groups.values():
+        group = [forms[i] for i in idx]
+        # every relaxation's G is diagonal (the slack signs): pass the diagonal
+        results = _ipm.solve_conic(
+            np.array([-f.C if f.maximize else f.C for f in group]),
+            [f.A for f in group],
+            np.array([f.b for f in group]),
+            np.array([np.diagonal(f.G) for f in group]),
+            np.array([f.c_lin for f in group]),
+            gap_tol=gap_tol,
+            feas_tol=feas_tol,
+            max_iter=max_iter,
+        )
+        # C and every A_k lie in the embedded Hermitian space, so projecting
+        # a complex optimum onto it moves objective and constraints by round-off
+        results = [
+            replace(r, X=j_symmetrize(r.X))
+            if r.status == "optimal" and f.field == COMPLEX
+            else r
+            for f, r in zip(group, results)
+        ]
+        optimal = [k for k, r in enumerate(results) if r.status == "optimal"]
+        lam = np.full(len(results), np.nan)
+        if optimal:
+            lam[optimal] = np.linalg.eigvalsh(np.stack([results[k].X for k in optimal]))[:, 0]
+        for i, f, r, lam_min in zip(idx, group, results, lam):
+            out[i] = _package(f, r, lam_min)
+    return out
+
+
 def solve_instance(inst: QcqpInstance, **kwargs) -> SdpSolution:
-    return solve(build_relaxation(inst), **kwargs)
+    return solve_instances([inst], **kwargs)[0]
 
 
 @dataclass(frozen=True)
@@ -439,7 +467,7 @@ def _probe_definite(mats: np.ndarray) -> tuple[np.ndarray, bool]:
     b = np.concatenate([np.full(p, R), [1.0]])
     c_lin = np.zeros(q)
     c_lin[0] = 1.0
-    res = _ipm.solve_conic(np.zeros((n, n)), rows, b, G, c_lin)
+    res = _ipm.solve_conic(np.zeros((1, n, n)), rows[None], b[None], G[None], c_lin[None])[0]
     converged = res.status == "optimal"
     mu = np.maximum(res.y[:p], 0.0)
     if not mu.sum() >= 1e-9:  # also when y is not finite

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from hqopt import _ipm
 from hqopt.experiment import ExperimentConfig, run_experiment, write_csv
 from hqopt.instances import CASE_A, CASE_B, CASE_C
 from hqopt.rounding import GAUSSIAN_MAX, GAUSSIAN_MIN, SIGN_MAX
@@ -71,6 +72,16 @@ def test_sweep_matches_golden_fixture(name):
     assert len(got) == len(expected)
     for row, (g, e) in enumerate(zip(got[2:], expected[2:]), start=3):
         assert _same_row(g, e), f"{name} line {row}: {g!r} != {e!r}"
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_one_instance_batches_write_the_same_csv(name, monkeypatch):
+    # a solve's outcome does not depend on its batch: capping every batch at
+    # one instance changes no byte of the sweep
+    default = sweep_csv(name)
+    monkeypatch.setattr(_ipm, "_BATCH_ELEMENTS", 1)
+    assert _ipm.batch_size(11, 20) == 1
+    assert sweep_csv(name) == default
 
 
 VALUE_COLUMNS = ("v_sdp", "v_hat_qp", "ratio", "bound")

@@ -1,19 +1,23 @@
-"""Tests for the interior-point core's flat operators and the stacked data they read.
+"""Tests for the batched interior-point core and the stacked data it reads.
 
-The IPM holds the row-normalized constraints as one (p, n*n) array and
-forms its operators and Schur complement as BLAS products; the instance
-generator draws a stack of matrices at once and tags it with one
-eigvalsh.  Each is checked against its one-matrix-at-a-time definition.
+The IPM holds the row-normalized constraints of a batch as one
+(B, p, n*n) array and forms its operators and Schur complement as batched
+BLAS products; the instance generator draws a stack of matrices at once and
+tags it with one eigvalsh.  Each is checked against its one-at-a-time
+definition, and every instance of a batched solve against its own solve.
 """
 
 import numpy as np
 import pytest
 
 from hqopt import _ipm
+from hqopt.experiment import derive_seeds
 from hqopt.instances import (
+    CASE_A,
     CASE_C,
     CASES,
     FULL_RANK,
+    OBJECTIVE_IDENTITY,
     OBJECTIVE_INDEFINITE,
     RANK_ONE,
     GeneratorSpec,
@@ -21,7 +25,23 @@ from hqopt.instances import (
     random_matrices,
 )
 from hqopt.matrices import HermMatrix, SymMatrix
-from hqopt.sdp import COMPLEX, INDEFINITE, MAXIMIZE, NSD, PSD, REAL, tag_matrix
+from hqopt.sdp import (
+    COMPLEX,
+    INDEFINITE,
+    INFEASIBLE,
+    MAXIMIZE,
+    MINIMIZE,
+    NSD,
+    NUMERICAL_FAILURE,
+    OPTIMAL,
+    PSD,
+    REAL,
+    UNBOUNDED,
+    QcqpInstance,
+    solve_instance,
+    solve_instances,
+    tag_matrix,
+)
 
 
 def _rel(got, want):
@@ -31,40 +51,156 @@ def _rel(got, want):
 @pytest.fixture
 def data():
     rng = np.random.default_rng(7)
-    p, n, q = 7, 5, 3
-    A = rng.standard_normal((p, n, n))
-    A = A + A.transpose(0, 2, 1)
-    G = rng.standard_normal((p, q))
-    X = rng.standard_normal((n, n))
-    X = X + X.T
-    B = rng.standard_normal((n, n))
-    W = B @ B.T + np.eye(n)
-    return dict(A=A, A2=A.reshape(p, n * n), G=G, X=X, W=W, s=rng.random(q),
-                y=rng.standard_normal(p), d2=rng.random(q) + 0.1)
+    B, p, n, q = 3, 7, 5, 3
+    A = rng.standard_normal((B, p, n, n))
+    A = A + A.swapaxes(-1, -2)
+    G = rng.standard_normal((B, p, q))
+    X = rng.standard_normal((B, n, n))
+    X = X + X.swapaxes(-1, -2)
+    M = rng.standard_normal((B, n, n))
+    W = M @ M.swapaxes(-1, -2) + np.eye(n)
+    return dict(A=A, A2=A.reshape(B, p, n * n), G=G, X=X, W=W, s=rng.random((B, q)),
+                y=rng.standard_normal((B, p)), d2=rng.random((B, q)) + 0.1)
 
 
 class TestFlatOperators:
+    """Each batched operator against its one-instance trace definition, slice by slice."""
+
     def test_op_a_matches_trace_definition(self, data):
-        want = np.einsum("ijk,jk->i", data["A"], data["X"]) + data["G"] @ data["s"]
-        assert _rel(_ipm.op_a(data["A2"], data["G"], data["X"], data["s"]), want) <= 1e-12
+        got = _ipm.op_a(data["A2"], data["G"], data["X"], data["s"])
+        for k in range(len(got)):
+            want = np.einsum("ijk,jk->i", data["A"][k], data["X"][k]) + data["G"][k] @ data["s"][k]
+            assert _rel(got[k], want) <= 1e-12
 
     def test_op_at_matches_weighted_sum(self, data):
-        want = np.einsum("i,ijk->jk", data["y"], data["A"])
-        assert _rel(_ipm.op_at(data["A2"], data["y"], 5), want) <= 1e-12
+        got = _ipm.op_at(data["A2"], data["y"], 5)
+        for k in range(len(got)):
+            assert _rel(got[k], np.einsum("i,ijk->jk", data["y"][k], data["A"][k])) <= 1e-12
 
     def test_schur_matches_trace_definition(self, data):
         A, W, G, d2 = data["A"], data["W"], data["G"], data["d2"]
-        traces = [[np.trace(Ai @ W @ Al @ W) for Al in A] for Ai in A]
-        want = np.array(traces) + (G * d2) @ G.T
         got = _ipm.schur_matrix(data["A2"], G, W, d2)
-        assert _rel(got, want) <= 1e-12
-        assert np.array_equal(got, got.T)
+        for k in range(len(got)):
+            traces = [[np.trace(Ai @ W[k] @ Al @ W[k]) for Al in A[k]] for Ai in A[k]]
+            want = np.array(traces) + (G[k] * d2[k]) @ G[k].T
+            assert _rel(got[k], want) <= 1e-12
+            assert np.array_equal(got[k], got[k].T)
 
     def test_adjoint_identity(self, data):
         A2, G, X, s, y = data["A2"], data["G"], data["X"], data["s"], data["y"]
-        lhs = y @ _ipm.op_a(A2, G, X, s)
-        rhs = np.sum(X * _ipm.op_at(A2, y, 5)) + s @ (G.T @ y)
+        lhs = np.sum(y * _ipm.op_a(A2, G, X, s), axis=1)
+        rhs = np.sum(X * _ipm.op_at(A2, y, 5), axis=(1, 2)) + np.sum(s * (G.swapaxes(1, 2) @ y[..., None])[..., 0], axis=1)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def _same_solution(batch, solo):
+    """Status, message and iterations equal; X, y, ray, certificate and objective to 1e-12 relative."""
+    assert (batch.status, batch.message, batch.iterations) == (solo.status, solo.message, solo.iterations)
+    for a, b in ((batch.X, solo.X), (batch.ray, solo.ray), (batch.dual_slack, solo.dual_slack)):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert _rel(a.a, b.a) <= 1e-12
+    for a, b in ((batch.dual_multipliers, solo.dual_multipliers),
+                 (batch.infeasibility_certificate, solo.infeasibility_certificate)):
+        assert (a is None) == (b is None)
+        if a:
+            assert _rel(np.array(a), np.array(b)) <= 1e-12
+    assert batch.objective_value == pytest.approx(solo.objective_value, rel=1e-12, nan_ok=True)
+
+
+class TestBatchedSolve:
+    """One batched interior-point call gives every instance the result of its own solve."""
+
+    def test_case_c_gaussian_max_outcomes(self):
+        # the sweep of case C GaussianMax, m = 5, root seed 0: mostly certified
+        # Unbounded, one Optimal, and five that run to the iteration cap while
+        # the others leave the batch
+        insts = []
+        for i in range(20):
+            seed = derive_seeds(0, 0, 5, i)[0]
+            insts.append(generate(GeneratorSpec(n=10, m=5, case=CASE_C, sense=MAXIMIZE,
+                                                objective_kind=OBJECTIVE_INDEFINITE, seed=seed)))
+        batch = solve_instances(insts)
+        solo = [solve_instance(inst) for inst in insts]
+        for b, s in zip(batch, solo):
+            _same_solution(b, s)
+        assert {s.status for s in solo} == {UNBOUNDED, OPTIMAL, NUMERICAL_FAILURE}
+        assert sum(s.message == "iteration cap reached" for s in solo) == 5
+
+    def test_infeasible_instance_keeps_its_farkas_certificate(self):
+        rng = np.random.default_rng(9)
+        n, m = 6, 3
+
+        def draw(sign):
+            mats = []
+            for _ in range(m + 1):
+                q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+                mats.append(SymMatrix(sign * q @ np.diag(rng.uniform(0.5, 2.0, n)) @ q.T))
+            return QcqpInstance(sense=MINIMIZE, field=REAL, objective=SymMatrix(np.eye(n)),
+                                constraints=tuple(mats))
+
+        insts = [draw(1.0), draw(-1.0), draw(1.0)]  # every A_k of the middle one negative definite
+        batch = solve_instances(insts)
+        solo = [solve_instance(inst) for inst in insts]
+        assert [s.status for s in solo] == [OPTIMAL, INFEASIBLE, OPTIMAL]
+        for b, s in zip(batch, solo):
+            _same_solution(b, s)
+        assert batch[1].infeasibility_certificate == solo[1].infeasibility_certificate
+
+    @pytest.mark.parametrize("m", [5, 30, 100])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_sweep_shaped_batch(self, field, m):
+        insts = [
+            generate(GeneratorSpec(n=10, m=m, case=case, sense=MINIMIZE,
+                                   objective_kind=OBJECTIVE_IDENTITY, seed=seed, field=field))
+            for case in (CASE_A, CASE_C)
+            for seed in range(2)
+        ]
+        batch = solve_instances(insts)
+        for inst, b in zip(insts, batch):
+            _same_solution(b, solve_instance(inst))
+        if m == 100:  # two of these leave on a failed step, while the others go on
+            assert any(b.message == "accepted best iterate at fallback tolerance" for b in batch)
+
+    def test_capped_batches_match_one_call(self, monkeypatch):
+        insts = [generate(GeneratorSpec(n=6, m=4, case=CASE_A, sense=MINIMIZE,
+                                        objective_kind=OBJECTIVE_IDENTITY, seed=s)) for s in range(5)]
+        whole = solve_instances(insts)
+        monkeypatch.setattr(_ipm, "_BATCH_ELEMENTS", 2 * 5 * (36 + 10))  # two instances a batch
+        assert _ipm.batch_size(5, 6) == 2
+        for a, b in zip(solve_instances(insts), whole):
+            _same_solution(a, b)
+
+
+class TestSliceRetry:
+    """A LAPACK failure in a batched call is charged to its own instance."""
+
+    def test_singular_schur_slice_is_regularized_alone(self):
+        rng = np.random.default_rng(4)
+        M = rng.standard_normal((3, 4, 4))
+        M[1] = 0.0
+        M[1, 0, 0] = 1.0  # singular: the regularized retry solves it
+        rhs = rng.standard_normal((3, 4, 2))
+        fail = {}
+        out = _ipm._solve(M, rhs, fail)
+        assert not fail
+        for k in (0, 2):
+            assert np.array_equal(out[k], np.linalg.solve(M[k], rhs[k]))
+        assert np.all(np.isfinite(out[1]))
+
+    def test_failed_decomposition_is_charged_to_its_slice(self):
+        def eigh_refusing_negative_trace(a):
+            if np.trace(a, axis1=-2, axis2=-1).min() < 0:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return np.linalg.eigh(a)
+
+        stack = np.stack([np.diag([1.0, 2.0]), -np.eye(2), np.diag([3.0, 1.0])])
+        fail = {}
+        vals, vecs = _ipm._eig(eigh_refusing_negative_trace, stack, fail, "scaling breakdown")
+        assert fail == {1: "scaling breakdown"}
+        assert np.array_equal(vals[1], np.ones(2)) and np.array_equal(vecs[1], np.eye(2))
+        for k in (0, 2):
+            assert np.array_equal(vals[k], np.linalg.eigh(stack[k])[0])
 
 
 def _one_at_a_time(rng, n, count, rank_one, complex_field):

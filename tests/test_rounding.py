@@ -484,6 +484,41 @@ class TestSignRoundMax:
         )
         assert report.theoretical_bound == pytest.approx(2.0 * math.log(174.0 * inst.m * mu_eff))
 
+    def test_bound_stable_under_factor_round_off(self, max_pipeline):
+        # a 1e-12 relative change of U, far below the rank cut-off, moves neither
+        # mu_eff nor the claimed bound; nor does a dust column at 1e-14
+        inst, sol, low = max_pipeline
+        U = low.U
+        noise = np.random.default_rng(5).standard_normal(U.shape)
+        dusty = np.column_stack([U, 1e-14 * np.linalg.norm(U) * noise[:, 0]])
+        params = RoundingParams(SIGN_MAX, num_samples=10)
+        bound = sign_round_max(inst, low, params).theoretical_bound
+        for V in (U, dusty):
+            perturbed = V + 1e-12 * np.linalg.norm(V) * np.random.default_rng(6).standard_normal(V.shape)
+            assert rounding.effective_rank(inst.field_view.A, perturbed) == low.r
+            moved = dataclasses.replace(low, U=perturbed, r=V.shape[1])
+            assert sign_round_max(inst, moved, params).theoretical_bound == bound
+
+    def test_effective_rank_of_known_ranks(self):
+        # rank(A_k U) is 1, 2 and 1 for U spanning e1, e2, e3, so mu_eff = 2 < r = 3
+        A = np.stack([np.diag([1.0, 0, 0, 0, 0]), np.diag([1.0, 1, 0, 0, 0]), np.diag([0.0, 0, 1, 1, 1])])
+        Q = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+        U = np.eye(5)[:, :3] @ np.diag([2.0, 1.0, 0.5]) @ Q
+        assert rounding.effective_rank(A, U) == 2
+        assert rounding.effective_rank(A[:1], U) == 1
+        assert rounding.effective_rank(np.zeros((2, 5, 5)), U) == 0
+        inst = QcqpInstance(
+            sense=MAXIMIZE,
+            field=REAL,
+            objective=SymMatrix(np.diag([1.0, -1.0, 0.5, 0.2, 0.1])),
+            constraints=tuple(SymMatrix(a) for a in A),
+        )
+        C_U = U.T @ inst.objective.a @ U
+        low = LowRankSolution(U=U, r=3, objective_value=float(np.trace(C_U)), field=REAL,
+                              meets_bound=True, steps=0)
+        report = sign_round_max(inst, low, RoundingParams(SIGN_MAX, num_samples=10))
+        assert report.theoretical_bound == pytest.approx(2.0 * math.log(174.0 * 2 * 2))
+
     def test_single_constraint_is_exact(self):
         inst = QcqpInstance(
             sense=MAXIMIZE,
