@@ -13,9 +13,11 @@ before solving, and the objective by max(1, ||C||_F, ||c_lin||_inf).
 
 Batch layout.  Every array has a leading batch axis, and the instances of
 one call share n, p and q: C is (B, n, n), A (B, p, n, n), b (B, p),
-G (B, p, q), or (B, p) for diagonal G (q = p), and c_lin (B, q); a
-diagonal G and a zero c_lin take elementwise products or none, with the
-same values as the matrix products.  The constraints are flattened once to a
+G (B, p, q) and c_lin (B, q).  A diagonal G (q = p, as in every QCQP
+relaxation, whose G holds the slack signs) may be passed as its (B, p)
+diagonals; its products are then elementwise, with the same values as the
+matrix products, and the Schur complement's G part is a diagonal instead
+of a p x p x p product.  The constraints are flattened once to a
 (B, p, n*n) stack A2.  The map X, s -> Tr(A_i X) + G_i . s is one batched
 matrix-vector product (op_a), its adjoint's matrix part one batched
 vector-matrix product (op_at), and the Schur complement
@@ -40,13 +42,15 @@ failure is charged to its own instance only.
 
 The cap.  A call is solved as consecutive batches of batch_size(p, n)
 instances, which keeps B * p * (n^2 + 2p), the elements of the stacked
-constraints and Schur matrices, under _BATCH_ELEMENTS = 2^17 (1 MiB); the
-stack W A_j W is formed a quarter of that at a time.  So complex m = 100
-relaxations (n = 20 embedded), where stacking saves little, run two at a
-time, and a batch's memory is bounded whatever the number of instances.
+constraints and Schur matrices, under _BATCH_ELEMENTS = 2^16 (512 KiB);
+schur_matrix forms the stacks W A_j and W A_j W a quarter of that at a
+time, in buffers the batch keeps.  So the largest batch of an n = 10 sweep holds about as much as one
+complex m = 100 relaxation (n = 20 embedded) does alone, and those, where
+stacking saves little, run one at a time.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -54,7 +58,7 @@ import numpy as np
 
 _STEP_FRACTION = 0.98
 _EIG_FLOOR = 1e-14
-_BATCH_ELEMENTS = 2**17
+_BATCH_ELEMENTS = 2**16
 
 
 def batch_size(p: int, n: int) -> int:
@@ -95,7 +99,9 @@ def _sym(M):
 
 def _dot(a, b):
     """<a_k, b_k> for every instance k, as one BLAS dot per slice; shape (B,)."""
-    B = a.shape[0]
+    B = len(a)
+    if B == 1:  # the same ddot on contiguous copies, without the batched call's overhead
+        return np.array([np.vdot(a, b)])
     k = a.size // B
     return (a.reshape(B, 1, k) @ b.reshape(B, k, 1)).ravel()
 
@@ -132,23 +138,21 @@ def _all(mask):
     return all(mask.tolist())
 
 
+# G is a (B, p, q) stack, or a (B, p) stack of diagonals for a diagonal G
+# (q = p), whose products are elementwise, with the same values
 def _g(G, s):
-    """G s for every instance; G is (B, p, q), or (B, p) for a diagonal G."""
+    """G s for every instance."""
     return G * s if G.ndim == 2 else _mv(G, s)
 
 
 def _gt(G, y):
-    """G^T y for every instance, G as in _g."""
+    """G^T y for every instance."""
     return G * y if G.ndim == 2 else _mv(_t(G), y)
 
 
 def op_a(A2, G, X, s):
-    """Tr(A_i X) + G_i . s for every row of every instance; A2 is (B, p, n*n).
-
-    G is as in _g; s None leaves out the G part.
-    """
-    AX = _mv(A2, X.reshape(X.shape[0], -1))
-    return AX if s is None else AX + _g(G, s)
+    """Tr(A_i X) + G_i . s for every row of every instance; A2 is (B, p, n*n)."""
+    return _mv(A2, X.reshape(X.shape[0], -1)) + _g(G, s)
 
 
 def op_at(A2, y, n):
@@ -156,20 +160,41 @@ def op_at(A2, y, n):
     return (y[:, None, :] @ A2).reshape(-1, n, n)
 
 
-def schur_matrix(A2, G, W, d2):
+def _schur_step(p, n):
+    """Instances per part in schur_matrix: at most _BATCH_ELEMENTS / 4 elements of W A_j, one at least."""
+    return max(1, _BATCH_ELEMENTS // 4 // (p * n * n))
+
+
+def _schur_work(B, p, n):
+    """Buffers for schur_matrix: W A_j and W A_j W of one part, and M for B instances.
+
+    A batch keeps them for all its iterations.  Formed afresh, a stack larger
+    than the C allocator's mmap threshold (128 KiB by default; the W A_j of one
+    complex m = 100 relaxation is 323 KiB) is a new mapping every iteration,
+    and faulting its pages in again cost half as much time as the products.
+    """
+    k = min(B, _schur_step(p, n))
+    return np.empty((k, p, n, n)), np.empty((k, p, n, n)), np.empty((B, p, p))
+
+
+def schur_matrix(A2, G, W, d2, work=None):
     """M_ij = Tr(A_i W A_j W) + sum_k G_ik d2_k G_jk for every instance, from batched GEMMs.
 
-    G is as in _g; a diagonal G adds to the diagonal only.
+    The stacks W A_j and W A_j W are formed one part of _schur_step
+    instances at a time, so they add a fraction of the constraint stack to
+    a batch's memory.  work holds the buffers (_schur_work) for at least
+    this many instances; M is written into the last one.
     """
     B, p, n = A2.shape[0], A2.shape[1], W.shape[-1]
-    # the stack W A_j W is formed a quarter of the element cap at a time
-    step = max(1, _BATCH_ELEMENTS // 4 // (p * n * n))
-    parts = []
+    step = _schur_step(p, n)
+    WA, WAW, M = _schur_work(B, p, n) if work is None else work
+    M = M[:B]
     for lo in range(0, B, step):
-        A2k, Wk = A2[lo : lo + step], W[lo : lo + step, None]
-        WAW = Wk @ A2k.reshape(-1, p, n, n) @ Wk
-        parts.append(A2k @ _t(WAW.reshape(-1, p, n * n)))
-    M = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        Wk = W[lo : lo + step, None]
+        k = len(Wk)
+        np.matmul(Wk, A2[lo : lo + k].reshape(k, p, n, n), out=WA[:k])
+        np.matmul(WA[:k], Wk, out=WAW[:k])
+        np.matmul(A2[lo : lo + k], _t(WAW[:k].reshape(k, p, n * n)), out=M[lo : lo + k])
     if G.ndim == 2:
         _diagonal(M)[:] += (G * d2) * G
     else:
@@ -242,23 +267,18 @@ def _solve(M, rhs, fail):
 
 
 class _Problem(NamedTuple):
-    """The row-normalized data of the instances in a batch.
-
-    Gs is (B, p, q), or (B, p) for diagonal G; cl is None when every
-    c_lin is zero, and the products with it are then left out, which
-    changes no value.
-    """
+    """The row-normalized data of the instances in a batch."""
 
     A2: np.ndarray  # (B, p, n*n)
-    Gs: np.ndarray
-    bs: np.ndarray
-    Cs: np.ndarray
-    cl: np.ndarray | None
+    Gs: np.ndarray  # (B, p, q), or (B, p) diagonals
+    bs: np.ndarray  # (B, p)
+    Cs: np.ndarray  # (B, n, n)
+    cl: np.ndarray  # (B, q)
     norm_b: np.ndarray
     norm_c: np.ndarray
 
     def take(self, rows):
-        return _Problem(*(None if f is None else f[rows] for f in self))
+        return _Problem(*(f[rows] for f in self))
 
     def compact(self, keep):
         """The rows in the mask keep; A2's rows move up in place, so no second A2 is made."""
@@ -267,12 +287,11 @@ class _Problem(NamedTuple):
         for j, k in enumerate(idx.tolist()):
             if j != k:
                 A2[j] = A2[k]
-        return _Problem(A2[: len(idx)], *(None if f is None else f[keep] for f in self[1:]))
+        return _Problem(A2[: len(idx)], *(f[keep] for f in self[1:]))
 
     def obj(self, X, s):
         """<Cs, X> + cl . s for every instance."""
-        v = _dot(self.Cs, X)
-        return v if self.cl is None else v + _dot(self.cl, s)
+        return _dot(self.Cs, X) + _dot(self.cl, s)
 
 
 def _split(o, q):
@@ -292,7 +311,7 @@ def _metrics(P, X, y, Z, o):
     sh, wh = oh[:, :q], oh[:, q : 2 * q]
     pres = np.abs(op_a(P.A2, P.Gs, xh, sh) - P.bs).max(axis=1) / P.norm_b
     Rdh = P.Cs - op_at(P.A2, yh, n) - Zh
-    rdh = -_gt(P.Gs, yh) - wh if P.cl is None else P.cl - _gt(P.Gs, yh) - wh
+    rdh = P.cl - _gt(P.Gs, yh) - wh
     dres = np.maximum(np.sqrt(_dot(Rdh, Rdh)), np.abs(rdh).max(axis=1, initial=0.0)) / P.norm_c
     pobj = P.obj(xh, sh)
     dobj = _dot(P.bs, yh)
@@ -352,6 +371,8 @@ def solve_conic(
     c_lin = np.zeros((B, G.shape[-1])) if c_lin is None else np.asarray(c_lin, float)
     size = batch_size(p, n)
     tols = (gap_tol, feas_tol, cert_tol, max_iter)
+    if B <= size:
+        return _solve_batch(C, A, b, G, c_lin, *tols)
     return [
         res
         for lo in range(0, B, size)
@@ -361,12 +382,12 @@ def solve_conic(
 
 def _solve_batch(C, A, b, G, c_lin, gap_tol, feas_tol, cert_tol, max_iter):
     B, p, n = len(A), len(A[0]), C.shape[-1]
-    q = G.shape[-1]  # p for a diagonal G
+    q = G.shape[-1]
 
     # row and objective normalization (undone on exit); where() keeps Python's
     # max(1.0, x), which ignores a NaN x
     Aflat = [np.asarray(a, float).reshape(p, n * n) for a in A]
-    GG = G * G if G.ndim == 2 else np.sum(G * G, axis=-1)
+    GG = np.sum((G * G).reshape(B, p, -1), axis=-1)
     rown = np.maximum(1.0, np.sqrt(np.array([np.sum(a * a, axis=-1) for a in Aflat]) + GG))
     A2 = np.empty((B, p, n * n))
     for a, r, out in zip(Aflat, rown, A2):
@@ -379,39 +400,49 @@ def _solve_batch(C, A, b, G, c_lin, gap_tol, feas_tol, cert_tol, max_iter):
     norm_c = 1.0 + np.maximum(np.sqrt(_dot(Cs, Cs)), np.abs(cl).max(axis=-1, initial=0.0))
     # the working stacks, rows of the instances still in the batch: the data,
     # X, y, Z and the orthant block o = (s, w, tau, kappa)
-    P = _Problem(
-        A2, G / rown[:, :, None] if G.ndim == 3 else G / rown, bs, Cs,
-        cl if cl.any() else None, 1.0 + np.abs(bs).max(axis=-1), norm_c,
-    )
+    Gs = G / rown.reshape(rown.shape + (1,) * (G.ndim - 2))
+    P = _Problem(A2, Gs, bs, Cs, cl, 1.0 + np.abs(bs).max(axis=-1), norm_c)
     del A2
     nu = n + q + 1
     rows = np.arange(B)
     eye = np.eye(n)
-    state = [np.tile(eye, (B, 1, 1)), np.zeros((B, p)), np.tile(eye, (B, 1, 1)), np.ones((B, 2 * q + 2))]
-    stalls = np.zeros(B, int)
+    I = np.repeat(eye[None], B, 0)  # X and Z start here; no stack is changed in place
+    state = [I, np.zeros((B, p)), I, np.ones((B, 2 * q + 2))]
+    stalls = [0] * B
     # the best iterate over tau and its score; the first iteration's score
-    # is finite, so inf stands in for "none yet"
-    best, best_score = [np.empty_like(v) for v in state], np.full(B, np.inf)
+    # is finite, so inf stands in for "none yet" (and state for its iterate)
+    best, best_score = list(state), np.full(B, np.inf)
     converged = np.zeros(B, bool)
     certified = np.zeros(B, bool)
     out = [None] * B  # by position in the call
+    work = _schur_work(B, p, n)
 
-    def finish(leaving, it, why):
-        """Package the leaving rows' results and drop them from the working stacks."""
+    def finish(leaving, it, why, mets=None):
+        """Package the leaving rows' results and drop them from the working stacks.
+
+        mets holds the working rows' metrics of this iterate, if computed.
+        Returns the mask of the rows that stay, or None when none does.
+        """
         nonlocal P, rows, state, best, best_score, stalls
         idx = np.flatnonzero(leaving)
-        take = (lambda v: v) if len(idx) == len(rows) else (lambda v: v[idx])
-        gone = rows[idx]
+        every = len(idx) == len(rows)
+        take = (lambda v: v) if every else (lambda v: v[idx])
+        gone = rows[idx].tolist()
         results = _results(
-            P.take(idx) if len(idx) < len(rows) else P,
+            P if every else P.take(idx),
             [take(v) for v in state], [take(v) for v in best], best_score[idx],
             converged[gone], certified[gone], [why(k) for k in idx.tolist()], it,
-            [(Aflat[i], G[i : i + 1], rown[i], cn[i]) for i in gone.tolist()], cert_tol,
+            [(Aflat[i], G[i : i + 1], rown[i], cn[i]) for i in gone], cert_tol,
+            None if mets is None else [take(v) for v in mets],
         )
-        for i, res in zip(gone.tolist(), results):
+        for i, res in zip(gone, results):
             out[i] = res
+        if every:
+            rows = rows[:0]
+            return None
         keep = ~leaving
-        P, rows, stalls, best_score = P.compact(keep), rows[keep], stalls[keep], best_score[keep]
+        P, rows, best_score = P.compact(keep), rows[keep], best_score[keep]
+        stalls = [k for k, kept in zip(stalls, keep.tolist()) if kept]
         state, best = [v[keep] for v in state], [v[keep] for v in best]
         return keep
 
@@ -419,10 +450,11 @@ def _solve_batch(C, A, b, G, c_lin, gap_tol, feas_tol, cert_tol, max_iter):
         for it in range(max_iter):
             X, y, Z, o = state
             s, w, tau, kappa = _split(o, q)
-            live = tau > 1e-12
-            pres, dres, relgap, _, _, scaled = _metrics(P, X, y, Z, o)
+            *mets, scaled = _metrics(P, X, y, Z, o)
+            pres, dres, relgap = mets[:3]
             infeas = np.maximum(pres, dres)
             score = np.maximum(infeas, relgap) / 1e-7  # the largest of the three over 1e-7
+            live = tau > 1e-12
             better = live & (score < best_score)
             if _all(better):
                 best, best_score = list(scaled), score
@@ -436,18 +468,19 @@ def _solve_batch(C, A, b, G, c_lin, gap_tol, feas_tol, cert_tol, max_iter):
             if _any(leaving):
                 converged[rows[done]] = True
                 certified[rows[leaving & ~done]] = True
-                keep = finish(leaving, it, lambda k: "converged" if done[k] else "certificate found")
-                if not len(rows):
+                keep = finish(leaving, it, lambda k: "converged" if done[k] else "certificate found", mets)
+                if keep is None:
                     break
                 X, y, Z, o = state
                 s, w, tau, kappa = _split(o, q)
                 AX, Aty, Gty, cobj, by = (v[keep] for v in (AX, Aty, Gty, cobj, by))
+                mets = [v[keep] for v in mets]
 
             fail = {}  # working row -> why its step failed, the first reason kept
             t1, t3 = tau[:, None], tau[:, None, None]
             rp = AX - P.bs * t1
             Rd = -Aty + P.Cs * t3 - Z
-            rd = -Gty - w if P.cl is None else -Gty + P.cl * t1 - w
+            rd = -Gty + P.cl * t1 - w
             rg = by - cobj - kappa
             mu = (_dot(X, Z) + _dot(s, w) + tau * kappa) / nu
 
@@ -456,8 +489,9 @@ def _solve_batch(C, A, b, G, c_lin, gap_tol, feas_tol, cert_tol, max_iter):
                 lx, Qx = _eig(np.linalg.eigh, X, fail, "scaling breakdown")
                 lx = np.maximum(lx, _EIG_FLOOR * np.maximum(lx[:, -1:], 1e-100))
                 rx = np.sqrt(lx)[:, None, :]
-                Xh = (Qx * rx) @ _t(Qx)
-                Xhi = (Qx / rx) @ _t(Qx)
+                Qxt = _t(Qx)
+                Xh = (Qx * rx) @ Qxt
+                Xhi = (Qx / rx) @ Qxt
                 lm, Pm = _eig(np.linalg.eigh, _sym(Xh @ Z @ Xh), fail, "scaling breakdown")
                 _all_failed(fail, rows)
                 lm = np.maximum(lm, _EIG_FLOOR * np.maximum(lm[:, -1:], 1e-100))
@@ -465,28 +499,35 @@ def _solve_batch(C, A, b, G, c_lin, gap_tol, feas_tol, cert_tol, max_iter):
                 q4 = (lm**0.25)[:, None, :]
                 R = Xh @ (Pm / q4)
                 Rinv = _t(Pm * q4) @ Xhi
-                W = R @ _t(R)
+                Rt, Rinvt = _t(R), _t(Rinv)
+                W = R @ Rt
                 root = np.sqrt(sig)
                 scale = (root[:, :, None] * root[:, None, :])[:, None]
                 d = np.sqrt(s / w)
                 v = np.sqrt(s * w)
                 d2 = d * d
 
-                M = schur_matrix(P.A2, P.Gs, W, d2)
+                M = schur_matrix(P.A2, P.Gs, W, d2, work)
                 WCW = W @ P.Cs @ W
-                dcl = None if P.cl is None else d2 * P.cl
+                dcl = d2 * P.cl
                 h = op_a(P.A2, P.Gs, WCW, dcl)
                 g = P.obj(WCW, dcl)
                 WRdW = W @ Rd @ W
-                f_vec = op_a(P.A2, P.Gs, WRdW, d2 * rd)
-                e_c = P.obj(WRdW, d2 * rd)
+                d2rd = d2 * rd
+                f_vec = op_a(P.A2, P.Gs, WRdW, d2rd)
+                e_c = P.obj(WRdW, d2rd)
                 b_h = P.bs - h
+                gk = g + kappa / tau
                 rhs = np.empty((len(rows), p, 2))
                 rhs[..., 1] = h + P.bs
 
-                def direction(eta, Rc_t, rc_l, rc_t):
-                    """dX, dy, dZ and the orthant block's direction (ds, dw, dtau, dkappa)."""
-                    Rc_full = _sym(R @ Rc_t @ _t(R))
+                def direction(eta, RRc, rc_l, rc_t):
+                    """dX, dy, dZ and the orthant block's direction (ds, dw, dtau, dkappa).
+
+                    RRc is R Rc_t, the scaled complementarity residual's
+                    matrix part times R.
+                    """
+                    Rc_full = _sym(RRc @ Rt)
                     rcs = d * rc_l
                     A_rc = op_a(P.A2, P.Gs, Rc_full, rcs)
                     e1 = eta[:, None]
@@ -494,19 +535,21 @@ def _solve_batch(C, A, b, G, c_lin, gap_tol, feas_tol, cert_tol, max_iter):
                     q2 = -eta * rg + P.obj(Rc_full, rcs) - eta * e_c + rc_t / tau
                     uv = _solve(M, rhs, fail)
                     u_, v_ = uv[..., 0], uv[..., 1]
-                    den = (g + kappa / tau) + _dot(b_h, v_)
-                    _charge(fail, ~np.isfinite(den) | (np.abs(den) < 1e-300), "degenerate Schur system")
+                    den = gk + _dot(b_h, v_)
+                    for i, x in enumerate(den.tolist()):
+                        if not 1e-300 <= abs(x) < math.inf:  # also NaN
+                            fail.setdefault(i, "degenerate Schur system")
                     dtau = (q2 - _dot(b_h, u_)) / den
-                    dy = u_ + v_ * dtau[:, None]
+                    dt1 = dtau[:, None]
+                    dy = u_ + v_ * dt1
                     dZ = _sym(-op_at(P.A2, dy, n) + P.Cs * dtau[:, None, None] + eta[:, None, None] * Rd)
-                    dw_ = -_gt(P.Gs, dy)
-                    dw_ = dw_ + e1 * rd if P.cl is None else dw_ + P.cl * dtau[:, None] + e1 * rd
+                    dw_ = -_gt(P.Gs, dy) + P.cl * dt1 + e1 * rd
                     dX = _sym(Rc_full - W @ dZ @ W)
                     ds_ = rcs - d2 * dw_
-                    dkappa = (rc_t - kappa * dtau) / tau
-                    do = np.concatenate([ds_, dw_, dtau[:, None], dkappa[:, None]], axis=1)
+                    dk1 = (rc_t - kappa * dtau)[:, None] / t1
+                    do = np.concatenate([ds_, dw_, dt1, dk1], axis=1)
                     B_ = len(do)
-                    every = (dX.reshape(B_, -1), dZ.reshape(B_, -1), dy, do, (dtau + dkappa)[:, None])
+                    every = (dX.reshape(B_, -1), dZ.reshape(B_, -1), dy, do, dt1 + dk1)
                     finite = np.isfinite(np.concatenate(every, axis=1)).all(axis=1)
                     _charge(fail, ~finite, "non-finite search direction")
                     _all_failed(fail, rows)
@@ -520,18 +563,20 @@ def _solve_batch(C, A, b, G, c_lin, gap_tol, feas_tol, cert_tol, max_iter):
 
                     The PSD limit is max alpha with diag(sig) + alpha*D >= 0 for
                     both scaled directions, via I + alpha*S, from one stacked
-                    eigvalsh.  The orthant ratios never compare NaN, so minimum()
-                    keeps Python's min, where a NaN PSD limit stays NaN.
+                    eigvalsh; where nothing limits it, it is 1e300 instead of
+                    inf, which changes no step, as steps are at most 1.  The
+                    orthant ratios never compare NaN, so minimum() keeps
+                    Python's min, where a NaN PSD limit stays NaN.
                     """
-                    dXs, dZs = Rinv @ dX @ _t(Rinv), _t(R) @ dZ @ R
+                    dXs, dZs = Rinv @ dX @ Rinvt, Rt @ dZ @ R
                     S = np.stack([dXs, dZs], axis=1) / scale
                     lmin = _eig(np.linalg.eigvalsh, 0.5 * (S + _t(S)), fail)[..., 0].min(axis=1)
                     _all_failed(fail, rows)
-                    a = np.where(lmin >= -1e-300, np.inf, 1.0 / -lmin)
                     ratio = np.where(do < 0, -o / do, np.inf).min(axis=1)
-                    return np.minimum(a, ratio), dXs, dZs
+                    return np.minimum(-1.0 / np.minimum(lmin, -1e-300), ratio), dXs, dZs
 
-                dXa, _, dZa, doa = direction(np.ones(len(rows)), _diag(-sig), -v, -tau * kappa)
+                # R diag(-sig) as a product with -sig's columns: the same values
+                dXa, _, dZa, doa = direction(np.ones(len(rows)), R * -sig[:, None, :], -v, -tau * kappa)
                 a_aff, dXt_a, dZt_a = step_limit(dXa, dZa, doa)
                 a_aff = _min1(a_aff)
                 a3 = a_aff[:, None, None]
@@ -548,18 +593,20 @@ def _solve_batch(C, A, b, G, c_lin, gap_tol, feas_tol, cert_tol, max_iter):
                 Rc_t = (smu[:, None, None] * eye - _diag(sig * sig) - corr) / E
                 rc_l = (smu[:, None] - v * v - (dsa / d) * (d * dwa)) / v if q else v
                 rc_t = smu - tau * kappa - dtaua * dkappaa
-                dX, dy, dZ, do = direction(1.0 - sigma, Rc_t, rc_l, rc_t)
+                dX, dy, dZ, do = direction(1.0 - sigma, R @ Rc_t, rc_l, rc_t)
                 alpha = _min1(_STEP_FRACTION * step_limit(dX, dZ, do)[0])
 
-                stalls = np.where(alpha < 1e-8, stalls + 1, 0)
-                _charge(fail, stalls >= 3, "step size collapsed")
+                stalls = [k + 1 if a < 1e-8 else 0 for k, a in zip(stalls, alpha.tolist())]
+                for i, k in enumerate(stalls):
+                    if k >= 3:
+                        fail.setdefault(i, "step size collapsed")
             except _AllFailed:
                 pass
             if fail:
                 failed = np.zeros(len(rows), bool)
                 failed[list(fail)] = True
-                keep = finish(failed, it, fail.get)
-                if not len(rows):
+                keep = finish(failed, it, fail.get, mets)
+                if keep is None:
                     break
                 X, y, Z, o = state
                 dX, dy, dZ, do, alpha = (a[keep] for a in (dX, dy, dZ, do, alpha))
@@ -572,29 +619,33 @@ def _solve_batch(C, A, b, G, c_lin, gap_tol, feas_tol, cert_tol, max_iter):
     return out
 
 
-def _results(P, state, best, best_score, converged, certified, messages, it, raw, cert_tol):
+def _results(P, state, best, best_score, converged, certified, messages, it, raw, cert_tol, mets):
     """One ConicResult per row of these stacks, which leave the batch after iteration it.
 
     A row that left without a verdict gets the loose certificate test and
     then the best-iterate fallback.  raw holds each row's original A (flat),
-    G, row norms and objective scale.
+    G, row norms and objective scale; mets, the first five values _metrics
+    gives for state, or None when they are not at hand.
     """
     X, y, Z, o = state
     B, n, q = len(X), X.shape[-1], (o.shape[1] - 2) // 2
-    kind = np.zeros(B, int)
+    kind = fallback = [0] * B
     with np.errstate(all="ignore"):
         if not _all(converged):
             tol = np.where(certified, cert_tol, 1e-7)
             ray, farkas, cobj, by = _certificates(P, X, y, Z, o, tol, *_operators(P, X, y, o))
-            kind = np.where(converged, 0, np.where(ray, 1, np.where(farkas, 2, 0)))
-        fallback = (kind == 0) & ~converged & (best_score <= 1.0)
-        if _any(fallback):
+            kind = np.where(converged, 0, np.where(ray, 1, np.where(farkas, 2, 0))).tolist()
+            fallback = ((np.array(kind) == 0) & ~converged & (best_score <= 1.0)).tolist()
+        if any(fallback):
             X, y, Z, o = (v.copy() for v in state)
             for i in np.flatnonzero(fallback):
                 X[i], y[i], Z[i], o[i] = (v[i] for v in best)
                 o[i, 2 * q] = 1.0
-        pres, dres, relgap, pobj, dobj, _ = _metrics(P, X, y, Z, o)
+        if mets is None or any(fallback):
+            mets = _metrics(P, X, y, Z, o)[:5]
+    pres, dres, relgap, pobj, dobj = (v.tolist() for v in mets)
     s, w, tau, _ = _split(o, q)
+    converged, certified, tau = converged.tolist(), certified.tolist(), tau.tolist()
 
     out = []
     for i, (Aflat, G, rown, cn) in enumerate(raw):
@@ -604,7 +655,7 @@ def _results(P, state, best, best_score, converged, certified, messages, it, raw
             message = "accepted best iterate at fallback tolerance" if fallback[i] else messages[i]
         if kind[i] == 1:
             rX, rs = X[i] / -cobj[i], s[i] / -cobj[i]
-            scale = cn * max(-P.take([i]).obj(rX[None], rs[None])[0], 1e-300)
+            scale = cn * max(-(_dot(P.Cs[i : i + 1], rX[None]) + _dot(P.cl[i : i + 1], rs[None]))[0], 1e-300)
             rX, rs = rX / scale, rs / scale  # <C_orig, rX> + c_lin_orig . rs = -1
             pres_ray = np.abs(op_a(Aflat[None], G, rX[None], rs[None])).max()
             out.append(ConicResult(

@@ -6,11 +6,12 @@ constraint count m, instance index i) the derivation is
     instance_seed, rounding_seed = SeedSequence((root_seed, c, m, i)).generate_state(2)
 
 so any single record can be reproduced in isolation from the numbers in its
-row.  Every case of a config shares n, field and p = m + 1, so the tasks of
-one m are taken in batches of the interior-point core's batch size: a
-batch's instances are generated, their relaxations solved in one batched
-call (a solve's outcome does not depend on its batch), and the records
-rounded in task order.  The records are returned in task order.  A record whose
+row.  Every case of a config shares n, field and m, so the relaxations of
+one m have one shape, and its tasks are taken in groups of
+sdp.batch_size: a group's instances are generated, their relaxations
+solved in one batched call (a solve's outcome does not depend on its
+batch), and its records rounded in task order.  The records are returned
+in task order.  A record whose
 instance could not be generated (the feasibility retries ran out) gets
 status GenerationFailed; one whose relaxation is not solved keeps the solver
 status; one whose rounding found no point (including a max instance without
@@ -22,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ipm import batch_size
 from .instances import CASES, GeneratorSpec, OBJECTIVE_IDENTITY, OBJECTIVE_INDEFINITE, generate
 from .rounding import GAUSSIAN_MIN, SCHEMES, RoundingParams, round_solution
-from .sdp import COMPLEX, MAXIMIZE, MINIMIZE, OPTIMAL, REAL, solve_instances
+from .sdp import COMPLEX, MAXIMIZE, MINIMIZE, OPTIMAL, REAL, batch_size, solve_instances
 
 CSV_HEADER = "case,m,instance_seed,status,v_sdp,v_hat_qp,ratio,bound"
 ROUNDING_FAILED = "RoundingFailed"
@@ -232,13 +232,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for m in config.m_list
         for i in range(config.instances_per_m)
     ]
-    # every case of one m shares n, field and p = m + 1, so its tasks batch
-    # together; one batch is generated, solved and rounded at a time
+    # the relaxations of one m share a shape, so its tasks batch together;
+    # one batch is generated, solved and rounded at a time
     done = {}
-    dim = 2 * config.n if config.field == COMPLEX else config.n
     for m in config.m_list:
         cell = [t for t in tasks if t[2] == m]
-        size = batch_size(m + 1, dim)
+        size = batch_size(config.n, m, config.field)
         for lo in range(0, len(cell), size):
             done.update(zip(cell[lo : lo + size], _run_tasks(config, cell[lo : lo + size])))
     records = [done[t] for t in tasks]

@@ -377,6 +377,16 @@ def _package(form: SdpStandardForm, res: _ipm.ConicResult, lam_min: float) -> Sd
     )
 
 
+def batch_size(n: int, m: int, field: str) -> int:
+    """How many relaxations of n x n, m-constraint instances over field one interior-point batch holds.
+
+    solve_instances splits a larger same-shape group into batches of this
+    size; a caller that generates instances as it goes can take them this
+    many at a time.
+    """
+    return _ipm.batch_size(m + 1, 2 * n if field == COMPLEX else n)
+
+
 def solve_instances(
     insts,
     *,
@@ -387,8 +397,9 @@ def solve_instances(
     """Solve every instance's relaxation, in order.
 
     The relaxations that share a shape (embedded n and constraint count)
-    are one batched interior-point call, and their Optimal iterates get one
-    stacked lambda_min check.
+    go to the interior-point core in one call, which solves them
+    batch_size at a time, and their Optimal iterates get one stacked
+    lambda_min check.
     """
     forms = [build_relaxation(inst) for inst in insts]
     groups: dict = {}
@@ -397,12 +408,11 @@ def solve_instances(
     out = [None] * len(forms)
     for idx in groups.values():
         group = [forms[i] for i in idx]
-        # every relaxation's G is diagonal (the slack signs): pass the diagonal
         results = _ipm.solve_conic(
             np.array([-f.C if f.maximize else f.C for f in group]),
             [f.A for f in group],
             np.array([f.b for f in group]),
-            np.array([np.diagonal(f.G) for f in group]),
+            np.array([np.diagonal(f.G) for f in group]),  # diagonal: the slack signs
             np.array([f.c_lin for f in group]),
             gap_tol=gap_tol,
             feas_tol=feas_tol,

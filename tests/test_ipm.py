@@ -38,6 +38,7 @@ from hqopt.sdp import (
     REAL,
     UNBOUNDED,
     QcqpInstance,
+    batch_size,
     solve_instance,
     solve_instances,
     tag_matrix,
@@ -85,6 +86,24 @@ class TestFlatOperators:
             want = np.array(traces) + (G[k] * d2[k]) @ G[k].T
             assert _rel(got[k], want) <= 1e-12
             assert np.array_equal(got[k], got[k].T)
+
+    def test_diagonal_g_gives_the_full_g_values(self, data):
+        # a diagonal G passed as its diagonals: the same operators, exactly
+        A2, X, y, W, d2 = data["A2"], data["X"], data["y"], data["W"], data["d2"]
+        B, p = y.shape
+        diag = np.random.default_rng(3).standard_normal((B, p))
+        full = np.zeros((B, p, p))
+        full[:, range(p), range(p)] = diag
+        s, d2 = np.abs(y) + 0.1, np.abs(y) + 0.2
+        assert np.array_equal(_ipm.op_a(A2, diag, X, s), _ipm.op_a(A2, full, X, s))
+        assert np.array_equal(_ipm._gt(diag, y), _ipm._gt(full, y))
+        assert np.array_equal(_ipm.schur_matrix(A2, diag, W, d2), _ipm.schur_matrix(A2, full, W, d2))
+
+    def test_schur_formed_in_parts_is_unchanged(self, data, monkeypatch):
+        A2, G, W, d2 = data["A2"], data["G"], data["W"], data["d2"]
+        whole = _ipm.schur_matrix(A2, G, W, d2)
+        monkeypatch.setattr(_ipm, "_BATCH_ELEMENTS", 4 * 7 * 25)  # one instance a part
+        assert np.array_equal(_ipm.schur_matrix(A2, G, W, d2), whole)
 
     def test_adjoint_identity(self, data):
         A2, G, X, s, y = data["A2"], data["G"], data["X"], data["s"], data["y"]
@@ -161,6 +180,11 @@ class TestBatchedSolve:
             _same_solution(b, solve_instance(inst))
         if m == 100:  # two of these leave on a failed step, while the others go on
             assert any(b.message == "accepted best iterate at fallback tolerance" for b in batch)
+
+    def test_batch_size_counts_the_embedded_dimension(self):
+        assert batch_size(10, 30, REAL) == _ipm.batch_size(31, 10)
+        assert batch_size(10, 30, COMPLEX) == _ipm.batch_size(31, 20) < batch_size(10, 30, REAL)
+        assert batch_size(10, 100, COMPLEX) >= 1
 
     def test_capped_batches_match_one_call(self, monkeypatch):
         insts = [generate(GeneratorSpec(n=6, m=4, case=CASE_A, sense=MINIMIZE,
