@@ -42,11 +42,15 @@ failure is charged to its own instance only.
 
 The cap.  A call is solved as consecutive batches of batch_size(p, n)
 instances, which keeps B * p * (n^2 + 2p), the elements of the stacked
-constraints and Schur matrices, under _BATCH_ELEMENTS = 2^16 (512 KiB);
+constraints and Schur matrices, under _BATCH_ELEMENTS = 2^17 (1 MiB);
 schur_matrix forms the stacks W A_j and W A_j W a quarter of that at a
-time, in buffers the batch keeps.  So the largest batch of an n = 10 sweep holds about as much as one
-complex m = 100 relaxation (n = 20 embedded) does alone, and those, where
-stacking saves little, run one at a time.
+time, in buffers the batch keeps.  So an n = 10 sweep solves complex
+m = 100 relaxations (n = 20 embedded) two at a time and every smaller
+shape four or more at a time (batch_size).  Stacking pays at every
+shape, complex m = 100 included; the cap is set by memory.  It was
+picked from sweeps at 2^16, 2^17 and 2^18: 2^18 was a little faster
+again, but raised the sweeps' peak resident memory by about 7% where
+2^17 raised it by 3%.
 """
 from __future__ import annotations
 
@@ -58,14 +62,17 @@ import numpy as np
 
 _STEP_FRACTION = 0.98
 _EIG_FLOOR = 1e-14
-_BATCH_ELEMENTS = 2**16
+_BATCH_ELEMENTS = 2**17
 
 
 def batch_size(p: int, n: int) -> int:
     """Instances per batch for p constraints on n x n matrices, under _BATCH_ELEMENTS.
 
     An instance holds p n^2 elements of constraints and 2 p^2 of Schur
-    matrix, one p^2 of them while it is symmetrized.
+    matrix, one p^2 of them while it is symmetrized.  The relaxations of
+    an n = 10 sweep (p = m + 1; n = 20 embedded for complex data) batch
+    195 (real) or 53 (complex) at m = 5, 26 or 9 at m = 30, and 4 or 2
+    at m = 100.
     """
     return max(1, _BATCH_ELEMENTS // (p * (n * n + 2 * p)))
 

@@ -11,6 +11,7 @@ to solver dust.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -95,34 +96,47 @@ def factorize(X, tol: float = 1e-9) -> np.ndarray:
     return vecs[:, keep] * np.sqrt(vals[keep])
 
 
-def _svec(S: np.ndarray) -> np.ndarray:
-    # isometry: svec(A) . svec(B) = <A, B>
-    r = S.shape[0]
+@functools.lru_cache(maxsize=None)
+def _triu(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The strict upper triangle's indices of an r x r matrix, made once per r."""
     iu = np.triu_indices(r, 1)
-    return np.concatenate([np.diag(S), math.sqrt(2.0) * S[iu]])
+    for a in iu:
+        a.flags.writeable = False
+    return iu
+
+
+def _svec(S: np.ndarray) -> np.ndarray:
+    # isometry: svec(A) . svec(B) = <A, B>; S may be a (k, r, r) stack
+    i, j = _triu(S.shape[-1])
+    return np.concatenate([np.diagonal(S, axis1=-2, axis2=-1), math.sqrt(2.0) * S[..., i, j]], axis=-1)
 
 
 def _unsvec(v: np.ndarray, r: int) -> np.ndarray:
     S = np.diag(v[:r]).astype(float)
-    iu = np.triu_indices(r, 1)
-    S[iu] = v[r:] / math.sqrt(2.0)
+    S[_triu(r)] = v[r:] / math.sqrt(2.0)
     return S + np.triu(S, 1).T
 
 
 def _hvec(H: np.ndarray) -> np.ndarray:
-    r = H.shape[0]
-    iu = np.triu_indices(r, 1)
+    # H may be a (k, r, r) stack
+    i, j = _triu(H.shape[-1])
+    up = H[..., i, j]
     return np.concatenate(
-        [np.real(np.diag(H)), math.sqrt(2.0) * np.real(H[iu]), math.sqrt(2.0) * np.imag(H[iu])]
+        [np.real(np.diagonal(H, axis1=-2, axis2=-1)), math.sqrt(2.0) * np.real(up), math.sqrt(2.0) * np.imag(up)],
+        axis=-1,
     )
 
 
 def _unhvec(v: np.ndarray, r: int) -> np.ndarray:
     k = r * (r - 1) // 2
     H = np.diag(v[:r]).astype(complex)
-    iu = np.triu_indices(r, 1)
-    H[iu] = (v[r : r + k] + 1j * v[r + k :]) / math.sqrt(2.0)
+    H[_triu(r)] = (v[r : r + k] + 1j * v[r + k :]) / math.sqrt(2.0)
     return H + np.conj(np.triu(H, 1)).T
+
+
+def _traces(mats: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Re Tr(A_k X) for every A_k of a (k, d, d) stack, one product per slice as Tr(A_k @ X)."""
+    return np.real(np.trace(mats @ X, axis1=-2, axis2=-1))
 
 
 def _boundary_candidates(lam: np.ndarray):
@@ -158,7 +172,7 @@ def reduce_rank(
     C, mats = inst.field_view
     vec, unvec = (_hvec, _unhvec) if inst.field == COMPLEX else (_svec, _unsvec)
 
-    values = np.array([float(np.real(np.trace(A @ target))) for A in mats])
+    values = _traces(mats, target)
     obj_value = float(np.real(np.trace(C @ target)))
     bound = pataki_bound(len(mats), inst.field)
     U = factorize(target, rank_tol)
@@ -168,18 +182,15 @@ def reduce_rank(
 
     def drift(Unew):
         Xn = Unew @ np.conj(Unew.T)
-        dv = max(
-            abs(float(np.real(np.trace(A @ Xn))) - v) for A, v in zip(mats, values)
-        )
+        dv = float(np.abs(_traces(mats, Xn) - values).max())
         do = abs(float(np.real(np.trace(C @ Xn))) - obj_value)
         return max(dv, do)
 
     steps = 0
     while r > bound and steps < cap:
         Uh = np.conj(U.T)
-        rows = [vec(Uh @ A @ U) for A in mats]
-        rows.append(vec(Uh @ C @ U))
-        system = np.vstack(rows)
+        # one row per constraint, then the objective's
+        system = np.concatenate([vec(Uh @ mats @ U), vec(Uh @ C @ U)[None]])
         _, svals, Vh = np.linalg.svd(system, full_matrices=True)
         candidates = [Vh[-1]]
         null_dim = Vh.shape[0] - len(svals[svals > 1e-10])

@@ -243,7 +243,7 @@ class SdpStandardForm:
     C: np.ndarray
     A: np.ndarray
     b: np.ndarray
-    G: np.ndarray
+    G: np.ndarray  # (p,): the slack signs, G's diagonal
     c_lin: np.ndarray
     maximize: bool
     report_scale: float
@@ -254,6 +254,7 @@ class SdpStandardForm:
 def build_relaxation(inst: QcqpInstance) -> SdpStandardForm:
     """Relaxation with slack rows Tr(A_k X) -/+ s_k = rhs; complex data embedded.
 
+    The slack matrix is diagonal, so G holds its diagonal, the signs.
     Embedded traces double, so complex right-hand sides become 2 and the
     embedded optimum is reported halved (report_scale).
     """
@@ -266,7 +267,7 @@ def build_relaxation(inst: QcqpInstance) -> SdpStandardForm:
         C=C,
         A=A,
         b=np.full(p, rhs),
-        G=sign * np.eye(p),
+        G=np.full(p, sign),
         c_lin=np.zeros(p),
         maximize=inst.sense == MAXIMIZE,
         report_scale=scale,
@@ -412,7 +413,7 @@ def solve_instances(
             np.array([-f.C if f.maximize else f.C for f in group]),
             [f.A for f in group],
             np.array([f.b for f in group]),
-            np.array([np.diagonal(f.G) for f in group]),  # diagonal: the slack signs
+            np.array([f.G for f in group]),  # G's diagonals, as _ipm reads a diagonal G
             np.array([f.c_lin for f in group]),
             gap_tol=gap_tol,
             feas_tol=feas_tol,

@@ -24,7 +24,7 @@ from hqopt import _ipm
 from hqopt.experiment import ExperimentConfig, run_experiment, write_csv
 from hqopt.instances import CASE_A, CASE_B, CASE_C
 from hqopt.rounding import GAUSSIAN_MAX, GAUSSIAN_MIN, SIGN_MAX
-from hqopt.sdp import COMPLEX, REAL
+from hqopt.sdp import COMPLEX, REAL, batch_size
 
 FIXTURES = Path(__file__).parent / "golden"
 REL_TOL = 1e-9
@@ -39,9 +39,12 @@ SWEEPS = {
 
 def sweep_csv(name: str) -> str:
     scheme, field, cases = SWEEPS[name]
-    config = ExperimentConfig(
+    return _csv(ExperimentConfig(
         cases=cases, m_list=(5, 10), instances_per_m=5, root_seed=0, scheme=scheme, field=field
-    )
+    ))
+
+
+def _csv(config: ExperimentConfig) -> str:
     stream = io.StringIO()
     write_csv(run_experiment(config), stream)
     return stream.getvalue()
@@ -82,6 +85,20 @@ def test_one_instance_batches_write_the_same_csv(name, monkeypatch):
     monkeypatch.setattr(_ipm, "_BATCH_ELEMENTS", 1)
     assert _ipm.batch_size(11, 20) == 1
     assert sweep_csv(name) == default
+
+
+def test_large_m_batches_write_the_same_csv(monkeypatch):
+    # the fixtures' m <= 10 cells fit one batch at any cap; complex m = 30 and
+    # m = 100 relaxations are split into several batches of several instances
+    config = ExperimentConfig(
+        cases=(CASE_A, CASE_C), m_list=(30, 100), instances_per_m=3, root_seed=0,
+        scheme=GAUSSIAN_MIN, field=COMPLEX,
+    )
+    assert 2 <= batch_size(10, 100, COMPLEX) < 6
+    default = _csv(config)
+    monkeypatch.setattr(_ipm, "_BATCH_ELEMENTS", 1)
+    assert batch_size(10, 30, COMPLEX) == 1
+    assert _csv(config) == default
 
 
 VALUE_COLUMNS = ("v_sdp", "v_hat_qp", "ratio", "bound")

@@ -258,12 +258,12 @@ class TestBuildRelaxation:
         inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, sym(np.eye(2)), (sym(np.eye(2)),))
         form = sdp.build_relaxation(inst)
         assert form.b.tolist() == [1.0]
-        assert form.G.tolist() == [[-1.0]]
+        assert form.G.tolist() == [-1.0]
         assert not form.maximize and form.report_scale == 1.0
 
     def test_max_slack_sign(self):
         form = sdp.build_relaxation(example_4_3(10.0))
-        assert np.array_equal(form.G, np.eye(3))
+        assert form.G.tolist() == [1.0, 1.0, 1.0]
         assert form.maximize
 
     def test_inequality_encoding(self):
