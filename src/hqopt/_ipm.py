@@ -49,8 +49,8 @@ m = 100 relaxations (n = 20 embedded) two at a time and every smaller
 shape four or more at a time (batch_size).  Stacking pays at every
 shape, complex m = 100 included; the cap is set by memory.  It was
 picked from sweeps at 2^16, 2^17 and 2^18: 2^18 was a little faster
-again, but raised the sweeps' peak resident memory by about 7% where
-2^17 raised it by 3%.
+again, but raised a min sweep's peak resident memory by 7% where 2^17
+raised it by 3%.
 """
 from __future__ import annotations
 
