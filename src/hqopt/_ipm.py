@@ -2,26 +2,38 @@
 
 Solves, for every instance of a batch,
     minimize    <C, X> + c_lin . s
-    subject to  Tr(A_i X) + G_i . s = b_i,   i = 1..p
-                X symmetric PSD (n x n),  s >= 0 (q scalars)
+    subject to  <A_i, X> + G_i . s = b_i,   i = 1..p
+                X Hermitian PSD (n x n, real symmetric for real data),
+                s >= 0 (q scalars)
 
 with Nesterov-Todd scaling and a Mehrotra predictor-corrector step inside
 the simplified homogeneous model, so infeasibility and unboundedness come
-out as certificates instead of crashes.  Residuals are reported in
-row-normalized units: each row is divided by max(1, ||(A_i, G_i)||_F)
-before solving, and the objective by max(1, ||C||_F, ||c_lin||_inf).
+out as certificates instead of crashes.  <A, B> = Re Tr(A* B), which is
+Tr(A B) for Hermitian A and B.  Residuals are reported in row-normalized
+units: each row is divided by max(1, ||(A_i, G_i)||_F) before solving, and
+the objective by max(1, ||C||_F, ||c_lin||_inf).
+
+One field.  Complex data is solved at its own dimension n, as SeDuMi
+(Sturm 1999) and SDPT3 handle Hermitian cones: X and Z are Hermitian and
+every transpose of a cone matrix is the conjugate transpose.  Each inner
+product <A, B> is a real dot over the arrays' float64 views, in which a
+complex entry is its (re, im) pair, so the constraint map, its adjoint,
+the row norms and the Schur complement stay real BLAS calls; only the
+n x n products of the scaling are complex.  Real data goes through
+exactly the real calls.
 
 Batch layout.  Every array has a leading batch axis, and the instances of
-one call share n, p and q: C is (B, n, n), A (B, p, n, n), b (B, p),
-G (B, p, q) and c_lin (B, q).  A diagonal G (q = p, as in every QCQP
-relaxation, whose G holds the slack signs) may be passed as its (B, p)
-diagonals; its products are then elementwise, with the same values as the
-matrix products, and the Schur complement's G part is a diagonal instead
-of a p x p x p product.  The constraints are flattened once to a
-(B, p, n*n) stack A2.  The map X, s -> Tr(A_i X) + G_i . s is one batched
+one call share their field, n, p and q: C is (B, n, n), A (B, p, n, n),
+b (B, p), G (B, p, q) and c_lin (B, q).  A diagonal G (q = p, as in every
+QCQP relaxation, whose G holds the slack signs) may be passed as its
+(B, p) diagonals; its products are then elementwise, with the same values
+as the matrix products, and the Schur complement's G part is a diagonal
+instead of a p x p x p product.  The constraints are flattened once to a
+real (B, p, k) stack A2, k = n*n float64 slots for real data and 2*n*n
+for complex.  The map X, s -> <A_i, X> + G_i . s is one batched
 matrix-vector product (op_a), its adjoint's matrix part one batched
 vector-matrix product (op_at), and the Schur complement
-M_ij = Tr(A_i W A_j W) is the batched product A2 (W A W)^T over the stack
+M_ij = <A_i, W A_j W> is the batched product A2 (W A W)^T over the stack
 W A_j W (schur_matrix), as SDPT3 forms it (Toh, Todd & Tutuncu, Optim.
 Methods Softw. 1999).  Every step of an iteration runs once on the stacks
 of the instances still in the batch, and each instance's slice goes
@@ -40,17 +52,17 @@ compacted.  A batched eigh, eigvalsh or solve that raises is redone one
 slice at a time, the Schur solve with the same regularized retry, so a
 failure is charged to its own instance only.
 
-The cap.  A call is solved as consecutive batches of batch_size(p, n)
-instances, which keeps B * p * (n^2 + 2p), the elements of the stacked
+The cap.  A call is solved as consecutive batches of batch_size(p, k)
+instances, which keeps B * p * (k + 2p), the float64 slots of the stacked
 constraints and Schur matrices, under _BATCH_ELEMENTS = 2^17 (1 MiB);
 schur_matrix forms the stacks W A_j and W A_j W a quarter of that at a
 time, in buffers the batch keeps.  So an n = 10 sweep solves complex
-m = 100 relaxations (n = 20 embedded) two at a time and every smaller
-shape four or more at a time (batch_size).  Stacking pays at every
-shape, complex m = 100 included; the cap is set by memory.  It was
-picked from sweeps at 2^16, 2^17 and 2^18: 2^18 was a little faster
-again, but raised a min sweep's peak resident memory by 7% where 2^17
-raised it by 3%.
+m = 100 relaxations three at a time and every smaller shape four or more
+at a time (batch_size).  Stacking pays at every shape; the cap is set by
+memory.  It was picked from sweeps at 2^16, 2^17 and 2^18 while complex
+data was still solved in a real 2n x 2n embedding: 2^18 was a little
+faster again, but raised a min sweep's peak resident memory by 7% where
+2^17 raised it by 3%.
 """
 from __future__ import annotations
 
@@ -63,18 +75,23 @@ import numpy as np
 _STEP_FRACTION = 0.98
 _EIG_FLOOR = 1e-14
 _BATCH_ELEMENTS = 2**17
+# stopping rule: relative gap and row-normalized residuals, certificate test
+_GAP_TOL = 1e-8
+_FEAS_TOL = 1e-9
+_CERT_TOL = 1e-9
+_MAX_ITER = 200
 
 
-def batch_size(p: int, n: int) -> int:
-    """Instances per batch for p constraints on n x n matrices, under _BATCH_ELEMENTS.
+def batch_size(p: int, k: int) -> int:
+    """Instances per batch for p constraints of k float64 slots each, under _BATCH_ELEMENTS.
 
-    An instance holds p n^2 elements of constraints and 2 p^2 of Schur
-    matrix, one p^2 of them while it is symmetrized.  The relaxations of
-    an n = 10 sweep (p = m + 1; n = 20 embedded for complex data) batch
-    195 (real) or 53 (complex) at m = 5, 26 or 9 at m = 30, and 4 or 2
-    at m = 100.
+    An n x n matrix takes k = n^2 slots, or 2 n^2 when complex.  An
+    instance holds p k slots of constraints and 2 p^2 of Schur matrix, one
+    p^2 of them while it is symmetrized.  The relaxations of an n = 10
+    sweep (p = m + 1) batch 195 (real) or 103 (complex) at m = 5, 26 or 16
+    at m = 30, and 4 or 3 at m = 100.
     """
-    return max(1, _BATCH_ELEMENTS // (p * (n * n + 2 * p)))
+    return max(1, _BATCH_ELEMENTS // (p * (k + 2 * p)))
 
 
 @dataclass(frozen=True)
@@ -100,12 +117,36 @@ def _t(M):
     return M.swapaxes(-1, -2)
 
 
+def _h(M):
+    """The conjugate transpose of every matrix of a stack."""
+    return _t(M).conj() if M.dtype.kind == "c" else _t(M)
+
+
 def _sym(M):
-    return 0.5 * (M + _t(M))
+    return 0.5 * (M + _h(M))
+
+
+def _real(a):
+    """A complex array as its float64 view, each entry an (re, im) pair; a real one as it is."""
+    return np.ascontiguousarray(a).view(np.float64) if a.dtype.kind == "c" else a
+
+
+def _flat(X):
+    """A (B, n, n) stack as (B, k) float64 rows."""
+    return _real(X).reshape(X.shape[0], -1)
+
+
+def _mats(rows, n):
+    """float64 rows (..., k) as (..., n, n) matrices, complex when k = 2 n^2."""
+    if rows.shape[-1] != n * n:
+        rows = rows.view(np.complex128)
+    return rows.reshape(rows.shape[:-1] + (n, n))
 
 
 def _dot(a, b):
-    """<a_k, b_k> for every instance k, as one BLAS dot per slice; shape (B,)."""
+    """<a_k, b_k> = Re Tr(a_k* b_k) for every instance k, as one BLAS dot per slice; shape (B,)."""
+    if a.dtype.kind == "c":
+        a, b = _real(a), _real(b)
     B = len(a)
     if B == 1:  # the same ddot on contiguous copies, without the batched call's overhead
         return np.array([np.vdot(a, b)])
@@ -158,50 +199,57 @@ def _gt(G, y):
 
 
 def op_a(A2, G, X, s):
-    """Tr(A_i X) + G_i . s for every row of every instance; A2 is (B, p, n*n)."""
-    return _mv(A2, X.reshape(X.shape[0], -1)) + _g(G, s)
+    """<A_i, X> + G_i . s for every row of every instance; A2 is (B, p, k) float64 rows."""
+    return _mv(A2, _flat(X)) + _g(G, s)
 
 
 def op_at(A2, y, n):
     """sum_i y_i A_i for every instance, as a (B, n, n) stack (the adjoint's matrix part)."""
-    return (y[:, None, :] @ A2).reshape(-1, n, n)
+    return _mats((y[:, None, :] @ A2)[:, 0], n)
 
 
-def _schur_step(p, n):
-    """Instances per part in schur_matrix: at most _BATCH_ELEMENTS / 4 elements of W A_j, one at least."""
-    return max(1, _BATCH_ELEMENTS // 4 // (p * n * n))
+def _slots(n, dtype):
+    """The float64 slots of an n x n matrix of dtype: n^2, or 2 n^2 when complex."""
+    return n * n * np.dtype(dtype).itemsize // 8
 
 
-def _schur_work(B, p, n):
+def _schur_step(p, k):
+    """Instances per part in schur_matrix: at most _BATCH_ELEMENTS / 4 slots of W A_j, one at least."""
+    return max(1, _BATCH_ELEMENTS // 4 // (p * k))
+
+
+def _schur_work(B, p, n, dtype):
     """Buffers for schur_matrix: W A_j and W A_j W of one part, and M for B instances.
 
     A batch keeps them for all its iterations.  Formed afresh, a stack larger
     than the C allocator's mmap threshold (128 KiB by default; the W A_j of one
-    complex m = 100 relaxation is 323 KiB) is a new mapping every iteration,
+    complex m = 100 relaxation is 158 KiB) is a new mapping every iteration,
     and faulting its pages in again cost half as much time as the products.
     """
-    k = min(B, _schur_step(p, n))
-    return np.empty((k, p, n, n)), np.empty((k, p, n, n)), np.empty((B, p, p))
+    k = min(B, _schur_step(p, _slots(n, dtype)))
+    return np.empty((k, p, n, n), dtype), np.empty((k, p, n, n), dtype), np.empty((B, p, p))
 
 
 def schur_matrix(A2, G, W, d2, work=None):
-    """M_ij = Tr(A_i W A_j W) + sum_k G_ik d2_k G_jk for every instance, from batched GEMMs.
+    """M_ij = <A_i, W A_j W> + sum_k G_ik d2_k G_jk for every instance, from batched GEMMs.
 
     The stacks W A_j and W A_j W are formed one part of _schur_step
     instances at a time, so they add a fraction of the constraint stack to
     a batch's memory.  work holds the buffers (_schur_work) for at least
-    this many instances; M is written into the last one.
+    this many instances; M is written into the last one.  W A_j is a
+    complex product for complex data, and M one real GEMM over the float64
+    views either way.
     """
-    B, p, n = A2.shape[0], A2.shape[1], W.shape[-1]
-    step = _schur_step(p, n)
-    WA, WAW, M = _schur_work(B, p, n) if work is None else work
+    B, p, k, n = *A2.shape, W.shape[-1]
+    step = _schur_step(p, k)
+    WA, WAW, M = _schur_work(B, p, n, W.dtype) if work is None else work
     M = M[:B]
     for lo in range(0, B, step):
         Wk = W[lo : lo + step, None]
-        k = len(Wk)
-        np.matmul(Wk, A2[lo : lo + k].reshape(k, p, n, n), out=WA[:k])
-        np.matmul(WA[:k], Wk, out=WAW[:k])
-        np.matmul(A2[lo : lo + k], _t(WAW[:k].reshape(k, p, n * n)), out=M[lo : lo + k])
+        j = len(Wk)
+        np.matmul(Wk, _mats(A2[lo : lo + j], n), out=WA[:j])
+        np.matmul(WA[:j], Wk, out=WAW[:j])
+        np.matmul(A2[lo : lo + j], _t(_real(WAW[:j]).reshape(j, p, k)), out=M[lo : lo + j])
     if G.ndim == 2:
         _diagonal(M)[:] += (G * d2) * G
     else:
@@ -354,49 +402,40 @@ def _operators(P, X, y, o):
     return op_a(P.A2, P.Gs, X, s), op_at(P.A2, y, X.shape[-1]), _gt(P.Gs, y)
 
 
-def solve_conic(
-    C,
-    A,
-    b,
-    G=None,
-    c_lin=None,
-    *,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-9,
-    cert_tol: float = 1e-9,
-    max_iter: int = 200,
-) -> list[ConicResult]:
+def solve_conic(C, A, b, G=None, c_lin=None) -> list[ConicResult]:
     """Solve a batch of conic programs of one shape; one ConicResult per instance, in order.
 
     A may also be a sequence of B (p, n, n) arrays, which is read without
-    stacking it.
+    stacking it.  Complex C or A make the batch complex: X and Z are then
+    Hermitian, and b, G and c_lin stay real.
     """
-    C = np.asarray(C, float)
+    dtype = complex if np.iscomplexobj(C) or np.iscomplexobj(A[0]) else float
+    C = np.asarray(C, dtype)
     b = np.asarray(b, float)
     B, p, n = len(A), len(A[0]), C.shape[-1]
     G = np.zeros((B, p, 0)) if G is None else np.asarray(G, float)
     c_lin = np.zeros((B, G.shape[-1])) if c_lin is None else np.asarray(c_lin, float)
-    size = batch_size(p, n)
-    tols = (gap_tol, feas_tol, cert_tol, max_iter)
+    size = batch_size(p, _slots(n, dtype))
     if B <= size:
-        return _solve_batch(C, A, b, G, c_lin, *tols)
+        return _solve_batch(C, A, b, G, c_lin)
     return [
         res
         for lo in range(0, B, size)
-        for res in _solve_batch(*(a[lo : lo + size] for a in (C, A, b, G, c_lin)), *tols)
+        for res in _solve_batch(*(a[lo : lo + size] for a in (C, A, b, G, c_lin)))
     ]
 
 
-def _solve_batch(C, A, b, G, c_lin, gap_tol, feas_tol, cert_tol, max_iter):
+def _solve_batch(C, A, b, G, c_lin):
     B, p, n = len(A), len(A[0]), C.shape[-1]
     q = G.shape[-1]
 
     # row and objective normalization (undone on exit); where() keeps Python's
     # max(1.0, x), which ignores a NaN x
-    Aflat = [np.asarray(a, float).reshape(p, n * n) for a in A]
+    Aflat = [_real(np.asarray(a, C.dtype)).reshape(p, -1) for a in A]
+    k = Aflat[0].shape[-1]
     GG = np.sum((G * G).reshape(B, p, -1), axis=-1)
     rown = np.maximum(1.0, np.sqrt(np.array([np.sum(a * a, axis=-1) for a in Aflat]) + GG))
-    A2 = np.empty((B, p, n * n))
+    A2 = np.empty((B, p, k))
     for a, r, out in zip(Aflat, rown, A2):
         np.divide(a, r[:, None], out=out)
     cn = np.sqrt(_dot(C, C))
@@ -413,7 +452,7 @@ def _solve_batch(C, A, b, G, c_lin, gap_tol, feas_tol, cert_tol, max_iter):
     nu = n + q + 1
     rows = np.arange(B)
     eye = np.eye(n)
-    I = np.repeat(eye[None], B, 0)  # X and Z start here; no stack is changed in place
+    I = np.repeat(np.eye(n, dtype=C.dtype)[None], B, 0)  # X and Z start here; no stack is changed in place
     state = [I, np.zeros((B, p)), I, np.ones((B, 2 * q + 2))]
     stalls = [0] * B
     # the best iterate over tau and its score; the first iteration's score
@@ -422,7 +461,7 @@ def _solve_batch(C, A, b, G, c_lin, gap_tol, feas_tol, cert_tol, max_iter):
     converged = np.zeros(B, bool)
     certified = np.zeros(B, bool)
     out = [None] * B  # by position in the call
-    work = _schur_work(B, p, n)
+    work = _schur_work(B, p, n, C.dtype)
 
     def finish(leaving, it, why, mets=None):
         """Package the leaving rows' results and drop them from the working stacks.
@@ -439,7 +478,7 @@ def _solve_batch(C, A, b, G, c_lin, gap_tol, feas_tol, cert_tol, max_iter):
             P if every else P.take(idx),
             [take(v) for v in state], [take(v) for v in best], best_score[idx],
             converged[gone], certified[gone], [why(k) for k in idx.tolist()], it,
-            [(Aflat[i], G[i : i + 1], rown[i], cn[i]) for i in gone], cert_tol,
+            [(Aflat[i], G[i : i + 1], rown[i], cn[i]) for i in gone],
             None if mets is None else [take(v) for v in mets],
         )
         for i, res in zip(gone, results):
@@ -454,7 +493,7 @@ def _solve_batch(C, A, b, G, c_lin, gap_tol, feas_tol, cert_tol, max_iter):
         return keep
 
     with np.errstate(all="ignore"):  # a failed instance runs on to the end of its iteration
-        for it in range(max_iter):
+        for it in range(_MAX_ITER):
             X, y, Z, o = state
             s, w, tau, kappa = _split(o, q)
             *mets, scaled = _metrics(P, X, y, Z, o)
@@ -468,9 +507,9 @@ def _solve_batch(C, A, b, G, c_lin, gap_tol, feas_tol, cert_tol, max_iter):
             elif _any(better):
                 best_score = np.where(better, score, best_score)
                 best = [np.where(better.reshape((-1,) + (1,) * (v.ndim - 1)), v, b) for v, b in zip(scaled, best)]
-            done = live & (infeas <= feas_tol) & (relgap <= gap_tol)
+            done = live & (infeas <= _FEAS_TOL) & (relgap <= _GAP_TOL)
             AX, Aty, Gty = _operators(P, X, y, o)
-            ray, farkas, cobj, by = _certificates(P, X, y, Z, o, cert_tol, AX, Aty, Gty)
+            ray, farkas, cobj, by = _certificates(P, X, y, Z, o, _CERT_TOL, AX, Aty, Gty)
             leaving = done | ray | farkas
             if _any(leaving):
                 converged[rows[done]] = True
@@ -492,11 +531,11 @@ def _solve_batch(C, A, b, G, c_lin, gap_tol, feas_tol, cert_tol, max_iter):
             mu = (_dot(X, Z) + _dot(s, w) + tau * kappa) / nu
 
             try:
-                # Nesterov-Todd scaling: W = R R^T with R^T Z R = R^-1 X R^-T = diag(sig)
+                # Nesterov-Todd scaling: W = R R* with R* Z R = R^-1 X R^-* = diag(sig)
                 lx, Qx = _eig(np.linalg.eigh, X, fail, "scaling breakdown")
                 lx = np.maximum(lx, _EIG_FLOOR * np.maximum(lx[:, -1:], 1e-100))
                 rx = np.sqrt(lx)[:, None, :]
-                Qxt = _t(Qx)
+                Qxt = _h(Qx)
                 Xh = (Qx * rx) @ Qxt
                 Xhi = (Qx / rx) @ Qxt
                 lm, Pm = _eig(np.linalg.eigh, _sym(Xh @ Z @ Xh), fail, "scaling breakdown")
@@ -505,8 +544,8 @@ def _solve_batch(C, A, b, G, c_lin, gap_tol, feas_tol, cert_tol, max_iter):
                 sig = np.sqrt(lm)
                 q4 = (lm**0.25)[:, None, :]
                 R = Xh @ (Pm / q4)
-                Rinv = _t(Pm * q4) @ Xhi
-                Rt, Rinvt = _t(R), _t(Rinv)
+                Rinv = _h(Pm * q4) @ Xhi
+                Rt, Rinvt = _h(R), _h(Rinv)
                 W = R @ Rt
                 root = np.sqrt(sig)
                 scale = (root[:, :, None] * root[:, None, :])[:, None]
@@ -577,7 +616,7 @@ def _solve_batch(C, A, b, G, c_lin, gap_tol, feas_tol, cert_tol, max_iter):
                     """
                     dXs, dZs = Rinv @ dX @ Rinvt, Rt @ dZ @ R
                     S = np.stack([dXs, dZs], axis=1) / scale
-                    lmin = _eig(np.linalg.eigvalsh, 0.5 * (S + _t(S)), fail)[..., 0].min(axis=1)
+                    lmin = _eig(np.linalg.eigvalsh, _sym(S), fail)[..., 0].min(axis=1)
                     _all_failed(fail, rows)
                     ratio = np.where(do < 0, -o / do, np.inf).min(axis=1)
                     return np.minimum(-1.0 / np.minimum(lmin, -1e-300), ratio), dXs, dZs
@@ -621,12 +660,12 @@ def _solve_batch(C, A, b, G, c_lin, gap_tol, feas_tol, cert_tol, max_iter):
             state = [_sym(X + a3 * dX), y + a1 * dy, _sym(Z + a3 * dZ), o + a1 * do]
         else:
             if len(rows):
-                finish(np.ones(len(rows), bool), max_iter, lambda k: "iteration cap reached")
+                finish(np.ones(len(rows), bool), _MAX_ITER, lambda k: "iteration cap reached")
 
     return out
 
 
-def _results(P, state, best, best_score, converged, certified, messages, it, raw, cert_tol, mets):
+def _results(P, state, best, best_score, converged, certified, messages, it, raw, mets):
     """One ConicResult per row of these stacks, which leave the batch after iteration it.
 
     A row that left without a verdict gets the loose certificate test and
@@ -639,7 +678,7 @@ def _results(P, state, best, best_score, converged, certified, messages, it, raw
     kind = fallback = [0] * B
     with np.errstate(all="ignore"):
         if not _all(converged):
-            tol = np.where(certified, cert_tol, 1e-7)
+            tol = np.where(certified, _CERT_TOL, 1e-7)
             ray, farkas, cobj, by = _certificates(P, X, y, Z, o, tol, *_operators(P, X, y, o))
             kind = np.where(converged, 0, np.where(ray, 1, np.where(farkas, 2, 0))).tolist()
             fallback = ((np.array(kind) == 0) & ~converged & (best_score <= 1.0)).tolist()
@@ -666,7 +705,7 @@ def _results(P, state, best, best_score, converged, certified, messages, it, raw
             rX, rs = rX / scale, rs / scale  # <C_orig, rX> + c_lin_orig . rs = -1
             pres_ray = np.abs(op_a(Aflat[None], G, rX[None], rs[None])).max()
             out.append(ConicResult(
-                status="unbounded", X=_sym(rX), s=rs, y=np.zeros(len(rown)), Z=np.zeros((n, n)),
+                status="unbounded", X=_sym(rX), s=rs, y=np.zeros(len(rown)), Z=np.zeros_like(rX),
                 w=np.zeros(q), objective=-np.inf, dual_objective=-np.inf,
                 primal_residual=float(pres_ray), iterations=it, ray=(_sym(rX), rs), message=message,
             ))
@@ -675,7 +714,7 @@ def _results(P, state, best, best_score, converged, certified, messages, it, raw
             R = op_at(Aflat[None], fy[None], n)[0] + fZ
             res = max(np.linalg.norm(R), np.max(np.abs(_gt(G, fy[None])[0] + fw), initial=0.0))
             out.append(ConicResult(
-                status="infeasible", X=np.full((n, n), np.nan), s=np.full(q, np.nan), y=fy,
+                status="infeasible", X=np.full_like(fZ, np.nan), s=np.full(q, np.nan), y=fy,
                 Z=_sym(fZ), w=fw, dual_residual=float(res), iterations=it,
                 farkas=(fy, _sym(fZ), fw), message=message,
             ))

@@ -12,14 +12,13 @@ to solver dust.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .matrices import HermMatrix, SymMatrix
-from .sdp import COMPLEX, OPTIMAL, PSD_TOL, QcqpInstance, SdpSolution, to_embedded, to_field
+from .sdp import COMPLEX, OPTIMAL, PSD_TOL, QcqpInstance, SdpSolution
 
 # relative cut-off: an eigenvalue (singular value) counts toward a rank when
 # it exceeds RANK_TOL times the largest one
@@ -45,31 +44,6 @@ class LowRankSolution:
     def reconstruct(self) -> np.ndarray:
         return self.U @ np.conj(self.U.T)
 
-    @property
-    def sampling_factor(self) -> np.ndarray:
-        """Real factor F with F F^T = X in sample coordinates (the 2n embedding for complex)."""
-        return to_embedded(self.U, self.field)
-
-    def factor_to_json(self) -> str:
-        """Serialize the factor as {"n", "r", "entries"} with row-major entries.
-
-        A complex factor is stored through its real embedding, so the payload
-        always describes a real matrix whose outer product reconstructs the
-        (possibly embedded) solution.
-        """
-        F = self.sampling_factor
-        return json.dumps(
-            {"n": F.shape[0], "r": F.shape[1], "entries": [float(v) for v in F.ravel()]}
-        )
-
-
-def factor_from_json(payload: str) -> np.ndarray:
-    d = json.loads(payload)
-    entries = np.asarray(d["entries"], dtype=float)
-    if entries.size != d["n"] * d["r"]:
-        raise ValueError("entry count does not match declared shape")
-    return entries.reshape(d["n"], d["r"])
-
 
 def pataki_bound(num_constraints: int, field: str) -> int:
     """Largest admissible rank: r(r+1)/2 <= count (real), r^2 <= count (complex)."""
@@ -80,8 +54,8 @@ def pataki_bound(num_constraints: int, field: str) -> int:
     return max(1, (math.isqrt(8 * num_constraints + 1) - 1) // 2)
 
 
-def factorize(X, tol: float = 1e-9) -> np.ndarray:
-    """U with columns sqrt(lam_i) q_i for eigenvalues above tol * lam_max.
+def factorize(X) -> np.ndarray:
+    """U with columns sqrt(lam_i) q_i for eigenvalues above RANK_TOL * lam_max.
 
     Accepts SymMatrix, HermMatrix, or a plain (possibly complex) ndarray.
     Raises NotPsdError when an eigenvalue sits below -PSD_TOL, the solver's
@@ -92,7 +66,7 @@ def factorize(X, tol: float = 1e-9) -> np.ndarray:
     if vals[0] < -PSD_TOL:
         raise NotPsdError(f"matrix has eigenvalue {vals[0]:.3e} below -{PSD_TOL:.1e}")
     lam_max = max(float(vals[-1]), 0.0)
-    keep = vals > tol * lam_max if lam_max > 0 else np.zeros(len(vals), bool)
+    keep = vals > RANK_TOL * lam_max if lam_max > 0 else np.zeros(len(vals), bool)
     return vecs[:, keep] * np.sqrt(vals[keep])
 
 
@@ -150,35 +124,27 @@ def _boundary_candidates(lam: np.ndarray):
     return out
 
 
-def reduce_rank(
-    sol: SdpSolution,
-    inst: QcqpInstance,
-    *,
-    seed: int = 0,
-    rank_tol: float = RANK_TOL,
-    value_tol: float = _VALUE_TOL,
-    max_steps: int | None = None,
-) -> LowRankSolution:
+def reduce_rank(sol: SdpSolution, inst: QcqpInstance, *, seed: int = 0) -> LowRankSolution:
     """Reduce an Optimal solution's rank to the Pataki bound, values preserved.
 
     Deterministic for a fixed seed; the seed only matters when the principal
     null direction is rejected and a randomized recombination is attempted.
     If no admissible step exists before the bound is met, the best rank
-    reached is returned with meets_bound False.
+    reached is returned with meets_bound False, after at most 2n + 10 steps.
     """
     if sol.status != OPTIMAL:
         raise ValueError("rank reduction needs an Optimal solution")
-    target = to_field(sol.X, inst.field)
+    target = sol.X.a
     C, mats = inst.field_view
     vec, unvec = (_hvec, _unhvec) if inst.field == COMPLEX else (_svec, _unsvec)
 
     values = _traces(mats, target)
     obj_value = float(np.real(np.trace(C @ target)))
     bound = pataki_bound(len(mats), inst.field)
-    U = factorize(target, rank_tol)
+    U = factorize(target)
     r = U.shape[1]
     rng = np.random.default_rng(np.random.PCG64(seed))
-    cap = max_steps if max_steps is not None else 2 * target.shape[0] + 10
+    cap = 2 * target.shape[0] + 10
 
     def drift(Unew):
         Xn = Unew @ np.conj(Unew.T)
@@ -204,11 +170,11 @@ def reduce_rank(
             lam, V = np.linalg.eigh(Delta)
             for t in _boundary_candidates(lam):
                 new_vals = 1.0 + t * lam
-                keep = new_vals > rank_tol * max(float(new_vals.max()), 1e-300)
+                keep = new_vals > RANK_TOL * max(float(new_vals.max()), 1e-300)
                 if keep.sum() >= r:
                     continue
                 Unew = (U @ V[:, keep]) * np.sqrt(new_vals[keep])
-                if drift(Unew) <= value_tol:
+                if drift(Unew) <= _VALUE_TOL:
                     U, r = Unew, int(keep.sum())
                     stepped = True
                     break

@@ -4,11 +4,9 @@ Conventions used throughout the package:
 
 * real symmetric matrices are stored as full dense ``float64`` arrays and
   are symmetrized ``(M + M.T) / 2`` on construction;
-* Hermitian matrices are stored as a (real, imaginary) pair;
-* the real ``2n x 2n`` embedding ``[[Re, -Im], [Im, Re]]`` of Hermitian
-  data, of complex factors and of complex vectors is defined here and
-  nowhere else.  Other layers reach it only through ``hqopt.sdp``: an
-  instance's cached embedded view, ``to_field`` and ``to_embedded``;
+* Hermitian matrices are stored as a (real, imaginary) pair, and ``.a``
+  gives the complex array under the name a ``SymMatrix`` gives its real
+  one, so solver, rank reduction and sampler work on either field alike;
 * spectra report eigenvalues in descending order with matching orthonormal
   eigenvector columns.
 """
@@ -26,15 +24,8 @@ __all__ = [
     "HermMatrix",
     "Spectrum",
     "SymMatrix",
-    "complex_from_embedding",
-    "embed_blocks",
-    "embed_factor",
     "frobenius_norm",
-    "herm_embed",
-    "j_symmetrize",
     "sym_eig",
-    "vec_embed",
-    "vec_unembed",
 ]
 
 # Construction-time tolerance: entry asymmetry beyond this raises in strict
@@ -218,78 +209,6 @@ def sym_eig(m: SymMatrix | np.ndarray) -> Spectrum:
             f"eigendecomposition residual {residual:.3e} out of tolerance", residual
         )
     return Spectrum(_freeze(vals), _freeze(vecs))
-
-
-def embed_blocks(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The real block array ``[[re, -im], [im, re]]`` over the last two axes.
-
-    Leading axes are a stack: ``(k, n, r)`` parts give ``(k, 2n, 2r)``.
-    """
-    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
-    *lead, n, r = re.shape
-    out = np.empty((*lead, 2 * n, 2 * r))
-    out[..., :n, :r] = re
-    out[..., :n, r:] = -im
-    out[..., n:, :r] = im
-    out[..., n:, r:] = re
-    return out
-
-
-def herm_embed(h: HermMatrix) -> SymMatrix:
-    """Real ``2n x 2n`` embedding ``[[Re, -Im], [Im, Re]]`` of a Hermitian matrix.
-
-    The embedding doubles every eigenvalue's multiplicity and doubles traces:
-    ``Tr(embed(H)) = 2 Tr(H)`` and ``Tr(embed(A) embed(B)) = 2 Tr(AB)``.
-    """
-    return SymMatrix(embed_blocks(h.re, h.im))
-
-
-def j_symmetrize(x: np.ndarray) -> np.ndarray:
-    """Project a ``2n x 2n`` symmetric matrix onto the embedded Hermitian space."""
-    arr = _as_square_float(x, "j_symmetrize input")
-    if arr.shape[0] % 2:
-        raise ValueError("embedded matrices have even dimension")
-    n = arr.shape[0] // 2
-    a, b = arr[:n, :n], arr[:n, n:]
-    c, d = arr[n:, :n], arr[n:, n:]
-    re = 0.5 * (a + d)
-    im = 0.5 * (c - b)
-    re = 0.5 * (re + re.T)
-    im = 0.5 * (im - im.T)
-    return embed_blocks(re, im)
-
-
-def complex_from_embedding(x: np.ndarray) -> HermMatrix:
-    """Read a Hermitian matrix back out of its (J-symmetrized) embedding."""
-    arr = j_symmetrize(x)
-    n = arr.shape[0] // 2
-    return HermMatrix(arr[:n, :n], arr[n:, :n])
-
-
-def vec_embed(z: np.ndarray) -> np.ndarray:
-    """Complex n-vector -> real 2n-vector (Re; Im)."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    return np.concatenate([z.real, z.imag])
-
-
-def vec_unembed(v: np.ndarray) -> np.ndarray:
-    """Real 2n-vector (Re; Im) -> complex n-vector."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.size % 2:
-        raise ValueError("embedded vectors have even length")
-    n = v.size // 2
-    return v[:n] + 1j * v[n:]
-
-
-def embed_factor(u: np.ndarray) -> np.ndarray:
-    """Complex ``n x r`` factor -> real ``2n x 2r`` factor of the embedding.
-
-    If ``Z = U U*`` then ``embed(Z) = E E^T`` for the returned ``E``.
-    """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2:
-        raise ValueError("factor must be 2-D")
-    return embed_blocks(u.real, u.imag)
 
 
 def frobenius_norm(a: AnyMatrix | np.ndarray) -> float:

@@ -14,15 +14,17 @@ All three run the same sampler: points xi = F d for draws d, each rescaled
 by its own binding constraint value, which dominates the accept/reject
 argument behind the worst-case ratios.  The fixed-threshold joint events
 those arguments use are counted separately so the stated success
-probabilities can be audited.  Complex instances are handled in the 2n real
-embedding; a complex Gaussian coordinate has independent real and imaginary
-parts of variance one half.  round_solution picks the scheme for a solved
-instance.
+probabilities can be audited.  Complex instances are sampled in their own
+field: a complex Gaussian coordinate has independent real and imaginary
+parts of variance one half, and a complex point is reported as (Re; Im).
+round_solution picks the scheme for a solved instance.
 
 All draws of one rounding call come from a single counter-based Philox4x64
 stream (Salmon et al., SC'11) keyed by the seed.  Every sample consumes a
-fixed number w of 64-bit words: r rounded up to even for Gaussians
-(Box-Muller on pairs of 53-bit uniforms) and r for signs (one bit per word).
+fixed number w of 64-bit words: r rounded up to even for real Gaussians,
+2r for complex ones of rank r (the real parts, then the imaginary parts;
+Box-Muller on pairs of 53-bit uniforms), and r for signs (one bit per
+word).
 Sample i owns the counter blocks [i b, (i + 1) b) with b = ceil(w / 4), each
 block yielding four words, so its draw is a pure function of (seed, i): a
 prefix of the sample sequence never depends on num_samples, and neither the
@@ -37,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .lowrank import RANK_TOL, LowRankSolution, factorize, reduce_rank
-from .matrices import SymMatrix, sym_eig
+from .matrices import HermMatrix, SymMatrix, sym_eig
 from .sdp import (
     COMPLEX,
     MAXIMIZE,
@@ -47,9 +49,8 @@ from .sdp import (
     SdpSolution,
     constraint_values,
     objective_value,
+    real_point,
     slater_check,
-    to_embedded,
-    to_field,
 )
 
 GAUSSIAN_MIN = "GaussianMin"
@@ -93,7 +94,7 @@ class RoundingParams:
 class RoundingReport:
     """Outcome of a rounding run.
 
-    best_x is an n-vector for real instances and the 2n real embedding for
+    best_x is an n-vector for real instances and (Re; Im), 2n reals, for
     complex ones.  empirical_ratio is best/v_sdp for minimization and
     v_sdp/best for maximization.  theoretical_bound is +inf when no bound is
     claimed (more than one indefinite constraint in a scheme that allows one).
@@ -168,11 +169,13 @@ def _draw_rows(seed: int, start: int, count: int, r: int, scale: float | None) -
     return rows[:, :r]
 
 
-def _batched_quadforms(Xi: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    out = np.empty((Xi.shape[0], len(mats)))
-    for j, a in enumerate(mats):
-        out[:, j] = np.einsum("si,si->s", Xi @ a, Xi)
-    return out
+def _quadform(Xi: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """xi* a xi for every row xi of Xi; a is Hermitian (symmetric for real rows)."""
+    if np.iscomplexobj(Xi):
+        # the rows of Xi a^T are a xi, and Re conj(xi) . (a xi) is a real dot
+        # over the float64 views
+        return np.einsum("si,si->s", (Xi @ a.T).view(np.float64), Xi.view(np.float64))
+    return np.einsum("si,si->s", Xi @ a, Xi)
 
 
 @dataclass(frozen=True)
@@ -195,9 +198,10 @@ def _sample(
 ) -> _Draws:
     """Draw p.num_samples points xi = F d and keep the best rescaled one.
 
-    d is a +-1 vector when signs is set, else standard Gaussian (variance
-    one half per real coordinate for complex instances).  The denominator is min_k xi*A_k xi for minimization and max_k for
-    maximization; a sample with a nonpositive denominator is discarded,
+    d is a +-1 vector when signs is set, else standard Gaussian: for a
+    complex instance d is complex, with variance one half in each real
+    coordinate.  The denominator is min_k xi*A_k xi for minimization and
+    max_k for maximization; a sample with a nonpositive denominator is discarded,
     otherwise xi / sqrt(denominator) is a feasible point with objective
     xi*C xi / denominator.  joint_event(denominator, xi*C xi) marks the
     samples inside the scheme's fixed-threshold joint event.
@@ -205,18 +209,26 @@ def _sample(
     if F.shape[1] == 0:
         # every point is zero, so every denominator is
         return _Draws(discarded=p.num_samples)
-    scale = None if signs else (math.sqrt(0.5) if inst.field == COMPLEX else 1.0)
-    obj_mat, cons_mats = inst.embedded_view
+    r = F.shape[1]
+    complex_draw = inst.field == COMPLEX and not signs
+    scale = None if signs else (math.sqrt(0.5) if complex_draw else 1.0)
+    obj_mat, cons_mats = inst.field_view
     sign = 1.0 if inst.sense == MINIMIZE else -1.0
     best = math.inf  # sign * objective, smaller is better
     best_x = None
     feasible = joint = 0
     for start in range(0, p.num_samples, _SAMPLE_CHUNK):
         count = min(_SAMPLE_CHUNK, p.num_samples - start)
-        Xi = _draw_rows(p.seed, start, count, F.shape[1], scale) @ F.T
-        vals = _batched_quadforms(Xi, cons_mats)
+        if complex_draw:
+            rows = _draw_rows(p.seed, start, count, 2 * r, scale)
+            d = np.empty((count, r), complex)
+            d.real, d.imag = rows[:, :r], rows[:, r:]
+            Xi = d @ F.T
+        else:
+            Xi = _draw_rows(p.seed, start, count, r, scale) @ F.T
+        vals = np.stack([_quadform(Xi, a) for a in cons_mats], axis=1)
         dens = vals.min(axis=1) if sign > 0 else vals.max(axis=1)
-        raw = np.einsum("si,si->s", Xi @ obj_mat, Xi)
+        raw = _quadform(Xi, obj_mat)
         joint += int(np.count_nonzero(joint_event(dens, raw)))
         ok = np.flatnonzero(dens > 0.0)
         feasible += ok.size
@@ -256,7 +268,7 @@ def sign_union_tail(m: int, mu: float, alpha: float) -> float:
     return 2.0 * m * mu * math.exp(-alpha / 2.0)
 
 
-def bound_certificate_max(inst: QcqpInstance, X_hat: SymMatrix) -> dict:
+def bound_certificate_max(inst: QcqpInstance, X_hat: SymMatrix | HermMatrix) -> dict:
     """Data-dependent max-form ratio certificate.
 
     Splits constraints into definite (D) and indefinite (I) by tag, measures
@@ -278,7 +290,7 @@ def bound_certificate_max(inst: QcqpInstance, X_hat: SymMatrix) -> dict:
         c0, c1, c2 = 20.0, 8.0, 200.0
         exp_div, cheb_mult, floor = 8.0, 2.0, 0.03
 
-    X = to_field(X_hat, inst.field)
+    X = X_hat.a
     tags = inst.tags
     indef = set(inst.indefinite_indices)
     norms = [float(np.linalg.norm(A @ X)) for A in inst.field_view.A]
@@ -364,7 +376,7 @@ def _report(
         scheme=scheme,
         seed=seed,
         num_samples=num_samples,
-        best_x=None if failed else tuple(float(v) for v in draws.best_x),
+        best_x=None if failed else real_point(draws.best_x),
         best_objective=best,
         v_sdp=v_sdp,
         empirical_ratio=ratio,
@@ -418,7 +430,7 @@ def gaussian_round_min(
         gamma = math.pi / (1.0e4 * m * m)
     mu = 60.0 if complex_field else 100.0
 
-    draws = _sample(inst, lowrank.sampling_factor, p,
+    draws = _sample(inst, lowrank.U, p,
                     lambda dens, raw: (dens >= gamma) & (raw <= mu * v_sdp))
     return _report(p.scheme, p.seed, p.num_samples, inst.sense, v_sdp, bound, not warn, warn, draws)
 
@@ -495,7 +507,7 @@ def gaussian_round_max(inst: QcqpInstance, sol: SdpSolution, p: RoundingParams) 
 
     alpha = bound_certificate_max(inst, sol.X)["alpha"]
     v_sdp = sol.objective_value
-    F = factorize(sol.X.a, 1e-9)
+    F = factorize(sol.X)
     draws = _sample(inst, F, p, lambda dens, raw: (dens <= alpha) & (raw >= v_sdp))
     return _report(p.scheme, p.seed, p.num_samples, inst.sense, v_sdp, alpha, True, False, draws)
 
@@ -603,7 +615,7 @@ def complex_exact_extraction(inst: QcqpInstance, lowrank: LowRankSolution) -> Ro
             min_val = float(constraint_values(inst, x_c).min())
             if min_val > 0.0:
                 x = x_c / math.sqrt(min_val) if min_val < 1.0 else x_c
-                draws = _Draws(objective_value(inst, x), to_embedded(x, COMPLEX), feasible=1)
+                draws = _Draws(objective_value(inst, x), x, feasible=1)
         return _report("ComplexExact", 0, 0, MINIMIZE, v_sdp, 1.0, True, False, draws,
                        message, cert_slack=_EXACT_SLACK)
 

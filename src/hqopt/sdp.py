@@ -6,17 +6,13 @@ An instance is
     subject to    x* A_k x >= 1 (minimization) or <= 1 (maximization),
                   k = 0..m,  x in R^n or C^n,
 
-and its relaxation replaces xx* by a PSD matrix variable.  Complex data is
-solved through the real 2n x 2n embedding, whose traces are twice the
-complex ones, so embedded right-hand sides are 2 and embedded objectives
-are reported halved.
-
-This module is the one place outside ``hqopt.matrices`` that knows the
-embedding.  Each instance caches two views of its data: ``field_view`` in
-its own field and ``embedded_view`` in the real coordinates the solver and
-the sampler use.  ``to_field`` reads a solution matrix back into the
-instance's field, and ``to_embedded`` takes a field factor or vector the
-other way.
+and its relaxation replaces xx* by a PSD matrix variable: an n x n real
+symmetric one for real data and an n x n Hermitian one for complex data,
+which the interior-point core solves in its own field.  Each instance
+caches its data once, stacked, as ``field_view``; the solver, the rank
+reduction and the sampler all read it.  A rounded point or a Slater
+witness is reported as a tuple of reals, (Re x; Im x) for a complex x
+(``real_point``).
 
 slater_check decides whether some nonnegative combination of the A_k is
 positive definite, which the max-form rounding needs.  Under the paper's
@@ -27,23 +23,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _ipm
-from .matrices import (
-    HermMatrix,
-    SymMatrix,
-    complex_from_embedding,
-    embed_blocks,
-    embed_factor,
-    frobenius_norm,
-    j_symmetrize,
-    vec_embed,
-)
+from .matrices import HermMatrix, SymMatrix, frobenius_norm
 
 MINIMIZE = "Minimize"
 MAXIMIZE = "Maximize"
@@ -100,13 +87,7 @@ class MatrixView(NamedTuple):
     """An instance's objective and stacked constraints, read-only."""
 
     C: np.ndarray
-    A: np.ndarray  # shape (m + 1, d, d)
-
-
-def _view(stack: np.ndarray) -> MatrixView:
-    """The view of one (m + 2, d, d) stack: C first, then the A_k."""
-    stack.flags.writeable = False
-    return MatrixView(stack[0], stack[1:])
+    A: np.ndarray  # shape (m + 1, n, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,15 +124,9 @@ class QcqpInstance:
     @cached_property
     def field_view(self) -> MatrixView:
         """C and the A_k in the instance's own field (complex for complex data)."""
-        return _view(np.stack([h.a for h in (self.objective, *self.constraints)]))
-
-    @cached_property
-    def embedded_view(self) -> MatrixView:
-        """C and the A_k in the real 2n embedding; the field view for real data."""
-        if self.field == REAL:
-            return self.field_view
-        mats = (self.objective, *self.constraints)
-        return _view(embed_blocks(np.stack([h.re for h in mats]), np.stack([h.im for h in mats])))
+        stack = np.stack([h.a for h in (self.objective, *self.constraints)])
+        stack.flags.writeable = False
+        return MatrixView(stack[0], stack[1:])
 
     @cached_property
     def tags(self) -> tuple:
@@ -191,48 +166,24 @@ class QcqpInstance:
         return QcqpInstance(sense, fld, objective, constraints)
 
 
-def _view_for(inst: QcqpInstance, x: np.ndarray) -> tuple[np.ndarray, MatrixView]:
-    """x with the view it pairs with: a real 2n vector of a complex instance is embedded."""
-    x = np.asarray(x)
-    if inst.field == COMPLEX and not np.iscomplexobj(x):
-        if x.shape != (2 * inst.n,):
-            raise ValueError("complex quadratic form needs a complex or embedded vector")
-        return x, inst.embedded_view
-    return x, inst.field_view
-
-
 def constraint_values(inst: QcqpInstance, x: np.ndarray) -> np.ndarray:
-    """x* A_k x for every k; x is a field vector or, for complex data, (Re; Im)."""
-    x, view = _view_for(inst, x)
+    """x* A_k x for every k, x a vector in the instance's field."""
+    x = np.asarray(x)
     xh = np.conj(x)
-    return np.array([float(np.real(xh @ (a @ x))) for a in view.A])
+    return np.array([float(np.real(xh @ (a @ x))) for a in inst.field_view.A])
 
 
 def objective_value(inst: QcqpInstance, x: np.ndarray) -> float:
-    x, view = _view_for(inst, x)
-    return float(np.real(np.conj(x) @ (view.C @ x)))
+    x = np.asarray(x)
+    return float(np.real(np.conj(x) @ (inst.field_view.C @ x)))
 
 
-def to_field(X: SymMatrix, field: str) -> np.ndarray:
-    """A relaxation matrix in its own field.
-
-    For complex data X is the real 2n embedding; it is projected onto the
-    embedded Hermitian space and read back as the n x n complex array.
-    """
-    return complex_from_embedding(X.a).to_complex() if field == COMPLEX else X.a
-
-
-def to_embedded(a: np.ndarray, field: str) -> np.ndarray:
-    """A field array in the real coordinates the solver and sampler use.
-
-    For complex data an n x r array maps to the 2n x 2r block
-    [[Re, -Im], [Im, Re]], so a factor of Z = U U* becomes a factor of Z's
-    embedding and a Hermitian Z becomes its embedding; an n-vector maps to
-    (Re; Im).  Real data is returned as it is.
-    """
-    if field != COMPLEX:
-        return a
-    return vec_embed(a) if np.ndim(a) == 1 else embed_factor(a)
+def real_point(x: np.ndarray) -> tuple:
+    """A point as the tuple of reals a report carries: x, or (Re x; Im x) for a complex x."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        x = np.concatenate([x.real, x.imag])
+    return tuple(float(v) for v in x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,54 +197,46 @@ class SdpStandardForm:
     G: np.ndarray  # (p,): the slack signs, G's diagonal
     c_lin: np.ndarray
     maximize: bool
-    report_scale: float
     field: str
-    n_orig: int
 
 
 def build_relaxation(inst: QcqpInstance) -> SdpStandardForm:
-    """Relaxation with slack rows Tr(A_k X) -/+ s_k = rhs; complex data embedded.
+    """Relaxation with slack rows Tr(A_k X) -/+ s_k = 1, in the instance's own field.
 
     The slack matrix is diagonal, so G holds its diagonal, the signs.
-    Embedded traces double, so complex right-hand sides become 2 and the
-    embedded optimum is reported halved (report_scale).
     """
-    C, A = inst.embedded_view
-    rhs, scale = (2.0, 0.5) if inst.field == COMPLEX else (1.0, 1.0)
+    C, A = inst.field_view
     p = A.shape[0]
     sign = 1.0 if inst.sense == MAXIMIZE else -1.0
     return SdpStandardForm(
-        n=C.shape[0],
+        n=inst.n,
         C=C,
         A=A,
-        b=np.full(p, rhs),
+        b=np.ones(p),
         G=np.full(p, sign),
         c_lin=np.zeros(p),
         maximize=inst.sense == MAXIMIZE,
-        report_scale=scale,
         field=inst.field,
-        n_orig=inst.n,
     )
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
 class SdpSolution:
-    """A packaged solve; X, dual_slack and ray are in the real 2n embedding for complex data."""
+    """A packaged solve; X, dual_slack and ray are HermMatrix for complex data."""
 
     status: str
-    X: SymMatrix | None = None
+    X: SymMatrix | HermMatrix | None = None
     objective_value: float = math.nan
     dual_multipliers: tuple = ()
-    dual_slack: SymMatrix | None = None
+    dual_slack: SymMatrix | HermMatrix | None = None
     primal_residual: float = math.nan
     dual_residual: float = math.nan
     gap: float = math.nan
     iterations: int
-    ray: SymMatrix | None = None
+    ray: SymMatrix | HermMatrix | None = None
     infeasibility_certificate: tuple | None = None
     field: str
-    n_orig: int
-    report_scale: float
+    n: int
     message: str
 
     def to_json_dict(self) -> dict:
@@ -320,7 +263,7 @@ class SdpSolution:
             if self.infeasibility_certificate is not None
             else None,
             "field": _FIELD_JSON[self.field],
-            "n": self.n_orig,
+            "n": self.n,
             "message": self.message,
         }
 
@@ -328,16 +271,17 @@ class SdpSolution:
 def _package(form: SdpStandardForm, res: _ipm.ConicResult, lam_min: float) -> SdpSolution:
     """An interior-point result as an SdpSolution; lam_min is lambda_min of an Optimal X."""
     flip = -1.0 if form.maximize else 1.0
+    mat = HermMatrix.from_complex if form.field == COMPLEX else SymMatrix
     status, message = NUMERICAL_FAILURE, res.message
     if res.status == "optimal":
         status = OPTIMAL
         if lam_min < -PSD_TOL:
             status, message = NUMERICAL_FAILURE, "returned iterate lost definiteness"
         out = dict(
-            X=SymMatrix(res.X),
-            objective_value=form.report_scale * flip * res.objective,
+            X=mat(res.X),
+            objective_value=flip * res.objective,
             dual_multipliers=tuple(float(v) for v in np.maximum(flip * res.y, 0.0)),
-            dual_slack=SymMatrix(flip * res.Z if form.maximize else res.Z),
+            dual_slack=mat(flip * res.Z if form.maximize else res.Z),
             primal_residual=res.primal_residual,
             dual_residual=res.dual_residual,
             gap=res.rel_gap,
@@ -348,7 +292,7 @@ def _package(form: SdpStandardForm, res: _ipm.ConicResult, lam_min: float) -> Sd
         out = dict(
             objective_value=np.inf if form.maximize else -np.inf,
             primal_residual=res.primal_residual,
-            ray=SymMatrix(res.ray[0]),
+            ray=mat(res.ray[0]),
         )
     elif res.status == "infeasible":
         status = INFEASIBLE
@@ -356,13 +300,13 @@ def _package(form: SdpStandardForm, res: _ipm.ConicResult, lam_min: float) -> Sd
         out = dict(
             objective_value=np.inf if not form.maximize else -np.inf,
             dual_multipliers=tuple(float(v) for v in np.maximum(flip * fy, 0.0)),
-            dual_slack=SymMatrix(fZ),
+            dual_slack=mat(fZ),
             dual_residual=res.dual_residual,
             infeasibility_certificate=tuple(float(v) for v in fy),
         )
     else:
         out = dict(
-            X=SymMatrix(res.X) if np.all(np.isfinite(res.X)) else None,
+            X=mat(res.X) if np.all(np.isfinite(res.X)) else None,
             primal_residual=res.primal_residual,
             dual_residual=res.dual_residual,
             gap=res.rel_gap,
@@ -371,8 +315,7 @@ def _package(form: SdpStandardForm, res: _ipm.ConicResult, lam_min: float) -> Sd
         status=status,
         iterations=res.iterations,
         field=form.field,
-        n_orig=form.n_orig,
-        report_scale=form.report_scale,
+        n=form.n,
         message=message,
         **out,
     )
@@ -385,27 +328,21 @@ def batch_size(n: int, m: int, field: str) -> int:
     size; a caller that generates instances as it goes can take them this
     many at a time.
     """
-    return _ipm.batch_size(m + 1, 2 * n if field == COMPLEX else n)
+    return _ipm.batch_size(m + 1, (2 if field == COMPLEX else 1) * n * n)
 
 
-def solve_instances(
-    insts,
-    *,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-9,
-    max_iter: int = 200,
-) -> list[SdpSolution]:
+def solve_instances(insts) -> list[SdpSolution]:
     """Solve every instance's relaxation, in order.
 
-    The relaxations that share a shape (embedded n and constraint count)
-    go to the interior-point core in one call, which solves them
+    The relaxations that share a field and a shape (n and constraint
+    count) go to the interior-point core in one call, which solves them
     batch_size at a time, and their Optimal iterates get one stacked
     lambda_min check.
     """
     forms = [build_relaxation(inst) for inst in insts]
     groups: dict = {}
     for i, form in enumerate(forms):
-        groups.setdefault(form.A.shape, []).append(i)
+        groups.setdefault((form.field, form.A.shape), []).append(i)
     out = [None] * len(forms)
     for idx in groups.values():
         group = [forms[i] for i in idx]
@@ -415,18 +352,7 @@ def solve_instances(
             np.array([f.b for f in group]),
             np.array([f.G for f in group]),  # G's diagonals, as _ipm reads a diagonal G
             np.array([f.c_lin for f in group]),
-            gap_tol=gap_tol,
-            feas_tol=feas_tol,
-            max_iter=max_iter,
         )
-        # C and every A_k lie in the embedded Hermitian space, so projecting
-        # a complex optimum onto it moves objective and constraints by round-off
-        results = [
-            replace(r, X=j_symmetrize(r.X))
-            if r.status == "optimal" and f.field == COMPLEX
-            else r
-            for f, r in zip(group, results)
-        ]
         optimal = [k for k, r in enumerate(results) if r.status == "optimal"]
         lam = np.full(len(results), np.nan)
         if optimal:
@@ -436,8 +362,8 @@ def solve_instances(
     return out
 
 
-def solve_instance(inst: QcqpInstance, **kwargs) -> SdpSolution:
-    return solve_instances([inst], **kwargs)[0]
+def solve_instance(inst: QcqpInstance) -> SdpSolution:
+    return solve_instances([inst])[0]
 
 
 @dataclass(frozen=True)
@@ -446,8 +372,8 @@ class SlaterReport:
 
     Every answer is checked by eigenvalues on the instance's own data.  A
     yes carries its certificate mu and t = lambda_min(sum mu_k A_k) >
-    _SLATER_TOL.  A no carries either a unit witness x ((Re; Im) for complex
-    data) with t = max_k x*A_k x <= _SLATER_TOL, which bounds lambda_min of
+    _SLATER_TOL.  A no carries either a unit witness x (real_point's
+    (Re; Im) for complex data) with t = max_k x*A_k x <= _SLATER_TOL, which bounds lambda_min of
     every combination from above, and an empty certificate; or, from the
     interior-point probe, the probe's best mu and its lambda_min as t, with
     indeterminate set when the probe did not converge.
@@ -498,7 +424,7 @@ def _refute(inst: QcqpInstance, x: np.ndarray) -> SlaterReport | None:
     t = float(constraint_values(inst, x).max())
     if t > _SLATER_TOL:
         return None
-    return SlaterReport(False, (), t, tuple(float(v) for v in to_embedded(x, inst.field)))
+    return SlaterReport(False, (), t, real_point(x))
 
 
 def _closed_form(inst: QcqpInstance) -> SlaterReport | None:
@@ -548,5 +474,5 @@ def slater_check(inst: QcqpInstance) -> SlaterReport:
     report = _closed_form(inst)
     if report is not None:
         return report
-    mu, converged = _probe_definite(inst.embedded_view.A)
+    mu, converged = _probe_definite(inst.field_view.A)
     return _combination(inst.field_view.A, mu, converged)

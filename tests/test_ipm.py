@@ -105,6 +105,30 @@ class TestFlatOperators:
         monkeypatch.setattr(_ipm, "_BATCH_ELEMENTS", 4 * 7 * 25)  # one instance a part
         assert np.array_equal(_ipm.schur_matrix(A2, G, W, d2), whole)
 
+    def test_complex_operators_match_trace_definitions(self):
+        # Hermitian data: the same real calls over the float64 views give
+        # Tr(A_i X), sum_i y_i A_i and Tr(A_i W A_j W)
+        rng = np.random.default_rng(8)
+        B, p, n, q = 2, 6, 4, 3
+
+        def herm(*shape):
+            a = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
+            return a + np.conj(a.swapaxes(-1, -2))
+
+        A, X, M = herm(B, p), herm(B), herm(B)
+        W = M @ M + np.eye(n)
+        G, s, y = rng.standard_normal((B, p, q)), rng.random((B, q)), rng.standard_normal((B, p))
+        d2 = rng.random((B, q)) + 0.1
+        A2 = A.view(np.float64).reshape(B, p, 2 * n * n)
+        got_a, got_at = _ipm.op_a(A2, G, X, s), _ipm.op_at(A2, y, n)
+        got_m = _ipm.schur_matrix(A2, G, W, d2)
+        for k in range(B):
+            assert _rel(got_a[k], np.trace(A[k] @ X[k], axis1=1, axis2=2).real + G[k] @ s[k]) <= 1e-12
+            assert _rel(got_at[k], np.einsum("i,ijk->jk", y[k], A[k])) <= 1e-12
+            traces = [[np.trace(Ai @ W[k] @ Al @ W[k]).real for Al in A[k]] for Ai in A[k]]
+            assert _rel(got_m[k], np.array(traces) + (G[k] * d2[k]) @ G[k].T) <= 1e-12
+        assert _ipm._dot(X, W) == pytest.approx(np.trace(X @ W, axis1=1, axis2=2).real, rel=1e-12)
+
     def test_adjoint_identity(self, data):
         A2, G, X, s, y = data["A2"], data["G"], data["X"], data["s"], data["y"]
         lhs = np.sum(y * _ipm.op_a(A2, G, X, s), axis=1)
@@ -181,17 +205,18 @@ class TestBatchedSolve:
         if m == 100:  # two of these leave on a failed step, while the others go on
             assert any(b.message == "accepted best iterate at fallback tolerance" for b in batch)
 
-    def test_batch_size_counts_the_embedded_dimension(self):
-        assert batch_size(10, 30, REAL) == _ipm.batch_size(31, 10)
-        assert batch_size(10, 30, COMPLEX) == _ipm.batch_size(31, 20) < batch_size(10, 30, REAL)
-        assert batch_size(10, 100, COMPLEX) >= 2
+    def test_batch_size_counts_float64_slots(self):
+        # an n x n matrix takes n^2 float64 slots, or 2 n^2 when complex
+        assert batch_size(10, 30, REAL) == _ipm.batch_size(31, 100)
+        assert batch_size(10, 30, COMPLEX) == _ipm.batch_size(31, 200) < batch_size(10, 30, REAL)
+        assert batch_size(10, 100, COMPLEX) >= 3
 
     def test_capped_batches_match_one_call(self, monkeypatch):
         insts = [generate(GeneratorSpec(n=6, m=4, case=CASE_A, sense=MINIMIZE,
                                         objective_kind=OBJECTIVE_IDENTITY, seed=s)) for s in range(5)]
         whole = solve_instances(insts)
         monkeypatch.setattr(_ipm, "_BATCH_ELEMENTS", 2 * 5 * (36 + 10))  # two instances a batch
-        assert _ipm.batch_size(5, 6) == 2
+        assert _ipm.batch_size(5, 36) == 2
         for a, b in zip(solve_instances(insts), whole):
             _same_solution(a, b)
 

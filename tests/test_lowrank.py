@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from hqopt.lowrank import (
     LowRankSolution,
     NotPsdError,
-    factor_from_json,
     factorize,
     pataki_bound,
     reduce_rank,
 )
-from hqopt.matrices import HermMatrix, SymMatrix, complex_from_embedding
+from hqopt.matrices import HermMatrix, SymMatrix
 from hqopt.sdp import (
     COMPLEX,
     MAXIMIZE,
@@ -80,30 +79,30 @@ class TestPatakiBound:
 
 class TestFactorize:
     def test_identity(self):
-        U = factorize(SymMatrix(np.eye(2)), 1e-9)
+        U = factorize(SymMatrix(np.eye(2)))
         assert U.shape == (2, 2)
         assert np.allclose(U @ U.T, np.eye(2), atol=1e-12)
 
     def test_rank_one_diag(self):
-        U = factorize(sym([[4.0, 0.0], [0.0, 0.0]]), 1e-9)
+        U = factorize(sym([[4.0, 0.0], [0.0, 0.0]]))
         assert U.shape == (2, 1)
         assert np.allclose(np.abs(U[:, 0]), [2.0, 0.0], atol=1e-12)
 
     def test_zero_matrix(self):
-        U = factorize(SymMatrix(np.zeros((3, 3))), 1e-9)
+        U = factorize(SymMatrix(np.zeros((3, 3))))
         assert U.shape == (3, 0)
 
     def test_not_psd_raises(self):
         with pytest.raises(NotPsdError):
-            factorize(sym([[1.0, 0.0], [0.0, -1e-3]]), 1e-9)
+            factorize(sym([[1.0, 0.0], [0.0, -1e-3]]))
 
     def test_small_negative_within_tol(self):
-        U = factorize(sym([[1.0, 0.0], [0.0, -1e-12]]), 1e-9)
+        U = factorize(sym([[1.0, 0.0], [0.0, -1e-12]]))
         assert U.shape == (2, 1)
 
     def test_hermitian_input(self):
         H = HermMatrix(np.array([[2.0, 0.0], [0.0, 2.0]]), np.array([[0.0, -1.0], [1.0, 0.0]]))
-        U = factorize(H, 1e-9)
+        U = factorize(H)
         assert np.allclose(U @ np.conj(U.T), H.to_complex(), atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -113,7 +112,7 @@ class TestFactorize:
         rng = np.random.default_rng(seed % 2**32)
         Y = rng.standard_normal((n, k))
         X = SymMatrix(Y @ Y.T)
-        U = factorize(X, 1e-9)
+        U = factorize(X)
         assert np.linalg.norm(U @ U.T - X.a) <= 1e-8 * (1.0 + np.linalg.norm(X.a))
         assert U.shape[1] == np.linalg.matrix_rank(Y) if k else U.shape[1] == 0
 
@@ -230,7 +229,7 @@ class TestReduceRank:
         low = reduce_rank(sol, inst)
         assert low.r <= 2  # r <= sqrt(5)
         assert low.meets_bound
-        Xc0 = complex_from_embedding(sol.X.a).to_complex()
+        Xc0 = sol.X.a
         Xcr = low.reconstruct()
         v0, o0 = complex_values(inst, Xc0)
         vr, orr = complex_values(inst, Xcr)
@@ -246,7 +245,7 @@ class TestReduceRank:
             MINIMIZE, REAL, SymMatrix(np.eye(n)), tuple(rand_psd(n, rng) for _ in range(p))
         )
         sol = solve_instance(inst)
-        input_rank = factorize(sol.X, 1e-9).shape[1]
+        input_rank = factorize(sol.X).shape[1]
         low = reduce_rank(sol, inst)
         assert low.r <= input_rank
 
@@ -310,8 +309,7 @@ class TestReduceRank:
             ray=None,
             infeasibility_certificate=None,
             field=REAL,
-            n_orig=n,
-            report_scale=1.0,
+            n=n,
             message="synthetic",
         )
         low = reduce_rank(fake, inst)
@@ -319,36 +317,3 @@ class TestReduceRank:
         assert low.r == 3
         vr, orr = real_values(inst, low.reconstruct())
         assert max(abs(v - t) for v, t in zip(vr, [float(np.trace(a.a)) for a in inst.constraints])) <= 1e-7
-
-
-class TestFactorSerialization:
-    def test_roundtrip_real(self):
-        rng = np.random.default_rng(0)
-        n, p = 6, 3
-        inst = QcqpInstance(
-            MINIMIZE, REAL, SymMatrix(np.eye(n)), tuple(rand_psd(n, rng) for _ in range(p))
-        )
-        low = reduce_rank(solve_instance(inst), inst)
-        F = factor_from_json(low.factor_to_json())
-        assert F.shape == low.U.shape
-        assert np.array_equal(F, low.U)
-
-    def test_complex_factor_serializes_embedded(self):
-        rng = np.random.default_rng(1)
-        n, p = 4, 3
-        inst = QcqpInstance(
-            MINIMIZE,
-            COMPLEX,
-            HermMatrix(np.eye(n), np.zeros((n, n))),
-            tuple(rand_herm_psd(n, rng) for _ in range(p)),
-        )
-        low = reduce_rank(solve_instance(inst), inst)
-        F = factor_from_json(low.factor_to_json())
-        assert F.shape == (2 * n, 2 * low.r)
-        Xc = low.reconstruct()
-        emb = np.block([[Xc.real, -Xc.imag], [Xc.imag, Xc.real]])
-        assert np.allclose(F @ F.T, emb, atol=1e-10)
-
-    def test_rejects_bad_payload(self):
-        with pytest.raises(ValueError):
-            factor_from_json('{"n": 2, "r": 2, "entries": [1.0, 2.0]}')

@@ -9,14 +9,8 @@ from hqopt.matrices import (
     DecompositionError,
     HermMatrix,
     SymMatrix,
-    complex_from_embedding,
-    embed_factor,
     frobenius_norm,
-    herm_embed,
-    j_symmetrize,
     sym_eig,
-    vec_embed,
-    vec_unembed,
 )
 
 
@@ -95,52 +89,6 @@ class TestEig:
         assert np.max(np.abs(v.T @ v - np.eye(n))) < 1e-10
         assert frobenius_norm(spec.reconstruct() - m.a) < 1e-10 * scale
         assert np.all(np.diff(spec.eigenvalues) <= 1e-12 * scale)
-
-
-class TestHermitian:
-    def test_embed_doubles_multiplicity(self):
-        h = HermMatrix.from_complex(np.array([[1.0, 1j], [-1j, 1.0]]))
-        spec = sym_eig(herm_embed(h))
-        np.testing.assert_allclose(spec.eigenvalues, [2.0, 2.0, 0.0, 0.0], atol=1e-12)
-
-    def test_embed_doubles_trace_inner(self):
-        rng = np.random.default_rng(3)
-        a, b = random_herm(rng, 4), random_herm(rng, 4)
-        # Tr(AB) = sum_ij A_ij conj(B_ij) for Hermitian B
-        complex_inner = np.tensordot(a.to_complex(), b.to_complex().conj(), axes=2)
-        assert np.tensordot(herm_embed(a).a, herm_embed(b).a, axes=2) == pytest.approx(
-            2.0 * complex_inner.real
-        )
-        assert complex_inner.imag == pytest.approx(0.0, abs=1e-12)
-
-    def test_embed_factor_consistent_with_embedding(self):
-        rng = np.random.default_rng(11)
-        u = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
-        e = embed_factor(u)
-        emb = herm_embed(HermMatrix.from_complex(u @ u.conj().T))
-        np.testing.assert_allclose(e @ e.T, emb.a, atol=1e-12)
-
-    def test_j_symmetrize_idempotent_roundtrip(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((6, 6))
-        x = x + x.T
-        y = j_symmetrize(x)
-        np.testing.assert_allclose(j_symmetrize(y), y, atol=1e-14)
-        h = complex_from_embedding(y)
-        np.testing.assert_allclose(herm_embed(h).a, y, atol=1e-14)
-
-    def test_vec_embed_roundtrip(self):
-        z = np.array([1 + 2j, -3j, 0.5])
-        np.testing.assert_allclose(vec_unembed(vec_embed(z)), z)
-
-    def test_vec_embed_preserves_quadratic_form(self):
-        # x* A x over C equals xi^T embed(A) xi with xi = (Re x; Im x)
-        rng = np.random.default_rng(9)
-        h = random_herm(rng, 3)
-        z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        xi = vec_embed(z)
-        quad = float(np.real(z.conj() @ h.to_complex() @ z))
-        assert xi @ herm_embed(h).a @ xi == pytest.approx(quad)
 
 
 class TestTraceInner:

@@ -81,6 +81,12 @@ def max_one_indefinite(rng, n, m):
     return QcqpInstance(sense=MAXIMIZE, field=REAL, objective=rand_pd(rng, n), constraints=constraints)
 
 
+def field_point(inst, best_x):
+    """A report's point in the instance's field: its (Re; Im) read back for complex data."""
+    x = np.array(best_x)
+    return x[: inst.n] + 1j * x[inst.n :] if inst.field == COMPLEX else x
+
+
 def solved_pipeline(inst):
     sol = solve_instance(inst)
     assert sol.status == OPTIMAL
@@ -201,6 +207,36 @@ class TestSampleStream:
         assert set(np.unique(s)) == {-1.0, 1.0}
         assert np.all(np.abs(s.mean(axis=0)) <= 5.0 / math.sqrt(n))
         assert abs(np.mean(s[:, 0] * s[:, 1])) <= 5.0 / math.sqrt(n)
+
+    def test_complex_draws_match_the_real_embedding(self):
+        # a complex sample xi = U d, d = row[:r] + i row[r:], is the point the
+        # real 2n embedding [[Re, -Im], [Im, Re]] of U draws from the same row
+        rng = np.random.default_rng(23)
+        n, m, r, samples = 4, 5, 2, 3000
+        inst = QcqpInstance(sense=MINIMIZE, field=COMPLEX, objective=herm_pd(rng, n),
+                            constraints=tuple(herm_pd(rng, n) for _ in range(m + 1)))
+        U = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+        v_sdp = float(np.real(np.trace(inst.objective.a @ U @ np.conj(U.T))))
+        low = LowRankSolution(U=U, r=r, objective_value=v_sdp, field=COMPLEX, meets_bound=True, steps=0)
+        report = gaussian_round_min(inst, low, RoundingParams(GAUSSIAN_MIN, samples, seed=8))
+
+        def embed(a):
+            return np.block([[a.real, -a.imag], [a.imag, a.real]])
+
+        rows = rounding._draw_rows(8, 0, samples, 2 * r, math.sqrt(0.5))
+        Xi = rows @ embed(U).T
+        vals = np.stack([np.einsum("si,si->s", Xi @ embed(h.a), Xi) for h in inst.constraints], axis=1)
+        dens, raw = vals.min(axis=1), np.einsum("si,si->s", Xi @ embed(inst.objective.a), Xi)
+        ok = np.flatnonzero(dens > 0.0)
+        best = ok[np.argmin(raw[ok] / dens[ok])]
+        gamma = 1.0 / (40.0 * m)
+        assert report.samples_feasible == ok.size and report.samples_discarded == samples - ok.size
+        assert report.joint_event_count == np.count_nonzero((dens >= gamma) & (raw <= 60.0 * v_sdp))
+        want = Xi[best] / math.sqrt(dens[best])
+        assert np.max(np.abs(np.array(report.best_x) - want)) <= 1e-12 * np.max(np.abs(want))
+        assert report.best_objective == pytest.approx(raw[best] / dens[best], rel=1e-12)
+        x = field_point(inst, report.best_x)
+        assert constraint_values(inst, x).min() == pytest.approx(1.0, rel=1e-12)
 
 
 class TestBoundCertificateMin:
@@ -330,8 +366,8 @@ class TestBoundCertificateMax:
             objective=HermMatrix.from_complex(np.array([[1.0]])),
             constraints=(HermMatrix.from_complex(np.array([[2.0]])),),
         )
-        X_emb = SymMatrix(np.diag([0.5, 0.5]))
-        cert = bound_certificate_max(inst, X_emb)
+        X_hat = HermMatrix.from_complex(np.array([[0.5]]))
+        cert = bound_certificate_max(inst, X_hat)
         assert cert["per_constraint"][0]["frob_norm"] == pytest.approx(1.0)
         assert cert["alpha"] == pytest.approx(16.0)
         assert cert["per_constraint"][0]["exp_tail"] == pytest.approx(math.exp(-15.0 / 4.0))
@@ -343,7 +379,7 @@ class TestGaussianRoundMin:
         inst, sol, low = min_pipeline
         report = gaussian_round_min(inst, low, RoundingParams(GAUSSIAN_MIN, num_samples=200, seed=4))
         assert not report.failed
-        x = np.array(report.best_x)
+        x = field_point(inst, report.best_x)
         assert constraint_values(inst, x).min() >= 1.0 - 1e-9
         assert objective_value(inst, x) == pytest.approx(report.best_objective, abs=1e-9)
         assert report.v_sdp <= report.best_objective + 1e-7
@@ -402,7 +438,7 @@ class TestGaussianRoundMin:
         assert not report.bound_is_claimed
         assert not report.certificate_satisfied
         assert report.samples_feasible >= 1
-        x = np.array(report.best_x)
+        x = field_point(inst, report.best_x)
         assert constraint_values(inst, x).min() >= 1.0 - 1e-9
 
     def test_no_feasible_sample_reports_failure(self):
@@ -450,8 +486,8 @@ class TestGaussianRoundMin:
         sol, low = solved_pipeline(inst)
         report = gaussian_round_min(inst, low, RoundingParams(GAUSSIAN_MIN, num_samples=100, seed=3))
         assert not report.failed
-        x = np.array(report.best_x)
-        assert x.shape == (2 * n,)
+        x = field_point(inst, report.best_x)
+        assert len(report.best_x) == 2 * n
         assert constraint_values(inst, x).min() >= 1.0 - 1e-9
         assert report.theoretical_bound == pytest.approx(2400.0 * m)
         assert report.certificate_satisfied
@@ -468,7 +504,7 @@ class TestSignRoundMax:
         inst, sol, low = max_pipeline
         report = sign_round_max(inst, low, RoundingParams(SIGN_MAX, num_samples=200, seed=4))
         assert not report.failed
-        x = np.array(report.best_x)
+        x = field_point(inst, report.best_x)
         assert constraint_values(inst, x).max() <= 1.0 + 1e-9
         assert report.best_objective <= report.v_sdp + 1e-7
         assert report.empirical_ratio >= 1.0 - 1e-9
@@ -583,7 +619,7 @@ class TestGaussianRoundMax:
         assert sol.status == OPTIMAL
         report = gaussian_round_max(inst, sol, RoundingParams(GAUSSIAN_MAX, num_samples=300, seed=4))
         assert not report.failed
-        x = np.array(report.best_x)
+        x = field_point(inst, report.best_x)
         assert constraint_values(inst, x).max() <= 1.0 + 1e-9
         assert report.best_objective <= report.v_sdp + 1e-7
         cert = bound_certificate_max(inst, sol.X)
@@ -626,8 +662,8 @@ class TestGaussianRoundMax:
         assert sol.status == OPTIMAL
         report = gaussian_round_max(inst, sol, RoundingParams(GAUSSIAN_MAX, num_samples=200, seed=6))
         assert not report.failed
-        x = np.array(report.best_x)
-        assert x.shape == (2 * n,)
+        x = field_point(inst, report.best_x)
+        assert len(report.best_x) == 2 * n
         assert constraint_values(inst, x).max() <= 1.0 + 1e-9
         assert report.certificate_satisfied
 
@@ -677,7 +713,7 @@ class TestComplexExactExtraction:
             assert not report.failed, report.message
             assert report.empirical_ratio == pytest.approx(1.0, abs=1e-4)
             assert report.certificate_satisfied
-            x = np.array(report.best_x)
+            x = field_point(inst, report.best_x)
             assert constraint_values(inst, x).min() >= 1.0 - 1e-9
         # both the direct read-off and the rank-two face search must be exercised
         assert 1 in ranks_seen and 2 in ranks_seen

@@ -13,7 +13,19 @@ from hqopt.instances import (
     GeneratorSpec,
     generate,
 )
-from hqopt.matrices import HermMatrix, SymMatrix, herm_embed, j_symmetrize, vec_embed
+from hqopt.matrices import HermMatrix, SymMatrix
+
+
+def embed(a):
+    """The real 2n x 2n embedding [[Re, -Im], [Im, Re]] of complex arrays (..., n, n)."""
+    a = np.asarray(a)
+    return np.block([[a.real, -a.imag], [a.imag, a.real]])
+
+
+def field_point(inst, x):
+    """A reported point in the instance's field: its (Re; Im) read back for complex data."""
+    x = np.asarray(x)
+    return x[: inst.n] + 1j * x[inst.n :] if inst.field == sdp.COMPLEX else x
 
 
 def sym(a):
@@ -186,16 +198,14 @@ class TestInstance:
         assert sdp.objective_value(inst, x) == pytest.approx(3.0)
 
     def test_quad_complex_embedding_agrees(self):
+        # z* H z equals xi^T embed(H) xi with xi = (Re z; Im z)
         h = HermMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([[0.0, -0.7], [0.7, 0.0]]))
         inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.COMPLEX, h, (h,))
         z = np.array([1.0 + 2.0j, -0.5 + 0.25j])
-        emb = np.concatenate([z.real, z.imag])
-        assert sdp.constraint_values(inst, z)[0] == pytest.approx(
-            sdp.constraint_values(inst, emb)[0], rel=1e-12
-        )
-        assert sdp.objective_value(inst, z) == pytest.approx(sdp.objective_value(inst, emb), rel=1e-12)
-        with pytest.raises(ValueError, match="embedded vector"):
-            sdp.constraint_values(inst, z.real)
+        xi = np.concatenate([z.real, z.imag])
+        want = xi @ embed(h.a) @ xi
+        assert sdp.constraint_values(inst, z)[0] == pytest.approx(want, rel=1e-12)
+        assert sdp.objective_value(inst, z) == pytest.approx(want, rel=1e-12)
 
 
 def random_instance(field, n=3, p=3, seed=0):
@@ -216,41 +226,30 @@ class TestFieldViews:
         inst = random_instance(field)
         mats = (inst.objective, *inst.constraints)
         C, A = inst.field_view
-        Ce, Ae = inst.embedded_view
-        for mat, f, e in zip(mats, (C, *A), (Ce, *Ae)):
-            if field == sdp.COMPLEX:
-                assert np.array_equal(f, mat.to_complex())
-                assert np.array_equal(e, herm_embed(mat).a)
-            else:
-                assert np.array_equal(f, mat.a)
-                assert np.array_equal(e, mat.a)
+        for mat, f in zip(mats, (C, *A)):
+            assert np.array_equal(f, mat.to_complex() if field == sdp.COMPLEX else mat.a)
         assert A.shape == (inst.m + 1, inst.n, inst.n)
-        assert not A.flags.writeable and not Ce.flags.writeable
+        assert np.iscomplexobj(A) == (field == sdp.COMPLEX)
+        assert not A.flags.writeable and not C.flags.writeable
 
     @pytest.mark.parametrize("field", sdp.FIELDS)
     def test_views_are_built_once(self, field):
         inst = random_instance(field)
         assert inst.field_view is inst.field_view
-        assert inst.embedded_view is inst.embedded_view
-        if field == sdp.REAL:
-            assert inst.embedded_view is inst.field_view
 
     def test_constraint_values_on_vector_and_embedding(self):
+        # a report carries a complex point as (Re; Im); read back, it has the
+        # point's values, which are those of the real embedding
         inst = random_instance(sdp.COMPLEX, n=4, p=5, seed=3)
         rng = np.random.default_rng(4)
         z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        np.testing.assert_allclose(
-            sdp.constraint_values(inst, z), sdp.constraint_values(inst, vec_embed(z)), rtol=1e-12
-        )
-
-    def test_solution_conversions_roundtrip(self):
-        inst = random_instance(sdp.COMPLEX, seed=5)
-        h = inst.constraints[0]
-        emb = sdp.to_embedded(h.to_complex(), sdp.COMPLEX)
-        assert np.array_equal(emb, herm_embed(h).a)
-        assert np.array_equal(sdp.to_field(SymMatrix(emb), sdp.COMPLEX), h.to_complex())
-        x = SymMatrix(np.eye(3))
-        assert sdp.to_field(x, sdp.REAL) is x.a and sdp.to_embedded(x.a, sdp.REAL) is x.a
+        xi = np.array(sdp.real_point(z))
+        assert np.array_equal(xi, np.concatenate([z.real, z.imag]))
+        assert np.array_equal(field_point(inst, xi), z)
+        want = [xi @ embed(h.a) @ xi for h in inst.constraints]
+        np.testing.assert_allclose(sdp.constraint_values(inst, z), want, rtol=1e-12)
+        x = np.array([1.0, -2.0, 0.5])
+        assert sdp.real_point(x) == (1.0, -2.0, 0.5)
 
 
 class TestBuildRelaxation:
@@ -259,7 +258,7 @@ class TestBuildRelaxation:
         form = sdp.build_relaxation(inst)
         assert form.b.tolist() == [1.0]
         assert form.G.tolist() == [-1.0]
-        assert not form.maximize and form.report_scale == 1.0
+        assert not form.maximize
 
     def test_max_slack_sign(self):
         form = sdp.build_relaxation(example_4_3(10.0))
@@ -272,13 +271,13 @@ class TestBuildRelaxation:
         X = np.array([[0.5, 0.2], [0.2, 0.3]])
         assert float(np.tensordot(form.A[0], X, 2)) == pytest.approx(10.0 * 0.2 + 0.3)
 
-    def test_complex_embedding_doubles(self):
-        h = HermMatrix(np.eye(2), np.zeros((2, 2)))
+    def test_complex_relaxation_is_native(self):
+        h = HermMatrix(np.eye(2), np.array([[0.0, -0.5], [0.5, 0.0]]))
         inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.COMPLEX, h, (h,))
         form = sdp.build_relaxation(inst)
-        assert form.n == 4 and form.n_orig == 2
-        assert form.b.tolist() == [2.0]
-        assert form.report_scale == 0.5
+        assert form.n == 2 and form.A.shape == (1, 2, 2)
+        assert np.array_equal(form.A[0], h.a) and form.C is inst.field_view.C
+        assert form.b.tolist() == [1.0]
 
 
 class TestSolve:
@@ -408,9 +407,7 @@ class TestSolve:
         "sense, objective_kind",
         [(sdp.MINIMIZE, OBJECTIVE_IDENTITY), (sdp.MAXIMIZE, OBJECTIVE_INDEFINITE)],
     )
-    def test_complex_optimum_is_exact_embedding(self, sense, objective_kind):
-        # the raw iterate of this instance is 7e-8 (min) and 2e-7 (max) off
-        # the embedded Hermitian space
+    def test_complex_optimum_is_hermitian(self, sense, objective_kind):
         spec = GeneratorSpec(
             n=6, m=5, case=CASE_A, sense=sense, objective_kind=objective_kind,
             seed=3, field=sdp.COMPLEX,
@@ -418,14 +415,37 @@ class TestSolve:
         inst = generate(spec)
         sol = sdp.solve_instance(inst)
         assert sol.status == sdp.OPTIMAL
+        assert isinstance(sol.X, HermMatrix) and isinstance(sol.dual_slack, HermMatrix)
         X = sol.X.a
-        assert np.max(np.abs(X - j_symmetrize(X))) <= 1e-15 * np.max(np.abs(X))
-        # C and A_k lie in that space: the projection keeps objective and constraints
-        C, A = inst.embedded_view
-        assert 0.5 * np.tensordot(C, X, 2) == pytest.approx(sol.objective_value, rel=1e-8)
-        traces = 0.5 * np.tensordot(A, X, 2)
+        assert X.shape == (6, 6) and np.array_equal(X, np.conj(X.T))
+        assert np.linalg.eigvalsh(X)[0] >= -sdp.PSD_TOL
+        C, A = inst.field_view
+        assert np.real(np.trace(C @ X)) == pytest.approx(sol.objective_value, rel=1e-8)
+        traces = np.real(np.trace(A @ X, axis1=1, axis2=2))
         slack = traces - 1.0 if sense == sdp.MINIMIZE else 1.0 - traces
         assert np.all(slack >= -1e-7)
+        assert sol.to_json_dict()["X"]["n"] == 6
+
+    @pytest.mark.parametrize("sense", sdp.SENSES)
+    @pytest.mark.parametrize("case", CASES)
+    def test_complex_relaxation_matches_the_real_embedding(self, case, sense):
+        # the reference: the same relaxation in the real 2n embedding, whose
+        # traces double, so its right-hand sides are 2 and its optimum is halved
+        kind = OBJECTIVE_IDENTITY if sense == sdp.MINIMIZE else OBJECTIVE_INDEFINITE
+        insts = [
+            generate(GeneratorSpec(n=10, m=m, case=case, sense=sense, objective_kind=kind,
+                                   seed=0, field=sdp.COMPLEX))
+            for m in (5, 30, 100)
+        ]
+        flip = -1.0 if sense == sdp.MAXIMIZE else 1.0
+        for inst, sol in zip(insts, sdp.solve_instances(insts)):
+            C, A = inst.field_view
+            p = len(A)
+            ref = _ipm.solve_conic(flip * embed(C)[None], embed(A)[None], np.full((1, p), 2.0),
+                                   np.full((1, p), -flip), np.zeros((1, p)))[0]
+            assert sol.to_json_dict()["status"] == ref.status, inst.m
+            if ref.status == "optimal":
+                assert sol.objective_value == pytest.approx(0.5 * flip * ref.objective, rel=1e-7)
 
 
 @pytest.fixture
@@ -452,7 +472,7 @@ def recheck_slater(inst, rep):
         assert t == pytest.approx(rep.t, rel=1e-9, abs=1e-12)
         assert (t > sdp._SLATER_TOL) == rep.dual_slater
         return
-    x = np.array(rep.witness)
+    x = field_point(inst, rep.witness)
     assert rep.certificate == ()
     assert np.linalg.norm(x) == pytest.approx(1.0)
     values = sdp.constraint_values(inst, x)
@@ -465,7 +485,7 @@ def recheck_slater(inst, rep):
 
 def probe_decides(inst):
     """The reference answer: the interior-point probe's best mu, checked by eigenvalues."""
-    mu, _ = sdp._probe_definite(inst.embedded_view.A)
+    mu, _ = sdp._probe_definite(inst.field_view.A)
     return np.linalg.eigvalsh(np.tensordot(mu, inst.field_view.A, 1))[0] > sdp._SLATER_TOL
 
 
