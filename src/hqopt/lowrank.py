@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import HermMatrix, SymMatrix
+from .matrices import HermMatrix, SymMatrix, compress
 from .sdp import COMPLEX, OPTIMAL, PSD_TOL, QcqpInstance, SdpSolution
 
 # relative cut-off: an eigenvalue (singular value) counts toward a rank when
@@ -154,9 +154,8 @@ def reduce_rank(sol: SdpSolution, inst: QcqpInstance, *, seed: int = 0) -> LowRa
 
     steps = 0
     while r > bound and steps < cap:
-        Uh = np.conj(U.T)
         # one row per constraint, then the objective's
-        system = np.concatenate([vec(Uh @ mats @ U), vec(Uh @ C @ U)[None]])
+        system = np.concatenate([vec(compress(mats, U)), vec(compress(C, U))[None]])
         _, svals, Vh = np.linalg.svd(system, full_matrices=True)
         candidates = [Vh[-1]]
         null_dim = Vh.shape[0] - len(svals[svals > 1e-10])

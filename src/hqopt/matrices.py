@@ -215,3 +215,12 @@ def frobenius_norm(a: AnyMatrix | np.ndarray) -> float:
     """Frobenius norm of a matrix (wrapper types or a plain, possibly complex, ndarray)."""
     arr = a.a if isinstance(a, (SymMatrix, HermMatrix)) else np.asarray(a)
     return float(np.linalg.norm(arr, "fro"))
+
+
+def compress(mats: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """U* M U for a matrix M, or for every slice of a (k, n, n) stack, with U of shape (n, r).
+
+    A point x = U d has x* M x = d* (U* M U) d, so the rank reduction, the
+    sampler and the exact extraction all work on these r x r compressions.
+    """
+    return np.conj(U.T) @ mats @ U

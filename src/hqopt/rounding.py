@@ -10,14 +10,19 @@ Three schemes extract feasible rank-one points from a solved relaxation:
 * GaussianMax -- draw xi ~ N(0, X_hat) and rescale by the largest constraint
   value, for maximization problems with any number of indefinite constraints.
 
-All three run the same sampler: points xi = F d for draws d, each rescaled
-by its own binding constraint value, which dominates the accept/reject
-argument behind the worst-case ratios.  The fixed-threshold joint events
-those arguments use are counted separately so the stated success
-probabilities can be audited.  Complex instances are sampled in their own
-field: a complex Gaussian coordinate has independent real and imaginary
-parts of variance one half, and a complex point is reported as (Re; Im).
-round_solution picks the scheme for a solved instance.
+All three run the same sampler: points xi = F d for draws d in F^r, from an
+n x r factor F, each rescaled by its own binding constraint value, which
+dominates the accept/reject argument behind the worst-case ratios.  The
+fixed-threshold joint events those arguments use are counted separately so
+the stated success probabilities can be audited.  Every value the sampler
+reads is xi* M xi = d* (F* M F) d, so it works on the r x r compressions of
+the objective and the constraints, made once per call, and forms xi only
+for the sample it keeps (following Luo, Sidiropoulos, Tseng & Zhang, SIAM
+J. Optim. 2007, whose rounding draws from a rank-r factor).  Complex
+instances are sampled in their own field: a complex Gaussian coordinate has
+independent real and imaginary parts of variance one half, and a complex
+point is reported as (Re; Im).  round_solution picks the scheme for a
+solved instance.
 
 All draws of one rounding call come from a single counter-based Philox4x64
 stream (Salmon et al., SC'11) keyed by the seed.  Every sample consumes a
@@ -28,7 +33,9 @@ word).
 Sample i owns the counter blocks [i b, (i + 1) b) with b = ceil(w / 4), each
 block yielding four words, so its draw is a pure function of (seed, i): a
 prefix of the sample sequence never depends on num_samples, and neither the
-chunk size nor the order in which chunks are evaluated changes results.
+chunk size nor the order in which chunks are evaluated changes results: each
+sample's values are summed in an order that does not depend on the chunk
+(see _sample).
 """
 from __future__ import annotations
 
@@ -39,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .lowrank import RANK_TOL, LowRankSolution, factorize, reduce_rank
-from .matrices import HermMatrix, SymMatrix, sym_eig
+from .matrices import HermMatrix, SymMatrix, compress, sym_eig
 from .sdp import (
     COMPLEX,
     MAXIMIZE,
@@ -169,13 +176,22 @@ def _draw_rows(seed: int, start: int, count: int, r: int, scale: float | None) -
     return rows[:, :r]
 
 
-def _quadform(Xi: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """xi* a xi for every row xi of Xi; a is Hermitian (symmetric for real rows)."""
-    if np.iscomplexobj(Xi):
-        # the rows of Xi a^T are a xi, and Re conj(xi) . (a xi) is a real dot
-        # over the float64 views
-        return np.einsum("si,si->s", (Xi @ a.T).view(np.float64), Xi.view(np.float64))
-    return np.einsum("si,si->s", Xi @ a, Xi)
+def _outer_rows(d: np.ndarray) -> np.ndarray:
+    """Each draw's (row's) outer product conj(d) d^T, flattened to float64.
+
+    A complex entry is read as its (Re, Im) pair through the float64 view,
+    so a row meets _form_rows(K)[k] in a real dot product.
+    """
+    return (np.conj(d)[:, :, None] * d[:, None, :]).reshape(len(d), -1).view(np.float64)
+
+
+def _form_rows(K: np.ndarray) -> np.ndarray:
+    """Rows w_k with _outer_rows(d) @ w_k = d* K_k d, for a (k, r, r) stack of Hermitian K_k.
+
+    d* K d is the sum of conj(d_i) d_j K_ij, whose real part pairs
+    (Re, Im) of conj(d_i) d_j with (Re, -Im) of K_ij.
+    """
+    return np.conj(K).reshape(len(K), -1).view(np.float64)
 
 
 @dataclass(frozen=True)
@@ -205,6 +221,14 @@ def _sample(
     otherwise xi / sqrt(denominator) is a feasible point with objective
     xi*C xi / denominator.  joint_event(denominator, xi*C xi) marks the
     samples inside the scheme's fixed-threshold joint event.
+
+    Every value is read on the r x r compressions F* M F, made once per call:
+    xi* M xi = d* (F* M F) d, so a chunk's objective and m + 1 constraint
+    values are one product of its draws' outer products with the stacked
+    compressions, and xi = F d is formed for the kept sample only.  That
+    product is an einsum, which sums each sample's terms in the same order
+    whatever the chunk size (a BLAS product does not), so _SAMPLE_CHUNK
+    changes no result.
     """
     if F.shape[1] == 0:
         # every point is zero, so every denominator is
@@ -212,10 +236,11 @@ def _sample(
     r = F.shape[1]
     complex_draw = inst.field == COMPLEX and not signs
     scale = None if signs else (math.sqrt(0.5) if complex_draw else 1.0)
-    obj_mat, cons_mats = inst.field_view
+    # row 0 is the objective's, rows 1..m+1 the constraints'
+    forms = _form_rows(compress(inst.field_stack, F))
     sign = 1.0 if inst.sense == MINIMIZE else -1.0
     best = math.inf  # sign * objective, smaller is better
-    best_x = None
+    best_d = best_den = None
     feasible = joint = 0
     for start in range(0, p.num_samples, _SAMPLE_CHUNK):
         count = min(_SAMPLE_CHUNK, p.num_samples - start)
@@ -223,12 +248,11 @@ def _sample(
             rows = _draw_rows(p.seed, start, count, 2 * r, scale)
             d = np.empty((count, r), complex)
             d.real, d.imag = rows[:, :r], rows[:, r:]
-            Xi = d @ F.T
         else:
-            Xi = _draw_rows(p.seed, start, count, r, scale) @ F.T
-        vals = np.stack([_quadform(Xi, a) for a in cons_mats], axis=1)
-        dens = vals.min(axis=1) if sign > 0 else vals.max(axis=1)
-        raw = _quadform(Xi, obj_mat)
+            d = _draw_rows(p.seed, start, count, r, scale)
+        vals = np.einsum("si,ki->ks", _outer_rows(d), forms)
+        raw = vals[0]
+        dens = vals[1:].min(axis=0) if sign > 0 else vals[1:].max(axis=0)
         joint += int(np.count_nonzero(joint_event(dens, raw)))
         ok = np.flatnonzero(dens > 0.0)
         feasible += ok.size
@@ -237,7 +261,8 @@ def _sample(
             j = int(np.argmin(keys))
             if keys[j] < best:
                 best = float(keys[j])
-                best_x = Xi[ok[j]] / math.sqrt(dens[ok[j]])
+                best_d, best_den = d[ok[j]], float(dens[ok[j]])
+    best_x = None if best_d is None else F @ best_d / math.sqrt(best_den)
     return _Draws(sign * best, best_x, feasible, p.num_samples - feasible, joint)
 
 
@@ -293,7 +318,7 @@ def bound_certificate_max(inst: QcqpInstance, X_hat: SymMatrix | HermMatrix) -> 
     X = X_hat.a
     tags = inst.tags
     indef = set(inst.indefinite_indices)
-    norms = [float(np.linalg.norm(A @ X)) for A in inst.field_view.A]
+    norms = np.linalg.norm(inst.field_view.A @ X, axis=(1, 2)).tolist()
 
     terms = []
     n_def = len(inst.constraints) - len(indef)
@@ -480,7 +505,7 @@ def sign_round_max(inst: QcqpInstance, lowrank: LowRankSolution, p: RoundingPara
     else:
         bound = 1.0 if m == 0 else alpha
 
-    Q = sym_eig(U.T @ inst.objective.a @ U).vectors
+    Q = sym_eig(compress(inst.field_view.C, U)).vectors
     draws = _sample(inst, U @ Q, p, lambda dens, raw: dens <= alpha, signs=True)
     return _report(p.scheme, p.seed, p.num_samples, inst.sense, lowrank.objective_value,
                    bound, not warn, warn, draws)
@@ -532,7 +557,7 @@ def _sphere_grid(t_lo, t_hi, p_lo, p_hi, n_t, n_p):
     return T, P, U.reshape(3, -1)
 
 
-def _rank_one_on_face(C_hat: np.ndarray, A_hats: list, v: float):
+def _rank_one_on_face(C_hat: np.ndarray, A_hats: np.ndarray, v: float):
     """Rank-one W = w w* with Tr(C_hat W) = v and Tr(A_hat_k W) >= 1, or None.
 
     Rank-one PSD 2x2 matrices are the rays s (1, u) of the Lorentz-cone
@@ -622,14 +647,11 @@ def complex_exact_extraction(inst: QcqpInstance, lowrank: LowRankSolution) -> Ro
     if r == 1:
         return finish(lowrank.U[:, 0], "rank-one factor is not feasible")
     if r == 2:
-        U = lowrank.U
-        C, mats = inst.field_view
-        C_hat = np.conj(U.T) @ C @ U
-        A_hats = [np.conj(U.T) @ A @ U for A in mats]
-        w = _rank_one_on_face(C_hat, A_hats, v_sdp)
+        K = compress(inst.field_stack, lowrank.U)
+        w = _rank_one_on_face(K[0], K[1:], v_sdp)
         if w is None:
             return finish(None, "no rank-one point found on the optimal face")
-        return finish(U @ w, "rank-one point is not feasible")
+        return finish(lowrank.U @ w, "rank-one point is not feasible")
     return finish(None, f"factor rank {r} exceeds 2")
 
 

@@ -9,10 +9,10 @@ An instance is
 and its relaxation replaces xx* by a PSD matrix variable: an n x n real
 symmetric one for real data and an n x n Hermitian one for complex data,
 which the interior-point core solves in its own field.  Each instance
-caches its data once, stacked, as ``field_view``; the solver, the rank
-reduction and the sampler all read it.  A rounded point or a Slater
-witness is reported as a tuple of reals, (Re x; Im x) for a complex x
-(``real_point``).
+caches its data once, stacked, as ``field_stack``, with ``field_view``
+splitting it into C and the A_k; the solver, the rank reduction and the
+sampler all read it.  A rounded point or a Slater witness is reported as a
+tuple of reals, (Re x; Im x) for a complex x (``real_point``).
 
 slater_check decides whether some nonnegative combination of the A_k is
 positive definite, which the max-form rounding needs.  Under the paper's
@@ -122,10 +122,16 @@ class QcqpInstance:
         return len(self.constraints) - 1
 
     @cached_property
-    def field_view(self) -> MatrixView:
-        """C and the A_k in the instance's own field (complex for complex data)."""
+    def field_stack(self) -> np.ndarray:
+        """[C; A_0; ..; A_m] as one read-only (m + 2, n, n) array in the instance's own field."""
         stack = np.stack([h.a for h in (self.objective, *self.constraints)])
         stack.flags.writeable = False
+        return stack
+
+    @cached_property
+    def field_view(self) -> MatrixView:
+        """C and the A_k in the instance's own field, as views of field_stack."""
+        stack = self.field_stack
         return MatrixView(stack[0], stack[1:])
 
     @cached_property
@@ -169,8 +175,7 @@ class QcqpInstance:
 def constraint_values(inst: QcqpInstance, x: np.ndarray) -> np.ndarray:
     """x* A_k x for every k, x a vector in the instance's field."""
     x = np.asarray(x)
-    xh = np.conj(x)
-    return np.array([float(np.real(xh @ (a @ x))) for a in inst.field_view.A])
+    return np.real((inst.field_view.A @ x) @ np.conj(x))
 
 
 def objective_value(inst: QcqpInstance, x: np.ndarray) -> float:

@@ -9,6 +9,7 @@ from hqopt.matrices import (
     DecompositionError,
     HermMatrix,
     SymMatrix,
+    compress,
     frobenius_norm,
     sym_eig,
 )
@@ -100,6 +101,19 @@ class TestTraceInner:
     def test_frobenius_hermitian(self):
         h = HermMatrix.from_complex(np.array([[1.0, 1j], [-1j, 1.0]]))
         assert frobenius_norm(h) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_compress_stack_matches_each_slice(complex_field):
+    rng = np.random.default_rng(9)
+    draw = random_herm if complex_field else random_sym
+    stack = np.stack([draw(rng, 5).a for _ in range(4)])
+    U = rng.standard_normal((5, 2)) + (1j * rng.standard_normal((5, 2)) if complex_field else 0.0)
+    K = compress(stack, U)
+    assert K.shape == (4, 2, 2)
+    for M, k in zip(stack, K):
+        assert np.array_equal(compress(M, U), k)
+        np.testing.assert_allclose(k, np.conj(U).T @ M @ U, rtol=1e-12, atol=1e-12 * np.abs(M).max())
 
 
 class TestJson:

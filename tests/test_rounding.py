@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqopt import rounding
+from hqopt.instances import CASE_A, OBJECTIVE_IDENTITY, GeneratorSpec, generate
 from hqopt.lowrank import LowRankSolution, reduce_rank
-from hqopt.matrices import HermMatrix, SymMatrix
+from hqopt.matrices import HermMatrix, SymMatrix, compress
 from hqopt.rounding import (
     GAUSSIAN_MAX,
     GAUSSIAN_MIN,
@@ -107,6 +108,15 @@ def max_pipeline():
     return inst, sol, low
 
 
+@pytest.fixture(scope="module")
+def complex_min_pipeline():
+    # case A reduces to rank 2 at this seed, so its draws have several coordinates
+    inst = generate(GeneratorSpec(n=6, m=6, case=CASE_A, sense=MINIMIZE,
+                                  objective_kind=OBJECTIVE_IDENTITY, seed=2, field=COMPLEX))
+    sol, low = solved_pipeline(inst)
+    return inst, sol, low
+
+
 class TestRoundingParams:
     def test_defaults(self):
         p = RoundingParams(GAUSSIAN_MIN)
@@ -150,12 +160,17 @@ class TestSampleStream:
         assert np.array_equal(rounding._draw_rows(3, 37, 50, 5, scale), full[37:87])
         assert np.array_equal(rounding._draw_rows(3, 199, 1, 5, scale), full[199:])
 
-    def test_chunk_size_does_not_change_reports(self, min_pipeline, max_pipeline, monkeypatch):
+    def test_chunk_size_does_not_change_reports(
+        self, min_pipeline, max_pipeline, complex_min_pipeline, monkeypatch
+    ):
         def reports():
             inst, _, low = min_pipeline
             mx, mx_sol, mx_low = max_pipeline
+            cx, _, cx_low = complex_min_pipeline
+            assert cx_low.r > 1
             return [
                 gaussian_round_min(inst, low, RoundingParams(GAUSSIAN_MIN, 500, seed=4)),
+                gaussian_round_min(cx, cx_low, RoundingParams(GAUSSIAN_MIN, 500, seed=4)),
                 sign_round_max(mx, mx_low, RoundingParams(SIGN_MAX, 500, seed=4)),
                 gaussian_round_max(mx, mx_sol, RoundingParams(GAUSSIAN_MAX, 500, seed=4)),
             ]
@@ -163,6 +178,54 @@ class TestSampleStream:
         default = [r.to_json_dict() for r in reports()]
         monkeypatch.setattr(rounding, "_SAMPLE_CHUNK", 7)
         assert [r.to_json_dict() for r in reports()] == default
+
+    @pytest.mark.parametrize("r", [1, 3, 6])
+    @pytest.mark.parametrize("kind", ["real", "complex", "signs"])
+    def test_compressed_values_match_full_forms(self, kind, r):
+        # the sampler reads d* (F* M F) d on the r x r compressions; every value
+        # must be xi* M xi on the full matrices with xi = F d (r = n is
+        # GaussianMax's full factor), and the kept point must bind at 1
+        n, m, samples, seed = 6, 4, 300, 5
+        rng = np.random.default_rng(40 + r)
+        field = COMPLEX if kind == "complex" else REAL
+        draw = (lambda: herm_pd(rng, n)) if field == COMPLEX else (lambda: rand_pd(rng, n))
+        inst = QcqpInstance(sense=MAXIMIZE if kind == "signs" else MINIMIZE, field=field,
+                            objective=draw(), constraints=tuple(draw() for _ in range(m + 1)))
+        basis = _orth(rng, n) if field == REAL else np.linalg.qr(
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        F = basis[:, :r] * rng.uniform(0.5, 2.0, r)
+        if kind == "complex":
+            rows = rounding._draw_rows(seed, 0, samples, 2 * r, math.sqrt(0.5))
+            d = rows[:, :r] + 1j * rows[:, r:]
+        else:
+            d = rounding._draw_rows(seed, 0, samples, r, None if kind == "signs" else 1.0)
+        xi = d @ F.T
+        full = np.stack([np.real(np.einsum("si,ij,sj->s", np.conj(xi), a, xi))
+                         for a in inst.field_stack])
+
+        K = rounding._form_rows(compress(inst.field_stack, F))
+        vals = np.einsum("si,ki->ks", rounding._outer_rows(d), K)
+        np.testing.assert_allclose(vals, full, rtol=1e-12, atol=0)
+
+        seen = []
+
+        def joint_event(dens, raw):
+            seen.append((dens, raw))
+            return dens > 0.0
+
+        scheme = SIGN_MAX if kind == "signs" else GAUSSIAN_MIN
+        draws = rounding._sample(inst, F, RoundingParams(scheme, samples, seed), joint_event,
+                                 signs=kind == "signs")
+        dens, raw = (np.concatenate(v) for v in zip(*seen))
+        want = full[1:].max(axis=0) if kind == "signs" else full[1:].min(axis=0)
+        np.testing.assert_allclose(dens, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(raw, full[0], rtol=1e-12, atol=0)
+        assert draws.feasible == draws.joint == samples
+
+        x = draws.best_x
+        values = constraint_values(inst, x)
+        assert (values.max() if kind == "signs" else values.min()) == pytest.approx(1.0, rel=1e-12)
+        assert draws.best_objective == pytest.approx(objective_value(inst, x), rel=1e-12)
 
     def test_prefix_independent_of_num_samples(self, min_pipeline, monkeypatch):
         inst, _, low = min_pipeline
@@ -358,6 +421,22 @@ class TestBoundCertificateMax:
         linear = (20.0 + 8.0 * math.log(3.0)) * max(norms)
         quad = math.sqrt(200.0 * sum(s * s for s in norms))
         assert cert["alpha"] == pytest.approx(1.0 + min(linear, quad), rel=1e-12)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_norms_match_each_matrix(self, field):
+        # one stacked norm against ||A_k X_hat||_F matrix by matrix
+        rng = np.random.default_rng(8)
+        n, m = 5, 6
+        if field == REAL:
+            inst, X_hat = max_one_indefinite(rng, n, m), rand_pd(rng, n)
+        else:
+            inst = QcqpInstance(sense=MAXIMIZE, field=COMPLEX, objective=herm_pd(rng, n),
+                                constraints=tuple(herm_pd(rng, n) for _ in range(m + 1)))
+            X_hat = herm_pd(rng, n)
+        got = [d["frob_norm"] for d in bound_certificate_max(inst, X_hat)["per_constraint"]]
+        want = [np.linalg.norm(h.a @ X_hat.a) for h in inst.constraints]
+        assert all(type(v) is float for v in got)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_complex_constants(self):
         inst = QcqpInstance(

@@ -237,6 +237,17 @@ class TestFieldViews:
         inst = random_instance(field)
         assert inst.field_view is inst.field_view
 
+    @pytest.mark.parametrize("field", sdp.FIELDS)
+    def test_constraint_values_match_each_matrix(self, field):
+        # the stacked product against x* A_k x matrix by matrix
+        inst = random_instance(field, n=5, p=7, seed=6)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(5) + (1j * rng.standard_normal(5) if field == sdp.COMPLEX else 0.0)
+        got = sdp.constraint_values(inst, x)
+        want = [np.real(np.conj(x) @ (h.a @ x)) for h in inst.constraints]
+        assert got.dtype == np.float64 and got.shape == (7,)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
     def test_constraint_values_on_vector_and_embedding(self):
         # a report carries a complex point as (Re; Im); read back, it has the
         # point's values, which are those of the real embedding
