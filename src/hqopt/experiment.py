@@ -97,6 +97,10 @@ class ExperimentConfig:
             raise ValueError(f"cases must be drawn from {CASES}")
         if not self.m_list or any(not isinstance(m, int) or m < 1 for m in self.m_list):
             raise ValueError("m_list must hold positive integers")
+        # a repeated entry would solve its cells again and write their rows twice
+        for name, values in (("cases", self.cases), ("m_list", self.m_list)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} has duplicate entries: {tuple(values)}")
         if self.instances_per_m < 0 or self.samples < 1 or self.n < 2:
             raise ValueError("need instances_per_m >= 0, samples >= 1, n >= 2")
         if self.scheme not in SCHEMES:

@@ -3,16 +3,18 @@
 Generation follows the published experiment recipe: constraint matrices are
 rand * Q^T diag(d) Q with Q orthogonal from a QR factorization of a Gaussian
 matrix, where d is abs(randn) entries (full-rank PSD), a single abs(randn)
-entry padded with zeros (rank-one PSD), or randn entries (indefinite).  An
-instance's PSD constraints are drawn as one stack (random_matrices): the
-random stream is read matrix by matrix in the one-at-a-time order, then one
-stacked QR and one batched product build them, so a seed gives the same
-matrices bit for bit as separate draws would.  The
-four canonical examples pin down worst-case behaviour of the relaxation:
-an unbounded minimization gap, coupled indefinite pairs whose true optimum
-grows like M^2, a maximization family with ratio growing like 0.382 M, and a
-maximization instance whose relaxation is unbounded while the original
-problem is not.
+entry padded with zeros (rank-one PSD), or randn entries (indefinite).
+Matrices are drawn as one (count, n, n) stack in the instance's field
+(random_matrices): the random stream is read matrix by matrix in the
+one-at-a-time order, then one stacked QR, one batched product and one
+Hermitian projection build them, so a seed gives the same matrices bit for
+bit as separate draws would.  An instance is the concatenation [C; A_0; ..;
+A_m] of its draws, handed to ``QcqpInstance.from_stack``; generation builds
+no per-matrix SymMatrix or HermMatrix.  The four canonical examples pin
+down worst-case behaviour of the relaxation: an unbounded minimization
+gap, coupled indefinite pairs whose true optimum grows like M^2, a
+maximization family with ratio growing like 0.382 M, and a maximization
+instance whose relaxation is unbounded while the original problem is not.
 """
 
 import dataclasses
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import HermMatrix, SymMatrix
+from .matrices import SymMatrix, hermitian_part
 from .sdp import (
     COMPLEX,
     INDEFINITE,
@@ -118,68 +120,61 @@ def _generator_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def _full_rank(rng: np.random.Generator, n: int) -> np.ndarray:
-    return np.abs(rng.standard_normal(n))
-
-
-def _rank_one(rng: np.random.Generator, n: int) -> np.ndarray:
-    d = np.zeros(n)
-    d[0] = abs(rng.standard_normal())
-    return d
-
-
-def _indefinite(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.standard_normal(n)
-
-
 FULL_RANK = "full_rank"
 RANK_ONE = "rank_one"
 INDEFINITE_SPECTRUM = "indefinite"
-_SPECTRA = {FULL_RANK: _full_rank, RANK_ONE: _rank_one, INDEFINITE_SPECTRUM: _indefinite}
+_SPECTRA = (FULL_RANK, RANK_ONE, INDEFINITE_SPECTRUM)
 
 
 def random_matrices(
     rng: np.random.Generator, n: int, count: int, spectrum: str, complex_field: bool = False
-) -> list:
-    """count draws of rand * Q* diag(d) Q, with d from spectrum and Q from a QR.
+) -> np.ndarray:
+    """count draws of rand * Q* diag(d) Q as one (count, n, n) stack, Hermitian-projected.
 
-    The stream is read one matrix after another (d, the Gaussian behind Q and
-    its imaginary part for complex data, then the scale), exactly as
-    one-at-a-time draws read it; one stacked QR and one batched product then
-    build the whole stack.
+    d is abs(randn) entries (FULL_RANK), one abs(randn) entry padded with
+    zeros (RANK_ONE) or randn entries (INDEFINITE_SPECTRUM); Q comes from a
+    QR of a Gaussian matrix, complex for complex data.  Each matrix reads the
+    stream with one standard_normal call for d, Re g and Im g together, then
+    one uniform for the scale: the same values, in the same order, as
+    separate calls for each.
     """
-    spectrum_draw = _SPECTRA[spectrum]
-    if not count:
-        return []
+    if spectrum not in _SPECTRA:
+        raise ValueError(f"unknown spectrum {spectrum!r}")
     dtype = complex if complex_field else float
-    d = np.empty((count, n))
-    g = np.empty((count, n, n), dtype=dtype)
+    if not count:
+        return np.empty((0, n, n), dtype=dtype)
+    head = 1 if spectrum == RANK_ONE else n
+    draws = np.empty((count, head + (2 if complex_field else 1) * n * n))
     scale = np.empty(count)
     for k in range(count):
-        d[k] = spectrum_draw(rng, n)
-        g[k] = rng.standard_normal((n, n))
-        if complex_field:
-            g[k] += 1j * rng.standard_normal((n, n))
+        rng.standard_normal(out=draws[k])
         scale[k] = rng.uniform()
+    if spectrum == RANK_ONE:
+        d = np.zeros((count, n))
+        d[:, 0] = np.abs(draws[:, 0])
+    else:
+        d = draws[:, :n] if spectrum == INDEFINITE_SPECTRUM else np.abs(draws[:, :n])
+    g = draws[:, head:head + n * n].reshape(count, n, n)
+    if complex_field:
+        g = g + 1j * draws[:, head + n * n:].reshape(count, n, n)
     q, _ = np.linalg.qr(g)
     mats = scale[:, None, None] * ((np.conj(q.swapaxes(-1, -2)) * d[:, None, :]) @ q)
-    if complex_field:
-        return [HermMatrix.from_complex(a) for a in mats]
-    return [SymMatrix(a) for a in mats]
+    return hermitian_part(mats)
 
 
 def indefinite_matrix(rng: np.random.Generator, n: int, complex_field: bool = False):
     """Draw rand * Q^T diag(randn) Q, redrawing until both eigenvalue signs appear.
 
-    Returns (matrix, regeneration_count); a redraw has probability ~2^(1-n)
-    and is impossible at n = 1, which raises instead.
+    Returns (matrix, regeneration_count), the matrix an (n, n) array in the
+    field; a redraw has probability ~2^(1-n) and is impossible at n = 1,
+    which raises instead.
     """
     if n < 2:
         raise ValueError("an indefinite matrix needs dimension at least 2")
     regenerated = 0
     while True:
-        (mat,) = random_matrices(rng, n, 1, INDEFINITE_SPECTRUM, complex_field)
-        vals = np.linalg.eigvalsh(mat.a)
+        mat = random_matrices(rng, n, 1, INDEFINITE_SPECTRUM, complex_field)[0]
+        vals = np.linalg.eigvalsh(mat)
         tol = _SPECTRUM_TOL * max(1.0, float(np.abs(vals).max()))
         if vals[0] < -tol and vals[-1] > tol:
             return mat, regenerated
@@ -187,29 +182,26 @@ def indefinite_matrix(rng: np.random.Generator, n: int, complex_field: bool = Fa
 
 
 def _draw_instance(spec: GeneratorSpec, rng: np.random.Generator):
+    # the stream is read in the order indefinite constraints, PSD
+    # constraints, objective; the stack is [objective; constraints]
     complex_field = spec.field == COMPLEX
-    kind = HermMatrix if complex_field else SymMatrix
     regenerated = 0
-
-    constraints = []
+    indefinite = []
     for _ in range(spec.num_indefinite):
         mat, redraws = indefinite_matrix(rng, spec.n, complex_field)
         regenerated += redraws
-        constraints.append(mat)
+        indefinite.append(mat)
     spectrum = RANK_ONE if spec.psd_rank == 1 else FULL_RANK
-    constraints += random_matrices(rng, spec.n, spec.m + 1 - len(constraints), spectrum, complex_field)
+    psd = random_matrices(rng, spec.n, spec.m + 1 - len(indefinite), spectrum, complex_field)
 
     if spec.objective_kind == OBJECTIVE_IDENTITY:
-        eye = np.eye(spec.n, dtype=complex if complex_field else float)
-        objective = kind.from_complex(eye) if complex_field else kind(eye)
+        objective = np.eye(spec.n, dtype=psd.dtype)
     else:
         objective, redraws = indefinite_matrix(rng, spec.n, complex_field)
         regenerated += redraws
 
-    inst = QcqpInstance(
-        sense=spec.sense, field=spec.field, objective=objective, constraints=tuple(constraints)
-    )
-    return inst, regenerated
+    stack = np.concatenate([np.stack([objective, *indefinite]), psd])
+    return QcqpInstance.from_stack(spec.sense, spec.field, stack), regenerated
 
 
 def _always_feasible(spec: GeneratorSpec) -> bool:
@@ -386,8 +378,7 @@ def brute_force_qcqp(inst: QcqpInstance, grid: BruteGrid | None = None) -> float
     if n > 3:
         raise ValueError("the grid oracle supports n <= 3 only")
     g = grid or BruteGrid()
-    C = inst.objective.a
-    As = [a.a for a in inst.constraints]
+    C, As = inst.field_view
     maximize = inst.sense == MAXIMIZE
 
     dirs = _direction_grid(n, g.direction_count)

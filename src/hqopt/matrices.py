@@ -25,6 +25,8 @@ __all__ = [
     "Spectrum",
     "SymMatrix",
     "frobenius_norm",
+    "hermitian_part",
+    "read_only_view",
     "sym_eig",
 ]
 
@@ -56,6 +58,26 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sym_part(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.swapaxes(-1, -2))
+
+
+def _antisym_part(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a - a.swapaxes(-1, -2))
+
+
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(M + M*) / 2 of a matrix or of every slice of a (k, n, n) stack.
+
+    A complex array is projected part by part and reassembled as
+    ``re + 1j * im``, exactly as a ``HermMatrix`` is built and read back, so
+    a stack comes out bit for bit as its matrices wrapped one at a time.
+    """
+    if np.iscomplexobj(a):
+        return _sym_part(a.real) + 1j * _antisym_part(a.imag)
+    return _sym_part(a)
+
+
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
     """Real symmetric matrix, symmetrized on construction.
@@ -74,7 +96,7 @@ class SymMatrix:
             raise ValueError(
                 f"asymmetry {asym:.3e} exceeds strict tolerance {STRICT_TOL:.0e}"
             )
-        object.__setattr__(self, "a", _freeze(0.5 * (arr + arr.T)))
+        object.__setattr__(self, "a", _freeze(_sym_part(arr)))
 
     @property
     def n(self) -> int:
@@ -113,8 +135,8 @@ class HermMatrix:
             raise ValueError(
                 f"hermiticity violation {asym:.3e} exceeds {STRICT_TOL:.0e}"
             )
-        object.__setattr__(self, "re", _freeze(0.5 * (re + re.T)))
-        object.__setattr__(self, "im", _freeze(0.5 * (im - im.T)))
+        object.__setattr__(self, "re", _freeze(_sym_part(re)))
+        object.__setattr__(self, "im", _freeze(_antisym_part(im)))
 
     @staticmethod
     def from_complex(h, strict: bool = False) -> "HermMatrix":
@@ -156,6 +178,23 @@ class HermMatrix:
 
 
 AnyMatrix = Union[SymMatrix, HermMatrix]
+
+
+def read_only_view(a: np.ndarray) -> AnyMatrix:
+    """Wrap a read-only symmetric (Hermitian) array without copying or re-projecting it.
+
+    The caller has validated ``a``; a complex array becomes a HermMatrix
+    whose re and im are views of it.
+    """
+    if np.iscomplexobj(a):
+        mat = object.__new__(HermMatrix)
+        object.__setattr__(mat, "re", a.real)
+        object.__setattr__(mat, "im", a.imag)
+    else:
+        mat = object.__new__(SymMatrix)
+        object.__setattr__(mat, "a", a)
+    object.__setattr__(mat, "strict", False)
+    return mat
 
 
 def _load_matrix_json(text: str) -> dict:

@@ -830,4 +830,6 @@ def run_lemma_check(check_id: str, *, samples: int = 200_000, cases: int = 24,
     """Run one registered verification by id (see CHECK_IDS)."""
     if check_id not in _CHECKS:
         raise ValueError(f"unknown check id {check_id!r}; choose from {CHECK_IDS}")
+    if samples < 1 or cases < 1:
+        raise ValueError(f"need samples >= 1 and cases >= 1, got {samples} and {cases}")
     return _CHECKS[check_id](samples, cases, seed)

@@ -321,7 +321,7 @@ def bound_certificate_max(inst: QcqpInstance, X_hat: SymMatrix | HermMatrix) -> 
     norms = np.linalg.norm(inst.field_view.A @ X, axis=(1, 2)).tolist()
 
     terms = []
-    n_def = len(inst.constraints) - len(indef)
+    n_def = inst.m + 1 - len(indef)
     if n_def >= 1:
         terms.append(c0 + c1 * math.log(n_def))
     if indef:

@@ -8,11 +8,15 @@ An instance is
 
 and its relaxation replaces xx* by a PSD matrix variable: an n x n real
 symmetric one for real data and an n x n Hermitian one for complex data,
-which the interior-point core solves in its own field.  Each instance
-caches its data once, stacked, as ``field_stack``, with ``field_view``
-splitting it into C and the A_k; the solver, the rank reduction and the
-sampler all read it.  A rounded point or a Slater witness is reported as a
-tuple of reals, (Re x; Im x) for a complex x (``real_point``).
+which the interior-point core solves in its own field.  An instance holds
+its data in one form only: the read-only (m + 2, n, n) stack [C; A_0; ..;
+A_m] in its own field (``field_stack``), validated once when the instance
+is built, with ``field_view`` splitting it into C and the A_k; the solver,
+the rank reduction and the sampler all read it.  ``objective`` and
+``constraints`` are SymMatrix/HermMatrix views of it, made on first use
+for JSON output and other callers that want one matrix at a time.  A
+rounded point or a Slater witness is reported as a tuple of reals,
+(Re x; Im x) for a complex x (``real_point``).
 
 slater_check decides whether some nonnegative combination of the A_k is
 positive definite, which the max-form rounding needs.  Under the paper's
@@ -30,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _ipm
-from .matrices import HermMatrix, SymMatrix, frobenius_norm
+from .matrices import HermMatrix, SymMatrix, frobenius_norm, read_only_view
 
 MINIMIZE = "Minimize"
 MAXIMIZE = "Maximize"
@@ -83,6 +87,15 @@ def tag_matrix(mat: SymMatrix | HermMatrix | np.ndarray) -> str | tuple:
     )
 
 
+def _check_labels(sense: str, field: str, count: int) -> None:
+    if sense not in SENSES:
+        raise ValueError(f"sense must be one of {SENSES}")
+    if field not in FIELDS:
+        raise ValueError(f"field must be one of {FIELDS}")
+    if count < 2:
+        raise ValueError("at least one constraint is required")
+
+
 class MatrixView(NamedTuple):
     """An instance's objective and stacked constraints, read-only."""
 
@@ -90,43 +103,71 @@ class MatrixView(NamedTuple):
     A: np.ndarray  # shape (m + 1, n, n)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class QcqpInstance:
+    """An instance held as one validated, read-only (m + 2, n, n) stack [C; A_0; ..; A_m].
+
+    ``QcqpInstance(sense, field, objective, constraints)`` takes SymMatrix
+    (real) or HermMatrix (complex) data and stacks it; ``from_stack`` takes
+    the stack itself.  Both run the same validation.  ``objective`` and
+    ``constraints`` are read-only matrix views of the stack, built on first
+    use.
+    """
+
     sense: str
     field: str
-    objective: SymMatrix | HermMatrix
-    constraints: tuple
+    field_stack: np.ndarray
 
-    def __post_init__(self):
-        if self.sense not in SENSES:
-            raise ValueError(f"sense must be one of {SENSES}")
-        if self.field not in FIELDS:
-            raise ValueError(f"field must be one of {FIELDS}")
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        if not self.constraints:
-            raise ValueError("at least one constraint is required")
-        want = HermMatrix if self.field == COMPLEX else SymMatrix
-        for mat in (self.objective, *self.constraints):
+    def __init__(self, sense: str, field: str, objective, constraints):
+        mats = (objective, *constraints)
+        _check_labels(sense, field, len(mats))
+        want = HermMatrix if field == COMPLEX else SymMatrix
+        for mat in mats:
             if not isinstance(mat, want):
-                raise TypeError(f"{self.field} instances need {want.__name__} data")
-            if mat.n != self.objective.n:
+                raise TypeError(f"{field} instances need {want.__name__} data")
+            if mat.n != objective.n:
                 raise ValueError("all matrices must share one dimension")
+        self._hold(sense, field, np.stack([h.a for h in mats]))
+
+    @classmethod
+    def from_stack(cls, sense: str, field: str, stack: np.ndarray) -> "QcqpInstance":
+        """An instance from [C; A_0; ..; A_m], already symmetric (Hermitian); the stack is copied."""
+        _check_labels(sense, field, len(stack))
+        if field == REAL and np.iscomplexobj(stack):
+            raise TypeError("Real instances need real data")
+        inst = cls.__new__(cls)
+        inst._hold(sense, field, np.array(stack, dtype=complex if field == COMPLEX else float))
+        return inst
+
+    def _hold(self, sense: str, field: str, stack: np.ndarray) -> None:
+        # stack is this instance's own copy; it is validated and frozen here
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise ValueError(f"the data must be a (m + 2, n, n) stack, got shape {stack.shape}")
+        if not np.all(np.isfinite(stack)):
+            raise ValueError("the data contains non-finite entries")
+        if not np.array_equal(stack, np.conj(stack.swapaxes(-1, -2))):
+            raise ValueError("every matrix must be symmetric (Hermitian)")
+        stack.flags.writeable = False
+        object.__setattr__(self, "sense", sense)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "field_stack", stack)
 
     @property
     def n(self) -> int:
-        return self.objective.n
+        return self.field_stack.shape[1]
 
     @property
     def m(self) -> int:
         # constraints are indexed 0..m
-        return len(self.constraints) - 1
+        return len(self.field_stack) - 2
 
     @cached_property
-    def field_stack(self) -> np.ndarray:
-        """[C; A_0; ..; A_m] as one read-only (m + 2, n, n) array in the instance's own field."""
-        stack = np.stack([h.a for h in (self.objective, *self.constraints)])
-        stack.flags.writeable = False
-        return stack
+    def objective(self) -> SymMatrix | HermMatrix:
+        return read_only_view(self.field_stack[0])
+
+    @cached_property
+    def constraints(self) -> tuple:
+        return tuple(read_only_view(a) for a in self.field_stack[1:])
 
     @cached_property
     def field_view(self) -> MatrixView:

@@ -62,11 +62,22 @@ class TestExperimentConfig:
             {"n": 1},
             {"scheme": "Median"},
             {"field": "Complex", "scheme": SIGN_MAX},
+            {"m_list": (5, 5)},
+            {"cases": (CASE_A, CASE_A)},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "flags", [["--m-list", "5,5"], ["--cases", "a,a"], ["--cases", "a,A_OneIndef_RestPD"]]
+    )
+    def test_duplicate_cells_exit_two(self, tmp_path, flags):
+        out = tmp_path / "dup.csv"
+        rc, _ = run_cli(["experiment", *flags, "--instances-per-m", "1", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
 
 
 class TestSeedDerivation:
@@ -331,6 +342,12 @@ class TestCliVerify:
         assert payload["all_passed"] is True
         assert payload["checks"][0]["check_id"] == "L2_1"
         assert payload["root_seed"] == 0
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_no_samples_exits_two(self, samples, capsys):
+        rc, text = run_cli(["verify", "--lemma", "L2_1", "--samples", samples])
+        assert rc == 2 and text == ""
+        assert "samples >= 1" in capsys.readouterr().err
 
     def test_unknown_check_rejected(self):
         with pytest.raises(SystemExit) as err:

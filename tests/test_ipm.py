@@ -2,26 +2,32 @@
 
 The IPM holds the row-normalized constraints of a batch as one
 (B, p, n*n) array and forms its operators and Schur complement as batched
-BLAS products; the instance generator draws a stack of matrices at once and
-tags it with one eigvalsh.  Each is checked against its one-at-a-time
-definition, and every instance of a batched solve against its own solve.
+BLAS products; the instance generator builds each instance as one stack of
+matrices and tags it with one eigvalsh.  Each is checked against its
+one-at-a-time definition (generated instances bit for bit, with their
+redraw counts), and every instance of a batched solve against its own
+solve.
 """
 
 import numpy as np
 import pytest
 
-from hqopt import _ipm
+from hqopt import _ipm, matrices
 from hqopt.experiment import derive_seeds
 from hqopt.instances import (
     CASE_A,
     CASE_C,
     CASES,
     FULL_RANK,
+    INDEFINITE_SPECTRUM,
     OBJECTIVE_IDENTITY,
     OBJECTIVE_INDEFINITE,
+    OBJECTIVE_KINDS,
     RANK_ONE,
     GeneratorSpec,
     generate,
+    generate_report,
+    indefinite_matrix,
     random_matrices,
 )
 from hqopt.matrices import HermMatrix, SymMatrix
@@ -252,15 +258,17 @@ class TestSliceRetry:
             assert np.array_equal(vals[k], np.linalg.eigh(stack[k])[0])
 
 
-def _one_at_a_time(rng, n, count, rank_one, complex_field):
-    """The draw as it was made before stacking: one QR and one product per matrix."""
+def _one_at_a_time(rng, n, count, spectrum, complex_field):
+    """The draw as it was made before stacking: one QR and one product per matrix, then its wrapper."""
     out = []
     for _ in range(count):
-        if rank_one:
+        if spectrum == RANK_ONE:
             d = np.zeros(n)
             d[0] = abs(rng.standard_normal())
-        else:
+        elif spectrum == FULL_RANK:
             d = np.abs(rng.standard_normal(n))
+        else:
+            d = rng.standard_normal(n)
         g = rng.standard_normal((n, n))
         if complex_field:
             g = g + 1j * rng.standard_normal((n, n))
@@ -270,6 +278,51 @@ def _one_at_a_time(rng, n, count, rank_one, complex_field):
     return out
 
 
+def _indefinite_one_at_a_time(rng, n, complex_field):
+    """An indefinite draw and its redraw count, one wrapper per draw."""
+    redraws = 0
+    while True:
+        (mat,) = _one_at_a_time(rng, n, 1, INDEFINITE_SPECTRUM, complex_field)
+        vals = np.linalg.eigvalsh(mat.a)
+        tol = 1e-9 * max(1.0, float(np.abs(vals).max()))
+        if vals[0] < -tol and vals[-1] > tol:
+            return mat, redraws
+        redraws += 1
+
+
+def _instance_one_at_a_time(spec, draws):
+    """The instance of a spec's draws-th draw, built one wrapper at a time, and its redraw count."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed)))
+    complex_field = spec.field == COMPLEX
+    spectrum = RANK_ONE if spec.psd_rank == 1 else FULL_RANK
+    redraws = 0
+    for _ in range(draws):
+        constraints = []
+        for _ in range(spec.num_indefinite):
+            mat, k = _indefinite_one_at_a_time(rng, spec.n, complex_field)
+            constraints.append(mat)
+            redraws += k
+        constraints += _one_at_a_time(
+            rng, spec.n, spec.m + 1 - spec.num_indefinite, spectrum, complex_field
+        )
+        if spec.objective_kind == OBJECTIVE_IDENTITY:
+            eye = np.eye(spec.n)
+            objective = HermMatrix.from_complex(eye) if complex_field else SymMatrix(eye)
+        else:
+            objective, k = _indefinite_one_at_a_time(rng, spec.n, complex_field)
+            redraws += k
+    inst = QcqpInstance(
+        sense=spec.sense, field=spec.field, objective=objective, constraints=tuple(constraints)
+    )
+    return inst, redraws
+
+
+def _same_matrix(got, want):
+    if isinstance(want, HermMatrix):
+        return np.array_equal(got.re, want.re) and np.array_equal(got.im, want.im)
+    return np.array_equal(got.a, want.a)
+
+
 def _tag_by_spectrum(a):
     vals, tol = np.linalg.eigvalsh(a), 1e-9 * np.linalg.norm(a, "fro")
     return PSD if vals[0] >= -tol else NSD if vals[-1] <= tol else INDEFINITE
@@ -277,20 +330,19 @@ def _tag_by_spectrum(a):
 
 class TestStackedDraws:
     @pytest.mark.parametrize("complex_field", [False, True])
-    @pytest.mark.parametrize("spectrum", [FULL_RANK, RANK_ONE])
+    @pytest.mark.parametrize("spectrum", [FULL_RANK, RANK_ONE, INDEFINITE_SPECTRUM])
     def test_stacked_draw_equals_one_at_a_time(self, spectrum, complex_field):
         rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
         got = random_matrices(rng_a, 6, 9, spectrum, complex_field)
-        want = _one_at_a_time(rng_b, 6, 9, spectrum == RANK_ONE, complex_field)
-        assert len(got) == 9
+        want = _one_at_a_time(rng_b, 6, 9, spectrum, complex_field)
+        assert got.shape == (9, 6, 6) and got.dtype == (complex if complex_field else float)
         for g, w in zip(got, want):
-            assert type(g) is type(w)
-            assert np.array_equal(g.a, w.a)
+            assert np.array_equal(g, w.a)
         assert rng_a.standard_normal() == rng_b.standard_normal()
 
     def test_empty_draw_reads_nothing(self):
         rng = np.random.default_rng(3)
-        assert random_matrices(rng, 4, 0, FULL_RANK) == []
+        assert random_matrices(rng, 4, 0, FULL_RANK).shape == (0, 4, 4)
         assert rng.standard_normal() == np.random.default_rng(3).standard_normal()
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -305,3 +357,56 @@ class TestStackedDraws:
         assert inst.tags == tuple(map(_tag_by_spectrum, inst.field_view.A))
         if case == CASE_C:
             assert set(inst.tags[1:]) == {PSD}
+
+
+class TestGenerationReference:
+    """Generated instances against the one-matrix-at-a-time recipe, bit for bit."""
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_indefinite_redraws(self, complex_field):
+        # at n = 2 about half the draws are definite and are drawn again
+        total = 0
+        for seed in range(20):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, k = indefinite_matrix(rng_a, 2, complex_field)
+            want, k_ref = _indefinite_one_at_a_time(rng_b, 2, complex_field)
+            assert np.array_equal(got, want.a) and k == k_ref
+            total += k
+        assert total > 0
+
+    @pytest.mark.parametrize("objective_kind", OBJECTIVE_KINDS)
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("n", [2, 10])
+    @pytest.mark.parametrize("case", CASES)
+    def test_instances(self, case, n, field, objective_kind):
+        # m = 12 gives cases B and D two indefinite constraints, so their
+        # minimization draws go through the feasibility solve
+        sense = MINIMIZE if objective_kind == OBJECTIVE_IDENTITY else MAXIMIZE
+        for seed in range(3):
+            spec = GeneratorSpec(
+                n=n, m=12, case=case, sense=sense, objective_kind=objective_kind,
+                seed=seed, field=field,
+            )
+            rep = generate_report(spec)
+            got = rep.instance
+            want, redraws = _instance_one_at_a_time(spec, rep.feasibility_retries + 1)
+            assert rep.indefinite_regenerations == redraws
+            assert got.field_stack.dtype == want.field_stack.dtype
+            assert got.field_stack.tobytes() == want.field_stack.tobytes()
+            assert got.tags == want.tags
+            assert _same_matrix(got.objective, want.objective)
+            assert all(map(_same_matrix, got.constraints, want.constraints))
+
+    def test_generation_builds_no_matrix_wrappers(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} built during generation")
+
+        monkeypatch.setattr(matrices.HermMatrix, "__post_init__", refuse)
+        monkeypatch.setattr(matrices.SymMatrix, "__post_init__", refuse)
+        spec = GeneratorSpec(
+            n=10, m=100, case=CASE_C, sense=MINIMIZE, objective_kind=OBJECTIVE_IDENTITY,
+            seed=0, field=COMPLEX,
+        )
+        inst = generate(spec)
+        assert inst.field_stack.shape == (102, 10, 10) and len(inst.tags) == 101
+        assert "objective" not in vars(inst) and "constraints" not in vars(inst)

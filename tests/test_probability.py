@@ -445,3 +445,9 @@ class TestRegistry:
     def test_unknown_id(self):
         with pytest.raises(ValueError):
             run_lemma_check("L7_7")
+
+    @pytest.mark.parametrize("check_id", prob.CHECK_IDS)
+    @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"cases": 0}, {"samples": -1}])
+    def test_empty_runs_rejected(self, check_id, kwargs):
+        with pytest.raises(ValueError, match=">= 1"):
+            run_lemma_check(check_id, **kwargs)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -206,6 +207,75 @@ class TestInstance:
         want = xi @ embed(h.a) @ xi
         assert sdp.constraint_values(inst, z)[0] == pytest.approx(want, rel=1e-12)
         assert sdp.objective_value(inst, z) == pytest.approx(want, rel=1e-12)
+
+
+def _assert_one_stored_form(inst):
+    """field_stack, objective and constraints agree and none of them can be written."""
+    stack = inst.field_stack
+    assert stack.shape == (inst.m + 2, inst.n, inst.n) and not stack.flags.writeable
+    assert isinstance(inst.constraints, tuple) and len(inst.constraints) == inst.m + 1
+    for k, mat in enumerate((inst.objective, *inst.constraints)):
+        assert np.array_equal(mat.a, stack[k])
+        parts = (mat.re, mat.im) if inst.field == sdp.COMPLEX else (mat.a,)
+        for part in parts:
+            with pytest.raises(ValueError, match="read-only"):
+                part[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        stack[0, 0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.field_stack = stack.copy()
+
+
+class TestStoredStack:
+    @pytest.mark.parametrize("field", sdp.FIELDS)
+    def test_hand_built_json_and_generated_agree(self, field):
+        hand = random_instance(field, n=4, p=5, seed=2)
+        back = sdp.QcqpInstance.from_json_dict(json.loads(json.dumps(hand.to_json_dict())))
+        gen = generate(
+            GeneratorSpec(
+                n=4, m=4, case=CASE_A, sense=sdp.MAXIMIZE, objective_kind=OBJECTIVE_INDEFINITE,
+                seed=2, field=field,
+            )
+        )
+        for inst in (hand, back, gen):
+            _assert_one_stored_form(inst)
+        assert back.field_stack.tobytes() == hand.field_stack.tobytes()
+        assert back.tags == hand.tags
+        again = sdp.QcqpInstance.from_json_dict(gen.to_json_dict())
+        assert again.field_stack.tobytes() == gen.field_stack.tobytes()
+
+    @pytest.mark.parametrize("field", sdp.FIELDS)
+    def test_from_stack_matches_the_keyword_constructor(self, field):
+        inst = random_instance(field, n=3, p=4, seed=5)
+        source = np.array(inst.field_stack)
+        same = sdp.QcqpInstance.from_stack(inst.sense, field, source)
+        assert same.field_stack.tobytes() == inst.field_stack.tobytes()
+        assert same.tags == inst.tags
+        source[1] = 0.0  # the instance holds its own copy
+        assert same.field_stack.tobytes() == inst.field_stack.tobytes()
+
+    def test_from_stack_validation(self):
+        eye = np.stack([np.eye(2), np.eye(2)])
+        with pytest.raises(TypeError):
+            sdp.QcqpInstance.from_stack(sdp.MINIMIZE, sdp.REAL, eye.astype(complex))
+        with pytest.raises(ValueError, match="sense"):
+            sdp.QcqpInstance.from_stack("Min", sdp.REAL, eye)
+        with pytest.raises(ValueError, match="field"):
+            sdp.QcqpInstance.from_stack(sdp.MINIMIZE, "Quaternion", eye)
+        with pytest.raises(ValueError, match="constraint"):
+            sdp.QcqpInstance.from_stack(sdp.MINIMIZE, sdp.REAL, eye[:1])
+        with pytest.raises(ValueError, match="stack"):
+            sdp.QcqpInstance.from_stack(sdp.MINIMIZE, sdp.REAL, np.ones((2, 2, 3)))
+        bad = eye.copy()
+        bad[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            sdp.QcqpInstance.from_stack(sdp.MINIMIZE, sdp.REAL, bad)
+        bad = eye.copy()
+        bad[1, 0, 1] = 0.5
+        with pytest.raises(ValueError, match="symmetric"):
+            sdp.QcqpInstance.from_stack(sdp.MINIMIZE, sdp.REAL, bad)
+        with pytest.raises(ValueError, match="symmetric"):
+            sdp.QcqpInstance.from_stack(sdp.MINIMIZE, sdp.COMPLEX, eye + 0.5j)
 
 
 def random_instance(field, n=3, p=3, seed=0):
