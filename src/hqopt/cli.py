@@ -7,6 +7,7 @@ numerically failed solve exits 1.  No environment variable is read.
 
 import argparse
 import json
+import os
 import sys
 
 from .experiment import ExperimentConfig, run_experiment, write_csv
@@ -120,6 +121,10 @@ def cmd_experiment(args, out) -> int:
         scheme=args.scheme,
         field=COMPLEX if args.complex_field else REAL,
     )
+    # checked first: open() would find a missing directory only after the whole sweep
+    folder = os.path.dirname(os.path.abspath(args.out))
+    if not os.path.isdir(folder):
+        raise ValueError(f"--out directory {folder} does not exist")
     result = run_experiment(config)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         write_csv(result, fh)

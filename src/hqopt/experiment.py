@@ -7,18 +7,33 @@ constraint count m, instance index i) the derivation is
 
 so any single record can be reproduced in isolation from the numbers in its
 row.  Every case of a config shares n, field and m, so the relaxations of
-one m have one shape, and its tasks are taken in groups of
-sdp.batch_size: a group's instances are generated, their relaxations
+one m have one shape, and its tasks are taken in batches of
+sdp.batch_size: a batch's instances are generated, their relaxations
 solved in one batched call (a solve's outcome does not depend on its
-batch), and its records rounded in task order.  The records are returned
-in task order.  A record whose
-instance could not be generated (the feasibility retries ran out) gets
-status GenerationFailed; one whose relaxation is not solved keeps the solver
-status; one whose rounding found no point (including a max instance without
-a positive definite constraint aggregate) gets status RoundingFailed.
+batch), and its records rounded in task order.  A batch's records do not
+depend on which other batches run, or where.
+
+A sweep of several batches runs them on a pool of forked worker
+processes, one per CPU the process may run on (os.sched_getaffinity),
+largest m first, so that no long batch starts last.  One batch, one CPU,
+or a platform without fork runs the batches inline; to run serially, pin
+the process to one CPU (taskset -c 0).  Workers inherit the imported
+modules, so a pool costs a fork and no import; the pool forks them before
+it starts its own threads.  A worker's exception is raised by
+run_experiment after the pool is torn down, and no worker outlives the
+call.  The records are returned in task order, so the CSV has the same
+bytes for any worker count.
+
+A record whose instance could not be generated (the feasibility retries
+ran out) gets status GenerationFailed; one whose relaxation is not solved
+keeps the solver status; one whose rounding found no point (including a
+max instance without a positive definite constraint aggregate) gets status
+RoundingFailed.
 """
 
 import math
+import os
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,16 +251,42 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for m in config.m_list
         for i in range(config.instances_per_m)
     ]
-    # the relaxations of one m share a shape, so its tasks batch together;
-    # one batch is generated, solved and rounded at a time
-    done = {}
+    # the relaxations of one m share a shape, so its tasks batch together
+    batches = []
     for m in config.m_list:
         cell = [t for t in tasks if t[2] == m]
         size = batch_size(config.n, m, config.field)
-        for lo in range(0, len(cell), size):
-            done.update(zip(cell[lo : lo + size], _run_tasks(config, cell[lo : lo + size])))
+        batches += [cell[lo : lo + size] for lo in range(0, len(cell), size)]
+    # largest relaxations first: a pool then never starts a long batch last
+    batches.sort(key=lambda batch: -batch[0][2])
+    done = {}
+    for batch, records in zip(batches, _run_batches(config, batches)):
+        done.update(zip(batch, records))
     records = [done[t] for t in tasks]
     return ExperimentResult(config=config, records=tuple(records), summaries=summarize(records))
+
+
+def _workers(batches: int) -> int:
+    """Worker processes for a sweep of this many batches: at most one per usable CPU."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, batches)
+
+
+def _run_batches(config: ExperimentConfig, batches: list) -> list:
+    """Each batch's records, in batch order; several workers take the batches in that order."""
+    workers = _workers(len(batches))
+    if workers < 2:
+        return [_run_tasks(config, batch) for batch in batches]
+    import multiprocessing
+
+    # workers ignore Ctrl-C: the parent's KeyboardInterrupt tears the pool down
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+    )
+    with pool:  # terminates and joins every worker, also when one raised
+        return pool.starmap(_run_tasks, [(config, batch) for batch in batches], chunksize=1)
 
 
 def write_csv(result: ExperimentResult, stream) -> None:

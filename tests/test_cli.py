@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from hqopt import experiment
+from hqopt import cli, experiment
 from hqopt.cli import main
 from hqopt.experiment import (
     CSV_HEADER,
@@ -332,6 +332,16 @@ class TestCliExperiment:
     def test_malformed_m_list_exits_two(self, tmp_path):
         rc, _ = run_cli(["experiment", "--m-list", "5,x", "--out", str(tmp_path / "c.csv")])
         assert rc == 2
+
+    def test_missing_out_directory_exits_two_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        def run_experiment(config):
+            raise AssertionError("the sweep ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        rc, _ = run_cli(["experiment", "--m-list", "3", "--out", str(tmp_path / "missing" / "c.csv")])
+        assert rc == 2
+        assert "missing" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
 
 
 class TestCliVerify:

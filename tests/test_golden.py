@@ -3,7 +3,8 @@
 Each fixture is the CSV that ``write_csv`` produced for one sweep (m in
 {5, 10}, 5 instances per m, root seed 0).  The test reruns the sweep and
 compares it row by row: case, m, status and instance_seed exactly; v_sdp,
-v_hat_qp, ratio and bound to 1e-9 relative (NaN matches NaN).
+v_hat_qp, ratio and bound to 1e-9 relative (NaN matches NaN).  The same
+sweeps, run on one worker and on a pool of two, must write the same bytes.
 
 Regenerate the fixtures only when a change moves a value on purpose:
 
@@ -16,11 +17,14 @@ moved beyond REL_TOL.
 
 import io
 import math
+import multiprocessing
+import os
+import threading
 from pathlib import Path
 
 import pytest
 
-from hqopt import _ipm
+from hqopt import _ipm, experiment
 from hqopt.experiment import ExperimentConfig, run_experiment, write_csv
 from hqopt.instances import CASE_A, CASE_B, CASE_C
 from hqopt.rounding import GAUSSIAN_MAX, GAUSSIAN_MIN, SIGN_MAX
@@ -37,11 +41,15 @@ SWEEPS = {
 }
 
 
-def sweep_csv(name: str) -> str:
+def sweep_config(name: str) -> ExperimentConfig:
     scheme, field, cases = SWEEPS[name]
-    return _csv(ExperimentConfig(
+    return ExperimentConfig(
         cases=cases, m_list=(5, 10), instances_per_m=5, root_seed=0, scheme=scheme, field=field
-    ))
+    )
+
+
+def sweep_csv(name: str) -> str:
+    return _csv(sweep_config(name))
 
 
 def _csv(config: ExperimentConfig) -> str:
@@ -87,18 +95,76 @@ def test_one_instance_batches_write_the_same_csv(name, monkeypatch):
     assert sweep_csv(name) == default
 
 
+# complex m = 30 and m = 100 relaxations, split into several batches of
+# several instances; the fixtures' m <= 10 cells fit one batch at any cap
+LARGE_M = ExperimentConfig(
+    cases=(CASE_A, CASE_C), m_list=(30, 100), instances_per_m=3, root_seed=0,
+    scheme=GAUSSIAN_MIN, field=COMPLEX,
+)
+
+
 def test_large_m_batches_write_the_same_csv(monkeypatch):
-    # the fixtures' m <= 10 cells fit one batch at any cap; complex m = 30 and
-    # m = 100 relaxations are split into several batches of several instances
-    config = ExperimentConfig(
-        cases=(CASE_A, CASE_C), m_list=(30, 100), instances_per_m=3, root_seed=0,
-        scheme=GAUSSIAN_MIN, field=COMPLEX,
-    )
     assert 2 <= batch_size(10, 100, COMPLEX) < 6
-    default = _csv(config)
+    default = _csv(LARGE_M)
     monkeypatch.setattr(_ipm, "_BATCH_ELEMENTS", 1)
     assert batch_size(10, 30, COMPLEX) == 1
-    assert _csv(config) == default
+    assert _csv(LARGE_M) == default
+
+
+POOLED = {**{name: sweep_config(name) for name in SWEEPS}, "complex_large_m": LARGE_M}
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of Python threads alive at each os.fork call the test makes."""
+    seen, real_fork = [], os.fork
+
+    def fork():
+        seen.append(threading.active_count())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return seen
+
+
+def _at_most_two_workers(monkeypatch):
+    monkeypatch.setattr(experiment, "_workers", lambda batches: min(2, batches))
+
+
+@pytest.mark.filterwarnings("error::DeprecationWarning")
+@pytest.mark.parametrize("name", sorted(POOLED))
+def test_two_workers_write_the_same_csv(name, monkeypatch, forks):
+    monkeypatch.setattr(experiment, "_workers", lambda batches: 1)
+    serial = _csv(POOLED[name])
+    assert forks == []
+    threads = threading.active_count()
+    _at_most_two_workers(monkeypatch)
+    assert _csv(POOLED[name]) == serial
+    # both workers were forked before the pool started a thread, and none outlives the sweep
+    assert forks == [threads, threads]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.filterwarnings("error::DeprecationWarning")
+def test_worker_exception_is_raised_and_no_worker_outlives_it(monkeypatch, forks):
+    def generate(spec):
+        raise KeyError(spec.seed)
+
+    monkeypatch.setattr(experiment, "generate", generate)
+    _at_most_two_workers(monkeypatch)
+    with pytest.raises(KeyError):
+        run_experiment(POOLED["gaussian_min_real"])
+    assert len(forks) == 2
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("m_list, per_m", [((5,), 5), ((5, 10), 0)])
+def test_one_batch_or_none_forks_nothing(m_list, per_m, monkeypatch, forks):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert [experiment._workers(b) for b in (0, 1, 3, 9)] == [0, 1, 3, 4]
+    config = ExperimentConfig(cases=(CASE_A, CASE_B), m_list=m_list, instances_per_m=per_m)
+    assert len(run_experiment(config).records) == 2 * len(m_list) * per_m
+    assert forks == []
 
 
 VALUE_COLUMNS = ("v_sdp", "v_hat_qp", "ratio", "bound")
