@@ -121,10 +121,12 @@ def cmd_experiment(args, out) -> int:
         scheme=args.scheme,
         field=COMPLEX if args.complex_field else REAL,
     )
-    # checked first: open() would find a missing directory only after the whole sweep
+    # checked first: open() would find a bad path only after the whole sweep
     folder = os.path.dirname(os.path.abspath(args.out))
     if not os.path.isdir(folder):
         raise ValueError(f"--out directory {folder} does not exist")
+    if os.path.isdir(args.out):
+        raise ValueError(f"--out {args.out} is a directory, not a file")
     result = run_experiment(config)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         write_csv(result, fh)

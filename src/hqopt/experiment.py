@@ -13,16 +13,19 @@ solved in one batched call (a solve's outcome does not depend on its
 batch), and its records rounded in task order.  A batch's records do not
 depend on which other batches run, or where.
 
-A sweep of several batches runs them on a pool of forked worker
-processes, one per CPU the process may run on (os.sched_getaffinity),
-largest m first, so that no long batch starts last.  One batch, one CPU,
+A sweep of several batches runs them in W = min(CPUs the process may run
+on (os.sched_getaffinity), batches) processes: the calling process forks
+W - 1 children and then works beside them.  Every process takes the next
+batch index from one shared counter, largest m first, so that no long
+batch starts last and each batch runs once.  Children inherit the
+imported modules, so a worker costs a fork and no import; nothing starts
+a thread.  A child sends its records, or its exception, back through its
+own pipe and exits.  run_experiment raises a child's exception; an
+exception in the caller's own share, Ctrl-C included, kills every child,
+and every child is reaped before the call returns.  One batch, one CPU,
 or a platform without fork runs the batches inline; to run serially, pin
-the process to one CPU (taskset -c 0).  Workers inherit the imported
-modules, so a pool costs a fork and no import; the pool forks them before
-it starts its own threads.  A worker's exception is raised by
-run_experiment after the pool is torn down, and no worker outlives the
-call.  The records are returned in task order, so the CSV has the same
-bytes for any worker count.
+the process to one CPU (taskset -c 0).  The records are returned in task
+order, so the CSV has the same bytes for any worker count.
 
 A record whose instance could not be generated (the feasibility retries
 ran out) gets status GenerationFailed; one whose relaxation is not solved
@@ -33,7 +36,9 @@ RoundingFailed.
 
 import math
 import os
+import pickle
 import signal
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +121,9 @@ class ExperimentConfig:
         for name, values in (("cases", self.cases), ("m_list", self.m_list)):
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} has duplicate entries: {tuple(values)}")
+        if not isinstance(self.root_seed, int) or self.root_seed < 0:
+            # it seeds every np.random.SeedSequence of the sweep
+            raise ValueError(f"root_seed must be a non-negative integer, got {self.root_seed!r}")
         if self.instances_per_m < 0 or self.samples < 1 or self.n < 2:
             raise ValueError("need instances_per_m >= 0, samples >= 1, n >= 2")
         if self.scheme not in SCHEMES:
@@ -257,7 +265,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         cell = [t for t in tasks if t[2] == m]
         size = batch_size(config.n, m, config.field)
         batches += [cell[lo : lo + size] for lo in range(0, len(cell), size)]
-    # largest relaxations first: a pool then never starts a long batch last
+    # largest relaxations first: no worker then starts a long batch last
     batches.sort(key=lambda batch: -batch[0][2])
     done = {}
     for batch, records in zip(batches, _run_batches(config, batches)):
@@ -275,18 +283,85 @@ def _workers(batches: int) -> int:
 
 
 def _run_batches(config: ExperimentConfig, batches: list) -> list:
-    """Each batch's records, in batch order; several workers take the batches in that order."""
+    """Each batch's records, in batch order; several workers claim the batches in that order."""
     workers = _workers(len(batches))
     if workers < 2:
         return [_run_tasks(config, batch) for batch in batches]
-    import multiprocessing
+    counter = os.pipe()
+    os.write(counter[1], _index(0))
+    done, children = {}, []
+    try:
+        for _ in range(workers - 1):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(config, batches, counter, write)
+            os.close(write)
+            children.append((pid, read))
+        done.update((i, _run_tasks(config, batches[i])) for i in _claims(counter, len(batches)))
+        for pid, read in children:
+            with open(read, "rb", closefd=False) as pipe:
+                sent = pipe.read()
+            if not sent:
+                raise RuntimeError(f"sweep worker {pid} exited without sending its records")
+            payload = pickle.loads(sent)  # written by this function's own child
+            if isinstance(payload, tuple):
+                exc, text = payload
+                raise exc from RuntimeError(f"in sweep worker {pid}:\n{text}")
+            done.update(payload)
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read in children:
+            os.close(read)
+            os.waitpid(pid, 0)
+        for fd in counter:
+            os.close(fd)
+    return [done[i] for i in range(len(batches))]
 
-    # workers ignore Ctrl-C: the parent's KeyboardInterrupt tears the pool down
-    pool = multiprocessing.get_context("fork").Pool(
-        workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
-    )
-    with pool:  # terminates and joins every worker, also when one raised
-        return pool.starmap(_run_tasks, [(config, batch) for batch in batches], chunksize=1)
+
+def _index(i: int) -> bytes:
+    return i.to_bytes(8, "little")
+
+
+def _claim(counter: tuple, count: int, stop: bool = False) -> int:
+    """Take the next batch index; count once every batch is taken.
+
+    The pipe holds the next index as its only 8 bytes, so reading them takes
+    the counter and no other worker can read it until it is written back;
+    a write of 8 bytes is atomic.  stop writes back count: no worker then
+    takes another batch.
+    """
+    index = int.from_bytes(os.read(counter[0], 8), "little")
+    os.write(counter[1], _index(count if stop else min(index + 1, count)))
+    return index
+
+
+def _claims(counter: tuple, count: int):
+    while (index := _claim(counter, count)) < count:
+        yield index
+
+
+def _child(config: ExperimentConfig, batches: list, counter: tuple, write: int) -> None:
+    """A forked worker: run claimed batches, pickle (index, records) pairs or the exception, exit."""
+    status = 1
+    try:
+        # Ctrl-C reaches the whole process group; the parent handles it and kills its children
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            payload = [(i, _run_tasks(config, batches[i])) for i in _claims(counter, len(batches))]
+        except Exception as exc:
+            _claim(counter, len(batches), stop=True)
+            payload = (exc, traceback.format_exc())
+        sent = pickle.dumps(payload)  # before writing: a payload that does not pickle sends nothing
+        with open(write, "wb") as pipe:
+            pipe.write(sent)
+        status = 0
+    finally:
+        # never return into the caller's code; os._exit also skips the parent's atexit and buffers
+        os._exit(status)
 
 
 def write_csv(result: ExperimentResult, stream) -> None:

@@ -64,6 +64,9 @@ class TestExperimentConfig:
             {"field": "Complex", "scheme": SIGN_MAX},
             {"m_list": (5, 5)},
             {"cases": (CASE_A, CASE_A)},
+            {"root_seed": -1},
+            {"root_seed": 1.5},
+            {"root_seed": "0"},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -342,6 +345,23 @@ class TestCliExperiment:
         assert rc == 2
         assert "missing" in capsys.readouterr().err
         assert not (tmp_path / "missing").exists()
+
+    def test_directory_out_exits_two_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        def run_experiment(config):
+            raise AssertionError("the sweep ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        rc, _ = run_cli(["experiment", "--m-list", "3", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "is a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        rc, text = run_cli(["experiment", "--m-list", "3", "--seed", "-1", "--out", str(out)])
+        assert rc == 2 and text == ""
+        assert "root_seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliVerify:

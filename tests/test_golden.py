@@ -4,7 +4,7 @@ Each fixture is the CSV that ``write_csv`` produced for one sweep (m in
 {5, 10}, 5 instances per m, root seed 0).  The test reruns the sweep and
 compares it row by row: case, m, status and instance_seed exactly; v_sdp,
 v_hat_qp, ratio and bound to 1e-9 relative (NaN matches NaN).  The same
-sweeps, run on one worker and on a pool of two, must write the same bytes.
+sweeps, run on one, two or three worker processes, must write the same bytes.
 
 Regenerate the fixtures only when a change moves a value on purpose:
 
@@ -20,6 +20,7 @@ import math
 import multiprocessing
 import os
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -127,8 +128,13 @@ def forks(monkeypatch):
     return seen
 
 
-def _at_most_two_workers(monkeypatch):
-    monkeypatch.setattr(experiment, "_workers", lambda batches: min(2, batches))
+def _at_most(workers, monkeypatch):
+    monkeypatch.setattr(experiment, "_workers", lambda batches: min(workers, batches))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.filterwarnings("error::DeprecationWarning")
@@ -138,11 +144,26 @@ def test_two_workers_write_the_same_csv(name, monkeypatch, forks):
     serial = _csv(POOLED[name])
     assert forks == []
     threads = threading.active_count()
-    _at_most_two_workers(monkeypatch)
+    _at_most(2, monkeypatch)
     assert _csv(POOLED[name]) == serial
-    # both workers were forked before the pool started a thread, and none outlives the sweep
-    assert forks == [threads, threads]
+    # the caller is one of the two workers: one fork, with no thread started, and no child outlives the sweep
+    assert forks == [threads]
     assert multiprocessing.active_children() == []
+    _no_child_left()
+
+
+@pytest.mark.filterwarnings("error::DeprecationWarning")
+@pytest.mark.parametrize("name, one_per_batch", [("complex_large_m", False), ("gaussian_max_real", True)])
+def test_three_workers_write_the_same_csv(name, one_per_batch, monkeypatch, forks):
+    if one_per_batch:  # 20 batches: many more claims than workers
+        monkeypatch.setattr(_ipm, "_BATCH_ELEMENTS", 1)
+    monkeypatch.setattr(experiment, "_workers", lambda batches: 1)
+    serial = _csv(POOLED[name])
+    threads = threading.active_count()
+    _at_most(3, monkeypatch)
+    assert _csv(POOLED[name]) == serial
+    assert forks == [threads, threads]
+    _no_child_left()
 
 
 @pytest.mark.filterwarnings("error::DeprecationWarning")
@@ -151,11 +172,39 @@ def test_worker_exception_is_raised_and_no_worker_outlives_it(monkeypatch, forks
         raise KeyError(spec.seed)
 
     monkeypatch.setattr(experiment, "generate", generate)
-    _at_most_two_workers(monkeypatch)
+    _at_most(2, monkeypatch)
     with pytest.raises(KeyError):
         run_experiment(POOLED["gaussian_min_real"])
-    assert len(forks) == 2
+    assert len(forks) == 1
     assert multiprocessing.active_children() == []
+    _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "failing, exc", [("child", KeyError), ("parent", KeyError), ("parent", KeyboardInterrupt)]
+)
+def test_exception_in_one_share_is_raised_and_kills_every_child(failing, exc, monkeypatch, forks):
+    # one instance per batch: 20 batches, so every process claims some
+    monkeypatch.setattr(_ipm, "_BATCH_ELEMENTS", 1)
+    parent, real_generate = os.getpid(), experiment.generate
+
+    def generate(spec):
+        if (os.getpid() == parent) == (failing == "parent"):
+            raise exc(spec.seed)
+        # the other share stays busy: a child until it is killed, the caller until a child has failed
+        time.sleep(20 if failing == "parent" else 0.05)
+        return real_generate(spec)
+
+    monkeypatch.setattr(experiment, "generate", generate)
+    _at_most(3, monkeypatch)
+    start = time.monotonic()
+    with pytest.raises(exc) as raised:
+        run_experiment(POOLED["gaussian_min_real"])
+    assert time.monotonic() - start < 10
+    assert len(forks) == 2
+    if failing == "child":
+        assert "in sweep worker" in str(raised.value.__cause__)
+    _no_child_left()
 
 
 @pytest.mark.parametrize("m_list, per_m", [((5,), 5), ((5, 10), 0)])
