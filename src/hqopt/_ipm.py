@@ -1,17 +1,18 @@
-"""Homogeneous self-dual interior-point core for batches of small dense conic programs.
+"""Homogeneous self-dual interior-point core for batches of QCQP relaxations.
 
 Solves, for every instance of a batch,
-    minimize    <C, X> + c_lin . s
-    subject to  <A_i, X> + G_i . s = b_i,   i = 1..p
+    minimize    <C, X>
+    subject to  <A_i, X> + g_i s_i = 1,   i = 1..p
                 X Hermitian PSD (n x n, real symmetric for real data),
-                s >= 0 (q scalars)
+                s >= 0 (p scalars),
 
-with Nesterov-Todd scaling and a Mehrotra predictor-corrector step inside
-the simplified homogeneous model, so infeasibility and unboundedness come
-out as certificates instead of crashes.  <A, B> = Re Tr(A* B), which is
+g_i = -1 for a >= row and +1 for a <= row (the slack signs), with
+Nesterov-Todd scaling and a Mehrotra predictor-corrector step inside the
+simplified homogeneous model, so infeasibility and unboundedness come out
+as certificates instead of crashes.  <A, B> = Re Tr(A* B), which is
 Tr(A B) for Hermitian A and B.  Residuals are reported in row-normalized
-units: each row is divided by max(1, ||(A_i, G_i)||_F) before solving, and
-the objective by max(1, ||C||_F, ||c_lin||_inf).
+units: each row is divided by max(1, ||(A_i, g_i)||_F) before solving, and
+the objective by max(1, ||C||_F).
 
 One field.  Complex data is solved at its own dimension n, as SeDuMi
 (Sturm 1999) and SDPT3 handle Hermitian cones: X and Z are Hermitian and
@@ -23,16 +24,13 @@ n x n products of the scaling are complex.  Real data goes through
 exactly the real calls.
 
 Batch layout.  Every array has a leading batch axis, and the instances of
-one call share their field, n, p and q: C is (B, n, n), A (B, p, n, n),
-b (B, p), G (B, p, q) and c_lin (B, q).  A diagonal G (q = p, as in every
-QCQP relaxation, whose G holds the slack signs) may be passed as its
-(B, p) diagonals; its products are then elementwise, with the same values
-as the matrix products, and the Schur complement's G part is a diagonal
-instead of a p x p x p product.  The constraints are flattened once to a
-real (B, p, k) stack A2, k = n*n float64 slots for real data and 2*n*n
-for complex.  The map X, s -> <A_i, X> + G_i . s is one batched
-matrix-vector product (op_a), its adjoint's matrix part one batched
-vector-matrix product (op_at), and the Schur complement
+one call share their field, n and p: C is (B, n, n), A (B, p, n, n) and
+the slack signs G (B, p).  The slack products are elementwise, and the
+Schur complement's slack part is a diagonal.  The constraints are
+flattened once to a real (B, p, k) stack A2, k = n*n float64 slots for
+real data and 2*n*n for complex.  The map X, s -> <A_i, X> + g_i s_i is
+one batched matrix-vector product (op_a), its adjoint's matrix part one
+batched vector-matrix product (op_at), and the Schur complement
 M_ij = <A_i, W A_j W> is the batched product A2 (W A W)^T over the stack
 W A_j W (schur_matrix), as SDPT3 forms it (Toh, Todd & Tutuncu, Optim.
 Methods Softw. 1999).  Every step of an iteration runs once on the stacks
@@ -186,21 +184,9 @@ def _all(mask):
     return all(mask.tolist())
 
 
-# G is a (B, p, q) stack, or a (B, p) stack of diagonals for a diagonal G
-# (q = p), whose products are elementwise, with the same values
-def _g(G, s):
-    """G s for every instance."""
-    return G * s if G.ndim == 2 else _mv(G, s)
-
-
-def _gt(G, y):
-    """G^T y for every instance."""
-    return G * y if G.ndim == 2 else _mv(_t(G), y)
-
-
 def op_a(A2, G, X, s):
-    """<A_i, X> + G_i . s for every row of every instance; A2 is (B, p, k) float64 rows."""
-    return _mv(A2, _flat(X)) + _g(G, s)
+    """<A_i, X> + g_i s_i for every row of every instance; A2 is (B, p, k) float64 rows, G (B, p) signs."""
+    return _mv(A2, _flat(X)) + G * s
 
 
 def op_at(A2, y, n):
@@ -231,7 +217,7 @@ def _schur_work(B, p, n, dtype):
 
 
 def schur_matrix(A2, G, W, d2, work=None):
-    """M_ij = <A_i, W A_j W> + sum_k G_ik d2_k G_jk for every instance, from batched GEMMs.
+    """M_ij = <A_i, W A_j W> + [i = j] g_i d2_i g_i for every instance, from batched GEMMs.
 
     The stacks W A_j and W A_j W are formed one part of _schur_step
     instances at a time, so they add a fraction of the constraint stack to
@@ -250,10 +236,7 @@ def schur_matrix(A2, G, W, d2, work=None):
         np.matmul(Wk, _mats(A2[lo : lo + j], n), out=WA[:j])
         np.matmul(WA[:j], Wk, out=WAW[:j])
         np.matmul(A2[lo : lo + j], _t(_real(WAW[:j]).reshape(j, p, k)), out=M[lo : lo + j])
-    if G.ndim == 2:
-        _diagonal(M)[:] += (G * d2) * G
-    else:
-        M += (G * d2[:, None, :]) @ _t(G)
+    _diagonal(M)[:] += (G * d2) * G
     M += _t(M)  # symmetrized in place, one (B, p, p) stack fewer than _sym
     M *= 0.5
     return M
@@ -325,10 +308,9 @@ class _Problem(NamedTuple):
     """The row-normalized data of the instances in a batch."""
 
     A2: np.ndarray  # (B, p, n*n)
-    Gs: np.ndarray  # (B, p, q), or (B, p) diagonals
+    Gs: np.ndarray  # (B, p)
     bs: np.ndarray  # (B, p)
     Cs: np.ndarray  # (B, n, n)
-    cl: np.ndarray  # (B, q)
     norm_b: np.ndarray
     norm_c: np.ndarray
 
@@ -343,10 +325,6 @@ class _Problem(NamedTuple):
             if j != k:
                 A2[j] = A2[k]
         return _Problem(A2[: len(idx)], *(f[keep] for f in self[1:]))
-
-    def obj(self, X, s):
-        """<Cs, X> + cl . s for every instance."""
-        return _dot(self.Cs, X) + _dot(self.cl, s)
 
 
 def _split(o, q):
@@ -366,9 +344,9 @@ def _metrics(P, X, y, Z, o):
     sh, wh = oh[:, :q], oh[:, q : 2 * q]
     pres = np.abs(op_a(P.A2, P.Gs, xh, sh) - P.bs).max(axis=1) / P.norm_b
     Rdh = P.Cs - op_at(P.A2, yh, n) - Zh
-    rdh = P.cl - _gt(P.Gs, yh) - wh
-    dres = np.maximum(np.sqrt(_dot(Rdh, Rdh)), np.abs(rdh).max(axis=1, initial=0.0)) / P.norm_c
-    pobj = P.obj(xh, sh)
+    rdh = P.Gs * yh + wh
+    dres = np.maximum(np.sqrt(_dot(Rdh, Rdh)), np.abs(rdh).max(axis=1)) / P.norm_c
+    pobj = _dot(P.Cs, xh)
     dobj = _dot(P.bs, yh)
     relgap = np.abs(pobj - dobj) / (1.0 + np.maximum(np.abs(pobj), np.abs(dobj)))
     return pres, dres, relgap, pobj, dobj, (xh, yh, Zh, oh)
@@ -377,12 +355,11 @@ def _metrics(P, X, y, Z, o):
 def _certificates(P, X, y, Z, o, tol, AX, Aty, Gty):
     """Masks of the instances whose iterate is a primal ray (unbounded) or a Farkas y (infeasible).
 
-    AX, Aty and Gty are A(X, s), A^T y and G^T y.  Also returns the ray's
-    objective <C, X> + c_lin . s and the Farkas b . y that scale the
-    certificates.
+    AX, Aty and Gty are A(X, s), A^T y and G y.  Also returns the ray's
+    objective <C, X> and the Farkas b . y that scale the certificates.
     """
-    s, w, _, _ = _split(o, (o.shape[1] - 2) // 2)
-    cobj = P.obj(X, s)
+    w = _split(o, (o.shape[1] - 2) // 2)[1]
+    cobj = _dot(P.Cs, X)
     by = _dot(P.bs, y)
     ray = cobj < -1e-14
     farkas = by > 1e-14
@@ -391,69 +368,61 @@ def _certificates(P, X, y, Z, o, tol, AX, Aty, Gty):
         farkas &= ~ray
     if _any(farkas):
         R = Aty + Z
-        res = np.maximum(np.sqrt(_dot(R, R)), np.abs(Gty + w).max(axis=1, initial=0.0))
+        res = np.maximum(np.sqrt(_dot(R, R)), np.abs(Gty + w).max(axis=1))
         farkas &= res / by <= tol
     return ray, farkas, cobj, by
 
 
 def _operators(P, X, y, o):
-    """A(X, s), A^T y and G^T y."""
+    """A(X, s), A^T y and G y."""
     s = o[:, : (o.shape[1] - 2) // 2]
-    return op_a(P.A2, P.Gs, X, s), op_at(P.A2, y, X.shape[-1]), _gt(P.Gs, y)
+    return op_a(P.A2, P.Gs, X, s), op_at(P.A2, y, X.shape[-1]), P.Gs * y
 
 
-def solve_conic(C, A, b, G=None, c_lin=None) -> list[ConicResult]:
-    """Solve a batch of conic programs of one shape; one ConicResult per instance, in order.
+def solve_conic(C, A, G) -> list[ConicResult]:
+    """Solve a batch of relaxations of one shape; one ConicResult per instance, in order.
 
-    A may also be a sequence of B (p, n, n) arrays, which is read without
-    stacking it.  Complex C or A make the batch complex: X and Z are then
-    Hermitian, and b, G and c_lin stay real.
+    G is the (B, p) slack signs.  A may also be a sequence of B (p, n, n)
+    arrays, which is read without stacking it.  Complex C or A make the
+    batch complex: X and Z are then Hermitian, and G stays real.
     """
     dtype = complex if np.iscomplexobj(C) or np.iscomplexobj(A[0]) else float
     C = np.asarray(C, dtype)
-    b = np.asarray(b, float)
+    G = np.asarray(G, float)
     B, p, n = len(A), len(A[0]), C.shape[-1]
-    G = np.zeros((B, p, 0)) if G is None else np.asarray(G, float)
-    c_lin = np.zeros((B, G.shape[-1])) if c_lin is None else np.asarray(c_lin, float)
     size = batch_size(p, _slots(n, dtype))
     if B <= size:
-        return _solve_batch(C, A, b, G, c_lin)
+        return _solve_batch(C, A, G)
     return [
         res
         for lo in range(0, B, size)
-        for res in _solve_batch(*(a[lo : lo + size] for a in (C, A, b, G, c_lin)))
+        for res in _solve_batch(*(a[lo : lo + size] for a in (C, A, G)))
     ]
 
 
-def _solve_batch(C, A, b, G, c_lin):
+def _solve_batch(C, A, G):
     B, p, n = len(A), len(A[0]), C.shape[-1]
-    q = G.shape[-1]
 
     # row and objective normalization (undone on exit); where() keeps Python's
     # max(1.0, x), which ignores a NaN x
     Aflat = [_real(np.asarray(a, C.dtype)).reshape(p, -1) for a in A]
     k = Aflat[0].shape[-1]
-    GG = np.sum((G * G).reshape(B, p, -1), axis=-1)
-    rown = np.maximum(1.0, np.sqrt(np.array([np.sum(a * a, axis=-1) for a in Aflat]) + GG))
+    rown = np.maximum(1.0, np.sqrt(np.array([np.sum(a * a, axis=-1) for a in Aflat]) + G * G))
     A2 = np.empty((B, p, k))
     for a, r, out in zip(Aflat, rown, A2):
         np.divide(a, r[:, None], out=out)
     cn = np.sqrt(_dot(C, C))
     cn = np.where(cn > 1.0, cn, 1.0)
-    cmax = np.abs(c_lin).max(axis=-1, initial=0.0)
-    cn = np.where(cmax > cn, cmax, cn)
-    bs, Cs, cl = b / rown, C / cn[:, None, None], c_lin / cn[:, None]
-    norm_c = 1.0 + np.maximum(np.sqrt(_dot(Cs, Cs)), np.abs(cl).max(axis=-1, initial=0.0))
+    bs, Cs = 1.0 / rown, C / cn[:, None, None]
     # the working stacks, rows of the instances still in the batch: the data,
     # X, y, Z and the orthant block o = (s, w, tau, kappa)
-    Gs = G / rown.reshape(rown.shape + (1,) * (G.ndim - 2))
-    P = _Problem(A2, Gs, bs, Cs, cl, 1.0 + np.abs(bs).max(axis=-1), norm_c)
+    P = _Problem(A2, G / rown, bs, Cs, 1.0 + np.abs(bs).max(axis=-1), 1.0 + np.sqrt(_dot(Cs, Cs)))
     del A2
-    nu = n + q + 1
+    nu = n + p + 1
     rows = np.arange(B)
     eye = np.eye(n)
     I = np.repeat(np.eye(n, dtype=C.dtype)[None], B, 0)  # X and Z start here; no stack is changed in place
-    state = [I, np.zeros((B, p)), I, np.ones((B, 2 * q + 2))]
+    state = [I, np.zeros((B, p)), I, np.ones((B, 2 * p + 2))]
     stalls = [0] * B
     # the best iterate over tau and its score; the first iteration's score
     # is finite, so inf stands in for "none yet" (and state for its iterate)
@@ -495,7 +464,7 @@ def _solve_batch(C, A, b, G, c_lin):
     with np.errstate(all="ignore"):  # a failed instance runs on to the end of its iteration
         for it in range(_MAX_ITER):
             X, y, Z, o = state
-            s, w, tau, kappa = _split(o, q)
+            s, w, tau, kappa = _split(o, p)
             *mets, scaled = _metrics(P, X, y, Z, o)
             pres, dres, relgap = mets[:3]
             infeas = np.maximum(pres, dres)
@@ -518,7 +487,7 @@ def _solve_batch(C, A, b, G, c_lin):
                 if keep is None:
                     break
                 X, y, Z, o = state
-                s, w, tau, kappa = _split(o, q)
+                s, w, tau, kappa = _split(o, p)
                 AX, Aty, Gty, cobj, by = (v[keep] for v in (AX, Aty, Gty, cobj, by))
                 mets = [v[keep] for v in mets]
 
@@ -526,7 +495,7 @@ def _solve_batch(C, A, b, G, c_lin):
             t1, t3 = tau[:, None], tau[:, None, None]
             rp = AX - P.bs * t1
             Rd = -Aty + P.Cs * t3 - Z
-            rd = -Gty + P.cl * t1 - w
+            rd = -Gty - w
             rg = by - cobj - kappa
             mu = (_dot(X, Z) + _dot(s, w) + tau * kappa) / nu
 
@@ -555,13 +524,11 @@ def _solve_batch(C, A, b, G, c_lin):
 
                 M = schur_matrix(P.A2, P.Gs, W, d2, work)
                 WCW = W @ P.Cs @ W
-                dcl = d2 * P.cl
-                h = op_a(P.A2, P.Gs, WCW, dcl)
-                g = P.obj(WCW, dcl)
+                h = _mv(P.A2, _flat(WCW))
+                g = _dot(P.Cs, WCW)
                 WRdW = W @ Rd @ W
-                d2rd = d2 * rd
-                f_vec = op_a(P.A2, P.Gs, WRdW, d2rd)
-                e_c = P.obj(WRdW, d2rd)
+                f_vec = op_a(P.A2, P.Gs, WRdW, d2 * rd)
+                e_c = _dot(P.Cs, WRdW)
                 b_h = P.bs - h
                 gk = g + kappa / tau
                 rhs = np.empty((len(rows), p, 2))
@@ -578,7 +545,7 @@ def _solve_batch(C, A, b, G, c_lin):
                     A_rc = op_a(P.A2, P.Gs, Rc_full, rcs)
                     e1 = eta[:, None]
                     rhs[..., 0] = -e1 * rp - A_rc + e1 * f_vec
-                    q2 = -eta * rg + P.obj(Rc_full, rcs) - eta * e_c + rc_t / tau
+                    q2 = -eta * rg + _dot(P.Cs, Rc_full) - eta * e_c + rc_t / tau
                     uv = _solve(M, rhs, fail)
                     u_, v_ = uv[..., 0], uv[..., 1]
                     den = gk + _dot(b_h, v_)
@@ -589,7 +556,7 @@ def _solve_batch(C, A, b, G, c_lin):
                     dt1 = dtau[:, None]
                     dy = u_ + v_ * dt1
                     dZ = _sym(-op_at(P.A2, dy, n) + P.Cs * dtau[:, None, None] + eta[:, None, None] * Rd)
-                    dw_ = -_gt(P.Gs, dy) + P.cl * dt1 + e1 * rd
+                    dw_ = -(P.Gs * dy) + e1 * rd
                     dX = _sym(Rc_full - W @ dZ @ W)
                     ds_ = rcs - d2 * dw_
                     dk1 = (rc_t - kappa * dtau)[:, None] / t1
@@ -626,18 +593,18 @@ def _solve_batch(C, A, b, G, c_lin):
                 a_aff, dXt_a, dZt_a = step_limit(dXa, dZa, doa)
                 a_aff = _min1(a_aff)
                 a3 = a_aff[:, None, None]
-                sa, wa, ta, ka = _split(o + a_aff[:, None] * doa, q)
+                sa, wa, ta, ka = _split(o + a_aff[:, None] * doa, p)
                 mu_aff = (_dot(X + a3 * dXa, Z + a3 * dZa) + _dot(sa, wa) + ta * ka) / nu
                 # libm's pow one value at a time, as the scalar steps have always
                 # computed it; numpy's SIMD pow can differ in the last bit
                 sigma = np.array([min(1.0, max(0.0, r**3)) for r in np.maximum(mu_aff, 0.0) / mu])
 
-                dsa, dwa, dtaua, dkappaa = _split(doa, q)
+                dsa, dwa, dtaua, dkappaa = _split(doa, p)
                 corr = _sym(dXt_a @ dZt_a)
                 E = 0.5 * (sig[:, :, None] + sig[:, None, :])
                 smu = sigma * mu
                 Rc_t = (smu[:, None, None] * eye - _diag(sig * sig) - corr) / E
-                rc_l = (smu[:, None] - v * v - (dsa / d) * (d * dwa)) / v if q else v
+                rc_l = (smu[:, None] - v * v - (dsa / d) * (d * dwa)) / v
                 rc_t = smu - tau * kappa - dtaua * dkappaa
                 dX, dy, dZ, do = direction(1.0 - sigma, R @ Rc_t, rc_l, rc_t)
                 alpha = _min1(_STEP_FRACTION * step_limit(dX, dZ, do)[0])
@@ -701,8 +668,8 @@ def _results(P, state, best, best_score, converged, certified, messages, it, raw
             message = "accepted best iterate at fallback tolerance" if fallback[i] else messages[i]
         if kind[i] == 1:
             rX, rs = X[i] / -cobj[i], s[i] / -cobj[i]
-            scale = cn * max(-(_dot(P.Cs[i : i + 1], rX[None]) + _dot(P.cl[i : i + 1], rs[None]))[0], 1e-300)
-            rX, rs = rX / scale, rs / scale  # <C_orig, rX> + c_lin_orig . rs = -1
+            scale = cn * max(-_dot(P.Cs[i : i + 1], rX[None])[0], 1e-300)
+            rX, rs = rX / scale, rs / scale  # <C_orig, rX> = -1
             pres_ray = np.abs(op_a(Aflat[None], G, rX[None], rs[None])).max()
             out.append(ConicResult(
                 status="unbounded", X=_sym(rX), s=rs, y=np.zeros(len(rown)), Z=np.zeros_like(rX),
@@ -712,7 +679,7 @@ def _results(P, state, best, best_score, converged, certified, messages, it, raw
         elif kind[i] == 2:
             fy, fZ, fw = y[i] / by[i] / rown, Z[i] / by[i], w[i] / by[i]  # b.fy = 1
             R = op_at(Aflat[None], fy[None], n)[0] + fZ
-            res = max(np.linalg.norm(R), np.max(np.abs(_gt(G, fy[None])[0] + fw), initial=0.0))
+            res = max(np.linalg.norm(R), np.max(np.abs(G[0] * fy + fw)))
             out.append(ConicResult(
                 status="infeasible", X=np.full_like(fZ, np.nan), s=np.full(q, np.nan), y=fy,
                 Z=_sym(fZ), w=fw, dual_residual=float(res), iterations=it,

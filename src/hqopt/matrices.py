@@ -205,7 +205,7 @@ def _load_matrix_json(text: str) -> dict:
     if not isinstance(data, dict) or "n" not in data or "re" not in data:
         raise ValueError("matrix JSON must carry 'n' and row-major 're'")
     n = data["n"]
-    if not isinstance(n, int) or n <= 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
         raise ValueError(f"matrix dimension must be a positive integer, got {n!r}")
     for key in ("re", "im"):
         block = data.get(key)

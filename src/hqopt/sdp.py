@@ -21,7 +21,9 @@ rounded point or a Slater witness is reported as a tuple of reals,
 slater_check decides whether some nonnegative combination of the A_k is
 positive definite, which the max-form rounding needs.  Under the paper's
 hypothesis for max problems (all but one A_k PSD) the answer follows from
-eigenvalues; only the remaining instances run an interior-point probe.
+eigenvalues.  The remaining instances solve one more relaxation as a probe:
+the max relaxation with C = I, which is bounded exactly when such a
+combination exists.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _ipm
-from .matrices import HermMatrix, SymMatrix, frobenius_norm, read_only_view
+from .matrices import HermMatrix, SymMatrix, compress, frobenius_norm, read_only_view
 
 MINIMIZE = "Minimize"
 MAXIMIZE = "Maximize"
@@ -52,7 +54,6 @@ OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
 NUMERICAL_FAILURE = "NumericalFailure"
-STATUSES = (OPTIMAL, INFEASIBLE, UNBOUNDED, NUMERICAL_FAILURE)
 
 # an Optimal solution may have eigenvalues down to -PSD_TOL; factorizations
 # of it accept the same
@@ -207,6 +208,8 @@ class QcqpInstance:
             raw_c, raw_a = data["C"], data["A"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed instance payload: {exc}") from exc
+        if not isinstance(raw_a, list):
+            raise ValueError(f"'A' must be a list of matrices, got {raw_a!r}")
         loader = HermMatrix.from_json if fld == COMPLEX else SymMatrix.from_json
         objective = loader(json.dumps(raw_c))
         constraints = tuple(loader(json.dumps(a)) for a in raw_a)
@@ -234,33 +237,25 @@ def real_point(x: np.ndarray) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class SdpStandardForm:
-    """Equality standard form handed to the interior-point core."""
+    """Equality standard form handed to the interior-point core: Tr(A_k X) + G_k s_k = 1."""
 
     n: int
     C: np.ndarray
     A: np.ndarray
-    b: np.ndarray
-    G: np.ndarray  # (p,): the slack signs, G's diagonal
-    c_lin: np.ndarray
+    G: np.ndarray  # (p,): the slack signs
     maximize: bool
     field: str
 
 
 def build_relaxation(inst: QcqpInstance) -> SdpStandardForm:
-    """Relaxation with slack rows Tr(A_k X) -/+ s_k = 1, in the instance's own field.
-
-    The slack matrix is diagonal, so G holds its diagonal, the signs.
-    """
+    """Relaxation with slack rows Tr(A_k X) -/+ s_k = 1, in the instance's own field."""
     C, A = inst.field_view
-    p = A.shape[0]
     sign = 1.0 if inst.sense == MAXIMIZE else -1.0
     return SdpStandardForm(
         n=inst.n,
         C=C,
         A=A,
-        b=np.ones(p),
-        G=np.full(p, sign),
-        c_lin=np.zeros(p),
+        G=np.full(A.shape[0], sign),
         maximize=inst.sense == MAXIMIZE,
         field=inst.field,
     )
@@ -395,9 +390,7 @@ def solve_instances(insts) -> list[SdpSolution]:
         results = _ipm.solve_conic(
             np.array([-f.C if f.maximize else f.C for f in group]),
             [f.A for f in group],
-            np.array([f.b for f in group]),
-            np.array([f.G for f in group]),  # G's diagonals, as _ipm reads a diagonal G
-            np.array([f.c_lin for f in group]),
+            np.array([f.G for f in group]),
         )
         optimal = [k for k, r in enumerate(results) if r.status == "optimal"]
         lam = np.full(len(results), np.nan)
@@ -416,13 +409,13 @@ def solve_instance(inst: QcqpInstance) -> SdpSolution:
 class SlaterReport:
     """Whether some mu >= 0 with sum mu = 1 makes sum mu_k A_k positive definite.
 
-    Every answer is checked by eigenvalues on the instance's own data.  A
-    yes carries its certificate mu and t = lambda_min(sum mu_k A_k) >
-    _SLATER_TOL.  A no carries either a unit witness x (real_point's
-    (Re; Im) for complex data) with t = max_k x*A_k x <= _SLATER_TOL, which bounds lambda_min of
-    every combination from above, and an empty certificate; or, from the
-    interior-point probe, the probe's best mu and its lambda_min as t, with
-    indeterminate set when the probe did not converge.
+    Every answer is checked by eigenvalues on the instance's own data.  An
+    answer with a certificate mu has t = lambda_min(sum mu_k A_k), and is a
+    yes exactly when t > _SLATER_TOL.  A no with an empty certificate has a
+    t that bounds lambda_min of every combination from above: t = max_k
+    x*A_k x for a unit witness x (real_point's (Re; Im) for complex data),
+    or, from the probe, t = max_k Tr(A_k D) for a PSD D of trace 1, with
+    indeterminate set when that t exceeds _SLATER_TOL or the probe failed.
     """
 
     dual_slater: bool
@@ -432,37 +425,38 @@ class SlaterReport:
     indeterminate: bool = False
 
 
-def _probe_definite(mats: np.ndarray) -> tuple[np.ndarray, bool]:
-    """The IPM's mu maximizing lambda_min(sum mu_k A_k) over the simplex, and its convergence.
+def _probe_definite(inst: QcqpInstance) -> SlaterReport:
+    """Decide dual Slater by the max relaxation with C = I: max Tr X s.t. Tr(A_k X) <= 1, X PSD.
 
-    Epigraph game form: minimize u subject to u >= Tr(A_k X) for all k,
-    Tr(X) = 1, X PSD; by duality the optimal u equals the best achievable
-    lambda_min and the row multipliers recover mu.  The free epigraph level
-    is shifted by R = 1 + max ||A_k||_F to keep it in the orthant.
+    Its dual is min sum mu s.t. sum mu_k A_k >= I, mu >= 0, so it is
+    bounded exactly when some combination is definite.  Its value is then
+    1 / lambda*, lambda* the best lambda_min over the simplex, and the
+    multipliers over their sum attain lambda*.  An unbounded relaxation's
+    ray, projected onto the PSD cone and scaled to trace 1, is a D with
+    lambda_min(sum mu_k A_k) <= sum mu_k Tr(A_k D) <= max_k Tr(A_k D) for
+    every mu on the simplex.  The probe goes through solve_instances, not
+    solve_instance, so that a trace of solve_instance counts the
+    relaxations of the instances alone.
     """
-    p, n = mats.shape[:2]
-    R = 1.0 + max(float(np.linalg.norm(M)) for M in mats)
-    rows = np.concatenate([-mats, np.eye(n)[None]])
-    q = p + 1  # u plus one surplus per epigraph row
-    G = np.zeros((p + 1, q))
-    G[:p, 0] = 1.0
-    G[:p, 1:] = -np.eye(p)
-    b = np.concatenate([np.full(p, R), [1.0]])
-    c_lin = np.zeros(q)
-    c_lin[0] = 1.0
-    res = _ipm.solve_conic(np.zeros((1, n, n)), rows[None], b[None], G[None], c_lin[None])[0]
-    converged = res.status == "optimal"
-    mu = np.maximum(res.y[:p], 0.0)
-    if not mu.sum() >= 1e-9:  # also when y is not finite
-        return np.zeros(p), converged
-    return mu / mu.sum(), converged
+    A = inst.field_view.A
+    probe = QcqpInstance.from_stack(MAXIMIZE, inst.field, np.concatenate([np.eye(inst.n)[None], A]))
+    sol = solve_instances([probe])[0]
+    if sol.status == OPTIMAL:
+        mu = np.array(sol.dual_multipliers)
+        return _combination(A, mu / mu.sum())
+    if sol.status != UNBOUNDED:
+        return SlaterReport(False, (), math.inf, indeterminate=True)
+    lam, V = np.linalg.eigh(sol.ray.a)
+    F = V * np.sqrt(np.maximum(lam, 0.0))
+    F /= np.linalg.norm(F)  # D = F F* at trace 1
+    t = float(np.trace(compress(A, F), axis1=1, axis2=2).real.max())
+    return SlaterReport(False, (), t, indeterminate=t > _SLATER_TOL)
 
 
-def _combination(A: np.ndarray, mu: np.ndarray, converged: bool = True) -> SlaterReport:
+def _combination(A: np.ndarray, mu: np.ndarray) -> SlaterReport:
     """The report for weights mu: a yes exactly when lambda_min(sum mu_k A_k) > _SLATER_TOL."""
     t = float(np.linalg.eigvalsh(np.tensordot(mu, A, 1))[0])
-    found = t > _SLATER_TOL
-    return SlaterReport(found, tuple(float(v) for v in mu), t, indeterminate=not found and not converged)
+    return SlaterReport(t > _SLATER_TOL, tuple(float(v) for v in mu), t)
 
 
 def _refute(inst: QcqpInstance, x: np.ndarray) -> SlaterReport | None:
@@ -516,9 +510,6 @@ def _closed_form(inst: QcqpInstance) -> SlaterReport | None:
 
 
 def slater_check(inst: QcqpInstance) -> SlaterReport:
-    """Decide dual Slater in closed form; run the IPM probe only when that is open."""
+    """Decide dual Slater in closed form; solve the probe relaxation only when that is open."""
     report = _closed_form(inst)
-    if report is not None:
-        return report
-    mu, converged = _probe_definite(inst.field_view.A)
-    return _combination(inst.field_view.A, mu, converged)
+    return _probe_definite(inst) if report is None else report

@@ -244,6 +244,21 @@ class TestCliSolve:
         rc, _ = run_cli(["solve", "/nonexistent/inst.json"])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"sense": "min", "field": "real", "C": {"n": 1, "re": [1]}, "A": 5},
+            {"sense": "min", "field": "real", "C": {"n": True, "re": [1]}, "A": [{"n": 1, "re": [1]}]},
+        ],
+        ids=["int-constraints", "bool-dimension"],
+    )
+    def test_malformed_instance_exits_two(self, tmp_path, payload, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        rc, text = run_cli(["solve", str(path)])
+        assert rc == 2 and text == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestCliRound:
     def test_identity_ratio_one(self, tmp_path):

@@ -58,16 +58,16 @@ def _rel(got, want):
 @pytest.fixture
 def data():
     rng = np.random.default_rng(7)
-    B, p, n, q = 3, 7, 5, 3
+    B, p, n = 3, 7, 5
     A = rng.standard_normal((B, p, n, n))
     A = A + A.swapaxes(-1, -2)
-    G = rng.standard_normal((B, p, q))
+    G = rng.standard_normal((B, p))  # the slack signs' stand-ins: a diagonal G
     X = rng.standard_normal((B, n, n))
     X = X + X.swapaxes(-1, -2)
     M = rng.standard_normal((B, n, n))
     W = M @ M.swapaxes(-1, -2) + np.eye(n)
-    return dict(A=A, A2=A.reshape(B, p, n * n), G=G, X=X, W=W, s=rng.random((B, q)),
-                y=rng.standard_normal((B, p)), d2=rng.random((B, q)) + 0.1)
+    return dict(A=A, A2=A.reshape(B, p, n * n), G=G, Gfull=G[:, :, None] * np.eye(p), X=X, W=W,
+                s=rng.random((B, p)), y=rng.standard_normal((B, p)), d2=rng.random((B, p)) + 0.1)
 
 
 class TestFlatOperators:
@@ -76,7 +76,7 @@ class TestFlatOperators:
     def test_op_a_matches_trace_definition(self, data):
         got = _ipm.op_a(data["A2"], data["G"], data["X"], data["s"])
         for k in range(len(got)):
-            want = np.einsum("ijk,jk->i", data["A"][k], data["X"][k]) + data["G"][k] @ data["s"][k]
+            want = np.einsum("ijk,jk->i", data["A"][k], data["X"][k]) + data["Gfull"][k] @ data["s"][k]
             assert _rel(got[k], want) <= 1e-12
 
     def test_op_at_matches_weighted_sum(self, data):
@@ -85,25 +85,13 @@ class TestFlatOperators:
             assert _rel(got[k], np.einsum("i,ijk->jk", data["y"][k], data["A"][k])) <= 1e-12
 
     def test_schur_matches_trace_definition(self, data):
-        A, W, G, d2 = data["A"], data["W"], data["G"], data["d2"]
-        got = _ipm.schur_matrix(data["A2"], G, W, d2)
+        A, W, G, d2 = data["A"], data["W"], data["Gfull"], data["d2"]
+        got = _ipm.schur_matrix(data["A2"], data["G"], W, d2)
         for k in range(len(got)):
             traces = [[np.trace(Ai @ W[k] @ Al @ W[k]) for Al in A[k]] for Ai in A[k]]
             want = np.array(traces) + (G[k] * d2[k]) @ G[k].T
             assert _rel(got[k], want) <= 1e-12
             assert np.array_equal(got[k], got[k].T)
-
-    def test_diagonal_g_gives_the_full_g_values(self, data):
-        # a diagonal G passed as its diagonals: the same operators, exactly
-        A2, X, y, W, d2 = data["A2"], data["X"], data["y"], data["W"], data["d2"]
-        B, p = y.shape
-        diag = np.random.default_rng(3).standard_normal((B, p))
-        full = np.zeros((B, p, p))
-        full[:, range(p), range(p)] = diag
-        s, d2 = np.abs(y) + 0.1, np.abs(y) + 0.2
-        assert np.array_equal(_ipm.op_a(A2, diag, X, s), _ipm.op_a(A2, full, X, s))
-        assert np.array_equal(_ipm._gt(diag, y), _ipm._gt(full, y))
-        assert np.array_equal(_ipm.schur_matrix(A2, diag, W, d2), _ipm.schur_matrix(A2, full, W, d2))
 
     def test_schur_formed_in_parts_is_unchanged(self, data, monkeypatch):
         A2, G, W, d2 = data["A2"], data["G"], data["W"], data["d2"]
@@ -115,7 +103,7 @@ class TestFlatOperators:
         # Hermitian data: the same real calls over the float64 views give
         # Tr(A_i X), sum_i y_i A_i and Tr(A_i W A_j W)
         rng = np.random.default_rng(8)
-        B, p, n, q = 2, 6, 4, 3
+        B, p, n = 2, 6, 4
 
         def herm(*shape):
             a = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
@@ -123,11 +111,12 @@ class TestFlatOperators:
 
         A, X, M = herm(B, p), herm(B), herm(B)
         W = M @ M + np.eye(n)
-        G, s, y = rng.standard_normal((B, p, q)), rng.random((B, q)), rng.standard_normal((B, p))
-        d2 = rng.random((B, q)) + 0.1
+        g, s, y = rng.standard_normal((B, p)), rng.random((B, p)), rng.standard_normal((B, p))
+        G = g[:, :, None] * np.eye(p)
+        d2 = rng.random((B, p)) + 0.1
         A2 = A.view(np.float64).reshape(B, p, 2 * n * n)
-        got_a, got_at = _ipm.op_a(A2, G, X, s), _ipm.op_at(A2, y, n)
-        got_m = _ipm.schur_matrix(A2, G, W, d2)
+        got_a, got_at = _ipm.op_a(A2, g, X, s), _ipm.op_at(A2, y, n)
+        got_m = _ipm.schur_matrix(A2, g, W, d2)
         for k in range(B):
             assert _rel(got_a[k], np.trace(A[k] @ X[k], axis1=1, axis2=2).real + G[k] @ s[k]) <= 1e-12
             assert _rel(got_at[k], np.einsum("i,ijk->jk", y[k], A[k])) <= 1e-12
@@ -136,8 +125,8 @@ class TestFlatOperators:
         assert _ipm._dot(X, W) == pytest.approx(np.trace(X @ W, axis1=1, axis2=2).real, rel=1e-12)
 
     def test_adjoint_identity(self, data):
-        A2, G, X, s, y = data["A2"], data["G"], data["X"], data["s"], data["y"]
-        lhs = np.sum(y * _ipm.op_a(A2, G, X, s), axis=1)
+        A2, G, X, s, y = data["A2"], data["Gfull"], data["X"], data["s"], data["y"]
+        lhs = np.sum(y * _ipm.op_a(A2, data["G"], X, s), axis=1)
         rhs = np.sum(X * _ipm.op_at(A2, y, 5), axis=(1, 2)) + np.sum(s * (G.swapaxes(1, 2) @ y[..., None])[..., 0], axis=1)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 

@@ -144,6 +144,7 @@ class TestJson:
             json.dumps({"n": 2, "re": [1, 0, 0]}),
             json.dumps({"n": 0, "re": []}),
             json.dumps({"n": "2", "re": [1, 0, 0, 1]}),
+            json.dumps({"n": True, "re": [1]}),
             json.dumps({"re": [1]}),
         ],
     )

@@ -190,6 +190,12 @@ class TestInstance:
             sdp.QcqpInstance.from_json_dict({"sense": "min"})
         with pytest.raises(ValueError):
             sdp.QcqpInstance.from_json_dict({"sense": "down", "field": "real", "C": {}, "A": []})
+        with pytest.raises(ValueError):
+            sdp.QcqpInstance.from_json_dict({"sense": "min", "field": "real", "C": {"n": 1, "re": [1]}, "A": 5})
+        with pytest.raises(ValueError):
+            sdp.QcqpInstance.from_json_dict(
+                {"sense": "min", "field": "real", "C": {"n": True, "re": [1]}, "A": [{"n": 1, "re": [1]}]}
+            )
 
     def test_quad_helpers(self):
         inst = example_3_7()
@@ -337,7 +343,6 @@ class TestBuildRelaxation:
     def test_trivial_min(self):
         inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, sym(np.eye(2)), (sym(np.eye(2)),))
         form = sdp.build_relaxation(inst)
-        assert form.b.tolist() == [1.0]
         assert form.G.tolist() == [-1.0]
         assert not form.maximize
 
@@ -358,7 +363,6 @@ class TestBuildRelaxation:
         form = sdp.build_relaxation(inst)
         assert form.n == 2 and form.A.shape == (1, 2, 2)
         assert np.array_equal(form.A[0], h.a) and form.C is inst.field_view.C
-        assert form.b.tolist() == [1.0]
 
 
 class TestSolve:
@@ -511,7 +515,7 @@ class TestSolve:
     @pytest.mark.parametrize("case", CASES)
     def test_complex_relaxation_matches_the_real_embedding(self, case, sense):
         # the reference: the same relaxation in the real 2n embedding, whose
-        # traces double, so its right-hand sides are 2 and its optimum is halved
+        # traces double, so its constraints are halved and its optimum is halved
         kind = OBJECTIVE_IDENTITY if sense == sdp.MINIMIZE else OBJECTIVE_INDEFINITE
         insts = [
             generate(GeneratorSpec(n=10, m=m, case=case, sense=sense, objective_kind=kind,
@@ -522,8 +526,7 @@ class TestSolve:
         for inst, sol in zip(insts, sdp.solve_instances(insts)):
             C, A = inst.field_view
             p = len(A)
-            ref = _ipm.solve_conic(flip * embed(C)[None], embed(A)[None], np.full((1, p), 2.0),
-                                   np.full((1, p), -flip), np.zeros((1, p)))[0]
+            ref = _ipm.solve_conic(flip * embed(C)[None], (0.5 * embed(A))[None], np.full((1, p), -flip))[0]
             assert sol.to_json_dict()["status"] == ref.status, inst.m
             if ref.status == "optimal":
                 assert sol.objective_value == pytest.approx(0.5 * flip * ref.objective, rel=1e-7)
@@ -544,8 +547,14 @@ def ipm_calls(monkeypatch):
 
 
 def recheck_slater(inst, rep):
-    """Verify a SlaterReport's certificate or witness by eigenvalues of the instance's own data."""
+    """Verify a SlaterReport's certificate, witness or bound by eigenvalues of the instance's own data."""
     A = inst.field_view.A
+    if not rep.dual_slater and rep.certificate == () and rep.witness is None:
+        # the probe's no: t bounds lambda_min of every combination on the simplex
+        for mu in np.random.default_rng(0).dirichlet(np.ones(len(A)), size=20):
+            assert np.linalg.eigvalsh(np.tensordot(mu, A, 1))[0] <= rep.t + 1e-9
+        assert rep.indeterminate == (rep.t > sdp._SLATER_TOL)
+        return
     if rep.dual_slater or rep.witness is None:
         mu = np.array(rep.certificate)
         assert np.all(mu >= 0.0) and mu.sum() == pytest.approx(1.0)
@@ -565,9 +574,8 @@ def recheck_slater(inst, rep):
 
 
 def probe_decides(inst):
-    """The reference answer: the interior-point probe's best mu, checked by eigenvalues."""
-    mu, _ = sdp._probe_definite(inst.field_view.A)
-    return np.linalg.eigvalsh(np.tensordot(mu, inst.field_view.A, 1))[0] > sdp._SLATER_TOL
+    """The reference answer: the probe relaxation's decision."""
+    return sdp._probe_definite(inst).dual_slater
 
 
 def rotated_max_instance(field, mats, seed=0):
@@ -657,14 +665,28 @@ class TestSlater:
         assert rep.dual_slater == dual_slater and rep.witness is None
         recheck_slater(inst, rep)
 
-    def test_witness_failing_its_check_goes_to_the_probe(self, ipm_calls):
+    def test_probe_bound_at_the_tolerance_is_indeterminate(self, ipm_calls):
         # uniform mu gives lambda_min 0.95e-9 <= tol, but the kernel candidate e1
-        # has x*A_0 x = 1.9e-9 > tol, so neither closed-form answer holds
+        # has x*A_0 x = 1.9e-9 > tol, so neither closed-form answer holds; the
+        # best lambda_min is 1.9e-9 at mu = (1, 0), too close to tol for the
+        # probe relaxation (value 1 / 1.9e-9) to tell, so its no is indeterminate
         A0, A1 = sym(np.diag([1.9e-9, 1.0])), sym(np.diag([0.0, 1.0]))
         inst = sdp.QcqpInstance(sdp.MAXIMIZE, sdp.REAL, sym(np.eye(2)), (A0, A1))
         rep = sdp.slater_check(inst)
         assert len(ipm_calls) == 1 and rep.witness is None
+        assert not rep.dual_slater and rep.indeterminate and rep.certificate == ()
+        assert rep.t == pytest.approx(1.9e-9, rel=1e-6)
         recheck_slater(inst, rep)
+
+    def test_failed_probe_is_indeterminate(self, monkeypatch):
+        def failing(insts):
+            return [sdp.SdpSolution(status=sdp.NUMERICAL_FAILURE, iterations=200, field=i.field, n=i.n,
+                                    message="iteration cap reached") for i in insts]
+
+        monkeypatch.setattr(sdp, "solve_instances", failing)
+        rep = sdp.slater_check(example_4_3(10.0))
+        assert not rep.dual_slater and rep.indeterminate
+        assert rep.certificate == () and rep.witness is None and rep.t == math.inf
 
     @pytest.mark.parametrize("field", sdp.FIELDS)
     @pytest.mark.parametrize("case", CASES)
