@@ -11,11 +11,27 @@ bound on the probability of landing on the favorable side of zero, and
 estimators (exhaustive, Monte Carlo, closed form) that verify those
 bounds numerically.  The check registry at the bottom packages the
 verification runs behind stable string ids for the CLI.
+
+Every Monte Carlo evaluation has its own seed: asym_prob's seed, or one
+draw of a check's own generator, which also makes the check's cases.  Its
+samples are split into blocks of _MC_BLOCK, and block j is drawn from its
+own PCG64 generator seeded with SeedSequence(seed, spawn_key=(j,)).  A
+block's hits thus depend on the seed, j and the block length only: the
+count is the same for any worker count and block order, and the first N
+samples of an evaluation are the same for every sample count.  The blocks
+are counted on W = min(CPUs the process may run on
+(os.sched_getaffinity), blocks) threads, the caller working beside W - 1
+threads that it starts and joins before returning; the generator fills,
+ufuncs and matrix products release the GIL.  One block or one CPU counts
+inline and starts no thread; to count serially, pin the process to one
+CPU (taskset -c 0).  The output is the same either way.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
@@ -62,7 +78,8 @@ CHECK_IDS = LEMMA_IDS + ("L5_1",)
 
 _METHODS = ("Exhaustive", "MonteCarlo", "ClosedForm")
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-_MC_CHUNK = 1 << 18
+_MC_BLOCK = 1 << 14  # Monte Carlo samples per seeded block
+_CHUNK = 1 << 18  # rows per vectorized step of the sign enumeration and the closed-form scan
 _EXHAUSTIVE_CAP = 20  # sign vectors enumerated up to 2^20
 
 
@@ -264,8 +281,8 @@ def exhaustive_sign_prob(w) -> tuple[float, float]:
     count = 0
     m4 = 0.0
     bits = np.arange(n)
-    for start in range(0, total, _MC_CHUNK):
-        stop = min(start + _MC_CHUNK, total)
+    for start in range(0, total, _CHUNK):
+        stop = min(start + _CHUNK, total)
         idx = np.arange(start, stop, dtype=np.int64)
         signs = (((idx[:, None] >> bits) & 1) * 2 - 1).astype(float)
         psi = 0.5 * np.einsum("ij,ij->i", signs @ wm, signs)
@@ -274,39 +291,84 @@ def exhaustive_sign_prob(w) -> tuple[float, float]:
     return count / total, m4 / total
 
 
-def _mc_count(samples: int, draw: Callable[[int], np.ndarray],
+def _workers(blocks: int) -> int:
+    """Threads counting this many blocks, the caller included: at most one per usable CPU."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, blocks)
+
+
+def _mc_count(samples: int, seed: int,
+              draw: Callable[[np.random.Generator, int], np.ndarray],
               event: Callable[[np.ndarray], np.ndarray]) -> int:
-    """Monte Carlo hits: draw(k) returns k sampled values, event marks the hits.
+    """Monte Carlo hits: draw(gen, k) returns k values sampled from gen, event marks the hits.
 
-    Samples are drawn in chunks of _MC_CHUNK, so the sequence of generator
-    calls depends on the sample count only.
+    Block j holds samples [j*_MC_BLOCK, (j+1)*_MC_BLOCK) and draws them from
+    its own generator, seeded with SeedSequence(seed, spawn_key=(j,)).  The
+    caller and _workers(blocks) - 1 threads take block indices from one
+    shared iterator until it runs out or a block raises; every thread is
+    joined before the count is returned or the first exception re-raised.
+    One worker (one block or one CPU) counts inline and starts no thread.
     """
-    hits = 0
-    for start in range(0, samples, _MC_CHUNK):
-        hits += int(np.count_nonzero(event(draw(min(_MC_CHUNK, samples - start)))))
-    return hits
+    blocks = -(-samples // _MC_BLOCK)
+    hits = [0] * blocks
+    claims = iter(range(blocks))
+    lock = threading.Lock()
+    failures = []
+
+    def work() -> None:
+        try:
+            while True:
+                with lock:
+                    j = None if failures else next(claims, None)
+                if j is None:
+                    return
+                gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(j,))))
+                k = min(_MC_BLOCK, samples - j * _MC_BLOCK)
+                hits[j] = int(np.count_nonzero(event(draw(gen, k))))
+        except BaseException as exc:  # re-raised by the caller, after every join
+            failures.append(exc)
+
+    threads = []
+    try:
+        for _ in range(_workers(blocks) - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
+    return sum(hits)
 
 
-def _mc_chi2_prob(taus: np.ndarray, samples: int, rng: np.random.Generator,
-                  level: float = 0.0) -> int:
-    return _mc_count(samples, lambda k: (rng.standard_normal((k, taus.size)) ** 2 - 1.0) @ taus,
+def _mc_chi2_prob(taus: np.ndarray, samples: int, seed: int, level: float = 0.0) -> int:
+    return _mc_count(samples, seed,
+                     lambda gen, k: (gen.standard_normal((k, taus.size)) ** 2 - 1.0) @ taus,
                      lambda psi: psi >= level)
 
 
-def _mc_exp_prob(taus: np.ndarray, samples: int, rng: np.random.Generator,
-                 level: float = 0.0) -> int:
-    return _mc_count(samples, lambda k: (rng.standard_exponential((k, taus.size)) - 1.0) @ taus,
+def _mc_exp_prob(taus: np.ndarray, samples: int, seed: int, level: float = 0.0) -> int:
+    return _mc_count(samples, seed,
+                     lambda gen, k: (gen.standard_exponential((k, taus.size)) - 1.0) @ taus,
                      lambda psi: psi >= level)
 
 
-def _mc_sign_prob(w: np.ndarray, samples: int, rng: np.random.Generator) -> int:
+def _mc_sign_prob(w: np.ndarray, samples: int, seed: int) -> int:
     wm = w + w.T
 
-    def psi(k: int) -> np.ndarray:
-        signs = rng.integers(0, 2, size=(k, w.shape[0])).astype(float) * 2.0 - 1.0
+    def psi(gen: np.random.Generator, k: int) -> np.ndarray:
+        signs = gen.integers(0, 2, size=(k, w.shape[0])).astype(float) * 2.0 - 1.0
         return 0.5 * np.einsum("ij,ij->i", signs @ wm, signs)
 
-    return _mc_count(samples, psi, lambda v: v <= 0.0)
+    return _mc_count(samples, seed, psi, lambda v: v <= 0.0)
+
+
+def _check_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        # it seeds np.random.SeedSequence, which takes non-negative integers only
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def asym_prob(kind: str, weights, method: str = "auto",
@@ -324,7 +386,7 @@ def asym_prob(kind: str, weights, method: str = "auto",
         raise ValueError(f"unknown family {kind!r}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(np.random.PCG64(seed))
+    _check_seed(seed)
 
     if kind == "Bernoulli":
         arr = _as_upper_weights(weights)
@@ -338,7 +400,7 @@ def asym_prob(kind: str, weights, method: str = "auto",
             prob, _ = exhaustive_sign_prob(arr)
             return AsymmetryResult("L4_1", SIGN_ASYM_BOUND, prob, 0.0,
                                    "Exhaustive", 1 << arr.shape[0])
-        hits = _mc_sign_prob(arr, samples, rng)
+        hits = _mc_sign_prob(arr, samples, seed)
         return AsymmetryResult("L4_1", SIGN_ASYM_BOUND, hits / samples,
                                _wilson_radius(hits, samples), "MonteCarlo", samples)
 
@@ -351,14 +413,14 @@ def asym_prob(kind: str, weights, method: str = "auto",
     if kind == "ChiSq":
         if method == "ClosedForm":
             raise ValueError("no closed form for the squared-normal family")
-        hits = _mc_chi2_prob(taus, samples, rng)
+        hits = _mc_chi2_prob(taus, samples, seed)
         return AsymmetryResult("L3_1", CHI2_ASYM_BOUND, hits / samples,
                                _wilson_radius(hits, samples), "MonteCarlo", samples)
 
     if method == "ClosedForm":
         value = exp_closed_form(taus)
         return AsymmetryResult("L3_4", EXP_ASYM_BOUND, value, 0.0, "ClosedForm", 0)
-    hits = _mc_exp_prob(taus, samples, rng)
+    hits = _mc_exp_prob(taus, samples, seed)
     return AsymmetryResult("L3_4", EXP_ASYM_BOUND, hits / samples,
                            _wilson_radius(hits, samples), "MonteCarlo", samples)
 
@@ -432,6 +494,7 @@ def exp_asymmetry_scan(n: int, resolution: float = 1e-3, *,
         # the Monte Carlo sweep is the expensive part; keep its grid
         # coarse enough that the two-dimensional case stays interactive
         mixed_resolution = 0.05 if n == 2 else 0.25
+    _check_seed(seed)
     rng = np.random.default_rng(np.random.PCG64(seed))
 
     points = _simplex_grid(n, resolution)
@@ -439,8 +502,8 @@ def exp_asymmetry_scan(n: int, resolution: float = 1e-3, *,
                   + np.eye(n) * 2.0, axis=(1, 2))
     distinct = points[gaps >= 1e-6]
     values = np.empty(distinct.shape[0])
-    for start in range(0, distinct.shape[0], _MC_CHUNK // 4):
-        stop = min(start + _MC_CHUNK // 4, distinct.shape[0])
+    for start in range(0, distinct.shape[0], _CHUNK // 4):
+        stop = min(start + _CHUNK // 4, distinct.shape[0])
         values[start:stop] = _closed_form_batch(distinct[start:stop])
     equal_value = erlang_tail_at_mean(n)
     idx = int(np.argmin(values)) if values.size else -1
@@ -510,7 +573,7 @@ def _mixed_sign_scan(n: int, resolution: float, samples: int,
     worst_radius = 0.0
     for row in grid:
         taus = np.asarray(row)
-        hits = _mc_exp_prob(taus, samples, rng)
+        hits = _mc_exp_prob(taus, samples, int(rng.integers(2**63)))
         est = hits / samples
         if est < best[0]:
             best = (est, tuple(float(x) for x in row))
@@ -626,14 +689,14 @@ def _check_moment_families(check_id: str, bound_fn: Callable[[float], float],
             taus = _random_tau(rng, i)
             m2 = 2.0 * float(np.sum(taus**2))
             tau4 = chi2_moment4(taus) / (m2 * m2)
-            hits = _mc_chi2_prob(taus, samples, rng)
+            hits = _mc_chi2_prob(taus, samples, int(rng.integers(2**63)))
             est, radius = hits / samples, _wilson_radius(hits, samples)
             method, count = "MonteCarlo", samples
         elif family == 1:
             taus = _random_tau(rng, i)
             m2 = float(np.sum(taus**2))
             tau4 = exp_moment4(taus) / (m2 * m2)
-            hits = _mc_exp_prob(taus, samples, rng)
+            hits = _mc_exp_prob(taus, samples, int(rng.integers(2**63)))
             est, radius = hits / samples, _wilson_radius(hits, samples)
             method, count = "MonteCarlo", samples
         else:
@@ -723,7 +786,8 @@ def _quantile_event_check(check_id: str, draw, ceiling: float, samples: int,
             lam[0] *= 100.0
         gamma = 1.0 if i % 4 == 0 else float(rng.random())
         mean = float(np.sum(lam))
-        hits = _mc_count(samples, lambda k: draw(rng, k, lam), lambda q: q < gamma * mean)
+        hits = _mc_count(samples, int(rng.integers(2**63)), lambda gen, k: draw(gen, k, lam),
+                         lambda q: q < gamma * mean)
         est = hits / samples
         radius = _wilson_radius(hits, samples)
         results.append(AsymmetryResult(check_id, 0.0, est, radius, "MonteCarlo", samples))
@@ -734,8 +798,8 @@ def _quantile_event_check(check_id: str, draw, ceiling: float, samples: int,
 
 
 def _check_l3_2(samples: int, cases: int, seed: int) -> CheckOutcome:
-    def draw(rng, chunk, lam):
-        g = rng.standard_normal((chunk, lam.size))
+    def draw(gen, k, lam):
+        g = gen.standard_normal((k, lam.size))
         return (g * g) @ lam
     return _quantile_event_check("L3_2", draw, 1.0 - CHI2_ASYM_BOUND,
                                  samples, cases, seed)
@@ -743,8 +807,8 @@ def _check_l3_2(samples: int, cases: int, seed: int) -> CheckOutcome:
 
 def _check_l3_5(samples: int, cases: int, seed: int) -> CheckOutcome:
     # complex quadratic forms reduce to exponential weights in the eigenbasis
-    def draw(rng, chunk, lam):
-        return rng.standard_exponential((chunk, lam.size)) @ lam
+    def draw(gen, k, lam):
+        return gen.standard_exponential((k, lam.size)) @ lam
     return _quantile_event_check("L3_5", draw, 1.0 - EXP_ASYM_BOUND,
                                  samples, cases, seed)
 
@@ -791,7 +855,7 @@ def _check_l5_1(samples: int, cases: int, seed: int) -> CheckOutcome:
         bound = chernoff_tail(params)
         # real squared normals; complex forms reduce to exponential weights
         count = _mc_chi2_prob if fieldname == "Real" else _mc_exp_prob
-        freq = count(lam, samples, rng, alpha * params.sigma) / samples
+        freq = count(lam, samples, int(rng.integers(2**63)), alpha * params.sigma) / samples
         if freq > bound:
             passed = False
             notes.append(f"case {i}: exceedance frequency {freq:.5f} above bound {bound:.5f}")
@@ -799,7 +863,8 @@ def _check_l5_1(samples: int, cases: int, seed: int) -> CheckOutcome:
         lam_pos = np.abs(lam) / max(np.sum(np.abs(lam)), 1e-12)
         alpha_c = float(1.5 + 5.0 * rng.random())
         cheb = chebyshev_tail(lam_pos, alpha_c)
-        hits = _mc_count(samples, lambda k: (rng.standard_normal((k, r)) ** 2) @ lam_pos,
+        hits = _mc_count(samples, int(rng.integers(2**63)),
+                         lambda gen, k: (gen.standard_normal((k, r)) ** 2) @ lam_pos,
                          lambda q: q >= alpha_c)
         freq = hits / samples
         if freq > cheb:
@@ -832,4 +897,5 @@ def run_lemma_check(check_id: str, *, samples: int = 200_000, cases: int = 24,
         raise ValueError(f"unknown check id {check_id!r}; choose from {CHECK_IDS}")
     if samples < 1 or cases < 1:
         raise ValueError(f"need samples >= 1 and cases >= 1, got {samples} and {cases}")
+    _check_seed(seed)
     return _CHECKS[check_id](samples, cases, seed)

@@ -394,6 +394,11 @@ class TestCliVerify:
         assert rc == 2 and text == ""
         assert "samples >= 1" in capsys.readouterr().err
 
+    def test_negative_seed_exits_two(self, capsys):
+        rc, text = run_cli(["verify", "--lemma", "L3_1", "--seed", "-1"])
+        assert rc == 2 and text == ""
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
     def test_unknown_check_rejected(self):
         with pytest.raises(SystemExit) as err:
             run_cli(["verify", "--lemma", "L9_9"])

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -451,3 +453,123 @@ class TestRegistry:
     def test_empty_runs_rejected(self, check_id, kwargs):
         with pytest.raises(ValueError, match=">= 1"):
             run_lemma_check(check_id, **kwargs)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+            run_lemma_check("L3_1", samples=10, cases=1, seed=seed)
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+            asym_prob("ChiSq", [1.0], samples=10, seed=seed)
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+            exp_asymmetry_scan(2, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert asym_prob("Exp", [1.0], samples=10, seed=np.int64(3)) == asym_prob(
+            "Exp", [1.0], samples=10, seed=3)
+
+
+def _fixed_workers(monkeypatch, workers):
+    monkeypatch.setattr(prob, "_workers", lambda blocks: min(workers, blocks))
+
+
+class TestMonteCarloBlocks:
+    # an evaluation's hits depend on its seed and sample count only, and
+    # every thread it starts is joined before it returns
+
+    @pytest.mark.parametrize("check_id", prob.CHECK_IDS)
+    def test_same_outcome_for_any_worker_count(self, check_id, monkeypatch):
+        samples = 3 * prob._MC_BLOCK + 17
+        counted = []
+        count = prob._mc_count
+
+        def recording_count(*args):
+            counted.append(count(*args))
+            return counted[-1]
+
+        monkeypatch.setattr(prob, "_mc_count", recording_count)
+        runs = []
+        for workers in (1, 2, 3):
+            _fixed_workers(monkeypatch, workers)
+            counted.clear()
+            out = run_lemma_check(check_id, samples=samples, cases=4, seed=5)
+            runs.append((out.to_dict(), list(counted)))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_draws_at_fewer_samples_are_a_prefix(self, monkeypatch):
+        _fixed_workers(monkeypatch, 1)  # blocks then run in index order
+
+        def draws(samples):
+            seen = []
+
+            def draw(gen, k):
+                seen.append(gen.standard_normal(k))
+                return seen[-1]
+
+            prob._mc_count(samples, 9, draw, lambda v: v > 0.0)
+            return np.concatenate(seen)
+
+        short, full = draws(prob._MC_BLOCK + 5), draws(3 * prob._MC_BLOCK + 17)
+        assert np.array_equal(short, full[: short.size])
+        # block j is drawn from SeedSequence(seed, spawn_key=(j,))
+        block3 = np.random.Generator(np.random.PCG64(np.random.SeedSequence(9, spawn_key=(3,))))
+        assert np.array_equal(full[3 * prob._MC_BLOCK:], block3.standard_normal(17))
+
+    def test_blocks_draw_independent_streams(self):
+        # blocks sharing one stream would inflate the spread of z to about 2
+        taus = [0.1, 0.3, 0.6]
+        exact = exp_closed_form(taus)
+        samples = 4 * prob._MC_BLOCK
+        stderr = math.sqrt(exact * (1.0 - exact) / samples)
+        z = np.array([(asym_prob("Exp", taus, samples=samples, seed=seed).estimate - exact) / stderr
+                      for seed in range(200)])
+        assert abs(z.mean()) <= 0.3
+        assert 0.8 <= z.std(ddof=1) <= 1.2
+
+    def test_no_thread_outlives_a_check(self, monkeypatch):
+        _fixed_workers(monkeypatch, 3)
+        before = threading.active_count()
+        assert run_lemma_check("L3_2", samples=3 * prob._MC_BLOCK, cases=2).passed
+        assert threading.active_count() == before
+
+    def test_every_block_counted_once_under_contention(self, monkeypatch):
+        # more threads than cores, switching as often as the interpreter allows
+        monkeypatch.setattr(prob, "_MC_BLOCK", 64)
+        _fixed_workers(monkeypatch, 8)
+        drawn = []
+
+        def draw(gen, k):
+            drawn.append(k)
+            return gen.random(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            counts = [prob._mc_count(4_000, seed, draw, lambda v: v >= 0.0) for seed in range(20)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == [4_000] * 20
+        assert sorted(drawn) == sorted([64] * 62 * 20 + [32] * 20)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_block_exception_propagates(self, workers, monkeypatch):
+        _fixed_workers(monkeypatch, workers)
+        samples = 2 * prob._MC_BLOCK + 17  # block 2 is the only one of 17 samples
+
+        def draw(gen, k):
+            if k == 17:
+                raise ArithmeticError("block 2")
+            return gen.standard_normal(k)
+
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="block 2"):
+            prob._mc_count(samples, 0, draw, lambda v: v > 0.0)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("check_id", prob.CHECK_IDS)
+    def test_one_block_starts_no_thread(self, check_id, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a one-block evaluation started a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        run_lemma_check(check_id, samples=1_000, cases=3)
+        assert prob._mc_count(prob._MC_BLOCK, 1, lambda gen, k: gen.random(k), lambda v: v < 0.5) > 0
