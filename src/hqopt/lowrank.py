@@ -7,7 +7,8 @@ objective row is carried in the null-space system alongside all m+1
 constraint rows: at an optimum it is a linear combination of them (through
 the dual multipliers), so it never blocks a reduction that the constraint
 count permits, and keeping it pins the objective value exactly rather than
-to solver dust.
+to solver dust.  A step may move each of these traces by _VALUE_TOL
+relative to max(1, |trace|), so large optima reach the bound as small ones.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from .sdp import COMPLEX, OPTIMAL, PSD_TOL, QcqpInstance, SdpSolution
 # relative cut-off: an eigenvalue (singular value) counts toward a rank when
 # it exceeds RANK_TOL times the largest one
 RANK_TOL = 1e-9
+# largest drift of a trace, relative to max(1, |trace|), that a step may cause
 _VALUE_TOL = 1e-7
 
 
@@ -138,8 +140,8 @@ def reduce_rank(sol: SdpSolution, inst: QcqpInstance, *, seed: int = 0) -> LowRa
     C, mats = inst.field_view
     vec, unvec = (_hvec, _unhvec) if inst.field == COMPLEX else (_svec, _unsvec)
 
-    values = _traces(mats, target)
-    obj_value = float(np.real(np.trace(C @ target)))
+    values = _traces(inst.field_stack, target)
+    scale = np.maximum(1.0, np.abs(values))
     bound = pataki_bound(len(mats), inst.field)
     U = factorize(target)
     r = U.shape[1]
@@ -147,10 +149,7 @@ def reduce_rank(sol: SdpSolution, inst: QcqpInstance, *, seed: int = 0) -> LowRa
     cap = 2 * target.shape[0] + 10
 
     def drift(Unew):
-        Xn = Unew @ np.conj(Unew.T)
-        dv = float(np.abs(_traces(mats, Xn) - values).max())
-        do = abs(float(np.real(np.trace(C @ Xn))) - obj_value)
-        return max(dv, do)
+        return float((np.abs(_traces(inst.field_stack, Unew @ np.conj(Unew.T)) - values) / scale).max())
 
     steps = 0
     while r > bound and steps < cap:

@@ -39,6 +39,7 @@ sample's values are summed in an order that does not depend on the chunk
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -69,7 +70,7 @@ SCHEMES = (GAUSSIAN_MIN, SIGN_MAX, GAUSSIAN_MAX)
 _ZERO_TOL = 1e-9
 # relative slack when comparing an empirical ratio against its certificate
 _CERT_SLACK = 1e-9
-# exact extraction certifies ratio 1 to 1e-4 (its face search is a grid)
+# exact extraction certifies ratio 1 to 1e-4
 _EXACT_SLACK = 5e-5
 # samples evaluated per vectorized block; sample values do not depend on it
 _SAMPLE_CHUNK = 2048
@@ -549,83 +550,80 @@ def _lorentz_row(H: np.ndarray) -> tuple[float, np.ndarray]:
     return f_t, f_x
 
 
-def _sphere_grid(t_lo, t_hi, p_lo, p_hi, n_t, n_p):
-    theta = np.linspace(t_lo, t_hi, n_t)
-    phi = np.linspace(p_lo, p_hi, n_p)
-    T, P = np.meshgrid(theta, phi, indexing="ij")
-    U = np.stack([np.cos(T), np.sin(T) * np.cos(P), np.sin(T) * np.sin(P)])
-    return T, P, U.reshape(3, -1)
+def _face_candidates(f: np.ndarray, h: np.ndarray) -> list:
+    """Unit vectors u among which one maximizes min_k (f_k + h_k . u) over the sphere.
+
+    There one, two or three slacks are smallest and equal: u is a cap centre,
+    the top of the circle on which two agree, or a point where the line on
+    which three agree crosses the sphere.
+    """
+    out = [hk / np.linalg.norm(hk) for hk in h if hk @ hk > 1e-24]
+    for i, j in itertools.combinations(range(len(f)), 2):
+        # the circle normal . u = d on the sphere; its top is along h_i's part in the plane
+        gap = float(np.linalg.norm(h[i] - h[j]))
+        if gap > 1e-12:
+            normal, d = (h[i] - h[j]) / gap, (f[j] - f[i]) / gap
+            top = h[i] - (h[i] @ normal) * normal
+            if top @ top > 1e-24 and abs(d) <= 1.0:
+                out.append(d * normal + math.sqrt(1.0 - d * d) * top / np.linalg.norm(top))
+    for i, j, k in itertools.combinations(range(len(f)), 3):
+        N = np.array([h[i] - h[j], h[i] - h[k]])
+        axis = np.cross(N[0], N[1])
+        if axis @ axis > 1e-24:
+            # the line's point nearest the origin, then its two crossings
+            base = N.T @ np.linalg.solve(N @ N.T, [f[j] - f[i], f[k] - f[i]])
+            room = (1.0 - base @ base) / (axis @ axis)
+            if room >= 0.0:
+                out += [base + math.sqrt(room) * axis, base - math.sqrt(room) * axis]
+    return out
 
 
 def _rank_one_on_face(C_hat: np.ndarray, A_hats: np.ndarray, v: float):
     """Rank-one W = w w* with Tr(C_hat W) = v and Tr(A_hat_k W) >= 1, or None.
 
     Rank-one PSD 2x2 matrices are the rays s (1, u) of the Lorentz-cone
-    boundary, u on the unit sphere.  Fixing the objective pins s = v / den(u),
-    so the search is two-dimensional: maximize the smallest constraint value
-    over the sphere by a zooming grid.
+    boundary, u on the unit sphere.  Once a definite C_hat = L L* is whitened
+    (W -> L* W L), Tr(C_hat W) = v pins s = v / den, den = c_t + c_x . u = 2,
+    and constraint k has value 1 + (f_k + h_k . u) / den, f_k = v a_t,k - c_t,
+    h_k = v a_x,k - c_x.  The best u is among _face_candidates (Sturm & Zhang
+    2003; Huang & Zhang 2007): for a definite C_hat, None means there is none.
     """
-    c_t, c_x = _lorentz_row(C_hat)
-    rows = [_lorentz_row(A) for A in A_hats]
-
+    lam, vec = np.linalg.eigh(C_hat)
     if abs(v) <= _ZERO_TOL:
         # objective value zero with C_hat PSD: w must lie in the kernel
-        lam, vec = np.linalg.eigh(C_hat)
-        for idx in range(len(lam)):
-            if abs(lam[idx]) > 1e-9 * max(1.0, abs(lam[-1])):
-                continue
-            w = vec[:, idx]
+        for lam_w, w in zip(lam, vec.T):
             vals = [float(np.real(np.conj(w) @ A @ w)) for A in A_hats]
-            if min(vals) > 1e-12:
+            if abs(lam_w) <= 1e-9 * max(1.0, abs(lam[-1])) and min(vals) > 1e-12:
                 return w / math.sqrt(min(vals))
         return None
     if v < 0.0:
         return None
-
-    def score(U):
-        den = c_t + c_x @ U
-        vals = np.stack([v * (a_t + a_x @ U) / np.where(den > 1e-14, den, np.nan) for a_t, a_x in rows])
-        s = np.nanmin(vals, axis=0)
-        s[~(den > 1e-14)] = -np.inf
-        return np.where(np.isnan(s), -np.inf, s)
-
-    t_lo, t_hi, p_lo, p_hi = 0.0, math.pi, 0.0, 2.0 * math.pi
-    n_t, n_p = 384, 768
-    best = None
-    for level in range(6):
-        T, P, U = _sphere_grid(t_lo, t_hi, p_lo, p_hi, n_t, n_p)
-        s = score(U)
-        k = int(np.argmax(s))
-        if not math.isfinite(s[k]):
-            return None
-        best = (float(T.ravel()[k]), float(P.ravel()[k]), float(s[k]))
-        span_t = (t_hi - t_lo) / n_t * 4.0
-        span_p = (p_hi - p_lo) / n_p * 4.0
-        t_lo, t_hi = best[0] - span_t, best[0] + span_t
-        p_lo, p_hi = best[1] - span_p, best[1] + span_p
-        n_t = n_p = 64
-    theta, phi, val = best
-    if val < 1.0 - 1e-7:
+    L_inv = np.conj(vec.T) / np.sqrt(lam)[:, None] if lam[0] > 1e-12 * lam[-1] else np.eye(2)
+    c_t, c_x = _lorentz_row(L_inv @ C_hat @ np.conj(L_inv.T))
+    rows = [_lorentz_row(L_inv @ A @ np.conj(L_inv.T)) for A in A_hats]
+    f = np.array([v * a_t - c_t for a_t, _ in rows])
+    h = np.array([v * a_x - c_x for _, a_x in rows])
+    U = np.array(_face_candidates(f, h)).reshape(-1, 3)
+    den = c_t + U @ c_x
+    slack = np.where(den > 1e-14, (f[:, None] + h @ U.T).min(axis=0), -math.inf)
+    k = int(np.argmax(slack)) if len(U) else 0
+    # the smallest constraint value, 1 + slack / den, may fall short of 1 by 1e-7
+    if not len(U) or slack[k] < -1e-7 * den[k]:
         return None
-    u = np.array([math.cos(theta), math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi)])
-    s_ray = v / (c_t + c_x @ u)
-    W = s_ray * np.array(
-        [[1.0 + u[0], u[1] + 1j * u[2]], [u[1] - 1j * u[2], 1.0 - u[0]]]
-    )
+    u = U[k]
+    W = v / den[k] * np.array([[1.0 + u[0], u[1] + 1j * u[2]], [u[1] - 1j * u[2], 1.0 - u[0]]])
     lam, vec = np.linalg.eigh(W)
-    if lam[-1] <= 0.0:
-        return None
-    return math.sqrt(lam[-1]) * vec[:, -1]
+    return np.conj(L_inv.T) @ vec[:, -1] * math.sqrt(lam[-1])
 
 
 def complex_exact_extraction(inst: QcqpInstance, lowrank: LowRankSolution) -> RoundingReport:
     """Extract a feasible point matching v_sdp for complex minimization, m <= 3.
 
-    With at most four constraints the relaxation is tight: after rank
-    reduction r <= 2, and a rank-one optimal point exists.  r = 1 reads the
-    factor directly; r = 2 searches the rank-one boundary of the 2x2 optimal
-    face.  Returns a report whose ratio is 1 up to numerical tolerance, or a
-    flagged failure when no point is found.
+    After rank reduction r <= 2.  r = 1 reads the factor directly; r = 2
+    finds a rank-one point of the 2x2 optimal face in closed form.  With all
+    four constraints active at a rank-two optimum the face may have none:
+    the relaxation then has a gap.  Returns a report whose ratio is 1 up to
+    numerical tolerance, or a failure whose message says why.
     """
     if inst.field != COMPLEX or inst.sense != MINIMIZE:
         raise ValueError("exact extraction applies to complex minimization instances")
@@ -650,9 +648,9 @@ def complex_exact_extraction(inst: QcqpInstance, lowrank: LowRankSolution) -> Ro
         K = compress(inst.field_stack, lowrank.U)
         w = _rank_one_on_face(K[0], K[1:], v_sdp)
         if w is None:
-            return finish(None, "no rank-one point found on the optimal face")
+            return finish(None, "the 2x2 optimal face has no rank-one point: the relaxation is not tight here")
         return finish(lowrank.U @ w, "rank-one point is not feasible")
-    return finish(None, f"factor rank {r} exceeds 2")
+    return finish(None, f"factor rank {r} after rank reduction exceeds 2")
 
 
 def round_solution(

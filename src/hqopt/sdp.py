@@ -22,8 +22,8 @@ slater_check decides whether some nonnegative combination of the A_k is
 positive definite, which the max-form rounding needs.  Under the paper's
 hypothesis for max problems (all but one A_k PSD) the answer follows from
 eigenvalues.  The remaining instances solve one more relaxation as a probe:
-the max relaxation with C = I, which is bounded exactly when such a
-combination exists.
+the max relaxation with C = I and every A_k shifted by max_k ||A_k||_F,
+whose multipliers give the best combination.
 """
 from __future__ import annotations
 
@@ -426,27 +426,30 @@ class SlaterReport:
 
 
 def _probe_definite(inst: QcqpInstance) -> SlaterReport:
-    """Decide dual Slater by the max relaxation with C = I: max Tr X s.t. Tr(A_k X) <= 1, X PSD.
+    """Decide dual Slater by max Tr X s.t. Tr((A_k + cI) X) <= 1, X PSD, c = max_k ||A_k||_F.
 
-    Its dual is min sum mu s.t. sum mu_k A_k >= I, mu >= 0, so it is
-    bounded exactly when some combination is definite.  Its value is then
-    1 / lambda*, lambda* the best lambda_min over the simplex, and the
-    multipliers over their sum attain lambda*.  An unbounded relaxation's
-    ray, projected onto the PSD cone and scaled to trace 1, is a D with
-    lambda_min(sum mu_k A_k) <= sum mu_k Tr(A_k D) <= max_k Tr(A_k D) for
-    every mu on the simplex.  The probe goes through solve_instances, not
-    solve_instance, so that a trace of solve_instance counts the
-    relaxations of the instances alone.
+    As c >= -lambda_min(A_k) and sum mu_k (A_k + cI) = sum mu_k A_k + cI on
+    the simplex, the dual min sum mu s.t. sum mu_k (A_k + cI) >= I is bounded
+    with value 1 / (lambda* + c), lambda* the best lambda_min over the
+    simplex, and the multipliers over their sum attain lambda*.  A yes is
+    checked on the unshifted A_k.  A no comes from X, projected onto the PSD
+    cone and scaled to trace 1 as D: lambda_min(sum mu_k A_k) <= max_k
+    Tr(A_k D) for every mu on the simplex.  The probe goes through
+    solve_instances, not solve_instance, so that a trace of solve_instance
+    counts the relaxations of the instances alone.
     """
     A = inst.field_view.A
-    probe = QcqpInstance.from_stack(MAXIMIZE, inst.field, np.concatenate([np.eye(inst.n)[None], A]))
+    c = float(np.linalg.norm(A, axis=(1, 2)).max())
+    eye = np.eye(inst.n)
+    probe = QcqpInstance.from_stack(MAXIMIZE, inst.field, np.concatenate([eye[None], A + c * eye]))
     sol = solve_instances([probe])[0]
-    if sol.status == OPTIMAL:
-        mu = np.array(sol.dual_multipliers)
-        return _combination(A, mu / mu.sum())
-    if sol.status != UNBOUNDED:
+    if sol.status != OPTIMAL:
         return SlaterReport(False, (), math.inf, indeterminate=True)
-    lam, V = np.linalg.eigh(sol.ray.a)
+    mu = np.array(sol.dual_multipliers)
+    report = _combination(A, mu / mu.sum())
+    if report.dual_slater:
+        return report
+    lam, V = np.linalg.eigh(sol.X.a)
     F = V * np.sqrt(np.maximum(lam, 0.0))
     F /= np.linalg.norm(F)  # D = F F* at trace 1
     t = float(np.trace(compress(A, F), axis1=1, axis2=2).real.max())

@@ -1,7 +1,9 @@
 """Golden sweep fixtures: small committed sweeps that every refactor must reproduce.
 
-Each fixture is the CSV that ``write_csv`` produced for one sweep (m in
-{5, 10}, 5 instances per m, root seed 0).  The test reruns the sweep and
+Each fixture is the CSV that ``write_csv`` produced for one sweep (root
+seed 0; m in {5, 10} and 5 instances per m, except the case C/D max sweep:
+10 instances at m = 10, three of whose case D rows need the Slater probe
+to find a definite aggregate).  The test reruns the sweep and
 compares it row by row: case, m, status and instance_seed exactly; v_sdp,
 v_hat_qp, ratio and bound to 1e-9 relative (NaN matches NaN).  The same
 sweeps, run on one, two or three worker processes, must write the same bytes.
@@ -27,7 +29,7 @@ import pytest
 
 from hqopt import _ipm, experiment
 from hqopt.experiment import ExperimentConfig, run_experiment, write_csv
-from hqopt.instances import CASE_A, CASE_B, CASE_C
+from hqopt.instances import CASE_A, CASE_B, CASE_C, CASE_D
 from hqopt.rounding import GAUSSIAN_MAX, GAUSSIAN_MIN, SIGN_MAX
 from hqopt.sdp import COMPLEX, REAL, batch_size
 
@@ -35,17 +37,18 @@ FIXTURES = Path(__file__).parent / "golden"
 REL_TOL = 1e-9
 
 SWEEPS = {
-    "gaussian_min_real": (GAUSSIAN_MIN, REAL, (CASE_A, CASE_B)),
-    "gaussian_min_complex": (GAUSSIAN_MIN, COMPLEX, (CASE_A, CASE_C)),
-    "gaussian_max_real": (GAUSSIAN_MAX, REAL, (CASE_A, CASE_B)),
-    "sign_max_real": (SIGN_MAX, REAL, (CASE_A, CASE_B)),
+    "gaussian_min_real": (GAUSSIAN_MIN, REAL, (CASE_A, CASE_B), (5, 10), 5),
+    "gaussian_min_complex": (GAUSSIAN_MIN, COMPLEX, (CASE_A, CASE_C), (5, 10), 5),
+    "gaussian_max_real": (GAUSSIAN_MAX, REAL, (CASE_A, CASE_B), (5, 10), 5),
+    "gaussian_max_real_cd": (GAUSSIAN_MAX, REAL, (CASE_C, CASE_D), (10,), 10),
+    "sign_max_real": (SIGN_MAX, REAL, (CASE_A, CASE_B), (5, 10), 5),
 }
 
 
 def sweep_config(name: str) -> ExperimentConfig:
-    scheme, field, cases = SWEEPS[name]
+    scheme, field, cases, m_list, per_m = SWEEPS[name]
     return ExperimentConfig(
-        cases=cases, m_list=(5, 10), instances_per_m=5, root_seed=0, scheme=scheme, field=field
+        cases=cases, m_list=m_list, instances_per_m=per_m, root_seed=0, scheme=scheme, field=field
     )
 
 
@@ -112,7 +115,11 @@ def test_large_m_batches_write_the_same_csv(monkeypatch):
     assert _csv(LARGE_M) == default
 
 
-POOLED = {**{name: sweep_config(name) for name in SWEEPS}, "complex_large_m": LARGE_M}
+# the sweeps of more than one batch; gaussian_max_real_cd is one batch of one m
+POOLED = {
+    **{name: sweep_config(name) for name in SWEEPS if len(SWEEPS[name][3]) > 1},
+    "complex_large_m": LARGE_M,
+}
 
 
 @pytest.fixture
@@ -246,7 +253,8 @@ def regeneration_problems(new: list, old: list) -> list:
             continue
         v_new, v_old = (float(c[4] or "nan") for c in (nc, oc))
         if not (
-            math.isnan(v_new) and math.isnan(v_old)
+            nc[4] == oc[4]  # an Unbounded row's inf included
+            or math.isnan(v_new) and math.isnan(v_old)
             or abs(v_new - v_old) <= V_SDP_REGEN_TOL * max(1.0, abs(v_old))
         ):
             problems.append(f"line {row}: v_sdp moved {v_old!r} -> {v_new!r}")

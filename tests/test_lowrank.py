@@ -14,6 +14,7 @@ from hqopt.lowrank import (
     pataki_bound,
     reduce_rank,
 )
+from hqopt.instances import CASE_A, OBJECTIVE_IDENTITY, GeneratorSpec, generate
 from hqopt.matrices import HermMatrix, SymMatrix
 from hqopt.sdp import (
     COMPLEX,
@@ -286,6 +287,17 @@ class TestReduceRank:
         assert sol.status == UNBOUNDED
         with pytest.raises(ValueError, match="Optimal"):
             reduce_rank(sol, inst)
+
+    @pytest.mark.parametrize("seed", [32, 71])
+    def test_large_objective_reaches_the_bound(self, seed):
+        # v_sdp is about 62.2 (seed 32) and 234.7 (seed 71); the step to rank
+        # two moves the objective by more than 1e-7 absolute, far less relative to it
+        inst = generate(GeneratorSpec(n=10, m=3, case=CASE_A, sense=MINIMIZE,
+                                      objective_kind=OBJECTIVE_IDENTITY, seed=seed, field=COMPLEX))
+        sol = solve_instance(inst)
+        low = reduce_rank(sol, inst)
+        assert low.meets_bound and low.r == 2 and low.steps >= 1
+        assert low.objective_value == pytest.approx(sol.objective_value, rel=1e-7)
 
     def test_stall_returns_best_rank_with_flag(self):
         # non-optimal X: the objective row is independent of the constraint

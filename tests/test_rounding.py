@@ -39,6 +39,7 @@ from hqopt.sdp import (
     constraint_values,
     objective_value,
     solve_instance,
+    solve_instances,
 )
 
 
@@ -769,6 +770,40 @@ class TestRankOneOnFace:
     def test_negative_objective_returns_none(self):
         assert _rank_one_on_face(np.eye(2, dtype=complex), [np.eye(2, dtype=complex)], -1.0) is None
 
+    @staticmethod
+    def lorentz(t, x):
+        """The 2x2 Hermitian matrix with Lorentz coordinates (t, x)."""
+        return np.array([[t + x[0], x[1] + 1j * x[2]], [x[1] - 1j * x[2], t - x[0]]])
+
+    def face(self, floor, extra=()):
+        """C_hat and A_hats, in coordinates w = M w', whose rank-one points of trace 2 are (1, u), u on the sphere.
+
+        Constraint k holds exactly when u_k >= floor; M is a fixed random
+        change of basis, so C_hat = M* M is not the identity.
+        """
+        rng = np.random.default_rng(5)
+        M = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        mats = [self.lorentz((1.0 - floor) / 2.0, np.eye(3)[k] / 2.0) for k in range(3)] + list(extra)
+        return np.conj(M.T) @ M, [np.conj(M.T) @ A @ M for A in mats], M
+
+    @pytest.mark.parametrize("extra", [(), (np.eye(2, dtype=complex),)], ids=["three-active", "one-inactive"])
+    def test_three_active_constraints_pin_one_point(self, extra):
+        # u_k >= 1/sqrt(3) for k = 0, 1, 2 holds on the sphere only at u = (1, 1, 1)/sqrt(3);
+        # the identity's value there is 2, so a fourth constraint I is inactive
+        C_hat, A_hats, M = self.face(1.0 / math.sqrt(3.0), extra)
+        w = _rank_one_on_face(C_hat, A_hats, 2.0)
+        assert w is not None
+        W = np.outer(M @ w, np.conj(M @ w))
+        assert W == pytest.approx(self.lorentz(1.0, np.ones(3) / math.sqrt(3.0)), abs=1e-9)
+        vals = [float(np.real(np.conj(w) @ A @ w)) for A in A_hats]
+        assert vals[:3] == pytest.approx([1.0] * 3, abs=1e-9)
+        assert vals[3:] == pytest.approx([2.0] * len(extra), abs=1e-9)
+
+    def test_face_without_rank_one_point(self):
+        # u_k >= 0.6 for k = 0, 1, 2 needs |u|^2 >= 1.08
+        C_hat, A_hats, _ = self.face(0.6)
+        assert _rank_one_on_face(C_hat, A_hats, 2.0) is None
+
 
 class TestComplexExactExtraction:
     def test_ratio_one_across_constraint_counts(self):
@@ -796,6 +831,38 @@ class TestComplexExactExtraction:
             assert constraint_values(inst, x).min() >= 1.0 - 1e-9
         # both the direct read-off and the rank-two face search must be exercised
         assert 1 in ranks_seen and 2 in ranks_seen
+
+    @staticmethod
+    def case_a_m3(seed):
+        return generate(GeneratorSpec(n=10, m=3, case=CASE_A, sense=MINIMIZE,
+                                      objective_kind=OBJECTIVE_IDENTITY, seed=seed, field=COMPLEX))
+
+    def test_case_a_three_constraints_over_200_seeds(self):
+        # every seed extracts at ratio 1 to 1e-8, except two whose relaxation
+        # has a gap (test_gap_seeds_have_one_rank_two_optimum)
+        insts = [self.case_a_m3(seed) for seed in range(200)]
+        for seed, inst, sol in zip(range(200), insts, solve_instances(insts)):
+            report = complex_exact_extraction(inst, reduce_rank(sol, inst))
+            if seed in (88, 111):
+                assert report.failed and "has no rank-one point" in report.message, seed
+            else:
+                assert not report.failed, (seed, report.message)
+                assert 1.0 - 1e-9 <= report.empirical_ratio <= 1.0 + 1e-8, seed
+
+    @pytest.mark.parametrize("seed", [88, 111])
+    def test_gap_seeds_have_one_rank_two_optimum(self, seed):
+        inst = self.case_a_m3(seed)
+        sol = solve_instance(inst)
+        report = complex_exact_extraction(inst, reduce_rank(sol, inst))
+        assert report.failed
+        assert report.message.startswith("the 2x2 optimal face has no rank-one point")
+        # every optimal X lies in the dual slack's two-dimensional kernel, a
+        # 2x2 Hermitian face with four real dimensions, and all four
+        # multipliers are positive, so all four constraints hold with
+        # equality: the optimum is that face's single rank-two point
+        assert min(sol.dual_multipliers) > 0.1
+        lam = np.linalg.eigvalsh(sol.dual_slack.a)
+        assert lam[1] < 1e-9 < 0.05 < lam[2]
 
     def test_rejects_out_of_scope_instances(self):
         rng = np.random.default_rng(3)

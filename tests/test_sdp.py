@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from hqopt import _ipm, sdp
+from hqopt.experiment import ExperimentConfig, run_single
 from hqopt.instances import (
     CASE_A,
+    CASE_B,
+    CASE_C,
+    CASE_D,
     CASES,
     OBJECTIVE_IDENTITY,
     OBJECTIVE_INDEFINITE,
@@ -15,6 +19,7 @@ from hqopt.instances import (
     generate,
 )
 from hqopt.matrices import HermMatrix, SymMatrix
+from hqopt.rounding import GAUSSIAN_MAX
 
 
 def embed(a):
@@ -669,14 +674,27 @@ class TestSlater:
         # uniform mu gives lambda_min 0.95e-9 <= tol, but the kernel candidate e1
         # has x*A_0 x = 1.9e-9 > tol, so neither closed-form answer holds; the
         # best lambda_min is 1.9e-9 at mu = (1, 0), too close to tol for the
-        # probe relaxation (value 1 / 1.9e-9) to tell, so its no is indeterminate
+        # probe's primal bound (max_k Tr(A_k D), at least 1.9e-9) to tell, so
+        # its no is indeterminate
         A0, A1 = sym(np.diag([1.9e-9, 1.0])), sym(np.diag([0.0, 1.0]))
         inst = sdp.QcqpInstance(sdp.MAXIMIZE, sdp.REAL, sym(np.eye(2)), (A0, A1))
         rep = sdp.slater_check(inst)
         assert len(ipm_calls) == 1 and rep.witness is None
         assert not rep.dual_slater and rep.indeterminate and rep.certificate == ()
-        assert rep.t == pytest.approx(1.9e-9, rel=1e-6)
+        assert rep.t == pytest.approx(2.87e-9, rel=1e-2)
         recheck_slater(inst, rep)
+
+    def test_probe_decides_a_near_singular_aggregate(self, ipm_calls):
+        # GaussianMax, cases A-D, m = 10, 20 instances per m, root seed 0: the
+        # case D row with instance seed 1910532901 has a best lambda_min near
+        # zero, on which the unshifted probe failed and the row lost its point
+        config = ExperimentConfig(cases=(CASE_A, CASE_B, CASE_C, CASE_D), m_list=(10,),
+                                  instances_per_m=20, root_seed=0, scheme=GAUSSIAN_MAX)
+        record = run_single(config, CASE_D, 3, 10, 6)
+        assert record.instance_seed == 1910532901
+        assert record.solve_status == sdp.OPTIMAL
+        assert record.empirical_ratio == pytest.approx(1.0, abs=1e-6)
+        assert len(ipm_calls) == 2  # the relaxation, then the probe
 
     def test_failed_probe_is_indeterminate(self, monkeypatch):
         def failing(insts):
