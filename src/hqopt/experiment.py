@@ -115,17 +115,20 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.cases or any(c not in CASES for c in self.cases):
             raise ValueError(f"cases must be drawn from {CASES}")
-        if not self.m_list or any(not isinstance(m, int) or m < 1 for m in self.m_list):
+        if not self.m_list or any(
+                not isinstance(m, int) or isinstance(m, bool) or m < 1 for m in self.m_list):
             raise ValueError("m_list must hold positive integers")
         # a repeated entry would solve its cells again and write their rows twice
         for name, values in (("cases", self.cases), ("m_list", self.m_list)):
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} has duplicate entries: {tuple(values)}")
-        if not isinstance(self.root_seed, int) or self.root_seed < 0:
+        if not isinstance(self.root_seed, int) or isinstance(self.root_seed, bool) or self.root_seed < 0:
             # it seeds every np.random.SeedSequence of the sweep
             raise ValueError(f"root_seed must be a non-negative integer, got {self.root_seed!r}")
-        if self.instances_per_m < 0 or self.samples < 1 or self.n < 2:
-            raise ValueError("need instances_per_m >= 0, samples >= 1, n >= 2")
+        for name, low in (("instances_per_m", 0), ("samples", 1), ("n", 2)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.field == COMPLEX and self.scheme != GAUSSIAN_MIN:
@@ -218,11 +221,6 @@ def _run_tasks(config: ExperimentConfig, tasks) -> list:
     drawn = [_draw(config, *t) for t in tasks]
     sols = iter(solve_instances([d[-1] for d in drawn if d[-1] is not None]))
     return [_record(config, *d, None if d[-1] is None else next(sols)) for d in drawn]
-
-
-def run_single(config: ExperimentConfig, case: str, case_index: int, m: int, index: int) -> ExperimentRecord:
-    """Generate, solve, and round one sweep instance; failures stay in-row."""
-    return _run_tasks(config, [(case, case_index, m, index)])[0]
 
 
 def summarize(records) -> tuple:

@@ -26,11 +26,9 @@ import numpy as np
 from .matrices import SymMatrix, hermitian_part
 from .sdp import (
     COMPLEX,
-    INDEFINITE,
     INFEASIBLE,
     MAXIMIZE,
     MINIMIZE,
-    PSD,
     REAL,
     QcqpInstance,
     solve_instance,
@@ -69,9 +67,9 @@ class GeneratorSpec:
     field: str = REAL
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValueError("n must be a positive integer")
-        if not isinstance(self.m, int) or self.m < 0:
+        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 0:
             raise ValueError("m must be a nonnegative integer")
         if self.case not in CASES:
             raise ValueError(f"unknown case {self.case!r}")
@@ -79,7 +77,7 @@ class GeneratorSpec:
             raise ValueError("sense must be Minimize or Maximize")
         if self.objective_kind not in OBJECTIVE_KINDS:
             raise ValueError(f"unknown objective kind {self.objective_kind!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if self.field not in (REAL, COMPLEX):
             raise ValueError("field must be Real or Complex")
@@ -331,131 +329,3 @@ def canonical(example_id: str, M: float | None = None) -> CanonicalExample:
         raise ValueError(f"unknown canonical example {example_id!r}")
     return CanonicalExample(id=example_id, M=M, instance=inst, known_values=known)
 
-
-@dataclass(frozen=True)
-class BruteGrid:
-    """Search box and resolution for the grid oracle."""
-
-    radius: float = 6.0
-    points: int = 41
-    refine_rounds: int = 8
-    direction_count: int = 4096
-    starts: int = 8
-
-    def __post_init__(self) -> None:
-        if self.radius <= 0 or self.points < 5 or self.refine_rounds < 0 or self.starts < 1:
-            raise ValueError("need radius > 0, points >= 5, refine_rounds >= 0, starts >= 1")
-
-
-def _direction_grid(n: int, count: int) -> np.ndarray:
-    if n == 1:
-        return np.array([[1.0], [-1.0]])
-    if n == 2:
-        angles = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
-        return np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    # Fibonacci sphere
-    i = np.arange(count) + 0.5
-    phi = math.pi * (1.0 + math.sqrt(5.0)) * i
-    z = 1.0 - 2.0 * i / count
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-
-
-def _quad_batch(A: np.ndarray, P: np.ndarray) -> np.ndarray:
-    return np.einsum("pi,ij,pj->p", P, A, P)
-
-
-def brute_force_qcqp(inst: QcqpInstance, grid: BruteGrid | None = None) -> float:
-    """Grid-with-refinement oracle for the true optimum of a small instance.
-
-    Only real instances with n <= 3 are supported.  Returns +-inf when a
-    feasible ray makes the objective unbounded (radial growth test), raises
-    when no grid point is feasible at the final resolution.
-    """
-    if inst.field != REAL:
-        raise ValueError("the grid oracle supports real instances only")
-    n = inst.n
-    if n > 3:
-        raise ValueError("the grid oracle supports n <= 3 only")
-    g = grid or BruteGrid()
-    C, As = inst.field_view
-    maximize = inst.sense == MAXIMIZE
-
-    dirs = _direction_grid(n, g.direction_count)
-    cons_dir = np.stack([_quad_batch(A, dirs) for A in As])
-    obj_dir = _quad_batch(C, dirs)
-    if maximize:
-        ray = (cons_dir.max(axis=0) <= 1e-12) & (obj_dir >= 1e-9)
-        if bool(ray.any()):
-            return math.inf
-    else:
-        ray = (cons_dir.min(axis=0) >= 1e-9) & (obj_dir <= -1e-9)
-        if bool(ray.any()):
-            return -math.inf
-
-    def scan(center: np.ndarray, half: float):
-        axes = [np.linspace(center[i] - half, center[i] + half, g.points) for i in range(n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        P = np.stack([m.ravel() for m in mesh], axis=1)
-        vals = np.stack([_quad_batch(A, P) for A in As])
-        feas = (vals.max(axis=0) <= 1.0) if maximize else (vals.min(axis=0) >= 1.0)
-        if not bool(feas.any()):
-            return None, None
-        obj = _quad_batch(C, P)
-        obj = np.where(feas, obj, -math.inf if maximize else math.inf)
-        order = np.argsort(-obj if maximize else obj)
-        return P[order], obj[order]
-
-    def refine(point: np.ndarray, start_half: float, start_val: float) -> float:
-        # pan at constant width while the optimum sits on the box edge (a
-        # coarse start may land far from its basin); shrink once interior
-        best_val = start_val
-        half = start_half
-        shrinks = 0
-        pans = 0
-        while shrinks < g.refine_rounds:
-            ranked, vals = scan(point, half)
-            if ranked is None:
-                break
-            val_new = float(vals[0])
-            better = val_new > best_val if maximize else val_new < best_val
-            if better:
-                best_val = val_new
-            step = 2.0 * half / (g.points - 1)
-            on_edge = bool(np.any(np.abs(ranked[0] - point) >= half - 1.5 * step))
-            point = ranked[0]
-            if on_edge and pans < 32:
-                pans += 1
-                continue
-            half = 4.0 * half / (g.points - 1)
-            shrinks += 1
-        return best_val
-
-    center = np.zeros(n)
-    half = g.radius
-    ranked = None
-    for attempt in range(4):
-        ranked, vals = scan(center, half)
-        if ranked is not None:
-            break
-        half *= 2.0
-    if ranked is None:
-        raise ValueError("no feasible grid point found; widen the search box")
-
-    # refine from several spatially separated starts: distinct local basins
-    # can differ and the global grid alone cannot tell which one wins
-    spacing = 2.0 * half / (g.points - 1)
-    starts = []
-    for idx in range(len(ranked)):
-        if not math.isfinite(vals[idx]):
-            break
-        p = ranked[idx]
-        if all(float(np.max(np.abs(p - q))) > 2.0 * spacing for q, _ in starts):
-            starts.append((p, float(vals[idx])))
-        if len(starts) >= g.starts:
-            break
-    best = -math.inf if maximize else math.inf
-    for p, v in starts:
-        out = refine(p, 4.0 * half / (g.points - 1), v)
-        best = max(best, out) if maximize else min(best, out)
-    return best

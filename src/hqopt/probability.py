@@ -49,16 +49,12 @@ __all__ = [
     "SIGN_ASYM_BOUND",
     "SHARPENED_COEFF",
     "TailBoundParams",
-    "VerificationError",
-    "asym_bound_moment",
     "asym_prob",
     "bernoulli_moment4",
     "chebyshev_tail",
     "chernoff_tail",
     "chi2_moment4",
-    "erlang_tail_at_mean",
     "exhaustive_sign_prob",
-    "exp_asymmetry_scan",
     "exp_closed_form",
     "exp_moment4",
     "recip_exp_bound_holds",
@@ -79,16 +75,12 @@ CHECK_IDS = LEMMA_IDS + ("L5_1",)
 _METHODS = ("Exhaustive", "MonteCarlo", "ClosedForm")
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _MC_BLOCK = 1 << 14  # Monte Carlo samples per seeded block
-_CHUNK = 1 << 18  # rows per vectorized step of the sign enumeration and the closed-form scan
+_CHUNK = 1 << 18  # rows per vectorized step of the sign enumeration
 _EXHAUSTIVE_CAP = 20  # sign vectors enumerated up to 2^20
 
 
 class IllConditionedError(ValueError):
     """Closed-form evaluation refused because weights nearly coincide."""
-
-
-class VerificationError(RuntimeError):
-    """A registered numerical check failed its asserted bound."""
 
 
 @dataclass(frozen=True)
@@ -170,22 +162,6 @@ class TailBoundParams:
 # analytic bound evaluators
 
 
-def asym_bound_moment(t: float, tau: float) -> float:
-    """Moment-ratio lower bound on P{Phi >= 0} for zero-mean unit-variance Phi.
-
-    tau bounds the normalized t-th absolute moment E|Phi|^t.  Generic
-    exponent: 0.25*tau^(-2/(t-2)).  At t = 4 the sharper constant
-    (2*sqrt(3)-3)/tau applies and is returned instead.
-    """
-    if t <= 2.0:
-        raise ValueError(f"moment exponent must exceed 2, got {t}")
-    if tau < 1.0:
-        raise ValueError(f"tau must be >= 1 (Jensen), got {tau}")
-    if t == 4.0:
-        return SHARPENED_COEFF / tau
-    return 0.25 * tau ** (-2.0 / (t - 2.0))
-
-
 def chi2_moment4(taus) -> float:
     """E(sum tau_i(eta_i^2-1))^4 = 48*sum tau^4 + 12*(sum tau^2)^2."""
     t = _as_weights(taus)
@@ -240,20 +216,6 @@ def bernoulli_moment4(w) -> float:
         cyc += arr[i, j] * arr[j, l] * arr[k, l] * arr[i, k]
         cyc += arr[i, k] * arr[j, k] * arr[j, l] * arr[i, l]
     return total + 24.0 * cyc
-
-
-def _bernoulli_moment4_trace(w) -> float:
-    # independent route: moments of xi^T W xi via traces of the hollow
-    # symmetrization W (Psi = xi^T W xi / 2)
-    arr = _as_upper_weights(w)
-    wm = arr + arr.T
-    fro2 = float(np.sum(wm**2))
-    p4 = float(np.sum(wm**4))
-    w2 = wm @ wm
-    d = np.diag(w2)
-    full = (12.0 * fro2 * fro2 + 32.0 * p4
-            + 48.0 * float(np.trace(w2 @ w2)) - 96.0 * float(np.sum(d**2)))
-    return full / 16.0
 
 
 # ---------------------------------------------------------------------------
@@ -458,127 +420,6 @@ def _closed_form_batch(t: np.ndarray) -> np.ndarray:
     k = t.shape[1]
     ratios[:, np.arange(k), np.arange(k)] = 1.0
     return np.sum(np.exp(-1.0 / t) / np.prod(ratios, axis=2), axis=1)
-
-
-def erlang_tail_at_mean(n: int) -> float:
-    """P{Gamma(n,1) >= n}: the equal-weights limit of the closed form."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    acc = 0.0
-    term = 1.0
-    for k in range(n):
-        if k > 0:
-            term *= n / k
-        acc += term
-    return math.exp(-n) * acc
-
-
-def exp_asymmetry_scan(n: int, resolution: float = 1e-3, *,
-                       mixed_resolution: float | None = None,
-                       mixed_samples: int = 100_000, seed: int = 0) -> dict:
-    """Scan the exponential favorable-side probability over weight grids.
-
-    Positive weights on the sum-1 simplex are evaluated with the exact
-    closed form (grid step = resolution; near-coincident points replaced
-    by the exact equal-weights value).  Mixed-sign weights with positive
-    sum are covered by a coarser Monte Carlo sweep, since the closed form
-    is restricted to positive weights.  Raises VerificationError when the
-    minimum drops below 1/e beyond the stated tolerances; the conjecture
-    this checks is that the value stays inside (1/e, (e-1)/e).
-    """
-    if n not in (2, 3):
-        raise ValueError("scan supports n = 2 and n = 3 only")
-    if not 0.0 < resolution <= 0.25:
-        raise ValueError("resolution must lie in (0, 0.25]")
-    if mixed_resolution is None:
-        # the Monte Carlo sweep is the expensive part; keep its grid
-        # coarse enough that the two-dimensional case stays interactive
-        mixed_resolution = 0.05 if n == 2 else 0.25
-    _check_seed(seed)
-    rng = np.random.default_rng(np.random.PCG64(seed))
-
-    points = _simplex_grid(n, resolution)
-    gaps = np.min(np.abs(points[:, :, None] - points[:, None, :])
-                  + np.eye(n) * 2.0, axis=(1, 2))
-    distinct = points[gaps >= 1e-6]
-    values = np.empty(distinct.shape[0])
-    for start in range(0, distinct.shape[0], _CHUNK // 4):
-        stop = min(start + _CHUNK // 4, distinct.shape[0])
-        values[start:stop] = _closed_form_batch(distinct[start:stop])
-    equal_value = erlang_tail_at_mean(n)
-    idx = int(np.argmin(values)) if values.size else -1
-    if idx >= 0 and values[idx] < equal_value:
-        min_found, argmin = float(values[idx]), tuple(float(x) for x in distinct[idx])
-    else:
-        min_found, argmin = equal_value, tuple([1.0 / n] * n)
-    max_found = float(np.max(values, initial=equal_value))
-
-    mixed_min, mixed_argmin, mixed_radius = _mixed_sign_scan(
-        n, mixed_resolution, mixed_samples, rng)
-
-    floor = 1.0 / math.e
-    ceiling = (math.e - 1.0) / math.e
-    tolerance = resolution
-    mixed_tolerance = 3.0 * mixed_radius + mixed_resolution
-    result = {
-        "n": n,
-        "min_found": min_found,
-        "argmin": argmin,
-        "max_found": max_found,
-        "equal_weights_value": equal_value,
-        "grid_points": int(distinct.shape[0]),
-        "tolerance": tolerance,
-        "mixed_min": mixed_min,
-        "mixed_argmin": mixed_argmin,
-        "mixed_radius": mixed_radius,
-        "mixed_tolerance": mixed_tolerance,
-    }
-    if min_found <= floor - tolerance or max_found >= ceiling + tolerance:
-        raise VerificationError(
-            f"positive-weight scan escaped (1/e, (e-1)/e): min {min_found}, "
-            f"max {max_found}")
-    if mixed_min <= floor - mixed_tolerance:
-        raise VerificationError(
-            f"mixed-sign scan dipped below 1/e beyond tolerance: {mixed_min}")
-    return result
-
-
-def _simplex_grid(n: int, resolution: float) -> np.ndarray:
-    steps = int(round(1.0 / resolution))
-    if n == 2:
-        a = np.arange(1, steps) / steps
-        return np.column_stack([a, 1.0 - a])
-    a = np.arange(1, steps) / steps
-    aa, bb = np.meshgrid(a, a, indexing="ij")
-    mask = aa + bb < 1.0 - 0.5 / steps
-    aa, bb = aa[mask], bb[mask]
-    return np.column_stack([aa, bb, 1.0 - aa - bb])
-
-
-def _mixed_sign_scan(n: int, resolution: float, samples: int,
-                     rng: np.random.Generator) -> tuple[float, tuple, float]:
-    # Weight vectors with at least one negative entry, normalized to sum
-    # 1 (the probability only allows positive rescaling).  Coordinates
-    # range over [-2, 3]; the minimum sits near the one-dominant-weight
-    # boundary, where the value approaches 1/e from above.
-    span = np.arange(-2.0, 3.0 + resolution / 2, resolution)
-    if n == 2:
-        grid = np.column_stack([span, 1.0 - span])
-    else:
-        aa, bb = np.meshgrid(span, span, indexing="ij")
-        grid = np.column_stack([aa.ravel(), bb.ravel(), 1.0 - aa.ravel() - bb.ravel()])
-    keep = np.all(np.abs(grid) > 1e-9, axis=1) & np.any(grid < 0.0, axis=1)
-    grid = grid[keep]
-    best = (1.0, tuple([1.0 / n] * n))
-    worst_radius = 0.0
-    for row in grid:
-        taus = np.asarray(row)
-        hits = _mc_exp_prob(taus, samples, int(rng.integers(2**63)))
-        est = hits / samples
-        if est < best[0]:
-            best = (est, tuple(float(x) for x in row))
-            worst_radius = _wilson_radius(hits, samples)
-    return best[0], best[1], worst_radius
 
 
 # ---------------------------------------------------------------------------

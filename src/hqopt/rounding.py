@@ -91,9 +91,10 @@ class RoundingParams:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not isinstance(self.num_samples, int) or self.num_samples < 1:
+        samples = self.num_samples
+        if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
             raise ValueError("num_samples must be a positive integer")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**128:
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**128:
             # the seed is the 128-bit key of the sample stream
             raise ValueError("seed must be an integer in [0, 2**128)")
 
@@ -267,31 +268,11 @@ def _sample(
     return _Draws(sign * best, best_x, feasible, p.num_samples - feasible, joint)
 
 
-def bound_certificate_min(m: int, field: str) -> float:
-    """Worst-case min-form ratio: 1e6 m^2/pi real, 2400 m complex (1 for m <= 3)."""
+def bound_certificate_min(m: int) -> float:
+    """Worst-case min-form ratio of a real instance: 1e6 m^2/pi."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    if field == COMPLEX:
-        return 1.0 if m <= 3 else 2400.0 * m
     return 1.0e6 * m * m / math.pi
-
-
-def per_constraint_tail_bound(gamma: float, r: int, field: str) -> float:
-    """Bound on P{xi*A xi < gamma E(xi*A xi)} for one PSD constraint at rank r."""
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must lie in (0, 1]")
-    if not isinstance(r, int) or r < 1:
-        raise ValueError("r must be a positive integer")
-    if field == COMPLEX:
-        return max(4.0 * gamma / 3.0, 16.0 * (r - 1) ** 2 * gamma * gamma)
-    return max(math.sqrt(gamma), 2.0 * (r - 1) * gamma / (math.pi - 2.0))
-
-
-def sign_union_tail(m: int, mu: float, alpha: float) -> float:
-    """Bound on P{max over PSD constraints of a sign-vector form > alpha}: 2 m mu e^(-alpha/2)."""
-    if m < 0 or mu <= 0 or alpha <= 0:
-        raise ValueError("need m >= 0, mu > 0, alpha > 0")
-    return 2.0 * m * mu * math.exp(-alpha / 2.0)
 
 
 def bound_certificate_max(inst: QcqpInstance, X_hat: SymMatrix | HermMatrix) -> dict:
@@ -429,9 +410,8 @@ def gaussian_round_min(
     gamma = pi/(1e4 m^2), mu = 100 (real) or gamma = 1/(40 m), mu = 60
     (complex).  With more than one indefinite constraint no worst-case bound
     exists and the report says so; with a single constraint the reduced
-    solution is rank one and the bound is exactly 1.  A complex instance
-    claims 2400 m for every m: bound_certificate_min's 1 for m <= 3 is the
-    relaxation's gap, which only complex_exact_extraction attains.
+    solution is rank one and the bound is exactly 1; otherwise it is
+    bound_certificate_min(m) for real data and 2400 m for complex data.
     """
     if inst.sense != MINIMIZE:
         raise ValueError("gaussian_round_min needs a minimization instance")
@@ -446,7 +426,7 @@ def gaussian_round_min(
     elif m == 0:
         bound = 1.0
     else:
-        bound = 2400.0 * m if complex_field else bound_certificate_min(m, inst.field)
+        bound = 2400.0 * m if complex_field else bound_certificate_min(m)
 
     if m == 0:
         gamma = 1.0

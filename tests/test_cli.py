@@ -16,7 +16,6 @@ from hqopt.experiment import (
     ExperimentConfig,
     derive_seeds,
     run_experiment,
-    run_single,
     summarize,
     write_csv,
 )
@@ -24,6 +23,8 @@ from hqopt.instances import CASE_A, CASE_B, CASE_C
 from hqopt.matrices import SymMatrix
 from hqopt.rounding import GAUSSIAN_MAX, GAUSSIAN_MIN, SIGN_MAX
 from hqopt.sdp import COMPLEX, MINIMIZE, OPTIMAL, REAL, QcqpInstance
+
+from oracles import run_single
 
 
 def run_cli(argv):
@@ -72,6 +73,23 @@ class TestExperimentConfig:
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("instances_per_m", 1.5),
+            ("instances_per_m", True),
+            ("n", 3.0),
+            ("n", True),
+            ("samples", 2.5),
+            ("samples", True),
+            ("m_list", (True,)),
+            ("root_seed", True),
+        ],
+    )
+    def test_rejects_non_integers_naming_the_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            ExperimentConfig(**{name: value})
 
     @pytest.mark.parametrize(
         "flags", [["--m-list", "5,5"], ["--cases", "a,a"], ["--cases", "a,A_OneIndef_RestPD"]]

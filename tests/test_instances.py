@@ -18,9 +18,7 @@ from hqopt.instances import (
     MIN_GAP_INFINITE,
     OBJECTIVE_IDENTITY,
     OBJECTIVE_INDEFINITE,
-    BruteGrid,
     GeneratorSpec,
-    brute_force_qcqp,
     canonical,
     generate,
     generate_report,
@@ -42,6 +40,8 @@ from hqopt.sdp import (
     solve_instance,
     tag_matrix,
 )
+
+from oracles import BruteGrid, brute_force_qcqp
 
 
 def spec_a(**overrides):
@@ -68,6 +68,12 @@ class TestGeneratorSpec:
     def test_rejects_bad_fields(self, overrides):
         with pytest.raises(ValueError):
             spec_a(**overrides)
+
+    @pytest.mark.parametrize("name", ["n", "m", "seed"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_non_integers_naming_the_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            spec_a(**{name: value})
 
     def test_indefinite_count_by_case(self):
         assert spec_a(case=CASE_A).num_indefinite == 1

@@ -1,0 +1,91 @@
+"""The package holds only what the program runs, and exports only names it defines.
+
+Reference computations that only tests call live in tests/oracles.py.
+"""
+
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hqopt"
+MODULES = sorted("hqopt" if p.stem == "__init__" else f"hqopt.{p.stem}" for p in SRC.glob("*.py"))
+
+
+def _defined(node: ast.stmt) -> set:
+    """The names a top-level statement defines: a function, a class or module constants."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return set()
+    return {t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")}
+
+
+def _named(node: ast.stmt) -> set:
+    """Every identifier a statement reads or writes, attribute names included.
+
+    An import does not count: a name imported and never used has no caller.
+    """
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def unreached_definitions(src: pathlib.Path) -> list:
+    """Sorted (module, name) of each top-level definition in src/*.py that no live code names.
+
+    A statement other than the definition itself and __all__ must name it.
+    Once a definition is dropped, the helpers only it named drop too, so the
+    scan repeats until nothing more drops out.
+    """
+    statements = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            exports = isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            if not exports:
+                statements.append((path.stem, _defined(node), _named(node)))
+    dead = set()
+    while True:
+        used = set()
+        for module, defined, named in statements:
+            if not defined or any((module, name) not in dead for name in defined):
+                used |= named - defined
+        newly = {(module, name) for module, defined, _ in statements for name in defined
+                 if name not in used} - dead
+        if not newly:
+            return sorted(dead)
+        dead |= newly
+
+
+def test_every_definition_has_a_program_caller():
+    assert unreached_definitions(SRC) == []
+
+
+def test_scan_follows_dead_helpers(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '__all__ = ["dead", "used"]\n'
+        "LIMIT = 3\n"
+        "def helper():\n    return LIMIT\n"
+        "def dead():\n    return helper() + dead()\n"
+        "def used():\n    return 1\n"
+        "def imported():\n    return 2\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import imported, used\nVALUE = used()\nprint(VALUE)\n")
+    assert unreached_definitions(tmp_path) == [
+        ("a", "LIMIT"), ("a", "dead"), ("a", "helper"), ("a", "imported")]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_exists(name):
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

@@ -24,10 +24,8 @@ from hqopt.rounding import (
     complex_exact_extraction,
     gaussian_round_max,
     gaussian_round_min,
-    per_constraint_tail_bound,
     round_solution,
     sign_round_max,
-    sign_union_tail,
 )
 from hqopt.sdp import (
     COMPLEX,
@@ -41,6 +39,8 @@ from hqopt.sdp import (
     solve_instance,
     solve_instances,
 )
+
+from oracles import per_constraint_tail_bound, sign_union_tail
 
 
 def _orth(rng, n):
@@ -142,6 +142,12 @@ class TestRoundingParams:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             RoundingParams(**kwargs)
+
+    @pytest.mark.parametrize("name", ["num_samples", "seed"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_non_integers_naming_the_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            RoundingParams(GAUSSIAN_MIN, **{name: value})
 
     def test_accepts_largest_stream_key(self):
         assert RoundingParams(GAUSSIAN_MIN, seed=2**128 - 1).seed == 2**128 - 1
@@ -305,18 +311,12 @@ class TestSampleStream:
 
 class TestBoundCertificateMin:
     def test_real_values(self):
-        assert bound_certificate_min(1, REAL) == pytest.approx(1.0e6 / math.pi, rel=1e-12)
-        assert bound_certificate_min(10, REAL) == pytest.approx(1.0e8 / math.pi, rel=1e-12)
-
-    def test_complex_values(self):
-        for m in (1, 2, 3):
-            assert bound_certificate_min(m, COMPLEX) == 1.0
-        assert bound_certificate_min(4, COMPLEX) == 9600.0
-        assert bound_certificate_min(5, COMPLEX) == 12000.0
+        assert bound_certificate_min(1) == pytest.approx(1.0e6 / math.pi, rel=1e-12)
+        assert bound_certificate_min(10) == pytest.approx(1.0e8 / math.pi, rel=1e-12)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            bound_certificate_min(0, REAL)
+            bound_certificate_min(0)
 
 
 class TestPerConstraintTailBound:
@@ -464,7 +464,7 @@ class TestGaussianRoundMin:
         assert objective_value(inst, x) == pytest.approx(report.best_objective, abs=1e-9)
         assert report.v_sdp <= report.best_objective + 1e-7
         assert report.empirical_ratio == pytest.approx(report.best_objective / report.v_sdp)
-        assert report.theoretical_bound == pytest.approx(bound_certificate_min(inst.m, REAL))
+        assert report.theoretical_bound == pytest.approx(bound_certificate_min(inst.m))
         assert report.certificate_satisfied
         assert not report.multi_indefinite_warning
 
@@ -895,7 +895,7 @@ class TestReportJson:
         assert payload["scheme"] == GAUSSIAN_MIN
         assert isinstance(payload["best_x"], list)
         assert isinstance(payload["empirical_ratio"], float)
-        assert payload["theoretical_bound"] == pytest.approx(bound_certificate_min(inst.m, REAL))
+        assert payload["theoretical_bound"] == pytest.approx(bound_certificate_min(inst.m))
 
 
 class TestSampleCounts:

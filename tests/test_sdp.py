@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hqopt import _ipm, sdp
-from hqopt.experiment import ExperimentConfig, run_single
+from hqopt.experiment import ExperimentConfig
 from hqopt.instances import (
     CASE_A,
     CASE_B,
@@ -20,6 +20,8 @@ from hqopt.instances import (
 )
 from hqopt.matrices import HermMatrix, SymMatrix
 from hqopt.rounding import GAUSSIAN_MAX
+
+from oracles import run_single
 
 
 def embed(a):
