@@ -94,6 +94,9 @@ def batch_size(p: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class ConicResult:
+    """One relaxation's outcome; an unbounded one holds its improving ray in
+    (X, s), an infeasible one its Farkas certificate in (y, Z, w)."""
+
     status: str  # optimal | infeasible | unbounded | numerical_failure
     X: np.ndarray
     s: np.ndarray
@@ -107,8 +110,6 @@ class ConicResult:
     primal_residual: float = np.nan
     dual_residual: float = np.nan
     rel_gap: float = np.nan
-    ray: tuple[np.ndarray, np.ndarray] | None = None
-    farkas: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 def _t(M):
@@ -674,7 +675,7 @@ def _results(P, state, best, best_score, converged, certified, messages, it, raw
             out.append(ConicResult(
                 status="unbounded", X=_sym(rX), s=rs, y=np.zeros(len(rown)), Z=np.zeros_like(rX),
                 w=np.zeros(q), objective=-np.inf, dual_objective=-np.inf,
-                primal_residual=float(pres_ray), iterations=it, ray=(_sym(rX), rs), message=message,
+                primal_residual=float(pres_ray), iterations=it, message=message,
             ))
         elif kind[i] == 2:
             fy, fZ, fw = y[i] / by[i] / rown, Z[i] / by[i], w[i] / by[i]  # b.fy = 1
@@ -682,8 +683,7 @@ def _results(P, state, best, best_score, converged, certified, messages, it, raw
             res = max(np.linalg.norm(R), np.max(np.abs(G[0] * fy + fw)))
             out.append(ConicResult(
                 status="infeasible", X=np.full_like(fZ, np.nan), s=np.full(q, np.nan), y=fy,
-                Z=_sym(fZ), w=fw, dual_residual=float(res), iterations=it,
-                farkas=(fy, _sym(fZ), fw), message=message,
+                Z=_sym(fZ), w=fw, dual_residual=float(res), iterations=it, message=message,
             ))
         else:
             # optimal or numerical_failure: the iterate, unscaled

@@ -25,7 +25,6 @@ from .rounding import (
 from .sdp import (
     COMPLEX,
     INFEASIBLE,
-    NUMERICAL_FAILURE,
     OPTIMAL,
     REAL,
     UNBOUNDED,
@@ -104,12 +103,12 @@ def _parse_m_list(raw: str) -> tuple:
 
 def cmd_experiment(args, out) -> int:
     if args.paper_scale:
-        cases = _parse_cases(args.cases) if args.cases else (CASE_A, CASE_B, CASE_C, CASE_D)
-        m_list = _parse_m_list(args.m_list) if args.m_list else tuple(range(5, 101, 5))
+        cases = _parse_cases(args.cases) if args.cases is not None else (CASE_A, CASE_B, CASE_C, CASE_D)
+        m_list = _parse_m_list(args.m_list) if args.m_list is not None else tuple(range(5, 101, 5))
         instances = args.instances_per_m if args.instances_per_m is not None else 1000
     else:
-        cases = _parse_cases(args.cases) if args.cases else (CASE_A,)
-        m_list = _parse_m_list(args.m_list) if args.m_list else (5, 10, 15, 20, 25, 30)
+        cases = _parse_cases(args.cases) if args.cases is not None else (CASE_A,)
+        m_list = _parse_m_list(args.m_list) if args.m_list is not None else (5, 10, 15, 20, 25, 30)
         instances = args.instances_per_m if args.instances_per_m is not None else 100
     config = ExperimentConfig(
         cases=cases,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import HermMatrix, SymMatrix, compress
+from .matrices import compress
 from .sdp import COMPLEX, OPTIMAL, PSD_TOL, QcqpInstance, SdpSolution
 
 # relative cut-off: an eigenvalue (singular value) counts toward a rank when
@@ -56,15 +56,14 @@ def pataki_bound(num_constraints: int, field: str) -> int:
     return max(1, (math.isqrt(8 * num_constraints + 1) - 1) // 2)
 
 
-def factorize(X) -> np.ndarray:
+def factorize(X: np.ndarray) -> np.ndarray:
     """U with columns sqrt(lam_i) q_i for eigenvalues above RANK_TOL * lam_max.
 
-    Accepts SymMatrix, HermMatrix, or a plain (possibly complex) ndarray.
-    Raises NotPsdError when an eigenvalue sits below -PSD_TOL, the solver's
-    own acceptance threshold for an Optimal solution.
+    X is symmetric or Hermitian.  Raises NotPsdError when an eigenvalue sits
+    below -PSD_TOL, the solver's own acceptance threshold for an Optimal
+    solution.
     """
-    arr = X.a if isinstance(X, (SymMatrix, HermMatrix)) else np.asarray(X)
-    vals, vecs = np.linalg.eigh(arr)
+    vals, vecs = np.linalg.eigh(X)
     if vals[0] < -PSD_TOL:
         raise NotPsdError(f"matrix has eigenvalue {vals[0]:.3e} below -{PSD_TOL:.1e}")
     lam_max = max(float(vals[-1]), 0.0)
@@ -126,11 +125,11 @@ def _boundary_candidates(lam: np.ndarray):
     return out
 
 
-def reduce_rank(sol: SdpSolution, inst: QcqpInstance, *, seed: int = 0) -> LowRankSolution:
+def reduce_rank(sol: SdpSolution, inst: QcqpInstance) -> LowRankSolution:
     """Reduce an Optimal solution's rank to the Pataki bound, values preserved.
 
-    Deterministic for a fixed seed; the seed only matters when the principal
-    null direction is rejected and a randomized recombination is attempted.
+    Deterministic: when the principal null direction is rejected, the
+    randomized recombination tried next draws from a generator seeded with 0.
     If no admissible step exists before the bound is met, the best rank
     reached is returned with meets_bound False, after at most 2n + 10 steps.
     """
@@ -145,7 +144,7 @@ def reduce_rank(sol: SdpSolution, inst: QcqpInstance, *, seed: int = 0) -> LowRa
     bound = pataki_bound(len(mats), inst.field)
     U = factorize(target)
     r = U.shape[1]
-    rng = np.random.default_rng(np.random.PCG64(seed))
+    rng = np.random.default_rng(np.random.PCG64(0))
     cap = 2 * target.shape[0] + 10
 
     def drift(Unew):

@@ -6,9 +6,7 @@ Conventions used throughout the package:
   are symmetrized ``(M + M.T) / 2`` on construction;
 * Hermitian matrices are stored as a (real, imaginary) pair, and ``.a``
   gives the complex array under the name a ``SymMatrix`` gives its real
-  one, so solver, rank reduction and sampler work on either field alike;
-* spectra report eigenvalues in descending order with matching orthonormal
-  eigenvector columns.
+  one, so solver, rank reduction and sampler work on either field alike.
 """
 
 from __future__ import annotations
@@ -20,27 +18,11 @@ from typing import Union
 import numpy as np
 
 __all__ = [
-    "DecompositionError",
     "HermMatrix",
-    "Spectrum",
     "SymMatrix",
-    "frobenius_norm",
     "hermitian_part",
     "read_only_view",
-    "sym_eig",
 ]
-
-# Construction-time tolerance: entry asymmetry beyond this raises in strict
-# mode; below it the symmetric/antisymmetric projection is applied silently.
-STRICT_TOL = 1e-8
-
-
-class DecompositionError(RuntimeError):
-    """Raised when an eigendecomposition fails; carries the residual."""
-
-    def __init__(self, message: str, residual: float = float("nan")):
-        super().__init__(message)
-        self.residual = residual
 
 
 def _as_square_float(a, name: str) -> np.ndarray:
@@ -80,22 +62,12 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
-    """Real symmetric matrix, symmetrized on construction.
-
-    With ``strict=True`` an entry asymmetry larger than ``STRICT_TOL``
-    raises instead of being projected away.
-    """
+    """Real symmetric matrix, symmetrized on construction."""
 
     a: np.ndarray
-    strict: bool = False
 
     def __post_init__(self):
         arr = _as_square_float(self.a, "SymMatrix")
-        asym = float(np.max(np.abs(arr - arr.T), initial=0.0))
-        if self.strict and asym > STRICT_TOL:
-            raise ValueError(
-                f"asymmetry {asym:.3e} exceeds strict tolerance {STRICT_TOL:.0e}"
-            )
         object.__setattr__(self, "a", _freeze(_sym_part(arr)))
 
     @property
@@ -120,28 +92,19 @@ class HermMatrix:
 
     re: np.ndarray
     im: np.ndarray
-    strict: bool = False
 
     def __post_init__(self):
         re = _as_square_float(self.re, "HermMatrix.re")
         im = _as_square_float(self.im, "HermMatrix.im")
         if re.shape != im.shape:
             raise ValueError("re/im shape mismatch")
-        asym = max(
-            float(np.max(np.abs(re - re.T), initial=0.0)),
-            float(np.max(np.abs(im + im.T), initial=0.0)),
-        )
-        if self.strict and asym > STRICT_TOL:
-            raise ValueError(
-                f"hermiticity violation {asym:.3e} exceeds {STRICT_TOL:.0e}"
-            )
         object.__setattr__(self, "re", _freeze(_sym_part(re)))
         object.__setattr__(self, "im", _freeze(_antisym_part(im)))
 
     @staticmethod
-    def from_complex(h, strict: bool = False) -> "HermMatrix":
+    def from_complex(h) -> "HermMatrix":
         arr = np.asarray(h, dtype=complex)
-        return HermMatrix(arr.real, arr.imag, strict=strict)
+        return HermMatrix(arr.real, arr.imag)
 
     @property
     def n(self) -> int:
@@ -193,7 +156,6 @@ def read_only_view(a: np.ndarray) -> AnyMatrix:
     else:
         mat = object.__new__(SymMatrix)
         object.__setattr__(mat, "a", a)
-    object.__setattr__(mat, "strict", False)
     return mat
 
 
@@ -214,46 +176,6 @@ def _load_matrix_json(text: str) -> dict:
         if not isinstance(block, list) or len(block) != n * n:
             raise ValueError(f"'{key}' must hold exactly n*n = {n * n} entries")
     return data
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigenvalues in descending order with matching eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.eigenvalues) @ self.vectors.T
-
-
-def sym_eig(m: SymMatrix | np.ndarray) -> Spectrum:
-    """Full spectral decomposition of a real symmetric matrix.
-
-    Eigenvalues come back in descending order. A LAPACK convergence failure
-    is re-raised as :class:`DecompositionError` with the residual attached.
-    """
-    arr = m.a if isinstance(m, SymMatrix) else _as_square_float(m, "sym_eig input")
-    arr = 0.5 * (arr + arr.T)
-    try:
-        vals, vecs = np.linalg.eigh(arr)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"eigendecomposition failed: {exc}") from exc
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    residual = float(np.linalg.norm((vecs * vals) @ vecs.T - arr, "fro"))
-    if not np.isfinite(residual) or residual > 1e-8 * (1.0 + np.linalg.norm(arr, "fro")):
-        raise DecompositionError(
-            f"eigendecomposition residual {residual:.3e} out of tolerance", residual
-        )
-    return Spectrum(_freeze(vals), _freeze(vecs))
-
-
-def frobenius_norm(a: AnyMatrix | np.ndarray) -> float:
-    """Frobenius norm of a matrix (wrapper types or a plain, possibly complex, ndarray)."""
-    arr = a.a if isinstance(a, (SymMatrix, HermMatrix)) else np.asarray(a)
-    return float(np.linalg.norm(arr, "fro"))
 
 
 def compress(mats: np.ndarray, U: np.ndarray) -> np.ndarray:

@@ -72,7 +72,7 @@ SHARPENED_COEFF = 2.0 * math.sqrt(3.0) - 3.0
 LEMMA_IDS = ("L2_1", "L2_2", "L3_1", "L3_2", "L3_4", "L3_5", "L4_1")
 CHECK_IDS = LEMMA_IDS + ("L5_1",)
 
-_METHODS = ("Exhaustive", "MonteCarlo", "ClosedForm")
+_METHODS = ("Exhaustive", "MonteCarlo")
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _MC_BLOCK = 1 << 14  # Monte Carlo samples per seeded block
 _CHUNK = 1 << 18  # rows per vectorized step of the sign enumeration
@@ -119,15 +119,9 @@ class AsymmetryResult:
 
 @dataclass(frozen=True)
 class TailBoundParams:
-    """Inputs of the quadratic-form deviation bound.
-
-    sigma and delta are derived from lambdas; a mismatch beyond 1e-12
-    (relative) is rejected so stale values cannot sneak in.
-    """
+    """Inputs of the quadratic-form deviation bound; sigma and delta are read off lambdas."""
 
     lambdas: tuple
-    sigma: float
-    delta: float
     alpha: float
     field: str
 
@@ -135,27 +129,21 @@ class TailBoundParams:
         lam = np.asarray(self.lambdas, dtype=float)
         if lam.size == 0:
             raise ValueError("lambdas must be nonempty")
-        sigma = float(np.sqrt(np.sum(lam**2)))
-        delta = float(max(np.max(lam), 0.0))
-        scale = max(1.0, sigma)
-        if abs(sigma - self.sigma) > 1e-12 * scale or abs(delta - self.delta) > 1e-12 * scale:
-            raise ValueError("stored sigma/delta do not match lambdas")
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
         if self.field not in ("Real", "Complex"):
             raise ValueError(f"unknown field {self.field!r}")
         object.__setattr__(self, "lambdas", tuple(float(x) for x in lam))
 
-    @staticmethod
-    def from_lambdas(lambdas, alpha: float, field: str = "Real") -> "TailBoundParams":
-        lam = np.asarray(lambdas, dtype=float)
-        return TailBoundParams(
-            lambdas=tuple(float(x) for x in lam),
-            sigma=float(np.sqrt(np.sum(lam**2))),
-            delta=float(max(np.max(lam), 0.0)) if lam.size else 0.0,
-            alpha=float(alpha),
-            field=field,
-        )
+    @property
+    def sigma(self) -> float:
+        """The Frobenius norm of the weights, sqrt(sum lam^2)."""
+        return float(np.sqrt(np.sum(np.asarray(self.lambdas) ** 2)))
+
+    @property
+    def delta(self) -> float:
+        """The largest weight, or 0 when none is positive."""
+        return float(max(np.max(self.lambdas), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +321,13 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def asym_prob(kind: str, weights, method: str = "auto",
-              samples: int = 1_000_000, seed: int = 0) -> AsymmetryResult:
+def asym_prob(kind: str, weights, samples: int = 1_000_000, seed: int = 0) -> AsymmetryResult:
     """Estimate the favorable-side probability for one weighted-form family.
 
     kind selects the family: "ChiSq" and "Exp" measure P{Psi >= 0} for a
-    1-D weight vector; "Bernoulli" measures P{Psi <= 0} for a strictly
-    upper-triangular weight matrix.  method is "auto", "Exhaustive"
-    (Bernoulli, n <= 20), "MonteCarlo", or "ClosedForm" (Exp, positive
-    distinct weights).  The analytic_lower_bound field carries the
+    1-D weight vector by Monte Carlo; "Bernoulli" measures P{Psi <= 0} for
+    a strictly upper-triangular weight matrix, exhaustively for n <= 20 and
+    by Monte Carlo beyond.  The analytic_lower_bound field carries the
     family's proven constant: 3/100, 1/20, and 1/87 respectively.
     """
     if kind not in ("ChiSq", "Exp", "Bernoulli"):
@@ -354,11 +340,7 @@ def asym_prob(kind: str, weights, method: str = "auto",
         arr = _as_upper_weights(weights)
         if not np.any(arr):
             raise ValueError("degenerate all-zero weights")
-        if method == "ClosedForm":
-            raise ValueError("no closed form for the sign family")
-        use_exhaustive = method == "Exhaustive" or (
-            method == "auto" and arr.shape[0] <= _EXHAUSTIVE_CAP)
-        if use_exhaustive:
+        if arr.shape[0] <= _EXHAUSTIVE_CAP:
             prob, _ = exhaustive_sign_prob(arr)
             return AsymmetryResult("L4_1", SIGN_ASYM_BOUND, prob, 0.0,
                                    "Exhaustive", 1 << arr.shape[0])
@@ -369,21 +351,10 @@ def asym_prob(kind: str, weights, method: str = "auto",
     taus = _as_weights(weights)
     if not np.any(taus):
         raise ValueError("degenerate all-zero weights")
-    if method == "Exhaustive":
-        raise ValueError("exhaustive enumeration applies to the sign family only")
-
-    if kind == "ChiSq":
-        if method == "ClosedForm":
-            raise ValueError("no closed form for the squared-normal family")
-        hits = _mc_chi2_prob(taus, samples, seed)
-        return AsymmetryResult("L3_1", CHI2_ASYM_BOUND, hits / samples,
-                               _wilson_radius(hits, samples), "MonteCarlo", samples)
-
-    if method == "ClosedForm":
-        value = exp_closed_form(taus)
-        return AsymmetryResult("L3_4", EXP_ASYM_BOUND, value, 0.0, "ClosedForm", 0)
-    hits = _mc_exp_prob(taus, samples, seed)
-    return AsymmetryResult("L3_4", EXP_ASYM_BOUND, hits / samples,
+    lemma_id, bound, count = (("L3_1", CHI2_ASYM_BOUND, _mc_chi2_prob) if kind == "ChiSq"
+                              else ("L3_4", EXP_ASYM_BOUND, _mc_exp_prob))
+    hits = count(taus, samples, seed)
+    return AsymmetryResult(lemma_id, bound, hits / samples,
                            _wilson_radius(hits, samples), "MonteCarlo", samples)
 
 
@@ -578,7 +549,7 @@ def _check_asym_family(check_id: str, kind: str, bound: float,
     for i in range(cases):
         taus = _random_tau(rng, i)
         sub = int(rng.integers(0, 2**31))
-        res = asym_prob(kind, taus, method="MonteCarlo", samples=samples, seed=sub)
+        res = asym_prob(kind, taus, samples=samples, seed=sub)
         results.append(res)
         if res.estimate - 3.0 * res.confidence_radius <= bound:
             passed = False
@@ -602,8 +573,7 @@ def _check_l3_4(samples: int, cases: int, seed: int) -> CheckOutcome:
         if np.min(np.diff(taus)) < 1e-3:
             continue
         exact = exp_closed_form(taus)
-        mc = asym_prob("Exp", taus, method="MonteCarlo", samples=samples,
-                       seed=int(rng.integers(0, 2**31)))
+        mc = asym_prob("Exp", taus, samples=samples, seed=int(rng.integers(0, 2**31)))
         stderr = max(mc.confidence_radius / _Z95, 1e-12)
         agree = abs(exact - mc.estimate) <= 4.0 * stderr
         in_range = EXP_ASYM_BOUND < exact < 1.0 - EXP_ASYM_BOUND
@@ -690,7 +660,7 @@ def _check_l5_1(samples: int, cases: int, seed: int) -> CheckOutcome:
             lam = -np.abs(lam)  # delta = 0 branch
         alpha = float(0.5 + 5.5 * rng.random())
         fieldname = "Real" if i % 2 == 0 else "Complex"
-        params = TailBoundParams.from_lambdas(lam, alpha, fieldname)
+        params = TailBoundParams(lam, alpha, fieldname)
         if params.sigma == 0.0:
             continue
         bound = chernoff_tail(params)

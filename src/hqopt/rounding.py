@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .lowrank import RANK_TOL, LowRankSolution, factorize, reduce_rank
-from .matrices import HermMatrix, SymMatrix, compress, sym_eig
+from .matrices import compress, hermitian_part
 from .sdp import (
     COMPLEX,
     MAXIMIZE,
@@ -275,32 +275,21 @@ def bound_certificate_min(m: int) -> float:
     return 1.0e6 * m * m / math.pi
 
 
-def bound_certificate_max(inst: QcqpInstance, X_hat: SymMatrix | HermMatrix) -> dict:
-    """Data-dependent max-form ratio certificate.
+def bound_certificate_max(inst: QcqpInstance, X_hat: np.ndarray) -> float:
+    """Data-dependent max-form ratio certificate alpha.
 
     Splits constraints into definite (D) and indefinite (I) by tag, measures
-    s_k = ||A_k X_hat||_F, and evaluates
+    s_k = ||A_k X_hat||_F, and returns
 
         alpha = 1 + max{ c0 + c1 log|D|,
                          min{ (c0 + c1 log|I|) max_I s_k, sqrt(c2 sum_I s_k^2) } }
 
     with (c0, c1, c2) = (20, 8, 200) real and (15, 4, 40) complex; an empty
-    class drops its term from the max.  The ratio bound equals the chosen
-    alpha.  per_constraint holds each constraint's exponential and Chebyshev
-    tail bounds at that alpha, and success_floor is the union-bound lower
-    estimate for the joint event probability.
+    class drops its term from the max.  The ratio bound equals alpha.
     """
-    if inst.field == COMPLEX:
-        c0, c1, c2 = 15.0, 4.0, 40.0
-        exp_div, cheb_mult, floor = 4.0, 1.0, 0.05
-    else:
-        c0, c1, c2 = 20.0, 8.0, 200.0
-        exp_div, cheb_mult, floor = 8.0, 2.0, 0.03
-
-    X = X_hat.a
-    tags = inst.tags
+    c0, c1, c2 = (15.0, 4.0, 40.0) if inst.field == COMPLEX else (20.0, 8.0, 200.0)
     indef = set(inst.indefinite_indices)
-    norms = np.linalg.norm(inst.field_view.A @ X, axis=(1, 2)).tolist()
+    norms = np.linalg.norm(inst.field_view.A @ X_hat, axis=(1, 2)).tolist()
 
     terms = []
     n_def = inst.m + 1 - len(indef)
@@ -310,35 +299,7 @@ def bound_certificate_max(inst: QcqpInstance, X_hat: SymMatrix | HermMatrix) -> 
         max_norm = max(norms[k] for k in indef)
         sum_sq = sum(norms[k] ** 2 for k in indef)
         terms.append(min((c0 + c1 * math.log(len(indef))) * max_norm, math.sqrt(c2 * sum_sq)))
-    alpha = 1.0 + max(terms)
-
-    per_constraint = []
-    slack = alpha - 1.0
-    for k, s in enumerate(norms):
-        if s <= 1e-300:
-            exp_tail = 0.0
-            cheb_tail = 0.0
-        else:
-            exp_tail = math.exp(-min(slack / s, 1.0) * slack / (exp_div * s))
-            cheb_tail = cheb_mult * s * s / (slack * slack)
-        is_indef = k in indef
-        per_constraint.append(
-            {
-                "index": k,
-                "tag": tags[k],
-                "frob_norm": s,
-                "exp_tail": exp_tail,
-                "chebyshev_tail": cheb_tail,
-                "tail_bound": min(exp_tail, cheb_tail) if is_indef else exp_tail,
-            }
-        )
-    success_floor = floor - sum(d["tail_bound"] for d in per_constraint)
-    return {
-        "alpha": alpha,
-        "bound": alpha,
-        "per_constraint": tuple(per_constraint),
-        "success_floor": success_floor,
-    }
+    return 1.0 + max(terms)
 
 
 def _ratio_min(best: float, v_sdp: float) -> float:
@@ -486,7 +447,8 @@ def sign_round_max(inst: QcqpInstance, lowrank: LowRankSolution, p: RoundingPara
     else:
         bound = 1.0 if m == 0 else alpha
 
-    Q = sym_eig(compress(inst.field_view.C, U)).vectors
+    # eigenvectors by descending eigenvalue
+    Q = np.linalg.eigh(hermitian_part(compress(inst.field_view.C, U)))[1][:, ::-1]
     draws = _sample(inst, U @ Q, p, lambda dens, raw: dens <= alpha, signs=True)
     return _report(p.scheme, p.seed, p.num_samples, inst.sense, lowrank.objective_value,
                    bound, not warn, warn, draws)
@@ -511,9 +473,9 @@ def gaussian_round_max(inst: QcqpInstance, sol: SdpSolution, p: RoundingParams) 
         return _report(p.scheme, p.seed, p.num_samples, inst.sense, sol.objective_value,
                        math.inf, False, False, _Draws(), _NO_AGGREGATE)
 
-    alpha = bound_certificate_max(inst, sol.X)["alpha"]
+    alpha = bound_certificate_max(inst, sol.X.a)
     v_sdp = sol.objective_value
-    F = factorize(sol.X)
+    F = factorize(sol.X.a)
     draws = _sample(inst, F, p, lambda dens, raw: (dens <= alpha) & (raw >= v_sdp))
     return _report(p.scheme, p.seed, p.num_samples, inst.sense, v_sdp, alpha, True, False, draws)
 

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _ipm
-from .matrices import HermMatrix, SymMatrix, compress, frobenius_norm, read_only_view
+from .matrices import HermMatrix, SymMatrix, compress, read_only_view
 
 MINIMIZE = "Minimize"
 MAXIMIZE = "Maximize"
@@ -71,17 +71,16 @@ _STATUS_JSON = {
 }
 
 
-def tag_matrix(mat: SymMatrix | HermMatrix | np.ndarray) -> str | tuple:
+def tag_matrix(a: np.ndarray) -> str | tuple:
     """Classify by spectrum: PSD iff min eig >= -1e-9 ||A||_F, NSD mirrored.
 
-    mat is a SymMatrix, a HermMatrix, or its array in its own field; a
-    stack of arrays (k, n, n) gives a tuple of k tags from one eigvalsh.
+    a is a matrix in its own field; a stack (k, n, n) gives a tuple of k
+    tags from one eigvalsh.
     """
-    arr = mat.a if isinstance(mat, (SymMatrix, HermMatrix)) else np.asarray(mat)
-    if arr.ndim == 2:
-        return tag_matrix(arr[None])[0]
-    vals = np.linalg.eigvalsh(arr)
-    tol = _TAG_TOL * np.linalg.norm(arr, axis=(-2, -1))
+    if a.ndim == 2:
+        return tag_matrix(a[None])[0]
+    vals = np.linalg.eigvalsh(a)
+    tol = _TAG_TOL * np.linalg.norm(a, axis=(-2, -1))
     return tuple(
         PSD if lo >= -t else NSD if hi <= t else INDEFINITE
         for lo, hi, t in zip(vals[:, 0].tolist(), vals[:, -1].tolist(), tol.tolist())
@@ -235,32 +234,6 @@ def real_point(x: np.ndarray) -> tuple:
     return tuple(float(v) for v in x)
 
 
-@dataclass(frozen=True, eq=False)
-class SdpStandardForm:
-    """Equality standard form handed to the interior-point core: Tr(A_k X) + G_k s_k = 1."""
-
-    n: int
-    C: np.ndarray
-    A: np.ndarray
-    G: np.ndarray  # (p,): the slack signs
-    maximize: bool
-    field: str
-
-
-def build_relaxation(inst: QcqpInstance) -> SdpStandardForm:
-    """Relaxation with slack rows Tr(A_k X) -/+ s_k = 1, in the instance's own field."""
-    C, A = inst.field_view
-    sign = 1.0 if inst.sense == MAXIMIZE else -1.0
-    return SdpStandardForm(
-        n=inst.n,
-        C=C,
-        A=A,
-        G=np.full(A.shape[0], sign),
-        maximize=inst.sense == MAXIMIZE,
-        field=inst.field,
-    )
-
-
 @dataclass(frozen=True, eq=False, kw_only=True)
 class SdpSolution:
     """A packaged solve; X, dual_slack and ray are HermMatrix for complex data."""
@@ -309,10 +282,11 @@ class SdpSolution:
         }
 
 
-def _package(form: SdpStandardForm, res: _ipm.ConicResult, lam_min: float) -> SdpSolution:
-    """An interior-point result as an SdpSolution; lam_min is lambda_min of an Optimal X."""
-    flip = -1.0 if form.maximize else 1.0
-    mat = HermMatrix.from_complex if form.field == COMPLEX else SymMatrix
+def _package(inst: QcqpInstance, res: _ipm.ConicResult, lam_min: float) -> SdpSolution:
+    """inst's interior-point result as an SdpSolution; lam_min is lambda_min of an Optimal X."""
+    maximize = inst.sense == MAXIMIZE
+    flip = -1.0 if maximize else 1.0
+    mat = HermMatrix.from_complex if inst.field == COMPLEX else SymMatrix
     status, message = NUMERICAL_FAILURE, res.message
     if res.status == "optimal":
         status = OPTIMAL
@@ -322,7 +296,7 @@ def _package(form: SdpStandardForm, res: _ipm.ConicResult, lam_min: float) -> Sd
             X=mat(res.X),
             objective_value=flip * res.objective,
             dual_multipliers=tuple(float(v) for v in np.maximum(flip * res.y, 0.0)),
-            dual_slack=mat(flip * res.Z if form.maximize else res.Z),
+            dual_slack=mat(flip * res.Z if maximize else res.Z),
             primal_residual=res.primal_residual,
             dual_residual=res.dual_residual,
             gap=res.rel_gap,
@@ -331,19 +305,19 @@ def _package(form: SdpStandardForm, res: _ipm.ConicResult, lam_min: float) -> Sd
         # improving ray, normalized so Tr(C D) = 1 (max) or -1 (min)
         status = UNBOUNDED
         out = dict(
-            objective_value=np.inf if form.maximize else -np.inf,
+            objective_value=np.inf if maximize else -np.inf,
             primal_residual=res.primal_residual,
-            ray=mat(res.ray[0]),
+            ray=mat(res.X),
         )
     elif res.status == "infeasible":
+        # Farkas certificate: sum y_k = 1 and Z = -sum y_k A_k, up to dual_residual
         status = INFEASIBLE
-        fy, fZ, _ = res.farkas
         out = dict(
-            objective_value=np.inf if not form.maximize else -np.inf,
-            dual_multipliers=tuple(float(v) for v in np.maximum(flip * fy, 0.0)),
-            dual_slack=mat(fZ),
+            objective_value=np.inf if not maximize else -np.inf,
+            dual_multipliers=tuple(float(v) for v in np.maximum(flip * res.y, 0.0)),
+            dual_slack=mat(res.Z),
             dual_residual=res.dual_residual,
-            infeasibility_certificate=tuple(float(v) for v in fy),
+            infeasibility_certificate=tuple(float(v) for v in res.y),
         )
     else:
         out = dict(
@@ -355,8 +329,8 @@ def _package(form: SdpStandardForm, res: _ipm.ConicResult, lam_min: float) -> Sd
     return SdpSolution(
         status=status,
         iterations=res.iterations,
-        field=form.field,
-        n=form.n,
+        field=inst.field,
+        n=inst.n,
         message=message,
         **out,
     )
@@ -380,24 +354,25 @@ def solve_instances(insts) -> list[SdpSolution]:
     batch_size at a time, and their Optimal iterates get one stacked
     lambda_min check.
     """
-    forms = [build_relaxation(inst) for inst in insts]
     groups: dict = {}
-    for i, form in enumerate(forms):
-        groups.setdefault((form.field, form.A.shape), []).append(i)
-    out = [None] * len(forms)
+    for i, inst in enumerate(insts):
+        groups.setdefault((inst.field, inst.field_view.A.shape), []).append(i)
+    out = [None] * len(insts)
     for idx in groups.values():
-        group = [forms[i] for i in idx]
+        group = [insts[i] for i in idx]
+        # slack rows Tr(A_k X) - s_k = 1 for min, + s_k for max; a max relaxation minimizes -C
+        signs = [1.0 if inst.sense == MAXIMIZE else -1.0 for inst in group]
         results = _ipm.solve_conic(
-            np.array([-f.C if f.maximize else f.C for f in group]),
-            [f.A for f in group],
-            np.array([f.G for f in group]),
+            np.array([-sign * inst.field_view.C for inst, sign in zip(group, signs)]),
+            [inst.field_view.A for inst in group],
+            np.array([np.full(inst.m + 1, sign) for inst, sign in zip(group, signs)]),
         )
         optimal = [k for k, r in enumerate(results) if r.status == "optimal"]
         lam = np.full(len(results), np.nan)
         if optimal:
             lam[optimal] = np.linalg.eigvalsh(np.stack([results[k].X for k in optimal]))[:, 0]
-        for i, f, r, lam_min in zip(idx, group, results, lam):
-            out[i] = _package(f, r, lam_min)
+        for i, inst, r, lam_min in zip(idx, group, results, lam):
+            out[i] = _package(inst, r, lam_min)
     return out
 
 
@@ -495,7 +470,7 @@ def _closed_form(inst: QcqpInstance) -> SlaterReport | None:
     if not others:
         return _refute(inst, V[:, 0])
     Aj = A[others[0]]
-    kernel = lam <= _TAG_TOL * frobenius_norm(P)
+    kernel = lam <= _TAG_TOL * np.linalg.norm(P, "fro")
     N, R = V[:, kernel], V[:, ~kernel]
     lam_n, W = np.linalg.eigh(np.conj(N.T) @ Aj @ N)
     if lam_n.size and lam_n[0] <= _SLATER_TOL:

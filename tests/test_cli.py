@@ -16,7 +16,6 @@ from hqopt.experiment import (
     ExperimentConfig,
     derive_seeds,
     run_experiment,
-    summarize,
     write_csv,
 )
 from hqopt.instances import CASE_A, CASE_B, CASE_C
@@ -246,6 +245,26 @@ class TestCliSolve:
         assert rc == 3
         assert json.loads(text)["status"] == "unbounded"
 
+    def test_infeasible_relaxation_prints_its_farkas_certificate(self, tmp_path):
+        # min |x|^2 subject to -|x|^2 >= 1 and x_1^2 >= 1
+        inst = QcqpInstance(
+            sense=MINIMIZE,
+            field=REAL,
+            objective=SymMatrix(np.eye(2)),
+            constraints=(SymMatrix(-np.eye(2)), SymMatrix(np.diag([1.0, 0.0]))),
+        )
+        path = tmp_path / "infeasible.json"
+        path.write_text(json.dumps(inst.to_json_dict()))
+        rc, text = run_cli(["solve", str(path)])
+        assert rc == 3
+        payload = json.loads(text)
+        assert payload["status"] == "infeasible"
+        y = np.array(payload["infeasibility_certificate"])
+        assert y.min() >= 0.0 and y.sum() == pytest.approx(1.0, abs=1e-9)
+        Z = np.array(payload["dual_slack"]["re"]).reshape(2, 2)
+        np.testing.assert_allclose(Z, -np.tensordot(y, inst.field_view.A, 1), atol=1e-8)
+        assert np.linalg.eigvalsh(Z)[0] >= -1e-9
+
     def test_gap_example_solves_to_zero(self, tmp_path):
         run_cli(["example", "--id", "min_gap_infinite", "--out", str(tmp_path / "g.json")])
         rc, text = run_cli(["solve", str(tmp_path / "g.json")])
@@ -368,6 +387,23 @@ class TestCliExperiment:
     def test_malformed_m_list_exits_two(self, tmp_path):
         rc, _ = run_cli(["experiment", "--m-list", "5,x", "--out", str(tmp_path / "c.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("paper_scale", [[], ["--paper-scale"]], ids=["desk", "paper"])
+    @pytest.mark.parametrize("flag, message", [("--cases", "cases must be drawn from"),
+                                               ("--m-list", "m_list must hold positive integers")],
+                             ids=["cases", "m_list"])
+    def test_empty_list_exits_two_before_the_sweep(self, tmp_path, monkeypatch, capsys, flag, message,
+                                                   paper_scale):
+        # an empty list is an input error, not a request for the default sweep
+        def run_experiment(config):
+            raise AssertionError("the sweep ran on an empty list")
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        out = tmp_path / "c.csv"
+        rc, text = run_cli(["experiment", flag, "", "--out", str(out)] + paper_scale)
+        assert rc == 2 and text == ""
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_out_directory_exits_two_before_the_sweep(self, tmp_path, monkeypatch, capsys):
         def run_experiment(config):

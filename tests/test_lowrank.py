@@ -80,30 +80,30 @@ class TestPatakiBound:
 
 class TestFactorize:
     def test_identity(self):
-        U = factorize(SymMatrix(np.eye(2)))
+        U = factorize(SymMatrix(np.eye(2)).a)
         assert U.shape == (2, 2)
         assert np.allclose(U @ U.T, np.eye(2), atol=1e-12)
 
     def test_rank_one_diag(self):
-        U = factorize(sym([[4.0, 0.0], [0.0, 0.0]]))
+        U = factorize(sym([[4.0, 0.0], [0.0, 0.0]]).a)
         assert U.shape == (2, 1)
         assert np.allclose(np.abs(U[:, 0]), [2.0, 0.0], atol=1e-12)
 
     def test_zero_matrix(self):
-        U = factorize(SymMatrix(np.zeros((3, 3))))
+        U = factorize(SymMatrix(np.zeros((3, 3))).a)
         assert U.shape == (3, 0)
 
     def test_not_psd_raises(self):
         with pytest.raises(NotPsdError):
-            factorize(sym([[1.0, 0.0], [0.0, -1e-3]]))
+            factorize(sym([[1.0, 0.0], [0.0, -1e-3]]).a)
 
     def test_small_negative_within_tol(self):
-        U = factorize(sym([[1.0, 0.0], [0.0, -1e-12]]))
+        U = factorize(sym([[1.0, 0.0], [0.0, -1e-12]]).a)
         assert U.shape == (2, 1)
 
     def test_hermitian_input(self):
         H = HermMatrix(np.array([[2.0, 0.0], [0.0, 2.0]]), np.array([[0.0, -1.0], [1.0, 0.0]]))
-        U = factorize(H)
+        U = factorize(H.a)
         assert np.allclose(U @ np.conj(U.T), H.to_complex(), atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -113,7 +113,7 @@ class TestFactorize:
         rng = np.random.default_rng(seed % 2**32)
         Y = rng.standard_normal((n, k))
         X = SymMatrix(Y @ Y.T)
-        U = factorize(X)
+        U = factorize(X.a)
         assert np.linalg.norm(U @ U.T - X.a) <= 1e-8 * (1.0 + np.linalg.norm(X.a))
         assert U.shape[1] == np.linalg.matrix_rank(Y) if k else U.shape[1] == 0
 
@@ -246,7 +246,7 @@ class TestReduceRank:
             MINIMIZE, REAL, SymMatrix(np.eye(n)), tuple(rand_psd(n, rng) for _ in range(p))
         )
         sol = solve_instance(inst)
-        input_rank = factorize(sol.X).shape[1]
+        input_rank = factorize(sol.X.a).shape[1]
         low = reduce_rank(sol, inst)
         assert low.r <= input_rank
 
@@ -271,8 +271,8 @@ class TestReduceRank:
             MINIMIZE, REAL, SymMatrix(np.eye(n)), tuple(rand_psd(n, rng) for _ in range(p))
         )
         sol = solve_instance(inst)
-        a = reduce_rank(sol, inst, seed=42)
-        b = reduce_rank(sol, inst, seed=42)
+        a = reduce_rank(sol, inst)
+        b = reduce_rank(sol, inst)
         assert a.r == b.r
         assert np.array_equal(a.U, b.U)
 

@@ -1,4 +1,5 @@
-"""The package holds only what the program runs, and exports only names it defines.
+"""The package holds only what the program runs, reads every name it imports,
+and exports only names it defines.
 
 Reference computations that only tests call live in tests/oracles.py.
 """
@@ -83,6 +84,44 @@ def test_scan_follows_dead_helpers(tmp_path):
     (tmp_path / "b.py").write_text("from .a import imported, used\nVALUE = used()\nprint(VALUE)\n")
     assert unreached_definitions(tmp_path) == [
         ("a", "LIMIT"), ("a", "dead"), ("a", "helper"), ("a", "imported")]
+
+
+def unread_imports(src: pathlib.Path) -> list:
+    """Sorted (module, name) of each name a module in src/*.py imports and never reads.
+
+    A name in the module's __all__ counts as read; __future__ imports do not count.
+    """
+    out = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, read = set(), {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                read |= set(ast.literal_eval(node.value))
+        out += [(path.stem, name) for name in imported - read]
+    return sorted(out)
+
+
+def test_every_import_is_read():
+    assert unread_imports(SRC) == []
+
+
+def test_import_scan_counts_exports(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from .b import kept, exported, unused\n"
+        '__all__ = ["exported"]\n'
+        "print(os.sep, kept)\n"
+    )
+    (tmp_path / "b.py").write_text("import sys\n")
+    assert unread_imports(tmp_path) == [("a", "js"), ("a", "unused"), ("b", "sys")]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -66,6 +66,12 @@ def herm_pd(rng, n):
     return HermMatrix.from_complex(b @ np.conj(b.T) / n + 0.2 * np.eye(n))
 
 
+def herm_indefinite(rng, n):
+    # nonzero and traceless, so it has eigenvalues of both signs
+    h = herm_pd(rng, n).a
+    return HermMatrix.from_complex(h - np.trace(h).real / n * np.eye(n))
+
+
 def min_case_one_indefinite(rng, n, m):
     constraints = (rand_indefinite(rng, n),) + tuple(rand_pd(rng, n) for _ in range(m))
     return QcqpInstance(
@@ -382,10 +388,9 @@ class TestBoundCertificateMax:
     def test_all_definite_uses_log_count(self):
         rng = np.random.default_rng(0)
         inst = max_all_definite(rng, n=4, m=4)
-        cert = bound_certificate_max(inst, SymMatrix(np.eye(4)))
-        assert cert["alpha"] == pytest.approx(21.0 + 8.0 * math.log(5.0), rel=1e-12)
-        assert cert["bound"] == cert["alpha"]
-        assert all(d["tag"] == "PSD" for d in cert["per_constraint"])
+        alpha = bound_certificate_max(inst, SymMatrix(np.eye(4)).a)
+        assert alpha == pytest.approx(21.0 + 8.0 * math.log(5.0), rel=1e-12)
+        assert all(tag == "PSD" for tag in inst.tags)
 
     def test_single_indefinite_unit_norm(self):
         inst = QcqpInstance(
@@ -395,9 +400,9 @@ class TestBoundCertificateMax:
             constraints=(SymMatrix(np.diag([1.0, -1.0])),),
         )
         X_hat = SymMatrix(np.eye(2) / math.sqrt(2.0))
-        cert = bound_certificate_max(inst, X_hat)
-        assert cert["per_constraint"][0]["frob_norm"] == pytest.approx(1.0)
-        assert cert["alpha"] == pytest.approx(1.0 + math.sqrt(200.0), rel=1e-12)
+        # ||A_0 X_hat||_F = 1, so alpha = 1 + min(20, sqrt(200))
+        alpha = bound_certificate_max(inst, X_hat.a)
+        assert alpha == pytest.approx(1.0 + math.sqrt(200.0), rel=1e-12)
 
     def test_coupled_pair_frobenius_norms(self):
         # max x1^2 + x2^2/M with strongly coupled indefinite constraints, M = 10
@@ -413,31 +418,39 @@ class TestBoundCertificateMax:
             ),
         )
         X_hat = SymMatrix(np.diag([1.0 + 1.0 / M, 1.0]))
-        cert = bound_certificate_max(inst, X_hat)
-        norms = [d["frob_norm"] for d in cert["per_constraint"]]
+        alpha = bound_certificate_max(inst, X_hat.a)
+        norms = [np.linalg.norm(a.a @ X_hat.a) for a in inst.constraints]
         assert norms[0] ** 2 == pytest.approx(56.25, rel=1e-12)
         assert norms[1] ** 2 == pytest.approx(56.25, rel=1e-12)
         assert norms[2] ** 2 == pytest.approx(M * M * (1.0 + 1.0 / M) ** 2 + M * M, rel=1e-12)
         # all three constraints are indefinite, so only the indefinite term is present
         linear = (20.0 + 8.0 * math.log(3.0)) * max(norms)
         quad = math.sqrt(200.0 * sum(s * s for s in norms))
-        assert cert["alpha"] == pytest.approx(1.0 + min(linear, quad), rel=1e-12)
+        assert alpha == pytest.approx(1.0 + min(linear, quad), rel=1e-12)
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     def test_norms_match_each_matrix(self, field):
-        # one stacked norm against ||A_k X_hat||_F matrix by matrix
+        # alpha from one stacked norm against ||A_k X_hat||_F matrix by matrix, on
+        # data where the two indefinite constraints' norms decide alpha
         rng = np.random.default_rng(8)
         n, m = 5, 6
         if field == REAL:
-            inst, X_hat = max_one_indefinite(rng, n, m), rand_pd(rng, n)
+            mats = [rand_indefinite(rng, n) for _ in range(2)] + [rand_pd(rng, n) for _ in range(m - 1)]
+            objective, X_hat = rand_pd(rng, n), 10.0 * rand_pd(rng, n).a
+            c0, c1, c2 = 20.0, 8.0, 200.0
         else:
-            inst = QcqpInstance(sense=MAXIMIZE, field=COMPLEX, objective=herm_pd(rng, n),
-                                constraints=tuple(herm_pd(rng, n) for _ in range(m + 1)))
-            X_hat = herm_pd(rng, n)
-        got = [d["frob_norm"] for d in bound_certificate_max(inst, X_hat)["per_constraint"]]
-        want = [np.linalg.norm(h.a @ X_hat.a) for h in inst.constraints]
-        assert all(type(v) is float for v in got)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            mats = [herm_indefinite(rng, n) for _ in range(2)] + [herm_pd(rng, n) for _ in range(m - 1)]
+            objective, X_hat = herm_pd(rng, n), 10.0 * herm_pd(rng, n).a
+            c0, c1, c2 = 15.0, 4.0, 40.0
+        inst = QcqpInstance(sense=MAXIMIZE, field=field, objective=objective, constraints=tuple(mats))
+        assert inst.indefinite_indices == (0, 1)
+        norms = [np.linalg.norm(h.a @ X_hat) for h in inst.constraints]
+        indefinite = min((c0 + c1 * math.log(2.0)) * max(norms[:2]),
+                         math.sqrt(c2 * (norms[0] ** 2 + norms[1] ** 2)))
+        assert indefinite > c0 + c1 * math.log(m - 1)
+        alpha = bound_certificate_max(inst, X_hat)
+        assert type(alpha) is float
+        assert alpha == pytest.approx(1.0 + indefinite, rel=1e-12)
 
     def test_complex_constants(self):
         inst = QcqpInstance(
@@ -447,11 +460,7 @@ class TestBoundCertificateMax:
             constraints=(HermMatrix.from_complex(np.array([[2.0]])),),
         )
         X_hat = HermMatrix.from_complex(np.array([[0.5]]))
-        cert = bound_certificate_max(inst, X_hat)
-        assert cert["per_constraint"][0]["frob_norm"] == pytest.approx(1.0)
-        assert cert["alpha"] == pytest.approx(16.0)
-        assert cert["per_constraint"][0]["exp_tail"] == pytest.approx(math.exp(-15.0 / 4.0))
-        assert cert["success_floor"] == pytest.approx(0.05 - math.exp(-15.0 / 4.0))
+        assert bound_certificate_max(inst, X_hat.a) == pytest.approx(16.0)
 
 
 class TestGaussianRoundMin:
@@ -702,8 +711,8 @@ class TestGaussianRoundMax:
         x = field_point(inst, report.best_x)
         assert constraint_values(inst, x).max() <= 1.0 + 1e-9
         assert report.best_objective <= report.v_sdp + 1e-7
-        cert = bound_certificate_max(inst, sol.X)
-        assert report.theoretical_bound == pytest.approx(cert["bound"])
+        alpha = bound_certificate_max(inst, sol.X.a)
+        assert report.theoretical_bound == pytest.approx(alpha)
         assert report.certificate_satisfied
 
     def test_requires_optimal_solution(self):

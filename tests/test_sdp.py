@@ -130,23 +130,23 @@ def clarabel_value(inst):
 
 class TestTags:
     def test_basic(self):
-        assert sdp.tag_matrix(sym(np.eye(3))) == sdp.PSD
-        assert sdp.tag_matrix(sym(-np.eye(3))) == sdp.NSD
-        assert sdp.tag_matrix(sym(np.diag([1.0, -1.0]))) == sdp.INDEFINITE
-        assert sdp.tag_matrix(sym(np.zeros((2, 2)))) == sdp.PSD
+        assert sdp.tag_matrix(sym(np.eye(3)).a) == sdp.PSD
+        assert sdp.tag_matrix(sym(-np.eye(3)).a) == sdp.NSD
+        assert sdp.tag_matrix(sym(np.diag([1.0, -1.0])).a) == sdp.INDEFINITE
+        assert sdp.tag_matrix(sym(np.zeros((2, 2))).a) == sdp.PSD
 
     def test_rank_one(self):
         v = np.array([1.0, 2.0, -1.0])
-        assert sdp.tag_matrix(sym(np.outer(v, v))) == sdp.PSD
+        assert sdp.tag_matrix(sym(np.outer(v, v)).a) == sdp.PSD
 
     def test_tolerance_scales_with_norm(self):
         base = np.diag([1e6, -1e-5])
-        assert sdp.tag_matrix(sym(base)) == sdp.PSD  # -1e-5 within 1e-9 * 1e6
-        assert sdp.tag_matrix(sym(np.diag([1.0, -1e-5]))) == sdp.INDEFINITE
+        assert sdp.tag_matrix(sym(base).a) == sdp.PSD  # -1e-5 within 1e-9 * 1e6
+        assert sdp.tag_matrix(sym(np.diag([1.0, -1e-5])).a) == sdp.INDEFINITE
 
     def test_hermitian(self):
         h = HermMatrix(np.zeros((2, 2)), np.array([[0.0, -1.0], [1.0, 0.0]]))
-        assert sdp.tag_matrix(h) == sdp.INDEFINITE
+        assert sdp.tag_matrix(h.a) == sdp.INDEFINITE
 
 
 class TestInstance:
@@ -347,29 +347,37 @@ class TestFieldViews:
 
 
 class TestBuildRelaxation:
+    """The relaxation each instance is solved as: its own stack, with one slack sign per sense."""
+
     def test_trivial_min(self):
+        # Tr(X) >= 1: with the other slack sign the minimum would be 0
         inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, sym(np.eye(2)), (sym(np.eye(2)),))
-        form = sdp.build_relaxation(inst)
-        assert form.G.tolist() == [-1.0]
-        assert not form.maximize
+        sol = sdp.solve_instance(inst)
+        assert sol.status == sdp.OPTIMAL
+        assert sol.objective_value == pytest.approx(1.0, abs=1e-7)
 
     def test_max_slack_sign(self):
-        form = sdp.build_relaxation(example_4_3(10.0))
-        assert form.G.tolist() == [1.0, 1.0, 1.0]
-        assert form.maximize
+        # every Tr(A_k X) <= 1: with the other slack sign the maximum would be unbounded
+        inst = example_4_3(10.0)
+        sol = sdp.solve_instance(inst)
+        assert sol.status == sdp.OPTIMAL
+        traces = np.tensordot(inst.field_view.A, sol.X.a, 2)
+        assert traces.max() == pytest.approx(1.0, abs=1e-7)
 
     def test_inequality_encoding(self):
-        # first row of the M=10 form reads M*X12 + X22 against rhs 1
-        form = sdp.build_relaxation(example_4_3(10.0))
+        # first row of the M=10 relaxation reads M*X12 + X22 against rhs 1
+        A = example_4_3(10.0).field_view.A
         X = np.array([[0.5, 0.2], [0.2, 0.3]])
-        assert float(np.tensordot(form.A[0], X, 2)) == pytest.approx(10.0 * 0.2 + 0.3)
+        assert float(np.tensordot(A[0], X, 2)) == pytest.approx(10.0 * 0.2 + 0.3)
 
     def test_complex_relaxation_is_native(self):
         h = HermMatrix(np.eye(2), np.array([[0.0, -0.5], [0.5, 0.0]]))
         inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.COMPLEX, h, (h,))
-        form = sdp.build_relaxation(inst)
-        assert form.n == 2 and form.A.shape == (1, 2, 2)
-        assert np.array_equal(form.A[0], h.a) and form.C is inst.field_view.C
+        assert inst.field_view.A.shape == (1, 2, 2) and np.array_equal(inst.field_view.A[0], h.a)
+        sol = sdp.solve_instance(inst)
+        assert sol.status == sdp.OPTIMAL and sol.n == 2
+        assert isinstance(sol.X, HermMatrix) and sol.X.a.shape == (2, 2)
+        assert sol.objective_value == pytest.approx(1.0, abs=1e-7)
 
 
 class TestSolve:
