@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 input error, 3 unbounded or infeasible relaxation,
 4 rounding produced no feasible point, 5 a verification check failed.  A
-numerically failed solve exits 1.  No environment variable is read.
+numerically failed solve exits 1.  No option is read from the environment;
+importing hqopt sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 where they are unset, so BLAS runs one thread.
 """
 
 import argparse

@@ -8,21 +8,26 @@ Three weighted-form families recur throughout the package:
 
 Each family carries an exact fourth-moment identity, an analytic lower
 bound on the probability of landing on the favorable side of zero, and
-estimators (exhaustive, Monte Carlo, closed form) that verify those
-bounds numerically.  The check registry at the bottom packages the
-verification runs behind stable string ids for the CLI.
+estimators that verify those bounds numerically: Monte Carlo for ChiSq
+and Exp, a closed form for Exp, and exhaustive enumeration for the
+signs.  The check registry at the bottom packages the verification runs
+behind stable string ids for the CLI.
 
-Every Monte Carlo evaluation has its own seed: asym_prob's seed, or one
-draw of a check's own generator, which also makes the check's cases.  Its
-samples are split into blocks of _MC_BLOCK, and block j is drawn from its
-own PCG64 generator seeded with SeedSequence(seed, spawn_key=(j,)).  A
-block's hits thus depend on the seed, j and the block length only: the
-count is the same for any worker count and block order, and the first N
-samples of an evaluation are the same for every sample count.  The blocks
-are counted on W = min(CPUs the process may run on
-(os.sched_getaffinity), blocks) threads, the caller working beside W - 1
-threads that it starts and joins before returning; the generator fills,
-ufuncs and matrix products release the GIL.  One block or one CPU counts
+Every Monte Carlo evaluation has its own seed, one draw of the check's
+own generator, which also makes the check's cases.  Its samples are split
+into blocks of _MC_BLOCK, and block j is drawn from its own PCG64
+generator seeded with SeedSequence(seed, spawn_key=(j,)).  A block's hits
+thus depend on the seed, j and the block length only: the count is the
+same for any worker count and block order, and the first N samples of an
+evaluation are the same for every sample count.
+
+A check first draws all its cases and builds one evaluation per Monte
+Carlo count.  All its (evaluation, block) pairs then go into one claim
+queue, counted on W = min(CPUs the process may run on
+(os.sched_getaffinity), blocks in the queue) threads, the caller working
+beside W - 1 threads that it starts and joins before returning; the
+generator fills, ufuncs and matrix products release the GIL.  Only then
+does the check judge its cases.  A queue of one block, or one CPU, counts
 inline and starts no thread; to count serially, pin the process to one
 CPU (taskset -c 0).  The output is the same either way.
 """
@@ -34,7 +39,7 @@ import os
 import threading
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,7 +54,6 @@ __all__ = [
     "SIGN_ASYM_BOUND",
     "SHARPENED_COEFF",
     "TailBoundParams",
-    "asym_prob",
     "bernoulli_moment4",
     "chebyshev_tail",
     "chernoff_tail",
@@ -226,6 +230,8 @@ def exhaustive_sign_prob(w) -> tuple[float, float]:
     n = arr.shape[0]
     if n > _EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive enumeration capped at n = {_EXHAUSTIVE_CAP}")
+    if not np.any(arr):
+        raise ValueError("degenerate all-zero weights")
     wm = arr + arr.T
     total = 1 << n
     count = 0
@@ -247,21 +253,29 @@ def _workers(blocks: int) -> int:
     return min(cpus, blocks)
 
 
-def _mc_count(samples: int, seed: int,
-              draw: Callable[[np.random.Generator, int], np.ndarray],
-              event: Callable[[np.ndarray], np.ndarray]) -> int:
-    """Monte Carlo hits: draw(gen, k) returns k values sampled from gen, event marks the hits.
+class _Evaluation(NamedTuple):
+    """One Monte Carlo count: draw(gen, k) returns k values sampled from gen, event marks the hits."""
 
-    Block j holds samples [j*_MC_BLOCK, (j+1)*_MC_BLOCK) and draws them from
-    its own generator, seeded with SeedSequence(seed, spawn_key=(j,)).  The
-    caller and _workers(blocks) - 1 threads take block indices from one
-    shared iterator until it runs out or a block raises; every thread is
-    joined before the count is returned or the first exception re-raised.
-    One worker (one block or one CPU) counts inline and starts no thread.
+    samples: int
+    seed: int
+    draw: Callable[[np.random.Generator, int], np.ndarray]
+    event: Callable[[np.ndarray], np.ndarray]
+
+
+def _mc_counts(evaluations: list[_Evaluation]) -> list[int]:
+    """The hits of every evaluation, its blocks counted from one claim queue.
+
+    Block j of an evaluation holds its samples [j*_MC_BLOCK, (j+1)*_MC_BLOCK)
+    and draws them from its own generator, seeded with
+    SeedSequence(seed, spawn_key=(j,)).  The caller and _workers(blocks) - 1
+    threads take (evaluation, block) pairs, in order, from one shared
+    iterator until it runs out or a block raises; every thread is joined
+    before the counts are returned or the first exception re-raised.  One
+    worker (one block in the queue, or one CPU) counts inline and starts no
+    thread.
     """
-    blocks = -(-samples // _MC_BLOCK)
-    hits = [0] * blocks
-    claims = iter(range(blocks))
+    hits = [[0] * -(-ev.samples // _MC_BLOCK) for ev in evaluations]
+    claims = iter([(e, j) for e, blocks in enumerate(hits) for j in range(len(blocks))])
     lock = threading.Lock()
     failures = []
 
@@ -269,18 +283,20 @@ def _mc_count(samples: int, seed: int,
         try:
             while True:
                 with lock:
-                    j = None if failures else next(claims, None)
-                if j is None:
+                    claim = None if failures else next(claims, None)
+                if claim is None:
                     return
+                e, j = claim
+                samples, seed, draw, event = evaluations[e]
                 gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(j,))))
                 k = min(_MC_BLOCK, samples - j * _MC_BLOCK)
-                hits[j] = int(np.count_nonzero(event(draw(gen, k))))
+                hits[e][j] = int(np.count_nonzero(event(draw(gen, k))))
         except BaseException as exc:  # re-raised by the caller, after every join
             failures.append(exc)
 
     threads = []
     try:
-        for _ in range(_workers(blocks) - 1):
+        for _ in range(_workers(sum(map(len, hits))) - 1):
             thread = threading.Thread(target=work)
             thread.start()
             threads.append(thread)
@@ -290,29 +306,51 @@ def _mc_count(samples: int, seed: int,
             thread.join()
     if failures:
         raise failures[0]
-    return sum(hits)
+    return [sum(blocks) for blocks in hits]
 
 
-def _mc_chi2_prob(taus: np.ndarray, samples: int, seed: int, level: float = 0.0) -> int:
-    return _mc_count(samples, seed,
-                     lambda gen, k: (gen.standard_normal((k, taus.size)) ** 2 - 1.0) @ taus,
-                     lambda psi: psi >= level)
+# Weighted forms, drawn k at a time: the favorable-side families (centered)
+# and the PSD-weighted forms of the quantile and tail checks.  Each squares
+# and shifts its k x n draw in place: the bits are those of a new array per
+# step, and a block allocates one such array instead of up to three.
+def _centered_chi2(gen: np.random.Generator, k: int, taus: np.ndarray) -> np.ndarray:
+    g = gen.standard_normal((k, taus.size))
+    np.square(g, out=g)
+    g -= 1.0
+    return g @ taus
 
 
-def _mc_exp_prob(taus: np.ndarray, samples: int, seed: int, level: float = 0.0) -> int:
-    return _mc_count(samples, seed,
-                     lambda gen, k: (gen.standard_exponential((k, taus.size)) - 1.0) @ taus,
-                     lambda psi: psi >= level)
+def _centered_exp(gen: np.random.Generator, k: int, taus: np.ndarray) -> np.ndarray:
+    e = gen.standard_exponential((k, taus.size))
+    e -= 1.0
+    return e @ taus
 
 
-def _mc_sign_prob(w: np.ndarray, samples: int, seed: int) -> int:
-    wm = w + w.T
+def _chi2_form(gen: np.random.Generator, k: int, lam: np.ndarray) -> np.ndarray:
+    g = gen.standard_normal((k, lam.size))
+    np.square(g, out=g)
+    return g @ lam
 
-    def psi(gen: np.random.Generator, k: int) -> np.ndarray:
-        signs = gen.integers(0, 2, size=(k, w.shape[0])).astype(float) * 2.0 - 1.0
-        return 0.5 * np.einsum("ij,ij->i", signs @ wm, signs)
 
-    return _mc_count(samples, seed, psi, lambda v: v <= 0.0)
+def _exp_form(gen: np.random.Generator, k: int, lam: np.ndarray) -> np.ndarray:
+    return gen.standard_exponential((k, lam.size)) @ lam
+
+
+def _form_evaluation(samples: int, seed: int,
+                     draw: Callable[[np.random.Generator, int, np.ndarray], np.ndarray],
+                     weights: np.ndarray, level: float, below: bool = False) -> _Evaluation:
+    """Count draw(gen, k, weights) >= level, or < level when below.
+
+    The weights and level are bound here, once per case: a lambda written
+    in a check's loop would read the loop's last case when the queue runs.
+    """
+    event = (lambda v: v < level) if below else (lambda v: v >= level)
+    return _Evaluation(samples, seed, lambda gen, k: draw(gen, k, weights), event)
+
+
+def _mc_result(lemma_id: str, bound: float, hits: int, samples: int) -> AsymmetryResult:
+    return AsymmetryResult(lemma_id, bound, hits / samples, _wilson_radius(hits, samples),
+                           "MonteCarlo", samples)
 
 
 def _check_seed(seed) -> None:
@@ -321,41 +359,12 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def asym_prob(kind: str, weights, samples: int = 1_000_000, seed: int = 0) -> AsymmetryResult:
-    """Estimate the favorable-side probability for one weighted-form family.
-
-    kind selects the family: "ChiSq" and "Exp" measure P{Psi >= 0} for a
-    1-D weight vector by Monte Carlo; "Bernoulli" measures P{Psi <= 0} for
-    a strictly upper-triangular weight matrix, exhaustively for n <= 20 and
-    by Monte Carlo beyond.  The analytic_lower_bound field carries the
-    family's proven constant: 3/100, 1/20, and 1/87 respectively.
-    """
-    if kind not in ("ChiSq", "Exp", "Bernoulli"):
-        raise ValueError(f"unknown family {kind!r}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    _check_seed(seed)
-
-    if kind == "Bernoulli":
-        arr = _as_upper_weights(weights)
-        if not np.any(arr):
-            raise ValueError("degenerate all-zero weights")
-        if arr.shape[0] <= _EXHAUSTIVE_CAP:
-            prob, _ = exhaustive_sign_prob(arr)
-            return AsymmetryResult("L4_1", SIGN_ASYM_BOUND, prob, 0.0,
-                                   "Exhaustive", 1 << arr.shape[0])
-        hits = _mc_sign_prob(arr, samples, seed)
-        return AsymmetryResult("L4_1", SIGN_ASYM_BOUND, hits / samples,
-                               _wilson_radius(hits, samples), "MonteCarlo", samples)
-
-    taus = _as_weights(weights)
-    if not np.any(taus):
-        raise ValueError("degenerate all-zero weights")
-    lemma_id, bound, count = (("L3_1", CHI2_ASYM_BOUND, _mc_chi2_prob) if kind == "ChiSq"
-                              else ("L3_4", EXP_ASYM_BOUND, _mc_exp_prob))
-    hits = count(taus, samples, seed)
-    return AsymmetryResult(lemma_id, bound, hits / samples,
-                           _wilson_radius(hits, samples), "MonteCarlo", samples)
+# The favorable-side families of the asymmetry checks: the lemma id and bound
+# their results carry, and their draw
+_FAMILIES = {
+    "ChiSq": ("L3_1", CHI2_ASYM_BOUND, _centered_chi2),
+    "Exp": ("L3_4", EXP_ASYM_BOUND, _centered_exp),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -492,38 +501,39 @@ def _check_moment_families(check_id: str, bound_fn: Callable[[float], float],
     probability clears bound_fn(tau4) with 3-sigma margin.
     """
     rng = np.random.default_rng(np.random.PCG64(seed))
-    results = []
-    notes = []
-    passed = True
+    evaluations = []
+    drawn = []  # per case: tau4, and (estimate, sign vectors) when exhaustive
     for i in range(cases):
         family = i % 3
-        if family == 0:
-            taus = _random_tau(rng, i)
-            m2 = 2.0 * float(np.sum(taus**2))
-            tau4 = chi2_moment4(taus) / (m2 * m2)
-            hits = _mc_chi2_prob(taus, samples, int(rng.integers(2**63)))
-            est, radius = hits / samples, _wilson_radius(hits, samples)
-            method, count = "MonteCarlo", samples
-        elif family == 1:
-            taus = _random_tau(rng, i)
-            m2 = float(np.sum(taus**2))
-            tau4 = exp_moment4(taus) / (m2 * m2)
-            hits = _mc_exp_prob(taus, samples, int(rng.integers(2**63)))
-            est, radius = hits / samples, _wilson_radius(hits, samples)
-            method, count = "MonteCarlo", samples
-        else:
+        if family == 2:
             w = _random_sign_weights(rng, i)
             est, m4 = exhaustive_sign_prob(w)
             m2 = float(np.sum(w**2))
-            tau4 = m4 / (m2 * m2)
-            radius = 0.0
-            method, count = "Exhaustive", 1 << w.shape[0]
+            drawn.append((m4 / (m2 * m2), (est, 1 << w.shape[0])))
+            continue
+        taus = _random_tau(rng, i)
+        if family == 0:
+            m2 = 2.0 * float(np.sum(taus**2))
+            tau4 = chi2_moment4(taus) / (m2 * m2)
+        else:
+            m2 = float(np.sum(taus**2))
+            tau4 = exp_moment4(taus) / (m2 * m2)
+        draw = _centered_chi2 if family == 0 else _centered_exp
+        evaluations.append(_form_evaluation(samples, int(rng.integers(2**63)), draw, taus, 0.0))
+        drawn.append((tau4, None))
+    counts = iter(_mc_counts(evaluations))
+    results = []
+    notes = []
+    for i, (tau4, exact) in enumerate(drawn):
         bound = bound_fn(tau4)
-        results.append(AsymmetryResult(check_id, bound, est, radius, method, count))
-        if est - 3.0 * radius <= bound:
-            passed = False
-            notes.append(f"case {i}: estimate {est:.5f} within 3 radii of bound {bound:.5f}")
-    return CheckOutcome(check_id, passed, tuple(results), tuple(notes))
+        if exact is None:
+            res = _mc_result(check_id, bound, next(counts), samples)
+        else:
+            res = AsymmetryResult(check_id, bound, exact[0], 0.0, "Exhaustive", exact[1])
+        results.append(res)
+        if res.estimate - 3.0 * res.confidence_radius <= bound:
+            notes.append(f"case {i}: estimate {res.estimate:.5f} within 3 radii of bound {bound:.5f}")
+    return CheckOutcome(check_id, not notes, tuple(results), tuple(notes))
 
 
 def _check_l2_1(samples: int, cases: int, seed: int) -> CheckOutcome:
@@ -540,56 +550,65 @@ def _check_l2_2(samples: int, cases: int, seed: int) -> CheckOutcome:
     return CheckOutcome("L2_2", out.passed and bool(sharper), out.results, notes)
 
 
-def _check_asym_family(check_id: str, kind: str, bound: float,
-                       samples: int, cases: int, seed: int) -> CheckOutcome:
+def _asym_cases(kind: str, samples: int, cases: int, seed: int) -> list[_Evaluation]:
+    """One favorable-side evaluation per random weight profile, drawn from the check's generator."""
     rng = np.random.default_rng(np.random.PCG64(seed))
-    results = []
-    notes = []
-    passed = True
+    draw = _FAMILIES[kind][2]
+    evaluations = []
     for i in range(cases):
         taus = _random_tau(rng, i)
-        sub = int(rng.integers(0, 2**31))
-        res = asym_prob(kind, taus, samples=samples, seed=sub)
+        evaluations.append(_form_evaluation(samples, int(rng.integers(0, 2**31)), draw, taus, 0.0))
+    return evaluations
+
+
+def _judge_asym(kind: str, samples: int, counts: list[int]) -> tuple[list, list]:
+    """The results of _asym_cases' counts, and a note per case within 3 radii of the bound."""
+    lemma_id, bound, _ = _FAMILIES[kind]
+    results = []
+    notes = []
+    for i, hits in enumerate(counts):
+        res = _mc_result(lemma_id, bound, hits, samples)
         results.append(res)
         if res.estimate - 3.0 * res.confidence_radius <= bound:
-            passed = False
             notes.append(f"case {i}: estimate {res.estimate:.5f} too close to {bound}")
-    return CheckOutcome(check_id, passed, tuple(results), tuple(notes))
+    return results, notes
 
 
 def _check_l3_1(samples: int, cases: int, seed: int) -> CheckOutcome:
-    return _check_asym_family("L3_1", "ChiSq", CHI2_ASYM_BOUND, samples, cases, seed)
+    results, notes = _judge_asym("ChiSq", samples, _mc_counts(_asym_cases("ChiSq", samples, cases, seed)))
+    return CheckOutcome("L3_1", not notes, tuple(results), tuple(notes))
 
 
 def _check_l3_4(samples: int, cases: int, seed: int) -> CheckOutcome:
-    out = _check_asym_family("L3_4", "Exp", EXP_ASYM_BOUND, samples, cases, seed)
+    evaluations = _asym_cases("Exp", samples, cases, seed)
+    # Monte Carlo against the closed form, in the same queue
     rng = np.random.default_rng(np.random.PCG64(seed + 1))
-    notes = list(out.notes)
-    passed = out.passed
+    closed = []
     for i in range(5):
         n = int(rng.integers(2, 7))
         taus = np.sort(rng.random(n) + 0.05)
         taus /= taus.sum()
         if np.min(np.diff(taus)) < 1e-3:
             continue
-        exact = exp_closed_form(taus)
-        mc = asym_prob("Exp", taus, samples=samples, seed=int(rng.integers(0, 2**31)))
-        stderr = max(mc.confidence_radius / _Z95, 1e-12)
-        agree = abs(exact - mc.estimate) <= 4.0 * stderr
+        closed.append((i, exp_closed_form(taus)))
+        evaluations.append(_form_evaluation(samples, int(rng.integers(0, 2**31)), _centered_exp, taus, 0.0))
+    counts = _mc_counts(evaluations)
+    results, notes = _judge_asym("Exp", samples, counts[:cases])
+    for (i, exact), hits in zip(closed, counts[cases:]):
+        est = hits / samples
+        stderr = max(_wilson_radius(hits, samples) / _Z95, 1e-12)
+        agree = abs(exact - est) <= 4.0 * stderr
         in_range = EXP_ASYM_BOUND < exact < 1.0 - EXP_ASYM_BOUND
         if not (agree and in_range):
-            passed = False
-            notes.append(f"closed-form case {i}: exact {exact:.5f} vs MC {mc.estimate:.5f}")
-    return CheckOutcome("L3_4", passed, out.results, tuple(notes))
+            notes.append(f"closed-form case {i}: exact {exact:.5f} vs MC {est:.5f}")
+    return CheckOutcome("L3_4", not notes, tuple(results), tuple(notes))
 
 
 def _quantile_event_check(check_id: str, draw, ceiling: float, samples: int,
                           cases: int, seed: int) -> CheckOutcome:
     """P{Q < gamma*E(Q)} stays below ceiling for PSD-weighted forms Q."""
     rng = np.random.default_rng(np.random.PCG64(seed))
-    results = []
-    notes = []
-    passed = True
+    evaluations = []
     for i in range(cases):
         r = int(rng.integers(1, 9))
         lam = rng.random(r) + 1e-6
@@ -597,31 +616,25 @@ def _quantile_event_check(check_id: str, draw, ceiling: float, samples: int,
             lam[0] *= 100.0
         gamma = 1.0 if i % 4 == 0 else float(rng.random())
         mean = float(np.sum(lam))
-        hits = _mc_count(samples, int(rng.integers(2**63)), lambda gen, k: draw(gen, k, lam),
-                         lambda q: q < gamma * mean)
-        est = hits / samples
-        radius = _wilson_radius(hits, samples)
-        results.append(AsymmetryResult(check_id, 0.0, est, radius, "MonteCarlo", samples))
-        if est + 3.0 * radius >= ceiling:
-            passed = False
-            notes.append(f"case {i}: P(below gamma*mean) = {est:.5f} too close to {ceiling}")
-    return CheckOutcome(check_id, passed, tuple(results), tuple(notes))
+        evaluations.append(_form_evaluation(samples, int(rng.integers(2**63)), draw, lam,
+                                            gamma * mean, below=True))
+    results = []
+    notes = []
+    for i, hits in enumerate(_mc_counts(evaluations)):
+        res = _mc_result(check_id, 0.0, hits, samples)
+        results.append(res)
+        if res.estimate + 3.0 * res.confidence_radius >= ceiling:
+            notes.append(f"case {i}: P(below gamma*mean) = {res.estimate:.5f} too close to {ceiling}")
+    return CheckOutcome(check_id, not notes, tuple(results), tuple(notes))
 
 
 def _check_l3_2(samples: int, cases: int, seed: int) -> CheckOutcome:
-    def draw(gen, k, lam):
-        g = gen.standard_normal((k, lam.size))
-        return (g * g) @ lam
-    return _quantile_event_check("L3_2", draw, 1.0 - CHI2_ASYM_BOUND,
-                                 samples, cases, seed)
+    return _quantile_event_check("L3_2", _chi2_form, 1.0 - CHI2_ASYM_BOUND, samples, cases, seed)
 
 
 def _check_l3_5(samples: int, cases: int, seed: int) -> CheckOutcome:
     # complex quadratic forms reduce to exponential weights in the eigenbasis
-    def draw(gen, k, lam):
-        return gen.standard_exponential((k, lam.size)) @ lam
-    return _quantile_event_check("L3_5", draw, 1.0 - EXP_ASYM_BOUND,
-                                 samples, cases, seed)
+    return _quantile_event_check("L3_5", _exp_form, 1.0 - EXP_ASYM_BOUND, samples, cases, seed)
 
 
 def _check_l4_1(samples: int, cases: int, seed: int) -> CheckOutcome:
@@ -651,8 +664,8 @@ def _check_l4_1(samples: int, cases: int, seed: int) -> CheckOutcome:
 
 def _check_l5_1(samples: int, cases: int, seed: int) -> CheckOutcome:
     rng = np.random.default_rng(np.random.PCG64(seed))
-    notes = []
-    passed = True
+    evaluations = []
+    bounds = []  # per drawn case: its index, Chernoff bound and variance bound
     for i in range(cases):
         r = int(rng.integers(1, 9))
         lam = rng.standard_normal(r)
@@ -663,28 +676,29 @@ def _check_l5_1(samples: int, cases: int, seed: int) -> CheckOutcome:
         params = TailBoundParams(lam, alpha, fieldname)
         if params.sigma == 0.0:
             continue
-        bound = chernoff_tail(params)
         # real squared normals; complex forms reduce to exponential weights
-        count = _mc_chi2_prob if fieldname == "Real" else _mc_exp_prob
-        freq = count(lam, samples, int(rng.integers(2**63)), alpha * params.sigma) / samples
-        if freq > bound:
-            passed = False
-            notes.append(f"case {i}: exceedance frequency {freq:.5f} above bound {bound:.5f}")
+        draw = _centered_chi2 if fieldname == "Real" else _centered_exp
+        evaluations.append(_form_evaluation(samples, int(rng.integers(2**63)), draw, lam,
+                                            alpha * params.sigma))
         # variance-route bound on the same kind of form, normalized weights
         lam_pos = np.abs(lam) / max(np.sum(np.abs(lam)), 1e-12)
         alpha_c = float(1.5 + 5.0 * rng.random())
-        cheb = chebyshev_tail(lam_pos, alpha_c)
-        hits = _mc_count(samples, int(rng.integers(2**63)),
-                         lambda gen, k: (gen.standard_normal((k, r)) ** 2) @ lam_pos,
-                         lambda q: q >= alpha_c)
-        freq = hits / samples
+        evaluations.append(_form_evaluation(samples, int(rng.integers(2**63)), _chi2_form, lam_pos,
+                                            alpha_c))
+        bounds.append((i, chernoff_tail(params), chebyshev_tail(lam_pos, alpha_c)))
+    counts = _mc_counts(evaluations)
+    notes = []
+    for (i, bound, cheb), tail_hits, form_hits in zip(bounds, counts[0::2], counts[1::2]):
+        freq = tail_hits / samples
+        if freq > bound:
+            notes.append(f"case {i}: exceedance frequency {freq:.5f} above bound {bound:.5f}")
+        freq = form_hits / samples
         if freq > cheb:
-            passed = False
             notes.append(f"case {i}: frequency {freq:.5f} above variance bound {cheb:.5f}")
     grid_ok = all(recip_exp_bound_holds(t) for t in np.linspace(-5.0, 0.5, 1101))
     if not grid_ok:
-        passed = False
         notes.append("reciprocal-exponential inequality failed on grid")
+    passed = not notes
     notes.append(f"reciprocal-exponential inequality on [-5, 1/2] grid: {grid_ok}")
     return CheckOutcome("L5_1", passed, (), tuple(notes))
 

@@ -71,14 +71,12 @@ _STATUS_JSON = {
 }
 
 
-def tag_matrix(a: np.ndarray) -> str | tuple:
+def tag_matrix(a: np.ndarray) -> tuple:
     """Classify by spectrum: PSD iff min eig >= -1e-9 ||A||_F, NSD mirrored.
 
-    a is a matrix in its own field; a stack (k, n, n) gives a tuple of k
-    tags from one eigvalsh.
+    a is a stack (k, n, n) of matrices in their own field; the k tags come
+    from one eigvalsh.
     """
-    if a.ndim == 2:
-        return tag_matrix(a[None])[0]
     vals = np.linalg.eigvalsh(a)
     tol = _TAG_TOL * np.linalg.norm(a, axis=(-2, -1))
     return tuple(

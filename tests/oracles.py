@@ -3,22 +3,32 @@
 Each one checks the package from outside the program's pipeline: a grid
 search for the true optimum of a small real instance, a scan of the
 exponential favorable-side probability over weight grids, the moment-ratio
-asymmetry bound, a second route to the sign family's fourth moment, two
-tail bounds of the rounding arguments, and one sweep task run by itself.
+asymmetry bound, a second route to the sign family's fourth moment, the
+favorable-side probability of one weight vector, a Monte Carlo count that
+takes one evaluation at a time, two tail bounds of the rounding arguments,
+and one sweep task run by itself.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from hqopt import probability
 from hqopt.experiment import ExperimentConfig, ExperimentRecord, _run_tasks
 from hqopt.probability import (
+    _FAMILIES,
     SHARPENED_COEFF,
+    AsymmetryResult,
     _as_upper_weights,
+    _as_weights,
+    _centered_exp,
     _check_seed,
     _closed_form_batch,
-    _mc_exp_prob,
+    _form_evaluation,
+    _mc_counts,
+    _mc_result,
     _wilson_radius,
 )
 from hqopt.sdp import COMPLEX, MAXIMIZE, REAL, QcqpInstance
@@ -314,14 +324,105 @@ def _mixed_sign_scan(n: int, resolution: float, samples: int,
     grid = grid[keep]
     best = (1.0, tuple([1.0 / n] * n))
     worst_radius = 0.0
-    for row in grid:
-        taus = np.asarray(row)
-        hits = _mc_exp_prob(taus, samples, int(rng.integers(2**63)))
+    evaluations = [_form_evaluation(samples, int(rng.integers(2**63)), _centered_exp, np.asarray(row), 0.0)
+                   for row in grid]
+    for row, hits in zip(grid, _mc_counts(evaluations)):
         est = hits / samples
         if est < best[0]:
             best = (est, tuple(float(x) for x in row))
             worst_radius = _wilson_radius(hits, samples)
     return best[0], best[1], worst_radius
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo counts one evaluation at a time
+
+
+def asym_prob(kind: str, weights, samples: int = 1_000_000, seed: int = 0) -> AsymmetryResult:
+    """Estimate P{Psi >= 0} for one 1-D weight vector by Monte Carlo: a queue of one evaluation.
+
+    kind selects the family, "ChiSq" or "Exp"; the analytic_lower_bound
+    field carries its proven constant, 3/100 or 1/20.  The sign family is
+    exact: see probability.exhaustive_sign_prob.
+    """
+    if kind not in _FAMILIES:
+        raise ValueError(f"unknown family {kind!r}")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    _check_seed(seed)
+    taus = _as_weights(weights)
+    if not np.any(taus):
+        raise ValueError("degenerate all-zero weights")
+    lemma_id, bound, draw = _FAMILIES[kind]
+    [hits] = _mc_counts([_form_evaluation(samples, seed, draw, taus, 0.0)])
+    return _mc_result(lemma_id, bound, hits, samples)
+
+
+def mc_count(samples: int, seed: int, draw, event) -> int:
+    """One evaluation's hits, its blocks counted on threads of its own.
+
+    The reference for probability._mc_counts, which counts all of a
+    check's evaluations from one claim queue: block j draws from
+    SeedSequence(seed, spawn_key=(j,)) here too, so every count must agree.
+    The caller and probability._workers(blocks) - 1 threads take block
+    indices from one iterator until it runs out or a block raises.
+    """
+    block = probability._MC_BLOCK
+    blocks = -(-samples // block)
+    hits = [0] * blocks
+    claims = iter(range(blocks))
+    lock = threading.Lock()
+    failures = []
+
+    def work() -> None:
+        try:
+            while True:
+                with lock:
+                    j = None if failures else next(claims, None)
+                if j is None:
+                    return
+                gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(j,))))
+                hits[j] = int(np.count_nonzero(event(draw(gen, min(block, samples - j * block)))))
+        except BaseException as exc:  # re-raised by the caller, after every join
+            failures.append(exc)
+
+    threads = []
+    try:
+        for _ in range(probability._workers(blocks) - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
+    return sum(hits)
+
+
+def count_each_when_built(monkeypatch) -> list:
+    """Make the checks count every evaluation with mc_count as they build it.
+
+    Each check then runs as a loop that counts case by case: a draw or an
+    event that read its loop's variables late would count right here and
+    wrong in the claim queue.  Returns the list the counts are appended to,
+    in the order the checks build their evaluations.
+    """
+    build = probability._Evaluation
+    counted = {}
+    order = []
+
+    def evaluation(samples, seed, draw, event):
+        ev = build(samples, seed, draw, event)
+        hits = mc_count(*ev)
+        counted[id(ev)] = (ev, hits)  # ev is kept so that its id is not reused
+        order.append(hits)
+        return ev
+
+    monkeypatch.setattr(probability, "_Evaluation", evaluation)
+    monkeypatch.setattr(probability, "_mc_counts", lambda evs: [counted[id(ev)][1] for ev in evs])
+    return order
 
 
 # ---------------------------------------------------------------------------

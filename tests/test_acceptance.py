@@ -36,7 +36,6 @@ from hqopt.probability import (
     EXP_ASYM_BOUND,
     SHARPENED_COEFF,
     SIGN_ASYM_BOUND,
-    asym_prob,
     exp_closed_form,
     run_lemma_check,
 )
@@ -62,7 +61,7 @@ from hqopt.sdp import (
     solve_instance,
 )
 
-from oracles import brute_force_qcqp, exp_asymmetry_scan
+from oracles import asym_prob, brute_force_qcqp, exp_asymmetry_scan
 
 
 def qp_lower_bound(M: float) -> float:

@@ -3,6 +3,10 @@
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +28,9 @@ from hqopt.rounding import GAUSSIAN_MAX, GAUSSIAN_MIN, SIGN_MAX
 from hqopt.sdp import COMPLEX, MINIMIZE, OPTIMAL, REAL, QcqpInstance
 
 from oracles import run_single
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(argv):
@@ -476,3 +483,30 @@ class TestCliExample:
         with pytest.raises(SystemExit) as err:
             run_cli(["example", "--id", "mystery"])
         assert err.value.code == 2
+
+
+def run_python(args, blas: dict):
+    """Run python with hqopt importable and the BLAS variables set exactly to blas."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(blas)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, check=True, capture_output=True, text=True)
+
+
+class TestBlasThreads:
+    # importing hqopt sets one BLAS thread per process unless the caller chose a count
+
+    def test_import_sets_one_thread_and_keeps_a_chosen_count(self):
+        show = ["-c", "import os, hqopt; print(*(os.environ[v] for v in %r))" % (BLAS_VARS,)]
+        assert run_python(show, {}).stdout.split() == ["1", "1", "1"]
+        assert run_python(show, {"OPENBLAS_NUM_THREADS": "3"}).stdout.split() == ["3", "1", "1"]
+
+    def test_sweep_bytes_same_with_blas_variables_unset(self, tmp_path):
+        # unpinned, a multi-threaded BLAS rounds the complex m = 100 products
+        # differently on a machine with more than one CPU
+        sweep = ["-m", "hqopt.cli", "experiment", "--complex-field", "--m-list", "100",
+                 "--instances-per-m", "4", "--out"]
+        unset, pinned = tmp_path / "unset.csv", tmp_path / "pinned.csv"
+        run_python([*sweep, str(unset)], {})
+        run_python([*sweep, str(pinned)], dict.fromkeys(BLAS_VARS, "1"))
+        assert unset.read_bytes() == pinned.read_bytes()

@@ -118,7 +118,7 @@ class TestGenerate:
         inst = generate(spec_a(case=CASE_C, seed=1))
         assert inst.tags[0] == INDEFINITE
         for a in inst.constraints[1:]:
-            assert tag_matrix(a.a) == PSD
+            assert tag_matrix(a.a[None]) == (PSD,)
             assert np.linalg.matrix_rank(a.a, tol=1e-8) == 1
 
     def test_ten_percent_indefinite(self):
@@ -132,7 +132,7 @@ class TestGenerate:
         indef = generate(
             spec_a(sense=MAXIMIZE, objective_kind=OBJECTIVE_INDEFINITE, seed=5)
         )
-        assert tag_matrix(indef.objective.a) == INDEFINITE
+        assert tag_matrix(indef.objective.a[None]) == (INDEFINITE,)
 
     def test_complex_field(self):
         inst = generate(spec_a(n=4, m=3, field=COMPLEX, seed=6))

@@ -342,7 +342,7 @@ class TestStackedDraws:
             seed=5, field=field,
         )
         inst = generate(spec)
-        assert inst.tags == tuple(tag_matrix(a.a) for a in inst.constraints)
+        assert inst.tags == tuple(tag_matrix(a.a[None])[0] for a in inst.constraints)
         assert inst.tags == tuple(map(_tag_by_spectrum, inst.field_view.A))
         if case == CASE_C:
             assert set(inst.tags[1:]) == {PSD}

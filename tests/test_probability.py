@@ -12,7 +12,6 @@ from hqopt.probability import (
     AsymmetryResult,
     IllConditionedError,
     TailBoundParams,
-    asym_prob,
     bernoulli_moment4,
     chebyshev_tail,
     chernoff_tail,
@@ -26,7 +25,9 @@ from hqopt.probability import (
 
 from oracles import (
     asym_bound_moment,
+    asym_prob,
     bernoulli_moment4_trace,
+    count_each_when_built,
     erlang_tail_at_mean,
     exp_asymmetry_scan,
 )
@@ -157,27 +158,26 @@ class TestAsymProb:
         assert abs(r.estimate - math.exp(-1.0)) < 4.0 * r.confidence_radius
 
     def test_bernoulli_two_point_exact_half(self):
-        r = asym_prob("Bernoulli", np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert r.estimate == 0.5
-        assert r.method == "Exhaustive" and r.confidence_radius == 0.0
-        assert r.samples == 4
+        # the sign family is exact: Psi = xi_1*xi_2 is -1 or +1 with equal odds
+        assert exhaustive_sign_prob(np.array([[0.0, 1.0], [0.0, 0.0]])) == (0.5, 1.0)
 
     def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="all-zero"):
             asym_prob("ChiSq", [0.0, 0.0])
-        with pytest.raises(ValueError):
-            asym_prob("Bernoulli", np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="all-zero"):
+            exhaustive_sign_prob(np.zeros((3, 3)))
 
     def test_bad_kind_and_method(self):
         with pytest.raises(ValueError):
             asym_prob("Gauss", [1.0])
+        # the sign family has no Monte Carlo estimator: exhaustive_sign_prob is exact
+        with pytest.raises(ValueError, match="unknown family"):
+            asym_prob("Bernoulli", np.array([[0.0, 1.0], [0.0, 0.0]]))
         # the family and the size pick the method; there is no method argument
         with pytest.raises(TypeError):
             asym_prob("ChiSq", [1.0], method="Exhaustive")
         with pytest.raises(TypeError):
             asym_prob("ChiSq", [1.0], method="ClosedForm")
-        with pytest.raises(TypeError):
-            asym_prob("Bernoulli", np.array([[0.0, 1.0], [0.0, 0.0]]), method="ClosedForm")
 
     def test_deterministic_per_seed(self):
         a = asym_prob("Exp", [1.0, 2.0], samples=50_000, seed=3)
@@ -185,13 +185,6 @@ class TestAsymProb:
         c = asym_prob("Exp", [1.0, 2.0], samples=50_000, seed=4)
         assert a == b
         assert a.estimate != c.estimate
-
-    def test_bernoulli_monte_carlo_beyond_cap(self):
-        rng = np.random.default_rng(5)
-        w = upper_weights(rng, 22)
-        r = asym_prob("Bernoulli", w, samples=40_000, seed=1)
-        assert r.method == "MonteCarlo" and r.confidence_radius > 0.0
-        assert r.estimate - 3 * r.confidence_radius > 1 / 87
 
 
 def _profile(rng, i):
@@ -235,8 +228,8 @@ class TestLemmaFloorsBulk:
                 w = upper_weights(rng, n)
             if not np.any(w):
                 w[0, 1] = 1.0
-            r = asym_prob("Bernoulli", w)
-            assert r.estimate > 1 / 87, (i, r)
+            prob_le0, _ = exhaustive_sign_prob(w)
+            assert prob_le0 > 1 / 87, (i, w)
 
 
 class TestClosedForm:
@@ -473,21 +466,28 @@ def _fixed_workers(monkeypatch, workers):
     monkeypatch.setattr(prob, "_workers", lambda blocks: min(workers, blocks))
 
 
+def _recorded_counts(monkeypatch) -> list:
+    """The hit counts of every queue the checks run, appended in evaluation order."""
+    counted = []
+    count = prob._mc_counts
+
+    def recording_counts(evaluations):
+        hits = count(evaluations)
+        counted.extend(hits)
+        return hits
+
+    monkeypatch.setattr(prob, "_mc_counts", recording_counts)
+    return counted
+
+
 class TestMonteCarloBlocks:
     # an evaluation's hits depend on its seed and sample count only, and
-    # every thread it starts is joined before it returns
+    # every thread a queue starts is joined before it returns
 
     @pytest.mark.parametrize("check_id", prob.CHECK_IDS)
     def test_same_outcome_for_any_worker_count(self, check_id, monkeypatch):
         samples = 3 * prob._MC_BLOCK + 17
-        counted = []
-        count = prob._mc_count
-
-        def recording_count(*args):
-            counted.append(count(*args))
-            return counted[-1]
-
-        monkeypatch.setattr(prob, "_mc_count", recording_count)
+        counted = _recorded_counts(monkeypatch)
         runs = []
         for workers in (1, 2, 3):
             _fixed_workers(monkeypatch, workers)
@@ -506,7 +506,7 @@ class TestMonteCarloBlocks:
                 seen.append(gen.standard_normal(k))
                 return seen[-1]
 
-            prob._mc_count(samples, 9, draw, lambda v: v > 0.0)
+            prob._mc_counts([prob._Evaluation(samples, 9, draw, lambda v: v > 0.0)])
             return np.concatenate(seen)
 
         short, full = draws(prob._MC_BLOCK + 5), draws(3 * prob._MC_BLOCK + 17)
@@ -542,14 +542,16 @@ class TestMonteCarloBlocks:
             drawn.append(k)
             return gen.random(k)
 
+        evaluations = [prob._Evaluation(4_000 + seed, seed, draw, lambda v: v >= 0.0) for seed in range(20)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            counts = [prob._mc_count(4_000, seed, draw, lambda v: v >= 0.0) for seed in range(20)]
+            counts = prob._mc_counts(evaluations)
         finally:
             sys.setswitchinterval(interval)
-        assert counts == [4_000] * 20
-        assert sorted(drawn) == sorted([64] * 62 * 20 + [32] * 20)
+        assert counts == [4_000 + seed for seed in range(20)]
+        # 62 full blocks each, then a last one of 32 + seed samples
+        assert sorted(drawn) == sorted([64] * 62 * 20 + [32 + seed for seed in range(20)])
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_block_exception_propagates(self, workers, monkeypatch):
@@ -561,16 +563,51 @@ class TestMonteCarloBlocks:
                 raise ArithmeticError("block 2")
             return gen.standard_normal(k)
 
+        fine = prob._Evaluation(2 * prob._MC_BLOCK, 1, lambda gen, k: gen.standard_normal(k), lambda v: v > 0.0)
         before = threading.active_count()
         with pytest.raises(ArithmeticError, match="block 2"):
-            prob._mc_count(samples, 0, draw, lambda v: v > 0.0)
+            prob._mc_counts([fine, prob._Evaluation(samples, 0, draw, lambda v: v > 0.0), fine])
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("check_id", prob.CHECK_IDS)
     def test_one_block_starts_no_thread(self, check_id, monkeypatch):
         def no_thread(*args, **kwargs):
-            raise AssertionError("a one-block evaluation started a thread")
+            raise AssertionError("a queue counted by one worker started a thread")
 
         monkeypatch.setattr(threading, "Thread", no_thread)
-        run_lemma_check(check_id, samples=1_000, cases=3)
-        assert prob._mc_count(prob._MC_BLOCK, 1, lambda gen, k: gen.random(k), lambda v: v < 0.5) > 0
+        # a queue of one block counts inline on any number of CPUs
+        assert asym_prob("ChiSq", [1.0], samples=prob._MC_BLOCK).estimate > 0.0
+        # so does a whole check on one CPU
+        _fixed_workers(monkeypatch, 1)
+        run_lemma_check(check_id, samples=3 * prob._MC_BLOCK, cases=3)
+
+
+class TestMonteCarloQueue:
+    # a check counts all its evaluations from one claim queue, after it has
+    # drawn its cases; every output equals counting case by case as it draws
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("samples", [2_000, 40_000])
+    @pytest.mark.parametrize("check_id", prob.CHECK_IDS)
+    def test_matches_counting_each_evaluation_when_built(self, check_id, samples, workers, monkeypatch):
+        _fixed_workers(monkeypatch, workers)
+        with monkeypatch.context() as patch:
+            counted = count_each_when_built(patch)
+            expected = (run_lemma_check(check_id, samples=samples, seed=3).to_dict(), list(counted))
+        counted = _recorded_counts(monkeypatch)
+        assert (run_lemma_check(check_id, samples=samples, seed=3).to_dict(), counted) == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_evaluations_differing_only_in_weights(self, workers, monkeypatch):
+        # one seed for every evaluation: L3_2's cases 0 and 4 (gamma = 1)
+        # then differ only in their weights, and a draw that read its loop's
+        # weights late would count both with case 4's
+        _fixed_workers(monkeypatch, workers)
+        build = prob._Evaluation
+        monkeypatch.setattr(prob, "_Evaluation",
+                            lambda samples, seed, draw, event: build(samples, 11, draw, event))
+        queued = run_lemma_check("L3_2", samples=40_000, cases=5, seed=2).to_dict()
+        count_each_when_built(monkeypatch)
+        assert run_lemma_check("L3_2", samples=40_000, cases=5, seed=2).to_dict() == queued
+        estimates = [r["estimate"] for r in queued["results"]]
+        assert estimates[0] != estimates[4]

@@ -130,23 +130,23 @@ def clarabel_value(inst):
 
 class TestTags:
     def test_basic(self):
-        assert sdp.tag_matrix(sym(np.eye(3)).a) == sdp.PSD
-        assert sdp.tag_matrix(sym(-np.eye(3)).a) == sdp.NSD
-        assert sdp.tag_matrix(sym(np.diag([1.0, -1.0])).a) == sdp.INDEFINITE
-        assert sdp.tag_matrix(sym(np.zeros((2, 2))).a) == sdp.PSD
+        assert sdp.tag_matrix(sym(np.eye(3)).a[None]) == (sdp.PSD,)
+        assert sdp.tag_matrix(sym(-np.eye(3)).a[None]) == (sdp.NSD,)
+        assert sdp.tag_matrix(sym(np.diag([1.0, -1.0])).a[None]) == (sdp.INDEFINITE,)
+        assert sdp.tag_matrix(sym(np.zeros((2, 2))).a[None]) == (sdp.PSD,)
 
     def test_rank_one(self):
         v = np.array([1.0, 2.0, -1.0])
-        assert sdp.tag_matrix(sym(np.outer(v, v)).a) == sdp.PSD
+        assert sdp.tag_matrix(sym(np.outer(v, v)).a[None]) == (sdp.PSD,)
 
     def test_tolerance_scales_with_norm(self):
         base = np.diag([1e6, -1e-5])
-        assert sdp.tag_matrix(sym(base).a) == sdp.PSD  # -1e-5 within 1e-9 * 1e6
-        assert sdp.tag_matrix(sym(np.diag([1.0, -1e-5])).a) == sdp.INDEFINITE
+        assert sdp.tag_matrix(sym(base).a[None]) == (sdp.PSD,)  # -1e-5 within 1e-9 * 1e6
+        assert sdp.tag_matrix(sym(np.diag([1.0, -1e-5])).a[None]) == (sdp.INDEFINITE,)
 
     def test_hermitian(self):
         h = HermMatrix(np.zeros((2, 2)), np.array([[0.0, -1.0], [1.0, 0.0]]))
-        assert sdp.tag_matrix(h.a) == sdp.INDEFINITE
+        assert sdp.tag_matrix(h.a[None]) == (sdp.INDEFINITE,)
 
 
 class TestInstance:
