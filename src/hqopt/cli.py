@@ -1,5 +1,10 @@
 """Command-line front end: solve, round, experiment sweeps, lemma checks.
 
+verify computes every probability it reports exactly, by enumeration, a
+closed form or contour quadrature within a stated error: its output
+depends on --lemma and --seed only.  --samples is still accepted, and must
+be at least 1, but it changes nothing.
+
 Exit codes: 0 success, 2 input error, 3 unbounded or infeasible relaxation,
 4 rounding produced no feasible point, 5 a verification check failed.  A
 numerically failed solve exits 1.  No option is read from the environment;
@@ -209,7 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run registered probability checks")
     p_verify.add_argument("--lemma", default="all", choices=["all", *CHECK_IDS])
-    p_verify.add_argument("--samples", type=int, default=200_000)
+    p_verify.add_argument(
+        "--samples", type=int, default=200_000,
+        help="ignored: no check samples; accepted so that existing command lines still run",
+    )
     p_verify.add_argument("--seed", type=int, default=0)
 
     p_example = sub.add_parser("example", help="emit a canonical instance as JSON")

@@ -8,35 +8,25 @@ Three weighted-form families recur throughout the package:
 
 Each family carries an exact fourth-moment identity, an analytic lower
 bound on the probability of landing on the favorable side of zero, and
-estimators that verify those bounds numerically: Monte Carlo for ChiSq
-and Exp, a closed form for Exp, and exhaustive enumeration for the
-signs.  The check registry at the bottom packages the verification runs
-behind stable string ids for the CLI.
+deterministic evaluators that verify those bounds: contour quadrature
+(form_tail) for ChiSq and Exp, a closed form for Exp, and exhaustive
+enumeration for the signs.  The check registry at the bottom packages the
+verification runs behind stable string ids for the CLI.
 
-Every Monte Carlo evaluation has its own seed, one draw of the check's
-own generator, which also makes the check's cases.  Its samples are split
-into blocks of _MC_BLOCK, and block j is drawn from its own PCG64
-generator seeded with SeedSequence(seed, spawn_key=(j,)).  A block's hits
-thus depend on the seed, j and the block length only: the count is the
-same for any worker count and block order, and the first N samples of an
-evaluation are the same for every sample count.
-
-A check first draws all its cases and builds one evaluation per Monte
-Carlo count.  All its (evaluation, block) pairs then go into one claim
-queue, counted on W = min(CPUs the process may run on
-(os.sched_getaffinity), blocks in the queue) threads, the caller working
-beside W - 1 threads that it starts and joins before returning; the
-generator fills, ufuncs and matrix products release the GIL.  Only then
-does the check judge its cases.  A queue of one block, or one CPU, counts
-inline and starts no thread; to count serially, pin the process to one
-CPU (taskset -c 0).  The output is the same either way.
+form_tail gives the tail P{sum_j w_j*Y_j > x} of a weighted sum of
+chi-square(1) or unit exponential variables by inverting its moment
+generating function on a parabola in the right half-plane (Gil-Pelaez
+inversion, as in Imhof, Biometrika 1961), along which the integrand
+decays like a Gaussian, with the trapezoid rule.  Each value carries an
+a-posteriori error: the gap between the sums on all its nodes and on every
+other node.  A check judges value and error together against its bound,
+and fails a value whose error exceeds 1e-9.  Nothing in a check samples:
+its output depends on its seed and case count only.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, NamedTuple
@@ -48,6 +38,7 @@ __all__ = [
     "CHI2_ASYM_BOUND",
     "CheckOutcome",
     "EXP_ASYM_BOUND",
+    "FormTail",
     "IllConditionedError",
     "LEMMA_IDS",
     "CHECK_IDS",
@@ -61,6 +52,7 @@ __all__ = [
     "exhaustive_sign_prob",
     "exp_closed_form",
     "exp_moment4",
+    "form_tail",
     "recip_exp_bound_holds",
     "run_lemma_check",
 ]
@@ -76,9 +68,11 @@ SHARPENED_COEFF = 2.0 * math.sqrt(3.0) - 3.0
 LEMMA_IDS = ("L2_1", "L2_2", "L3_1", "L3_2", "L3_4", "L3_5", "L4_1")
 CHECK_IDS = LEMMA_IDS + ("L5_1",)
 
-_METHODS = ("Exhaustive", "MonteCarlo")
-_Z95 = 1.959963984540054  # two-sided 95% normal quantile
-_MC_BLOCK = 1 << 14  # Monte Carlo samples per seeded block
+_METHODS = ("Exhaustive", "Quadrature")
+# kind -> (kappa per unit weight, nu): M(s) = prod_j (1 - kappa_j*s)^(-nu_j)
+_KINDS = {"ChiSq": (2.0, 0.5), "Exp": (1.0, 1.0)}
+_TOL = 1e-9  # largest quadrature error a check accepts
+_MAX_NODES = (1 << 16) + 1  # odd, like every node count
 _CHUNK = 1 << 18  # rows per vectorized step of the sign enumeration
 _EXHAUSTIVE_CAP = 20  # sign vectors enumerated up to 2^20
 
@@ -89,7 +83,11 @@ class IllConditionedError(ValueError):
 
 @dataclass(frozen=True)
 class AsymmetryResult:
-    """One favorable-side probability estimate with its analytic floor."""
+    """One favorable-side probability with its analytic floor.
+
+    confidence_radius is the quadrature error (0 for an enumeration) and
+    samples the node count (the number of sign vectors for an enumeration).
+    """
 
     lemma_id: str
     analytic_lower_bound: float
@@ -202,30 +200,23 @@ def bernoulli_moment4(w) -> float:
     s2 = float(np.sum(v**2))
     s4 = float(np.sum(v**4))
     total = s4 + 3.0 * (s2 * s2 - s4)
-    cyc = 0.0
-    for i, j, k, l in combinations(range(n), 4):
-        cyc += arr[i, j] * arr[j, k] * arr[k, l] * arr[i, l]
-        cyc += arr[i, j] * arr[j, l] * arr[k, l] * arr[i, k]
-        cyc += arr[i, k] * arr[j, k] * arr[j, l] * arr[i, l]
-    return total + 24.0 * cyc
+    i, j, k, l = np.array(list(combinations(range(n), 4)), dtype=np.intp).reshape(-1, 4).T
+    cyc = (arr[i, j] * arr[j, k] * arr[k, l] * arr[i, l]
+           + arr[i, j] * arr[j, l] * arr[k, l] * arr[i, k]
+           + arr[i, k] * arr[j, k] * arr[j, l] * arr[i, l])
+    return total + 24.0 * float(np.sum(cyc))
 
 
 # ---------------------------------------------------------------------------
-# probability estimators
-
-
-def _wilson_radius(successes: int, total: int) -> float:
-    """Half-width of the 95% Wilson score interval."""
-    if total <= 0:
-        raise ValueError("sample count must be positive")
-    z2 = _Z95 * _Z95
-    p = successes / total
-    spread = _Z95 * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total * total))
-    return spread / (1.0 + z2 / total)
+# probability evaluators
 
 
 def exhaustive_sign_prob(w) -> tuple[float, float]:
-    """Exact (P{Psi <= 0}, E Psi^4) over all 2^n sign vectors, n <= 20."""
+    """Exact (P{Psi <= 0}, E Psi^4) over all 2^n sign vectors, n <= 20.
+
+    Psi(-xi) = Psi(xi), so the 2^(n-1) vectors with xi_0 = +1 carry the
+    same law; they are the only ones enumerated.
+    """
     arr = _as_upper_weights(w)
     n = arr.shape[0]
     if n > _EXHAUSTIVE_CAP:
@@ -233,13 +224,13 @@ def exhaustive_sign_prob(w) -> tuple[float, float]:
     if not np.any(arr):
         raise ValueError("degenerate all-zero weights")
     wm = arr + arr.T
-    total = 1 << n
+    total = 1 << (n - 1)
     count = 0
     m4 = 0.0
     bits = np.arange(n)
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
-        idx = np.arange(start, stop, dtype=np.int64)
+        idx = 2 * np.arange(start, stop, dtype=np.int64) + 1  # bit 0 set: xi_0 = +1
         signs = (((idx[:, None] >> bits) & 1) * 2 - 1).astype(float)
         psi = 0.5 * np.einsum("ij,ij->i", signs @ wm, signs)
         count += int(np.count_nonzero(psi <= 0.0))
@@ -247,123 +238,146 @@ def exhaustive_sign_prob(w) -> tuple[float, float]:
     return count / total, m4 / total
 
 
-def _workers(blocks: int) -> int:
-    """Threads counting this many blocks, the caller included: at most one per usable CPU."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(cpus, blocks)
+class FormTail(NamedTuple):
+    """form_tail's values, each with its quadrature error and node count (0 where none was needed)."""
+
+    prob: np.ndarray
+    error: np.ndarray
+    nodes: np.ndarray
 
 
-class _Evaluation(NamedTuple):
-    """One Monte Carlo count: draw(gen, k) returns k values sampled from gen, event marks the hits."""
+def form_tail(weights, kind: str, x) -> FormTail:
+    """P{sum_j w_j*Y_j > x} for each row of weights, Y_j i.i.d. chi-square(1) (ChiSq) or Exp(1) (Exp).
 
-    samples: int
-    seed: int
-    draw: Callable[[np.random.Generator, int], np.ndarray]
-    event: Callable[[np.ndarray], np.ndarray]
+    weights has shape (..., n); shorter forms are padded with zero weights.
+    x broadcasts against weights.shape[:-1], the shape of every output.
 
+    The moment generating function is M(s) = prod_j (1 - kappa_j*s)^(-nu_j),
+    with kappa = 2w and nu = 1/2 for ChiSq, or kappa = w and nu = 1 for Exp.
+    For x > 0 the tail is
 
-def _mc_counts(evaluations: list[_Evaluation]) -> list[int]:
-    """The hits of every evaluation, its blocks counted from one claim queue.
+        P = (1/pi) int_0^inf Im[M(s) e^(-s x) s'(u)/s] du,
+        s(u) = s*(1/2 + u^2 + i u),  s* = 1/max kappa,
 
-    Block j of an evaluation holds its samples [j*_MC_BLOCK, (j+1)*_MC_BLOCK)
-    and draws them from its own generator, seeded with
-    SeedSequence(seed, spawn_key=(j,)).  The caller and _workers(blocks) - 1
-    threads take (evaluation, block) pairs, in order, from one shared
-    iterator until it runs out or a block raises; every thread is joined
-    before the counts are returned or the first exception re-raised.  One
-    worker (one block in the queue, or one CPU) counts inline and starts no
-    thread.
+    on a parabola that passes left of every singularity of M and along
+    which e^(-s x) decays like e^(-x' u^2), x' = x*s*.  For x <= 0 the value
+    is 1 - P{-sum_j w_j*Y_j >= -x}; a tail with no positive kappa is 0.  The
+    trapezoid rule takes N ~ 80 + 90/sqrt(x') nodes, N odd, on
+    [0, sqrt(40/x') + 1].  The error is the gap between the N-node sum and
+    the (N+1)/2-node sum on every other node; N doubles, up to _MAX_NODES,
+    while the error exceeds 1e-9.  Probabilities are clipped to [0, 1], and
+    each row's value depends on that row alone.
     """
-    hits = [[0] * -(-ev.samples // _MC_BLOCK) for ev in evaluations]
-    claims = iter([(e, j) for e, blocks in enumerate(hits) for j in range(len(blocks))])
-    lock = threading.Lock()
-    failures = []
-
-    def work() -> None:
-        try:
-            while True:
-                with lock:
-                    claim = None if failures else next(claims, None)
-                if claim is None:
-                    return
-                e, j = claim
-                samples, seed, draw, event = evaluations[e]
-                gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(j,))))
-                k = min(_MC_BLOCK, samples - j * _MC_BLOCK)
-                hits[e][j] = int(np.count_nonzero(event(draw(gen, k))))
-        except BaseException as exc:  # re-raised by the caller, after every join
-            failures.append(exc)
-
-    threads = []
-    try:
-        for _ in range(_workers(sum(map(len, hits))) - 1):
-            thread = threading.Thread(target=work)
-            thread.start()
-            threads.append(thread)
-        work()
-    finally:
-        for thread in threads:
-            thread.join()
-    if failures:
-        raise failures[0]
-    return [sum(blocks) for blocks in hits]
+    if kind not in _KINDS:
+        raise ValueError(f"unknown kind {kind!r}; choose from {tuple(_KINDS)}")
+    scale, nu = _KINDS[kind]
+    w = np.asarray(weights, dtype=float)
+    if w.ndim == 0 or w.shape[-1] == 0:
+        raise ValueError("weights need a nonempty last axis")
+    shape = w.shape[:-1]
+    level = np.broadcast_to(np.asarray(x, dtype=float), shape).reshape(-1)
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(level))):
+        raise ValueError("weights and x must be finite")
+    flip = level <= 0.0
+    kappa = scale * w.reshape(-1, w.shape[-1])
+    kappa[flip] *= -1.0
+    level = np.abs(level)
+    top = kappa.max(axis=1)
+    live = np.flatnonzero(top > 0.0)
+    if np.any(level[live] == 0.0):
+        raise ValueError("P{Q > 0} needs x != 0 when a weight is negative")
+    prob = np.zeros(level.size)
+    error = np.zeros(level.size)
+    nodes = np.zeros(level.size, dtype=np.int64)
+    n = np.minimum(80.0 + 90.0 / np.sqrt(level[live] / top[live]), _MAX_NODES)
+    nodes[live] = 2 * np.ceil((n - 1.0) / 2.0).astype(np.int64) + 1
+    todo = live
+    while todo.size:
+        prob[todo], error[todo] = _parabola(kappa[todo] / top[todo, None], nu,
+                                            level[todo] / top[todo], nodes[todo])
+        todo = todo[(error[todo] > _TOL) & (nodes[todo] < _MAX_NODES)]
+        nodes[todo] = np.minimum(2 * nodes[todo] - 1, _MAX_NODES)
+    prob[flip] = 1.0 - prob[flip]
+    return FormTail(np.clip(prob, 0.0, 1.0).reshape(shape), error.reshape(shape), nodes.reshape(shape))
 
 
-# Weighted forms, drawn k at a time: the favorable-side families (centered)
-# and the PSD-weighted forms of the quantile and tail checks.  Each squares
-# and shifts its k x n draw in place: the bits are those of a new array per
-# step, and a block allocates one such array instead of up to three.
-def _centered_chi2(gen: np.random.Generator, k: int, taus: np.ndarray) -> np.ndarray:
-    g = gen.standard_normal((k, taus.size))
-    np.square(g, out=g)
-    g -= 1.0
-    return g @ taus
+def _parabola(unit: np.ndarray, nu: float, xs: np.ndarray,
+              nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid sums of form_tail's integral, and their errors, one row per form.
 
-
-def _centered_exp(gen: np.random.Generator, k: int, taus: np.ndarray) -> np.ndarray:
-    e = gen.standard_exponential((k, taus.size))
-    e -= 1.0
-    return e @ taus
-
-
-def _chi2_form(gen: np.random.Generator, k: int, lam: np.ndarray) -> np.ndarray:
-    g = gen.standard_normal((k, lam.size))
-    np.square(g, out=g)
-    return g @ lam
-
-
-def _exp_form(gen: np.random.Generator, k: int, lam: np.ndarray) -> np.ndarray:
-    return gen.standard_exponential((k, lam.size)) @ lam
-
-
-def _form_evaluation(samples: int, seed: int,
-                     draw: Callable[[np.random.Generator, int, np.ndarray], np.ndarray],
-                     weights: np.ndarray, level: float, below: bool = False) -> _Evaluation:
-    """Count draw(gen, k, weights) >= level, or < level when below.
-
-    The weights and level are bound here, once per case: a lambda written
-    in a check's loop would read the loop's last case when the queue runs.
+    unit holds kappa/max kappa, so that with z = s/s*, kappa*s = unit*z and
+    s*x = xs*z.  The rows' nodes lie end to end in one array, and a row's
+    sums read its own nodes only.
     """
-    event = (lambda v: v < level) if below else (lambda v: v >= level)
-    return _Evaluation(samples, seed, lambda gen, k: draw(gen, k, weights), event)
+    h = (np.sqrt(40.0 / xs) + 1.0) / (nodes - 1)
+    starts = np.cumsum(nodes) - nodes
+    row = np.repeat(np.arange(nodes.size), nodes)
+    k = np.arange(row.size) - starts[row]
+    u = k * h[row]
+    z = 0.5 + u * u + 1j * u
+    log_m = -xs[row] * z
+    for col in unit.T:
+        log_m -= nu * np.log(1.0 - col[row] * z)
+    g = np.imag(np.exp(log_m) * (2.0 * u + 1j) / z)
+    g[starts] *= 0.5
+    fine = np.add.reduceat(g, starts) * (h / math.pi)
+    coarse = np.add.reduceat(np.where(k % 2 == 0, g, 0.0), starts) * (2.0 * h / math.pi)
+    return fine, np.abs(fine - coarse)
 
 
-def _mc_result(lemma_id: str, bound: float, hits: int, samples: int) -> AsymmetryResult:
-    return AsymmetryResult(lemma_id, bound, hits / samples, _wilson_radius(hits, samples),
-                           "MonteCarlo", samples)
+def _tails(forms: list[tuple[str, np.ndarray, float]]) -> list[tuple[float, float, int]]:
+    """form_tail's (probability, error, nodes) of every (kind, weights, x), in order: one call per kind."""
+    out = [None] * len(forms)
+    for kind in _KINDS:
+        at = [i for i, form in enumerate(forms) if form[0] == kind]
+        if not at:
+            continue
+        weights = np.zeros((len(at), max(forms[i][1].size for i in at)))
+        for row, i in enumerate(at):
+            weights[row, :forms[i][1].size] = forms[i][1]
+        tail = form_tail(weights, kind, [forms[i][2] for i in at])
+        for row, i in enumerate(at):
+            out[i] = (float(tail.prob[row]), float(tail.error[row]), int(tail.nodes[row]))
+    return out
+
+
+def _favorable(kind: str, taus: np.ndarray) -> tuple[str, np.ndarray, float]:
+    """The form whose tail is P{sum tau_i(Y_i - 1) >= 0} = P{sum tau_i*Y_i > sum tau_i}."""
+    return kind, taus, float(np.sum(taus))
+
+
+def _quadrature_result(lemma_id: str, bound: float, tail: tuple[float, float, int]) -> AsymmetryResult:
+    return AsymmetryResult(lemma_id, bound, tail[0], tail[1], "Quadrature", tail[2])
+
+
+def _judge(case: int, error: float, nodes: int, clears: bool, failure: str) -> list[str]:
+    """No note for a value within 1e-9 that clears its bound; else a note saying which of the two failed."""
+    if error > _TOL:
+        return [f"case {case}: quadrature error {error:.1e} above {_TOL:.0e} at {nodes} nodes"]
+    return [] if clears else [f"case {case}: {failure}"]
+
+
+def _floor_notes(results: list[AsymmetryResult]) -> list[str]:
+    """The notes of results whose value, less its error, must exceed their analytic floor."""
+    notes = []
+    for i, res in enumerate(results):
+        notes += _judge(i, res.confidence_radius, res.samples,
+                        res.estimate - res.confidence_radius > res.analytic_lower_bound,
+                        f"estimate {res.estimate:.5f} within its error of bound {res.analytic_lower_bound:.5f}")
+    return notes
 
 
 def _check_seed(seed) -> None:
     if not isinstance(seed, (int, np.integer)) or seed < 0:
-        # it seeds np.random.SeedSequence, which takes non-negative integers only
+        # it seeds np.random.PCG64, which takes non-negative integers only
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 # The favorable-side families of the asymmetry checks: the lemma id and bound
-# their results carry, and their draw
+# their results carry
 _FAMILIES = {
-    "ChiSq": ("L3_1", CHI2_ASYM_BOUND, _centered_chi2),
-    "Exp": ("L3_4", EXP_ASYM_BOUND, _centered_exp),
+    "ChiSq": ("L3_1", CHI2_ASYM_BOUND),
+    "Exp": ("L3_4", EXP_ASYM_BOUND),
 }
 
 
@@ -383,14 +397,14 @@ def exp_closed_form(taus) -> float:
     t = _as_weights(taus)
     if np.any(t <= 0.0):
         raise ValueError("closed form requires strictly positive weights; "
-                         "use the Monte Carlo estimator for mixed signs")
+                         "use form_tail for mixed signs")
     t = t / np.sum(t)
     if t.size > 1:
         gaps = np.abs(t[:, None] - t[None, :])[np.triu_indices(t.size, k=1)]
         if float(np.min(gaps)) < 1e-6:
             raise IllConditionedError(
                 "weights nearly coincide after normalization; the partial "
-                "fractions are ill-conditioned -- use the Monte Carlo estimator")
+                "fractions are ill-conditioned -- use form_tail")
     return float(_closed_form_batch(t[None, :])[0])
 
 
@@ -493,16 +507,16 @@ def _random_sign_weights(rng: np.random.Generator, index: int,
 
 
 def _check_moment_families(check_id: str, bound_fn: Callable[[float], float],
-                           samples: int, cases: int, seed: int) -> CheckOutcome:
+                           cases: int, seed: int) -> CheckOutcome:
     """Shared body of the two moment-asymmetry checks.
 
     Instantiates the three weighted families, computes the exact
-    normalized fourth moment, and verifies the estimated favorable-side
-    probability clears bound_fn(tau4) with 3-sigma margin.
+    normalized fourth moment, and verifies the favorable-side probability,
+    less its quadrature error, clears bound_fn(tau4).
     """
     rng = np.random.default_rng(np.random.PCG64(seed))
-    evaluations = []
-    drawn = []  # per case: tau4, and (estimate, sign vectors) when exhaustive
+    forms = []
+    drawn = []  # per case: tau4, and (estimate, sign vectors) when enumerated
     for i in range(cases):
         family = i % 3
         if family == 2:
@@ -518,31 +532,26 @@ def _check_moment_families(check_id: str, bound_fn: Callable[[float], float],
         else:
             m2 = float(np.sum(taus**2))
             tau4 = exp_moment4(taus) / (m2 * m2)
-        draw = _centered_chi2 if family == 0 else _centered_exp
-        evaluations.append(_form_evaluation(samples, int(rng.integers(2**63)), draw, taus, 0.0))
+        forms.append(_favorable("ChiSq" if family == 0 else "Exp", taus))
         drawn.append((tau4, None))
-    counts = iter(_mc_counts(evaluations))
+    tails = iter(_tails(forms))
     results = []
-    notes = []
-    for i, (tau4, exact) in enumerate(drawn):
+    for tau4, exact in drawn:
         bound = bound_fn(tau4)
         if exact is None:
-            res = _mc_result(check_id, bound, next(counts), samples)
+            results.append(_quadrature_result(check_id, bound, next(tails)))
         else:
-            res = AsymmetryResult(check_id, bound, exact[0], 0.0, "Exhaustive", exact[1])
-        results.append(res)
-        if res.estimate - 3.0 * res.confidence_radius <= bound:
-            notes.append(f"case {i}: estimate {res.estimate:.5f} within 3 radii of bound {bound:.5f}")
+            results.append(AsymmetryResult(check_id, bound, exact[0], 0.0, "Exhaustive", exact[1]))
+    notes = _floor_notes(results)
     return CheckOutcome(check_id, not notes, tuple(results), tuple(notes))
 
 
-def _check_l2_1(samples: int, cases: int, seed: int) -> CheckOutcome:
-    return _check_moment_families("L2_1", lambda tau4: 0.25 / tau4, samples, cases, seed)
+def _check_l2_1(cases: int, seed: int) -> CheckOutcome:
+    return _check_moment_families("L2_1", lambda tau4: 0.25 / tau4, cases, seed)
 
 
-def _check_l2_2(samples: int, cases: int, seed: int) -> CheckOutcome:
-    out = _check_moment_families("L2_2", lambda tau4: SHARPENED_COEFF / tau4,
-                                 samples, cases, seed)
+def _check_l2_2(cases: int, seed: int) -> CheckOutcome:
+    out = _check_moment_families("L2_2", lambda tau4: SHARPENED_COEFF / tau4, cases, seed)
     # the sharpened coefficient must beat the generic one on a tau grid
     grid = np.linspace(1.0, 1000.0, 2000)
     sharper = np.all(SHARPENED_COEFF / grid > 0.25 / grid)
@@ -550,38 +559,24 @@ def _check_l2_2(samples: int, cases: int, seed: int) -> CheckOutcome:
     return CheckOutcome("L2_2", out.passed and bool(sharper), out.results, notes)
 
 
-def _asym_cases(kind: str, samples: int, cases: int, seed: int) -> list[_Evaluation]:
-    """One favorable-side evaluation per random weight profile, drawn from the check's generator."""
+def _asym_results(kind: str, cases: int, seed: int) -> list[AsymmetryResult]:
+    """The favorable-side probability of one random weight profile per case."""
     rng = np.random.default_rng(np.random.PCG64(seed))
-    draw = _FAMILIES[kind][2]
-    evaluations = []
-    for i in range(cases):
-        taus = _random_tau(rng, i)
-        evaluations.append(_form_evaluation(samples, int(rng.integers(0, 2**31)), draw, taus, 0.0))
-    return evaluations
+    lemma_id, bound = _FAMILIES[kind]
+    tails = _tails([_favorable(kind, _random_tau(rng, i)) for i in range(cases)])
+    return [_quadrature_result(lemma_id, bound, tail) for tail in tails]
 
 
-def _judge_asym(kind: str, samples: int, counts: list[int]) -> tuple[list, list]:
-    """The results of _asym_cases' counts, and a note per case within 3 radii of the bound."""
-    lemma_id, bound, _ = _FAMILIES[kind]
-    results = []
-    notes = []
-    for i, hits in enumerate(counts):
-        res = _mc_result(lemma_id, bound, hits, samples)
-        results.append(res)
-        if res.estimate - 3.0 * res.confidence_radius <= bound:
-            notes.append(f"case {i}: estimate {res.estimate:.5f} too close to {bound}")
-    return results, notes
-
-
-def _check_l3_1(samples: int, cases: int, seed: int) -> CheckOutcome:
-    results, notes = _judge_asym("ChiSq", samples, _mc_counts(_asym_cases("ChiSq", samples, cases, seed)))
+def _check_l3_1(cases: int, seed: int) -> CheckOutcome:
+    results = _asym_results("ChiSq", cases, seed)
+    notes = _floor_notes(results)
     return CheckOutcome("L3_1", not notes, tuple(results), tuple(notes))
 
 
-def _check_l3_4(samples: int, cases: int, seed: int) -> CheckOutcome:
-    evaluations = _asym_cases("Exp", samples, cases, seed)
-    # Monte Carlo against the closed form, in the same queue
+def _check_l3_4(cases: int, seed: int) -> CheckOutcome:
+    results = _asym_results("Exp", cases, seed)
+    notes = _floor_notes(results)
+    # the quadrature against the closed form
     rng = np.random.default_rng(np.random.PCG64(seed + 1))
     closed = []
     for i in range(5):
@@ -590,55 +585,47 @@ def _check_l3_4(samples: int, cases: int, seed: int) -> CheckOutcome:
         taus /= taus.sum()
         if np.min(np.diff(taus)) < 1e-3:
             continue
-        closed.append((i, exp_closed_form(taus)))
-        evaluations.append(_form_evaluation(samples, int(rng.integers(0, 2**31)), _centered_exp, taus, 0.0))
-    counts = _mc_counts(evaluations)
-    results, notes = _judge_asym("Exp", samples, counts[:cases])
-    for (i, exact), hits in zip(closed, counts[cases:]):
-        est = hits / samples
-        stderr = max(_wilson_radius(hits, samples) / _Z95, 1e-12)
-        agree = abs(exact - est) <= 4.0 * stderr
+        closed.append((i, taus, exp_closed_form(taus)))
+    tails = _tails([_favorable("Exp", taus) for _, taus, _ in closed])
+    for (i, _, exact), (est, error, _) in zip(closed, tails):
+        agree = abs(exact - est) <= _TOL and error <= _TOL
         in_range = EXP_ASYM_BOUND < exact < 1.0 - EXP_ASYM_BOUND
         if not (agree and in_range):
-            notes.append(f"closed-form case {i}: exact {exact:.5f} vs MC {est:.5f}")
+            notes.append(f"closed-form case {i}: exact {exact:.12f} vs quadrature {est:.12f} +- {error:.1e}")
     return CheckOutcome("L3_4", not notes, tuple(results), tuple(notes))
 
 
-def _quantile_event_check(check_id: str, draw, ceiling: float, samples: int,
+def _quantile_event_check(check_id: str, kind: str, ceiling: float,
                           cases: int, seed: int) -> CheckOutcome:
     """P{Q < gamma*E(Q)} stays below ceiling for PSD-weighted forms Q."""
     rng = np.random.default_rng(np.random.PCG64(seed))
-    evaluations = []
+    forms = []
     for i in range(cases):
         r = int(rng.integers(1, 9))
         lam = rng.random(r) + 1e-6
         if i % 3 == 1:
             lam[0] *= 100.0
         gamma = 1.0 if i % 4 == 0 else float(rng.random())
-        mean = float(np.sum(lam))
-        evaluations.append(_form_evaluation(samples, int(rng.integers(2**63)), draw, lam,
-                                            gamma * mean, below=True))
+        forms.append((kind, lam, gamma * float(np.sum(lam))))
     results = []
     notes = []
-    for i, hits in enumerate(_mc_counts(evaluations)):
-        res = _mc_result(check_id, 0.0, hits, samples)
-        results.append(res)
-        if res.estimate + 3.0 * res.confidence_radius >= ceiling:
-            notes.append(f"case {i}: P(below gamma*mean) = {res.estimate:.5f} too close to {ceiling}")
+    for i, (above, error, nodes) in enumerate(_tails(forms)):
+        results.append(AsymmetryResult(check_id, 0.0, 1.0 - above, error, "Quadrature", nodes))
+        notes += _judge(i, error, nodes, 1.0 - above + error < ceiling,
+                        f"P(below gamma*mean) = {1.0 - above:.5f} within its error of {ceiling}")
     return CheckOutcome(check_id, not notes, tuple(results), tuple(notes))
 
 
-def _check_l3_2(samples: int, cases: int, seed: int) -> CheckOutcome:
-    return _quantile_event_check("L3_2", _chi2_form, 1.0 - CHI2_ASYM_BOUND, samples, cases, seed)
+def _check_l3_2(cases: int, seed: int) -> CheckOutcome:
+    return _quantile_event_check("L3_2", "ChiSq", 1.0 - CHI2_ASYM_BOUND, cases, seed)
 
 
-def _check_l3_5(samples: int, cases: int, seed: int) -> CheckOutcome:
+def _check_l3_5(cases: int, seed: int) -> CheckOutcome:
     # complex quadratic forms reduce to exponential weights in the eigenbasis
-    return _quantile_event_check("L3_5", _exp_form, 1.0 - EXP_ASYM_BOUND, samples, cases, seed)
+    return _quantile_event_check("L3_5", "Exp", 1.0 - EXP_ASYM_BOUND, cases, seed)
 
 
-def _check_l4_1(samples: int, cases: int, seed: int) -> CheckOutcome:
-    del samples  # exhaustive throughout
+def _check_l4_1(cases: int, seed: int) -> CheckOutcome:
     rng = np.random.default_rng(np.random.PCG64(seed))
     results = []
     notes = []
@@ -662,9 +649,9 @@ def _check_l4_1(samples: int, cases: int, seed: int) -> CheckOutcome:
     return CheckOutcome("L4_1", passed, tuple(results), tuple(notes))
 
 
-def _check_l5_1(samples: int, cases: int, seed: int) -> CheckOutcome:
+def _check_l5_1(cases: int, seed: int) -> CheckOutcome:
     rng = np.random.default_rng(np.random.PCG64(seed))
-    evaluations = []
+    forms = []  # per drawn case: the deviation tail, then the variance-route tail
     bounds = []  # per drawn case: its index, Chernoff bound and variance bound
     for i in range(cases):
         r = int(rng.integers(1, 9))
@@ -676,25 +663,22 @@ def _check_l5_1(samples: int, cases: int, seed: int) -> CheckOutcome:
         params = TailBoundParams(lam, alpha, fieldname)
         if params.sigma == 0.0:
             continue
-        # real squared normals; complex forms reduce to exponential weights
-        draw = _centered_chi2 if fieldname == "Real" else _centered_exp
-        evaluations.append(_form_evaluation(samples, int(rng.integers(2**63)), draw, lam,
-                                            alpha * params.sigma))
-        # variance-route bound on the same kind of form, normalized weights
+        # P{sum lam_i(Y_i - 1) >= alpha*sigma}: real squared normals; complex
+        # forms reduce to exponential weights
+        kind = "ChiSq" if fieldname == "Real" else "Exp"
+        forms.append((kind, lam, alpha * params.sigma + float(np.sum(lam))))
+        # variance-route bound on a chi-square form, normalized weights
         lam_pos = np.abs(lam) / max(np.sum(np.abs(lam)), 1e-12)
         alpha_c = float(1.5 + 5.0 * rng.random())
-        evaluations.append(_form_evaluation(samples, int(rng.integers(2**63)), _chi2_form, lam_pos,
-                                            alpha_c))
+        forms.append(("ChiSq", lam_pos, alpha_c))
         bounds.append((i, chernoff_tail(params), chebyshev_tail(lam_pos, alpha_c)))
-    counts = _mc_counts(evaluations)
+    tails = _tails(forms)
     notes = []
-    for (i, bound, cheb), tail_hits, form_hits in zip(bounds, counts[0::2], counts[1::2]):
-        freq = tail_hits / samples
-        if freq > bound:
-            notes.append(f"case {i}: exceedance frequency {freq:.5f} above bound {bound:.5f}")
-        freq = form_hits / samples
-        if freq > cheb:
-            notes.append(f"case {i}: frequency {freq:.5f} above variance bound {cheb:.5f}")
+    for (i, chernoff, cheb), deviation, form in zip(bounds, tails[0::2], tails[1::2]):
+        for (prob, error, nodes), bound, name in ((deviation, chernoff, "Chernoff"),
+                                                  (form, cheb, "variance")):
+            notes += _judge(i, error, nodes, prob + error <= bound,
+                            f"tail {prob:.5f} within its error of {name} bound {bound:.5f}")
     grid_ok = all(recip_exp_bound_holds(t) for t in np.linspace(-5.0, 0.5, 1101))
     if not grid_ok:
         notes.append("reciprocal-exponential inequality failed on grid")
@@ -703,7 +687,7 @@ def _check_l5_1(samples: int, cases: int, seed: int) -> CheckOutcome:
     return CheckOutcome("L5_1", passed, (), tuple(notes))
 
 
-_CHECKS: dict[str, Callable[[int, int, int], CheckOutcome]] = {
+_CHECKS: dict[str, Callable[[int, int], CheckOutcome]] = {
     "L2_1": _check_l2_1,
     "L2_2": _check_l2_2,
     "L3_1": _check_l3_1,
@@ -717,10 +701,14 @@ _CHECKS: dict[str, Callable[[int, int, int], CheckOutcome]] = {
 
 def run_lemma_check(check_id: str, *, samples: int = 200_000, cases: int = 24,
                     seed: int = 0) -> CheckOutcome:
-    """Run one registered verification by id (see CHECK_IDS)."""
+    """Run one registered verification by id (see CHECK_IDS).
+
+    samples is checked (>= 1) and otherwise ignored: no check samples, so
+    the outcome depends on the id, cases and seed only.
+    """
     if check_id not in _CHECKS:
         raise ValueError(f"unknown check id {check_id!r}; choose from {CHECK_IDS}")
     if samples < 1 or cases < 1:
         raise ValueError(f"need samples >= 1 and cases >= 1, got {samples} and {cases}")
     _check_seed(seed)
-    return _CHECKS[check_id](samples, cases, seed)
+    return _CHECKS[check_id](cases, seed)

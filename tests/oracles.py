@@ -3,37 +3,32 @@
 Each one checks the package from outside the program's pipeline: a grid
 search for the true optimum of a small real instance, a scan of the
 exponential favorable-side probability over weight grids, the moment-ratio
-asymmetry bound, a second route to the sign family's fourth moment, the
-favorable-side probability of one weight vector, a Monte Carlo count that
-takes one evaluation at a time, two tail bounds of the rounding arguments,
-and one sweep task run by itself.
+asymmetry bound, two more routes to the sign family's fourth moment, a
+plain Monte Carlo count of a weighted form's tail and the favorable-side
+probability of one weight vector by it, two tail bounds of the rounding
+arguments, and one sweep task run by itself.
 """
 
 import math
-import threading
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from hqopt import probability
 from hqopt.experiment import ExperimentConfig, ExperimentRecord, _run_tasks
 from hqopt.probability import (
     _FAMILIES,
     SHARPENED_COEFF,
-    AsymmetryResult,
     _as_upper_weights,
     _as_weights,
-    _centered_exp,
     _check_seed,
     _closed_form_batch,
-    _form_evaluation,
-    _mc_counts,
-    _mc_result,
-    _wilson_radius,
 )
 from hqopt.sdp import COMPLEX, MAXIMIZE, REAL, QcqpInstance
 
 _SCAN_CHUNK = 1 << 16  # weight vectors per closed-form batch; values do not depend on it
+_MC_CHUNK = 1 << 16  # Monte Carlo samples per draw; counts do not depend on it
+_Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 # ---------------------------------------------------------------------------
 # grid oracle for the true optimum
@@ -188,6 +183,21 @@ def asym_bound_moment(t: float, tau: float) -> float:
     return 0.25 * tau ** (-2.0 / (t - 2.0))
 
 
+def bernoulli_moment4_loop(w) -> float:
+    """bernoulli_moment4 as one Python loop over the index quadruples i<j<k<l."""
+    arr = _as_upper_weights(w)
+    n = arr.shape[0]
+    v = arr[np.triu_indices(n, k=1)]
+    s2 = float(np.sum(v**2))
+    s4 = float(np.sum(v**4))
+    cyc = 0.0
+    for i, j, k, l in combinations(range(n), 4):
+        cyc += arr[i, j] * arr[j, k] * arr[k, l] * arr[i, l]
+        cyc += arr[i, j] * arr[j, l] * arr[k, l] * arr[i, k]
+        cyc += arr[i, k] * arr[j, k] * arr[j, l] * arr[i, l]
+    return s4 + 3.0 * (s2 * s2 - s4) + 24.0 * cyc
+
+
 def bernoulli_moment4_trace(w) -> float:
     """bernoulli_moment4 by an independent route: traces of the hollow symmetrization.
 
@@ -234,10 +244,10 @@ def exp_asymmetry_scan(n: int, resolution: float = 1e-3, *,
     Positive weights on the sum-1 simplex are evaluated with the exact
     closed form (grid step = resolution; near-coincident points replaced
     by the exact equal-weights value).  Mixed-sign weights with positive
-    sum are covered by a coarser Monte Carlo sweep, since the closed form
-    is restricted to positive weights.  Raises VerificationError when the
-    minimum drops below 1/e beyond the stated tolerances; the conjecture
-    this checks is that the value stays inside (1/e, (e-1)/e).
+    sum are covered by a coarser plain Monte Carlo sweep, since the closed
+    form is restricted to positive weights.  Raises VerificationError when
+    the minimum drops below 1/e beyond the stated tolerances; the
+    conjecture this checks is that the value stays inside (1/e, (e-1)/e).
     """
     if n not in (2, 3):
         raise ValueError("scan supports n = 2 and n = 3 only")
@@ -324,9 +334,8 @@ def _mixed_sign_scan(n: int, resolution: float, samples: int,
     grid = grid[keep]
     best = (1.0, tuple([1.0 / n] * n))
     worst_radius = 0.0
-    evaluations = [_form_evaluation(samples, int(rng.integers(2**63)), _centered_exp, np.asarray(row), 0.0)
-                   for row in grid]
-    for row, hits in zip(grid, _mc_counts(evaluations)):
+    for row in grid:
+        hits = monte_carlo_hits("Exp", row, float(np.sum(row)), samples, int(rng.integers(2**63)))
         est = hits / samples
         if est < best[0]:
             best = (est, tuple(float(x) for x in row))
@@ -335,11 +344,46 @@ def _mixed_sign_scan(n: int, resolution: float, samples: int,
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo counts one evaluation at a time
+# plain Monte Carlo
 
 
-def asym_prob(kind: str, weights, samples: int = 1_000_000, seed: int = 0) -> AsymmetryResult:
-    """Estimate P{Psi >= 0} for one 1-D weight vector by Monte Carlo: a queue of one evaluation.
+def monte_carlo_hits(kind: str, weights, x: float, samples: int, seed: int) -> int:
+    """How many of samples draws of sum_j w_j*Y_j exceed x, independently of form_tail.
+
+    Y_j are squared standard normals for "ChiSq" and unit exponentials for
+    "Exp", all drawn from one PCG64 generator seeded with seed.
+    """
+    w = np.asarray(weights, dtype=float)
+    gen = np.random.default_rng(np.random.PCG64(seed))
+    hits = 0
+    for start in range(0, samples, _MC_CHUNK):
+        shape = (min(_MC_CHUNK, samples - start), w.size)
+        y = gen.standard_normal(shape) ** 2 if kind == "ChiSq" else gen.standard_exponential(shape)
+        hits += int(np.count_nonzero(y @ w > x))
+    return hits
+
+
+def _wilson_radius(successes: int, total: int) -> float:
+    """Half-width of the 95% Wilson score interval."""
+    z2 = _Z95 * _Z95
+    p = successes / total
+    spread = _Z95 * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total * total))
+    return spread / (1.0 + z2 / total)
+
+
+@dataclass(frozen=True)
+class MonteCarloEstimate:
+    """A favorable-side frequency with its 95% Wilson radius and its analytic floor."""
+
+    lemma_id: str
+    analytic_lower_bound: float
+    estimate: float
+    confidence_radius: float
+    samples: int
+
+
+def asym_prob(kind: str, weights, samples: int = 1_000_000, seed: int = 0) -> MonteCarloEstimate:
+    """Estimate P{Psi >= 0} for one 1-D weight vector by plain Monte Carlo.
 
     kind selects the family, "ChiSq" or "Exp"; the analytic_lower_bound
     field carries its proven constant, 3/100 or 1/20.  The sign family is
@@ -353,76 +397,10 @@ def asym_prob(kind: str, weights, samples: int = 1_000_000, seed: int = 0) -> As
     taus = _as_weights(weights)
     if not np.any(taus):
         raise ValueError("degenerate all-zero weights")
-    lemma_id, bound, draw = _FAMILIES[kind]
-    [hits] = _mc_counts([_form_evaluation(samples, seed, draw, taus, 0.0)])
-    return _mc_result(lemma_id, bound, hits, samples)
-
-
-def mc_count(samples: int, seed: int, draw, event) -> int:
-    """One evaluation's hits, its blocks counted on threads of its own.
-
-    The reference for probability._mc_counts, which counts all of a
-    check's evaluations from one claim queue: block j draws from
-    SeedSequence(seed, spawn_key=(j,)) here too, so every count must agree.
-    The caller and probability._workers(blocks) - 1 threads take block
-    indices from one iterator until it runs out or a block raises.
-    """
-    block = probability._MC_BLOCK
-    blocks = -(-samples // block)
-    hits = [0] * blocks
-    claims = iter(range(blocks))
-    lock = threading.Lock()
-    failures = []
-
-    def work() -> None:
-        try:
-            while True:
-                with lock:
-                    j = None if failures else next(claims, None)
-                if j is None:
-                    return
-                gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(j,))))
-                hits[j] = int(np.count_nonzero(event(draw(gen, min(block, samples - j * block)))))
-        except BaseException as exc:  # re-raised by the caller, after every join
-            failures.append(exc)
-
-    threads = []
-    try:
-        for _ in range(probability._workers(blocks) - 1):
-            thread = threading.Thread(target=work)
-            thread.start()
-            threads.append(thread)
-        work()
-    finally:
-        for thread in threads:
-            thread.join()
-    if failures:
-        raise failures[0]
-    return sum(hits)
-
-
-def count_each_when_built(monkeypatch) -> list:
-    """Make the checks count every evaluation with mc_count as they build it.
-
-    Each check then runs as a loop that counts case by case: a draw or an
-    event that read its loop's variables late would count right here and
-    wrong in the claim queue.  Returns the list the counts are appended to,
-    in the order the checks build their evaluations.
-    """
-    build = probability._Evaluation
-    counted = {}
-    order = []
-
-    def evaluation(samples, seed, draw, event):
-        ev = build(samples, seed, draw, event)
-        hits = mc_count(*ev)
-        counted[id(ev)] = (ev, hits)  # ev is kept so that its id is not reused
-        order.append(hits)
-        return ev
-
-    monkeypatch.setattr(probability, "_Evaluation", evaluation)
-    monkeypatch.setattr(probability, "_mc_counts", lambda evs: [counted[id(ev)][1] for ev in evs])
-    return order
+    lemma_id, bound = _FAMILIES[kind]
+    # P{Psi >= 0} = P{sum tau_i*Y_i > sum tau_i}: the weights are not all zero, so there is no atom
+    hits = monte_carlo_hits(kind, taus, float(np.sum(taus)), samples, seed)
+    return MonteCarloEstimate(lemma_id, bound, hits / samples, _wilson_radius(hits, samples), samples)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
+import itertools
 import math
-import sys
 import threading
 
 import numpy as np
@@ -19,6 +19,7 @@ from hqopt.probability import (
     exhaustive_sign_prob,
     exp_closed_form,
     exp_moment4,
+    form_tail,
     recip_exp_bound_holds,
     run_lemma_check,
 )
@@ -26,10 +27,11 @@ from hqopt.probability import (
 from oracles import (
     asym_bound_moment,
     asym_prob,
+    bernoulli_moment4_loop,
     bernoulli_moment4_trace,
-    count_each_when_built,
     erlang_tail_at_mean,
     exp_asymmetry_scan,
+    monte_carlo_hits,
 )
 
 finite_taus = st.lists(
@@ -102,6 +104,13 @@ class TestBernoulliMoment:
 
     @given(st.integers(min_value=2, max_value=14), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)
+    def test_matches_loop_over_quadruples(self, n, seed):
+        # the same products, summed in another order
+        w = upper_weights(np.random.default_rng(seed), n)
+        assert bernoulli_moment4(w) == pytest.approx(bernoulli_moment4_loop(w), rel=1e-12, abs=1e-14)
+
+    @given(st.integers(min_value=2, max_value=14), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=30, deadline=None)
     def test_trace_route_agrees(self, n, seed):
         # same moment through power sums of the hollow symmetrization
         w = upper_weights(np.random.default_rng(seed), n)
@@ -160,6 +169,16 @@ class TestAsymProb:
     def test_bernoulli_two_point_exact_half(self):
         # the sign family is exact: Psi = xi_1*xi_2 is -1 or +1 with equal odds
         assert exhaustive_sign_prob(np.array([[0.0, 1.0], [0.0, 0.0]])) == (0.5, 1.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_sign_enumeration_matches_all_sign_vectors(self, n):
+        # half the vectors are enumerated; the law is the one over all 2^n
+        w = upper_weights(np.random.default_rng(n), n)
+        signs = np.array(list(itertools.product([-1.0, 1.0], repeat=n)))
+        psi = 0.5 * np.einsum("ij,ij->i", signs @ (w + w.T), signs)
+        prob_le0, m4 = exhaustive_sign_prob(w)
+        assert prob_le0 == np.count_nonzero(psi <= 0.0) / 2**n
+        assert m4 == pytest.approx(float(np.mean(psi**4)), rel=1e-12)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="all-zero"):
@@ -252,7 +271,7 @@ class TestClosedForm:
         assert exp_closed_form([2.0, 1.0, 0.5]) == exp_closed_form([0.5, 2.0, 1.0])
 
     def test_near_coincident_rejected(self):
-        with pytest.raises(IllConditionedError, match="Monte Carlo"):
+        with pytest.raises(IllConditionedError, match="form_tail"):
             exp_closed_form([1.0, 1.0 + 1e-9])
 
     def test_nonpositive_rejected(self):
@@ -412,19 +431,22 @@ class TestTailBounds:
 
 class TestResultTypes:
     def test_asymmetry_result_validation(self):
-        with pytest.raises(ValueError):
-            AsymmetryResult("L9_9", 0.1, 0.5, 0.01, "MonteCarlo", 10)
-        with pytest.raises(ValueError):
-            AsymmetryResult("L3_1", 0.1, 1.5, 0.01, "MonteCarlo", 10)
-        with pytest.raises(ValueError):
-            AsymmetryResult("L3_1", 0.1, 0.5, -0.01, "MonteCarlo", 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lemma id"):
+            AsymmetryResult("L9_9", 0.1, 0.5, 0.01, "Quadrature", 10)
+        with pytest.raises(ValueError, match="outside"):
+            AsymmetryResult("L3_1", 0.1, 1.5, 0.01, "Quadrature", 10)
+        with pytest.raises(ValueError, match="nonnegative"):
+            AsymmetryResult("L3_1", 0.1, 0.5, -0.01, "Quadrature", 10)
+        with pytest.raises(ValueError, match="exact"):
             AsymmetryResult("L3_1", 0.1, 0.5, 0.01, "Exhaustive", 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="method"):
             AsymmetryResult("L3_1", 0.1, 0.5, 0.0, "Guess", 10)
+        # the only methods are Exhaustive and Quadrature
+        with pytest.raises(ValueError, match="method"):
+            AsymmetryResult("L3_1", 0.1, 0.5, 0.01, "MonteCarlo", 10)
 
     def test_to_dict_round(self):
-        r = AsymmetryResult("L3_4", 0.05, 0.4, 0.001, "MonteCarlo", 1000)
+        r = AsymmetryResult("L3_4", 0.05, 0.4, 0.001, "Quadrature", 1000)
         d = r.to_dict()
         assert d["lemma_id"] == "L3_4" and d["samples"] == 1000
 
@@ -462,152 +484,158 @@ class TestRegistry:
             "Exp", [1.0], samples=10, seed=3)
 
 
-def _fixed_workers(monkeypatch, workers):
-    monkeypatch.setattr(prob, "_workers", lambda blocks: min(workers, blocks))
-
-
-def _recorded_counts(monkeypatch) -> list:
-    """The hit counts of every queue the checks run, appended in evaluation order."""
-    counted = []
-    count = prob._mc_counts
-
-    def recording_counts(evaluations):
-        hits = count(evaluations)
-        counted.extend(hits)
-        return hits
-
-    monkeypatch.setattr(prob, "_mc_counts", recording_counts)
-    return counted
-
-
-class TestMonteCarloBlocks:
-    # an evaluation's hits depend on its seed and sample count only, and
-    # every thread a queue starts is joined before it returns
 
     @pytest.mark.parametrize("check_id", prob.CHECK_IDS)
-    def test_same_outcome_for_any_worker_count(self, check_id, monkeypatch):
-        samples = 3 * prob._MC_BLOCK + 17
-        counted = _recorded_counts(monkeypatch)
-        runs = []
-        for workers in (1, 2, 3):
-            _fixed_workers(monkeypatch, workers)
-            counted.clear()
-            out = run_lemma_check(check_id, samples=samples, cases=4, seed=5)
-            runs.append((out.to_dict(), list(counted)))
-        assert runs[0] == runs[1] == runs[2]
+    def test_outcome_does_not_depend_on_samples(self, check_id):
+        outs = [run_lemma_check(check_id, samples=s, cases=6, seed=2).to_dict() for s in (1, 1_000, 200_000)]
+        assert outs[0] == outs[1] == outs[2]
+        # every probability is enumerated or integrated, none sampled
+        assert {r["method"] for r in outs[0]["results"]} <= {"Exhaustive", "Quadrature"}
 
-    def test_draws_at_fewer_samples_are_a_prefix(self, monkeypatch):
-        _fixed_workers(monkeypatch, 1)  # blocks then run in index order
-
-        def draws(samples):
-            seen = []
-
-            def draw(gen, k):
-                seen.append(gen.standard_normal(k))
-                return seen[-1]
-
-            prob._mc_counts([prob._Evaluation(samples, 9, draw, lambda v: v > 0.0)])
-            return np.concatenate(seen)
-
-        short, full = draws(prob._MC_BLOCK + 5), draws(3 * prob._MC_BLOCK + 17)
-        assert np.array_equal(short, full[: short.size])
-        # block j is drawn from SeedSequence(seed, spawn_key=(j,))
-        block3 = np.random.Generator(np.random.PCG64(np.random.SeedSequence(9, spawn_key=(3,))))
-        assert np.array_equal(full[3 * prob._MC_BLOCK:], block3.standard_normal(17))
-
-    def test_blocks_draw_independent_streams(self):
-        # blocks sharing one stream would inflate the spread of z to about 2
-        taus = [0.1, 0.3, 0.6]
-        exact = exp_closed_form(taus)
-        samples = 4 * prob._MC_BLOCK
-        stderr = math.sqrt(exact * (1.0 - exact) / samples)
-        z = np.array([(asym_prob("Exp", taus, samples=samples, seed=seed).estimate - exact) / stderr
-                      for seed in range(200)])
-        assert abs(z.mean()) <= 0.3
-        assert 0.8 <= z.std(ddof=1) <= 1.2
-
-    def test_no_thread_outlives_a_check(self, monkeypatch):
-        _fixed_workers(monkeypatch, 3)
-        before = threading.active_count()
-        assert run_lemma_check("L3_2", samples=3 * prob._MC_BLOCK, cases=2).passed
-        assert threading.active_count() == before
-
-    def test_every_block_counted_once_under_contention(self, monkeypatch):
-        # more threads than cores, switching as often as the interpreter allows
-        monkeypatch.setattr(prob, "_MC_BLOCK", 64)
-        _fixed_workers(monkeypatch, 8)
-        drawn = []
-
-        def draw(gen, k):
-            drawn.append(k)
-            return gen.random(k)
-
-        evaluations = [prob._Evaluation(4_000 + seed, seed, draw, lambda v: v >= 0.0) for seed in range(20)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            counts = prob._mc_counts(evaluations)
-        finally:
-            sys.setswitchinterval(interval)
-        assert counts == [4_000 + seed for seed in range(20)]
-        # 62 full blocks each, then a last one of 32 + seed samples
-        assert sorted(drawn) == sorted([64] * 62 * 20 + [32 + seed for seed in range(20)])
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_block_exception_propagates(self, workers, monkeypatch):
-        _fixed_workers(monkeypatch, workers)
-        samples = 2 * prob._MC_BLOCK + 17  # block 2 is the only one of 17 samples
-
-        def draw(gen, k):
-            if k == 17:
-                raise ArithmeticError("block 2")
-            return gen.standard_normal(k)
-
-        fine = prob._Evaluation(2 * prob._MC_BLOCK, 1, lambda gen, k: gen.standard_normal(k), lambda v: v > 0.0)
-        before = threading.active_count()
-        with pytest.raises(ArithmeticError, match="block 2"):
-            prob._mc_counts([fine, prob._Evaluation(samples, 0, draw, lambda v: v > 0.0), fine])
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("check_id", prob.CHECK_IDS)
-    def test_one_block_starts_no_thread(self, check_id, monkeypatch):
+    def test_checks_start_no_thread(self, monkeypatch):
         def no_thread(*args, **kwargs):
-            raise AssertionError("a queue counted by one worker started a thread")
+            raise AssertionError("a check started a thread")
 
         monkeypatch.setattr(threading, "Thread", no_thread)
-        # a queue of one block counts inline on any number of CPUs
-        assert asym_prob("ChiSq", [1.0], samples=prob._MC_BLOCK).estimate > 0.0
-        # so does a whole check on one CPU
-        _fixed_workers(monkeypatch, 1)
-        run_lemma_check(check_id, samples=3 * prob._MC_BLOCK, cases=3)
+        for check_id in prob.CHECK_IDS:
+            assert run_lemma_check(check_id, cases=3).passed
+
+    @pytest.mark.parametrize("check_id", sorted(set(prob.CHECK_IDS) - {"L4_1"}))
+    def test_error_above_tolerance_fails_with_note(self, check_id, monkeypatch):
+        # a node cap too small for 1e-9: the check fails and says why
+        monkeypatch.setattr(prob, "_MAX_NODES", 9)
+        out = run_lemma_check(check_id, cases=4)
+        assert not out.passed
+        assert any("quadrature error" in note and "at 9 nodes" in note for note in out.notes)
 
 
-class TestMonteCarloQueue:
-    # a check counts all its evaluations from one claim queue, after it has
-    # drawn its cases; every output equals counting case by case as it draws
+def _poisson_tail(k: int, y: float) -> float:
+    """P{Gamma(k, 1) > y} = e^(-y) * sum_{i<k} y^i/i!."""
+    return math.exp(-y) * sum(y**i / math.factorial(i) for i in range(k))
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("samples", [2_000, 40_000])
-    @pytest.mark.parametrize("check_id", prob.CHECK_IDS)
-    def test_matches_counting_each_evaluation_when_built(self, check_id, samples, workers, monkeypatch):
-        _fixed_workers(monkeypatch, workers)
-        with monkeypatch.context() as patch:
-            counted = count_each_when_built(patch)
-            expected = (run_lemma_check(check_id, samples=samples, seed=3).to_dict(), list(counted))
-        counted = _recorded_counts(monkeypatch)
-        assert (run_lemma_check(check_id, samples=samples, seed=3).to_dict(), counted) == expected
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_evaluations_differing_only_in_weights(self, workers, monkeypatch):
-        # one seed for every evaluation: L3_2's cases 0 and 4 (gamma = 1)
-        # then differ only in their weights, and a draw that read its loop's
-        # weights late would count both with case 4's
-        _fixed_workers(monkeypatch, workers)
-        build = prob._Evaluation
-        monkeypatch.setattr(prob, "_Evaluation",
-                            lambda samples, seed, draw, event: build(samples, 11, draw, event))
-        queued = run_lemma_check("L3_2", samples=40_000, cases=5, seed=2).to_dict()
-        count_each_when_built(monkeypatch)
-        assert run_lemma_check("L3_2", samples=40_000, cases=5, seed=2).to_dict() == queued
-        estimates = [r["estimate"] for r in queued["results"]]
-        assert estimates[0] != estimates[4]
+class TestFormTail:
+    # the contour quadrature against closed forms, a plain Monte Carlo
+    # oracle, and its own symmetries
+
+    def test_matches_exp_closed_form(self):
+        rng = np.random.default_rng(41)
+        checked = 0
+        while checked < 100:
+            n = int(rng.integers(2, 7))
+            taus = np.sort(rng.random(n) + 0.05)
+            if np.min(np.diff(taus / taus.sum())) < 1e-3:
+                continue  # the partial fractions lose digits as weights close up
+            tail = form_tail(taus, "Exp", taus.sum())
+            assert tail.error <= 1e-9
+            assert float(tail.prob) == pytest.approx(exp_closed_form(taus), abs=1e-9)
+            checked += 1
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_equal_exp_weights_match_erlang(self, k):
+        if k > 1:  # where exp_closed_form refuses
+            with pytest.raises(IllConditionedError):
+                exp_closed_form(np.full(k, 0.3))
+        tail = form_tail(np.full(k, 0.3), "Exp", 0.3 * k)
+        assert float(tail.prob) == pytest.approx(erlang_tail_at_mean(k), abs=1e-9)
+        assert float(tail.prob) == pytest.approx(_poisson_tail(k, k), abs=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("y", [0.1, 1.0, 4.0, 25.0])
+    def test_equal_chisq_weights_match_poisson_sum(self, k, y):
+        # 2k equal weights w give w*chi-square(2k), and chi-square(2k)/2 is Gamma(k, 1)
+        tail = form_tail(np.full(2 * k, 0.7), "ChiSq", 0.7 * y)
+        assert float(tail.prob) == pytest.approx(_poisson_tail(k, y / 2.0), abs=1e-9)
+
+    @pytest.mark.parametrize("w", [0.3, 1.0, 7.0])
+    @pytest.mark.parametrize("x", [0.01, 0.5, 1.0, 3.0, 30.0])
+    def test_single_chisq_weight_matches_erfc(self, w, x):
+        # P{w*eta^2 > x} = erfc(sqrt(x/2w)); a negative weight gives the complement
+        upper = math.erfc(math.sqrt(x / (2.0 * w)))
+        assert float(form_tail([w], "ChiSq", x).prob) == pytest.approx(upper, abs=1e-12)
+        assert float(form_tail([-w], "ChiSq", -x).prob) == pytest.approx(1.0 - upper, abs=1e-12)
+
+    def test_heavy_single_shape(self):
+        # E_0 + 1e-3*(E_1 + ... + E_7) > x: conditioning on the light part R,
+        # P = E e^(-(x - R)) = e^(-x) (1 - 1e-3)^(-7), up to P{R > x} < e^(-900)
+        taus = np.array([1.0] + [1e-3] * 7)
+        x = float(taus.sum())
+        tail = form_tail(taus, "Exp", x)
+        assert float(tail.prob) == pytest.approx(math.exp(-x) * (1.0 - 1e-3) ** -7, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["ChiSq", "Exp"])
+    @pytest.mark.parametrize("weights, x", [
+        ([1.0, -0.5], 0.3),
+        ([1.0, -0.5], -0.4),
+        ([0.2, -1.5, 0.7, 0.05], 0.5),
+        ([-1.0, -0.3], -1.2),
+        ([1.0] + [1e-3] * 7, 1.007),
+        ([0.4, -0.4, 0.1], 1e-2),
+    ])
+    def test_matches_plain_monte_carlo(self, kind, weights, x):
+        samples = 200_000
+        exact = float(form_tail(weights, kind, x).prob)
+        freq = monte_carlo_hits(kind, weights, x, samples, seed=17) / samples
+        assert abs(freq - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / samples)
+
+    def test_levels_at_or_below_zero_and_one_signed_forms(self):
+        w = np.array([0.5, 1.5])
+        for kind in ("ChiSq", "Exp"):
+            # a form with positive weights exceeds every level below 0, and 0
+            assert float(form_tail(w, kind, -1.0).prob) == 1.0
+            assert float(form_tail(w, kind, 0.0).prob) == 1.0
+            # one with negative weights never exceeds a level above 0: no node needed
+            none = form_tail(-w, kind, 2.0)
+            assert (float(none.prob), float(none.error), int(none.nodes)) == (0.0, 0.0, 0)
+            # below 0, its tail is the complement of the positive form's
+            assert float(form_tail(-w, kind, -2.0).prob) == 1.0 - float(form_tail(w, kind, 2.0).prob)
+        with pytest.raises(ValueError, match="x != 0"):
+            form_tail([1.0, -1.0], "ChiSq", 0.0)
+        with pytest.raises(ValueError, match="unknown kind"):
+            form_tail([1.0], "Gauss", 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            form_tail([1.0, math.nan], "Exp", 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            form_tail([1.0], "Exp", math.inf)
+
+    @pytest.mark.parametrize("kind", ["ChiSq", "Exp"])
+    def test_scale_invariance(self, kind):
+        w = np.array([0.3, -0.2, 1.1, 0.05])
+        base = form_tail(w, kind, 0.8)
+        # a power of two rescales every intermediate exactly
+        for c in (0.25, 8.0, 2.0**-20):
+            scaled = form_tail(c * w, kind, c * 0.8)
+            assert (float(scaled.prob), float(scaled.error), int(scaled.nodes)) == (
+                float(base.prob), float(base.error), int(base.nodes))
+        assert float(form_tail(3.7 * w, kind, 3.7 * 0.8).prob) == pytest.approx(float(base.prob), abs=1e-12)
+
+    def test_rows_independent_of_batch_and_padding(self):
+        rng = np.random.default_rng(5)
+        sizes = rng.integers(1, 9, size=30)
+        w = np.zeros((30, 8))
+        for i, n in enumerate(sizes):
+            w[i, :n] = rng.standard_normal(n)
+        x = rng.standard_normal(30)
+        for kind in ("ChiSq", "Exp"):
+            batch = form_tail(w, kind, x)
+            assert batch.prob.shape == batch.error.shape == batch.nodes.shape == (30,)
+            for i, n in enumerate(sizes):
+                one = form_tail(w[i, :n], kind, x[i])
+                assert (float(one.prob), float(one.error), int(one.nodes)) == (
+                    batch.prob[i], batch.error[i], batch.nodes[i])
+
+    def test_clipped_to_unit_interval(self):
+        # the trapezoid sums land just outside [0, 1] by rounding: far below
+        # the mean (sum 1 + 2.2e-16) and far above it (sum -4.6e-35)
+        lam = [0.8891692283772107, 0.30710284846542163, 0.9440969226085693, 0.8253364287117005,
+               0.7828139586125712, 0.7448824707667369, 0.8839265916211925]
+        assert float(form_tail(lam, "ChiSq", 1.725325732407711e-05).prob) == 1.0
+        lam = [0.6340709793474433, 0.496572693798853, 0.16354441619648027, 0.6737344377272737,
+               0.318018387845798, 0.7108808632659449, 0.46035632886732475, 0.5074708605445272]
+        assert float(form_tail(lam, "ChiSq", 118.93946902780937).prob) == 0.0
+
+    def test_error_above_tolerance_at_node_cap(self):
+        # at a level this small the trapezoid step at the node cap is too coarse
+        tail = form_tail([1.0, -0.5], "ChiSq", 1e-12)
+        assert int(tail.nodes) == prob._MAX_NODES
+        assert float(tail.error) > 1e-9
