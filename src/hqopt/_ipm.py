@@ -95,18 +95,15 @@ def batch_size(p: int, k: int) -> int:
 @dataclass(frozen=True)
 class ConicResult:
     """One relaxation's outcome; an unbounded one holds its improving ray in
-    (X, s), an infeasible one its Farkas certificate in (y, Z, w)."""
+    X, an infeasible one its Farkas certificate in (y, Z)."""
 
     status: str  # optimal | infeasible | unbounded | numerical_failure
     X: np.ndarray
-    s: np.ndarray
     y: np.ndarray
     Z: np.ndarray
-    w: np.ndarray
     iterations: int
     message: str
     objective: float = np.nan
-    dual_objective: float = np.nan
     primal_residual: float = np.nan
     dual_residual: float = np.nan
     rel_gap: float = np.nan
@@ -217,7 +214,7 @@ def _schur_work(B, p, n, dtype):
     return np.empty((k, p, n, n), dtype), np.empty((k, p, n, n), dtype), np.empty((B, p, p))
 
 
-def schur_matrix(A2, G, W, d2, work=None):
+def schur_matrix(A2, G, W, d2, work):
     """M_ij = <A_i, W A_j W> + [i = j] g_i d2_i g_i for every instance, from batched GEMMs.
 
     The stacks W A_j and W A_j W are formed one part of _schur_step
@@ -229,7 +226,7 @@ def schur_matrix(A2, G, W, d2, work=None):
     """
     B, p, k, n = *A2.shape, W.shape[-1]
     step = _schur_step(p, k)
-    WA, WAW, M = _schur_work(B, p, n, W.dtype) if work is None else work
+    WA, WAW, M = work
     M = M[:B]
     for lo in range(0, B, step):
         Wk = W[lo : lo + step, None]
@@ -657,7 +654,7 @@ def _results(P, state, best, best_score, converged, certified, messages, it, raw
                 o[i, 2 * q] = 1.0
         if mets is None or any(fallback):
             mets = _metrics(P, X, y, Z, o)[:5]
-    pres, dres, relgap, pobj, dobj = (v.tolist() for v in mets)
+    pres, dres, relgap, pobj = (v.tolist() for v in mets[:4])
     s, w, tau, _ = _split(o, q)
     converged, certified, tau = converged.tolist(), certified.tolist(), tau.tolist()
 
@@ -673,8 +670,8 @@ def _results(P, state, best, best_score, converged, certified, messages, it, raw
             rX, rs = rX / scale, rs / scale  # <C_orig, rX> = -1
             pres_ray = np.abs(op_a(Aflat[None], G, rX[None], rs[None])).max()
             out.append(ConicResult(
-                status="unbounded", X=_sym(rX), s=rs, y=np.zeros(len(rown)), Z=np.zeros_like(rX),
-                w=np.zeros(q), objective=-np.inf, dual_objective=-np.inf,
+                status="unbounded", X=_sym(rX), y=np.zeros(len(rown)), Z=np.zeros_like(rX),
+                objective=-np.inf,
                 primal_residual=float(pres_ray), iterations=it, message=message,
             ))
         elif kind[i] == 2:
@@ -682,8 +679,8 @@ def _results(P, state, best, best_score, converged, certified, messages, it, raw
             R = op_at(Aflat[None], fy[None], n)[0] + fZ
             res = max(np.linalg.norm(R), np.max(np.abs(G[0] * fy + fw)))
             out.append(ConicResult(
-                status="infeasible", X=np.full_like(fZ, np.nan), s=np.full(q, np.nan), y=fy,
-                Z=_sym(fZ), w=fw, dual_residual=float(res), iterations=it, message=message,
+                status="infeasible", X=np.full_like(fZ, np.nan), y=fy, Z=_sym(fZ),
+                dual_residual=float(res), iterations=it, message=message,
             ))
         else:
             # optimal or numerical_failure: the iterate, unscaled
@@ -691,10 +688,8 @@ def _results(P, state, best, best_score, converged, certified, messages, it, raw
             t = max(tau[i], 1e-300)
             out.append(ConicResult(
                 status="optimal" if converged[i] or fallback[i] else "numerical_failure",
-                X=_sym(X[i] / t), s=s[i] / t, y=y[i] / t * cn / rown, Z=_sym(Z[i] / t) * cn,
-                w=w[i] / t * cn,
+                X=_sym(X[i] / t), y=y[i] / t * cn / rown, Z=_sym(Z[i] / t) * cn,
                 objective=pobj[i] * cn if ok else np.nan,
-                dual_objective=dobj[i] * cn if ok else np.nan,
                 primal_residual=float(pres[i]) if ok else np.nan,
                 dual_residual=float(dres[i]) if ok else np.nan,
                 rel_gap=float(relgap[i]) if ok else np.nan,

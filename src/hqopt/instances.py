@@ -9,8 +9,8 @@ Matrices are drawn as one (count, n, n) stack in the instance's field
 one-at-a-time order, then one stacked QR, one batched product and one
 Hermitian projection build them, so a seed gives the same matrices bit for
 bit as separate draws would.  An instance is the concatenation [C; A_0; ..;
-A_m] of its draws, handed to ``QcqpInstance.from_stack``; generation builds
-no per-matrix SymMatrix or HermMatrix.  The four canonical examples pin
+A_m] of its draws, handed to ``QcqpInstance`` as one array; the canonical
+examples are built as such stacks too.  The four canonical examples pin
 down worst-case behaviour of the relaxation: an unbounded minimization
 gap, coupled indefinite pairs whose true optimum grows like M^2, a
 maximization family with ratio growing like 0.382 M, and a maximization
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import SymMatrix, hermitian_part
+from .matrices import hermitian_part
 from .sdp import (
     COMPLEX,
     INFEASIBLE,
@@ -199,7 +199,7 @@ def _draw_instance(spec: GeneratorSpec, rng: np.random.Generator):
         regenerated += redraws
 
     stack = np.concatenate([np.stack([objective, *indefinite]), psd])
-    return QcqpInstance.from_stack(spec.sense, spec.field, stack), regenerated
+    return QcqpInstance(spec.sense, spec.field, stack), regenerated
 
 
 def _always_feasible(spec: GeneratorSpec) -> bool:
@@ -230,10 +230,6 @@ def generate(spec: GeneratorSpec) -> QcqpInstance:
     return generate_report(spec).instance
 
 
-def _sym(entries) -> SymMatrix:
-    return SymMatrix(np.array(entries, dtype=float))
-
-
 def canonical(example_id: str, M: float | None = None) -> CanonicalExample:
     """Build one of the four canonical examples with its known analytic values.
 
@@ -249,62 +245,46 @@ def canonical(example_id: str, M: float | None = None) -> CanonicalExample:
         # and the first constraint forces X22 >= 1, attained at X = I.  Any
         # feasible point has x2^2 >= 1 and x1^2 >= 1 + M |x1 x2|, so
         # |x1| >= (M + sqrt(M^2 + 4)) / 2 and the true optimum grows like M^2.
-        inst = QcqpInstance(
-            sense=MINIMIZE,
-            field=REAL,
-            objective=_sym(np.eye(2)),
-            constraints=(
-                _sym([[0.0, 0.0], [0.0, 1.0]]),
-                _sym([[1.0, M / 2], [M / 2, 0.0]]),
-                _sym([[1.0, -M / 2], [-M / 2, 0.0]]),
-            ),
-        )
+        inst = QcqpInstance(MINIMIZE, REAL, np.array([
+            np.eye(2),
+            [[0.0, 0.0], [0.0, 1.0]],
+            [[1.0, M / 2], [M / 2, 0.0]],
+            [[1.0, -M / 2], [-M / 2, 0.0]],
+        ]))
         root = (M + math.sqrt(M * M + 4.0)) / 2.0
         known = {"v_sdp": 2.0, "v_qp_lower": 1.0 + root * root}
     elif example_id == MIN_GAP_INFINITE:
         # min x4^2 with two sign-coupled constraints and two hyperbolic ones;
         # the relaxation reaches 0 at X = diag(4, 4, 1, 0) while every
         # feasible point has x4^2 >= 3
-        inst = QcqpInstance(
-            sense=MINIMIZE,
-            field=REAL,
-            objective=_sym(np.diag([0.0, 0.0, 0.0, 1.0])),
-            constraints=(
-                _sym(
-                    [
-                        [0.0, 0.5, 0.0, 0.0],
-                        [0.5, 0.0, 0.0, 0.0],
-                        [0.0, 0.0, 1.0, 0.0],
-                        [0.0, 0.0, 0.0, 1.0],
-                    ]
-                ),
-                _sym(
-                    [
-                        [0.0, -0.5, 0.0, 0.0],
-                        [-0.5, 0.0, 0.0, 0.0],
-                        [0.0, 0.0, 1.0, 0.0],
-                        [0.0, 0.0, 0.0, 1.0],
-                    ]
-                ),
-                _sym(np.diag([0.5, 0.0, -1.0, 0.0])),
-                _sym(np.diag([0.0, 0.5, -1.0, 0.0])),
-            ),
-        )
+        inst = QcqpInstance(MINIMIZE, REAL, np.array([
+            np.diag([0.0, 0.0, 0.0, 1.0]),
+            [
+                [0.0, 0.5, 0.0, 0.0],
+                [0.5, 0.0, 0.0, 0.0],
+                [0.0, 0.0, 1.0, 0.0],
+                [0.0, 0.0, 0.0, 1.0],
+            ],
+            [
+                [0.0, -0.5, 0.0, 0.0],
+                [-0.5, 0.0, 0.0, 0.0],
+                [0.0, 0.0, 1.0, 0.0],
+                [0.0, 0.0, 0.0, 1.0],
+            ],
+            np.diag([0.5, 0.0, -1.0, 0.0]),
+            np.diag([0.0, 0.5, -1.0, 0.0]),
+        ]))
         known = {"v_sdp": 0.0, "v_qp_lower": 3.0}
     elif example_id == MAX_COUPLING:
         # max x1^2 + x2^2/M with coupled indefinite constraints; the
         # relaxation sits in [1 + 1/M, 1 + 2/M] while the true optimum decays
         # like 1/M, giving a ratio that grows like 0.382 M
-        inst = QcqpInstance(
-            sense=MAXIMIZE,
-            field=REAL,
-            objective=_sym(np.diag([1.0, 1.0 / M])),
-            constraints=(
-                _sym([[0.0, M / 2], [M / 2, 1.0]]),
-                _sym([[0.0, -M / 2], [-M / 2, 1.0]]),
-                _sym(np.diag([M, -M])),
-            ),
-        )
+        inst = QcqpInstance(MAXIMIZE, REAL, np.array([
+            np.diag([1.0, 1.0 / M]),
+            [[0.0, M / 2], [M / 2, 1.0]],
+            [[0.0, -M / 2], [-M / 2, 1.0]],
+            np.diag([M, -M]),
+        ]))
         known = {
             "v_qp_upper": 2.618 / M,
             "v_sdp_lower": 1.0 + 1.0 / M,
@@ -315,15 +295,11 @@ def canonical(example_id: str, M: float | None = None) -> CanonicalExample:
         # max x1 x2 + x1^2 s.t. x1 x2 <= 1, x1^2 - x2^2 <= 1: the relaxation
         # is unbounded along X = t [[1, -1], [-1, 1]] while the original
         # optimum is (3 + sqrt(5))/2
-        inst = QcqpInstance(
-            sense=MAXIMIZE,
-            field=REAL,
-            objective=_sym([[1.0, 0.5], [0.5, 0.0]]),
-            constraints=(
-                _sym([[0.0, 0.5], [0.5, 0.0]]),
-                _sym(np.diag([1.0, -1.0])),
-            ),
-        )
+        inst = QcqpInstance(MAXIMIZE, REAL, np.array([
+            [[1.0, 0.5], [0.5, 0.0]],
+            [[0.0, 0.5], [0.5, 0.0]],
+            np.diag([1.0, -1.0]),
+        ]))
         known = {"v_qp": (3.0 + math.sqrt(5.0)) / 2.0, "sdp_status": "Unbounded"}
     else:
         raise ValueError(f"unknown canonical example {example_id!r}")

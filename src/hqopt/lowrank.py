@@ -43,9 +43,6 @@ class LowRankSolution:
     meets_bound: bool
     steps: int
 
-    def reconstruct(self) -> np.ndarray:
-        return self.U @ np.conj(self.U.T)
-
 
 def pataki_bound(num_constraints: int, field: str) -> int:
     """Largest admissible rank: r(r+1)/2 <= count (real), r^2 <= count (complex)."""

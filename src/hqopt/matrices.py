@@ -2,42 +2,29 @@
 
 Conventions used throughout the package:
 
-* real symmetric matrices are stored as full dense ``float64`` arrays and
-  are symmetrized ``(M + M.T) / 2`` on construction;
-* Hermitian matrices are stored as a (real, imaginary) pair, and ``.a``
-  gives the complex array under the name a ``SymMatrix`` gives its real
-  one, so solver, rank reduction and sampler work on either field alike.
+* a matrix is a plain ``(n, n)`` array in its own field: ``float64`` and
+  symmetric for real data, ``complex128`` and Hermitian for complex data;
+  a stack of them is one ``(k, n, n)`` array;
+* ``hermitian_part`` projects onto that set, part by part for complex data,
+  and the JSON codec (``matrix_to_json``/``matrix_from_json``) reads and
+  writes one matrix as a ``{"n", "re"[, "im"]}`` record, projecting on load;
+* ``read_only_view`` wraps a frozen array as a ``ReadOnlyMatrix`` for the
+  callers that take one matrix object at a time.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 __all__ = [
-    "HermMatrix",
-    "SymMatrix",
+    "ReadOnlyMatrix",
     "hermitian_part",
+    "matrix_from_json",
+    "matrix_to_json",
     "read_only_view",
 ]
-
-
-def _as_square_float(a, name: str) -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.flags.writeable = False
-    return out
 
 
 def _sym_part(a: np.ndarray) -> np.ndarray:
@@ -52,8 +39,8 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     """(M + M*) / 2 of a matrix or of every slice of a (k, n, n) stack.
 
     A complex array is projected part by part and reassembled as
-    ``re + 1j * im``, exactly as a ``HermMatrix`` is built and read back, so
-    a stack comes out bit for bit as its matrices wrapped one at a time.
+    ``re + 1j * im``, as ``matrix_from_json`` assembles a loaded record, so a
+    stack comes out bit for bit as its matrices projected one at a time.
     """
     if np.iscomplexobj(a):
         return _sym_part(a.real) + 1j * _antisym_part(a.imag)
@@ -61,121 +48,67 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class SymMatrix:
-    """Real symmetric matrix, symmetrized on construction."""
+class ReadOnlyMatrix:
+    """A read-only symmetric (real) or Hermitian (complex) array ``a``, made by read_only_view.
+
+    The benchmark's checks read matrices through it: ``.a`` in the field,
+    or ``.to_complex()`` for complex instances.
+    """
 
     a: np.ndarray
 
-    def __post_init__(self):
-        arr = _as_square_float(self.a, "SymMatrix")
-        object.__setattr__(self, "a", _freeze(_sym_part(arr)))
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "re": self.a.reshape(-1).tolist()})
-
-    @staticmethod
-    def from_json(text: str) -> "SymMatrix":
-        data = _load_matrix_json(text)
-        if data.get("im") is not None:
-            raise ValueError("unexpected 'im' block for a real matrix")
-        n = data["n"]
-        return SymMatrix(np.array(data["re"], dtype=float).reshape(n, n))
-
-
-@dataclass(frozen=True, eq=False)
-class HermMatrix:
-    """Hermitian matrix stored as a (symmetric, antisymmetric) real pair."""
-
-    re: np.ndarray
-    im: np.ndarray
-
-    def __post_init__(self):
-        re = _as_square_float(self.re, "HermMatrix.re")
-        im = _as_square_float(self.im, "HermMatrix.im")
-        if re.shape != im.shape:
-            raise ValueError("re/im shape mismatch")
-        object.__setattr__(self, "re", _freeze(_sym_part(re)))
-        object.__setattr__(self, "im", _freeze(_antisym_part(im)))
-
-    @staticmethod
-    def from_complex(h) -> "HermMatrix":
-        arr = np.asarray(h, dtype=complex)
-        return HermMatrix(arr.real, arr.imag)
-
-    @property
-    def n(self) -> int:
-        return self.re.shape[0]
-
     def to_complex(self) -> np.ndarray:
-        return self.re + 1j * self.im
-
-    @property
-    def a(self) -> np.ndarray:
-        """The complex array, under the name SymMatrix gives its real one."""
-        return self.to_complex()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "re": self.re.reshape(-1).tolist(),
-                "im": self.im.reshape(-1).tolist(),
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "HermMatrix":
-        data = _load_matrix_json(text)
-        n = data["n"]
-        re = np.array(data["re"], dtype=float).reshape(n, n)
-        im = data.get("im")
-        if im is None:
-            im = np.zeros((n, n))
-        else:
-            im = np.array(im, dtype=float).reshape(n, n)
-        return HermMatrix(re, im)
+        return np.asarray(self.a, dtype=complex)
 
 
-AnyMatrix = Union[SymMatrix, HermMatrix]
+def read_only_view(a: np.ndarray) -> ReadOnlyMatrix:
+    """Freeze a symmetric (Hermitian) array in place and wrap it, without copying or re-projecting it."""
+    a.flags.writeable = False
+    return ReadOnlyMatrix(a)
 
 
-def read_only_view(a: np.ndarray) -> AnyMatrix:
-    """Wrap a read-only symmetric (Hermitian) array without copying or re-projecting it.
-
-    The caller has validated ``a``; a complex array becomes a HermMatrix
-    whose re and im are views of it.
-    """
+def matrix_to_json(a: np.ndarray) -> dict:
+    """The {"n", "re"[, "im"]} record of a square array: row-major entries, "im" for complex data only."""
+    record = {"n": a.shape[0], "re": a.real.reshape(-1).tolist()}
     if np.iscomplexobj(a):
-        mat = object.__new__(HermMatrix)
-        object.__setattr__(mat, "re", a.real)
-        object.__setattr__(mat, "im", a.imag)
-    else:
-        mat = object.__new__(SymMatrix)
-        object.__setattr__(mat, "a", a)
-    return mat
+        record["im"] = a.imag.reshape(-1).tolist()
+    return record
 
 
-def _load_matrix_json(text: str) -> dict:
+def _finite_block(entries: list, n: int, key: str) -> np.ndarray:
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed matrix JSON: {exc}") from exc
-    if not isinstance(data, dict) or "n" not in data or "re" not in data:
+        arr = np.array(entries, dtype=float).reshape(n, n)
+    except TypeError as exc:
+        raise ValueError(f"matrix '{key}' must hold numbers: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"matrix '{key}' contains non-finite entries")
+    return arr
+
+
+def matrix_from_json(record, complex_field: bool) -> np.ndarray:
+    """The (n, n) array in the field that a {"n", "re"[, "im"]} record holds.
+
+    The real part is symmetrized and the imaginary part antisymmetrized, as
+    ``hermitian_part`` projects, so a slightly asymmetric file loads.  A
+    complex record without "im" reads as real data; a real one may not
+    carry "im".
+    """
+    if not isinstance(record, dict) or "n" not in record or "re" not in record:
         raise ValueError("matrix JSON must carry 'n' and row-major 're'")
-    n = data["n"]
+    n = record["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
         raise ValueError(f"matrix dimension must be a positive integer, got {n!r}")
     for key in ("re", "im"):
-        block = data.get(key)
-        if block is None:
-            continue
-        if not isinstance(block, list) or len(block) != n * n:
+        block = record.get(key)
+        if block is not None and (not isinstance(block, list) or len(block) != n * n):
             raise ValueError(f"'{key}' must hold exactly n*n = {n * n} entries")
-    return data
+    im = record.get("im")
+    if im is not None and not complex_field:
+        raise ValueError("unexpected 'im' block for a real matrix")
+    re = _sym_part(_finite_block(record["re"], n, "re"))
+    if not complex_field:
+        return re
+    return re + 1j * _antisym_part(np.zeros((n, n)) if im is None else _finite_block(im, n, "im"))
 
 
 def compress(mats: np.ndarray, U: np.ndarray) -> np.ndarray:

@@ -114,7 +114,7 @@ class RoundingReport:
     scheme: str
     seed: int
     num_samples: int
-    best_x: tuple | None
+    best_x: tuple | None  # benchmark/checks.py (point_feasible) reads its (Re; Im) layout
     best_objective: float
     v_sdp: float
     empirical_ratio: float

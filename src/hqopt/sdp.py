@@ -12,11 +12,11 @@ which the interior-point core solves in its own field.  An instance holds
 its data in one form only: the read-only (m + 2, n, n) stack [C; A_0; ..;
 A_m] in its own field (``field_stack``), validated once when the instance
 is built, with ``field_view`` splitting it into C and the A_k; the solver,
-the rank reduction and the sampler all read it.  ``objective`` and
-``constraints`` are SymMatrix/HermMatrix views of it, made on first use
-for JSON output and other callers that want one matrix at a time.  A
-rounded point or a Slater witness is reported as a tuple of reals,
-(Re x; Im x) for a complex x (``real_point``).
+the rank reduction, the sampler and the JSON codec all read it.  A
+solution's X, dual slack and ray are Hermitian-projected arrays in the
+same field, each wrapped as a ``ReadOnlyMatrix``.  A rounded point or a
+Slater witness is reported as a tuple of reals, (Re x; Im x) for a
+complex x (``real_point``).
 
 slater_check decides whether some nonnegative combination of the A_k is
 positive definite, which the max-form rounding needs.  Under the paper's
@@ -27,7 +27,6 @@ whose multipliers give the best combination.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,7 +35,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _ipm
-from .matrices import HermMatrix, SymMatrix, compress, read_only_view
+from .matrices import (
+    ReadOnlyMatrix,
+    compress,
+    hermitian_part,
+    matrix_from_json,
+    matrix_to_json,
+    read_only_view,
+)
 
 MINIMIZE = "Minimize"
 MAXIMIZE = "Maximize"
@@ -85,15 +91,6 @@ def tag_matrix(a: np.ndarray) -> tuple:
     )
 
 
-def _check_labels(sense: str, field: str, count: int) -> None:
-    if sense not in SENSES:
-        raise ValueError(f"sense must be one of {SENSES}")
-    if field not in FIELDS:
-        raise ValueError(f"field must be one of {FIELDS}")
-    if count < 2:
-        raise ValueError("at least one constraint is required")
-
-
 class MatrixView(NamedTuple):
     """An instance's objective and stacked constraints, read-only."""
 
@@ -101,44 +98,28 @@ class MatrixView(NamedTuple):
     A: np.ndarray  # shape (m + 1, n, n)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class QcqpInstance:
     """An instance held as one validated, read-only (m + 2, n, n) stack [C; A_0; ..; A_m].
 
-    ``QcqpInstance(sense, field, objective, constraints)`` takes SymMatrix
-    (real) or HermMatrix (complex) data and stacks it; ``from_stack`` takes
-    the stack itself.  Both run the same validation.  ``objective`` and
-    ``constraints`` are read-only matrix views of the stack, built on first
-    use.
+    The stack must be exactly symmetric (Hermitian) in the instance's field;
+    the instance holds its own copy, validated and frozen on construction.
     """
 
     sense: str
     field: str
     field_stack: np.ndarray
 
-    def __init__(self, sense: str, field: str, objective, constraints):
-        mats = (objective, *constraints)
-        _check_labels(sense, field, len(mats))
-        want = HermMatrix if field == COMPLEX else SymMatrix
-        for mat in mats:
-            if not isinstance(mat, want):
-                raise TypeError(f"{field} instances need {want.__name__} data")
-            if mat.n != objective.n:
-                raise ValueError("all matrices must share one dimension")
-        self._hold(sense, field, np.stack([h.a for h in mats]))
-
-    @classmethod
-    def from_stack(cls, sense: str, field: str, stack: np.ndarray) -> "QcqpInstance":
-        """An instance from [C; A_0; ..; A_m], already symmetric (Hermitian); the stack is copied."""
-        _check_labels(sense, field, len(stack))
-        if field == REAL and np.iscomplexobj(stack):
+    def __post_init__(self):
+        if self.sense not in SENSES:
+            raise ValueError(f"sense must be one of {SENSES}")
+        if self.field not in FIELDS:
+            raise ValueError(f"field must be one of {FIELDS}")
+        if len(self.field_stack) < 2:
+            raise ValueError("at least one constraint is required")
+        if self.field == REAL and np.iscomplexobj(self.field_stack):
             raise TypeError("Real instances need real data")
-        inst = cls.__new__(cls)
-        inst._hold(sense, field, np.array(stack, dtype=complex if field == COMPLEX else float))
-        return inst
-
-    def _hold(self, sense: str, field: str, stack: np.ndarray) -> None:
-        # stack is this instance's own copy; it is validated and frozen here
+        stack = np.array(self.field_stack, dtype=complex if self.field == COMPLEX else float)
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValueError(f"the data must be a (m + 2, n, n) stack, got shape {stack.shape}")
         if not np.all(np.isfinite(stack)):
@@ -146,8 +127,6 @@ class QcqpInstance:
         if not np.array_equal(stack, np.conj(stack.swapaxes(-1, -2))):
             raise ValueError("every matrix must be symmetric (Hermitian)")
         stack.flags.writeable = False
-        object.__setattr__(self, "sense", sense)
-        object.__setattr__(self, "field", field)
         object.__setattr__(self, "field_stack", stack)
 
     @property
@@ -159,8 +138,9 @@ class QcqpInstance:
         # constraints are indexed 0..m
         return len(self.field_stack) - 2
 
+    # objective and constraints: benchmark/checks.py (field_matrices) is their only program reader
     @cached_property
-    def objective(self) -> SymMatrix | HermMatrix:
+    def objective(self) -> ReadOnlyMatrix:
         return read_only_view(self.field_stack[0])
 
     @cached_property
@@ -193,8 +173,8 @@ class QcqpInstance:
         return {
             "sense": _SENSE_JSON[self.sense],
             "field": _FIELD_JSON[self.field],
-            "C": json.loads(self.objective.to_json()),
-            "A": [json.loads(a.to_json()) for a in self.constraints],
+            "C": matrix_to_json(self.field_stack[0]),
+            "A": [matrix_to_json(a) for a in self.field_stack[1:]],
         }
 
     @staticmethod
@@ -207,10 +187,10 @@ class QcqpInstance:
             raise ValueError(f"malformed instance payload: {exc}") from exc
         if not isinstance(raw_a, list):
             raise ValueError(f"'A' must be a list of matrices, got {raw_a!r}")
-        loader = HermMatrix.from_json if fld == COMPLEX else SymMatrix.from_json
-        objective = loader(json.dumps(raw_c))
-        constraints = tuple(loader(json.dumps(a)) for a in raw_a)
-        return QcqpInstance(sense, fld, objective, constraints)
+        mats = [matrix_from_json(raw, fld == COMPLEX) for raw in (raw_c, *raw_a)]
+        if any(len(a) != len(mats[0]) for a in mats):
+            raise ValueError("all matrices must share one dimension")
+        return QcqpInstance(sense, fld, np.stack(mats))
 
 
 def constraint_values(inst: QcqpInstance, x: np.ndarray) -> np.ndarray:
@@ -225,7 +205,11 @@ def objective_value(inst: QcqpInstance, x: np.ndarray) -> float:
 
 
 def real_point(x: np.ndarray) -> tuple:
-    """A point as the tuple of reals a report carries: x, or (Re x; Im x) for a complex x."""
+    """A point as the tuple of reals a report carries: x, or (Re x; Im x) for a complex x.
+
+    The (Re x; Im x) layout is what benchmark/checks.py (point_feasible)
+    reads from a rounding report's best_x.
+    """
     x = np.asarray(x)
     if np.iscomplexobj(x):
         x = np.concatenate([x.real, x.imag])
@@ -234,18 +218,23 @@ def real_point(x: np.ndarray) -> tuple:
 
 @dataclass(frozen=True, eq=False, kw_only=True)
 class SdpSolution:
-    """A packaged solve; X, dual_slack and ray are HermMatrix for complex data."""
+    """A packaged solve.
+
+    X, dual_slack and ray are ReadOnlyMatrix views of symmetric (Hermitian)
+    arrays in the instance's field; the program reads their ``.a``, and
+    benchmark/tracing.py reads ``X.a``.
+    """
 
     status: str
-    X: SymMatrix | HermMatrix | None = None
+    X: ReadOnlyMatrix | None = None
     objective_value: float = math.nan
     dual_multipliers: tuple = ()
-    dual_slack: SymMatrix | HermMatrix | None = None
+    dual_slack: ReadOnlyMatrix | None = None
     primal_residual: float = math.nan
     dual_residual: float = math.nan
     gap: float = math.nan
     iterations: int
-    ray: SymMatrix | HermMatrix | None = None
+    ray: ReadOnlyMatrix | None = None
     infeasibility_certificate: tuple | None = None
     field: str
     n: int
@@ -258,7 +247,7 @@ class SdpSolution:
             return float(v)
 
         def mat(m):
-            return None if m is None else json.loads(m.to_json())
+            return None if m is None else matrix_to_json(m.a)
 
         return {
             "status": _STATUS_JSON[self.status],
@@ -284,7 +273,10 @@ def _package(inst: QcqpInstance, res: _ipm.ConicResult, lam_min: float) -> SdpSo
     """inst's interior-point result as an SdpSolution; lam_min is lambda_min of an Optimal X."""
     maximize = inst.sense == MAXIMIZE
     flip = -1.0 if maximize else 1.0
-    mat = HermMatrix.from_complex if inst.field == COMPLEX else SymMatrix
+
+    def mat(a):
+        return read_only_view(hermitian_part(a))
+
     status, message = NUMERICAL_FAILURE, res.message
     if res.status == "optimal":
         status = OPTIMAL
@@ -386,7 +378,8 @@ class SlaterReport:
     answer with a certificate mu has t = lambda_min(sum mu_k A_k), and is a
     yes exactly when t > _SLATER_TOL.  A no with an empty certificate has a
     t that bounds lambda_min of every combination from above: t = max_k
-    x*A_k x for a unit witness x (real_point's (Re; Im) for complex data),
+    x*A_k x for a unit witness x (real_point's (Re; Im) for complex data,
+    the layout benchmark/checks.py reads from best_x),
     or, from the probe, t = max_k Tr(A_k D) for a PSD D of trace 1, with
     indeterminate set when that t exceeds _SLATER_TOL or the probe failed.
     """
@@ -414,7 +407,7 @@ def _probe_definite(inst: QcqpInstance) -> SlaterReport:
     A = inst.field_view.A
     c = float(np.linalg.norm(A, axis=(1, 2)).max())
     eye = np.eye(inst.n)
-    probe = QcqpInstance.from_stack(MAXIMIZE, inst.field, np.concatenate([eye[None], A + c * eye]))
+    probe = QcqpInstance(MAXIMIZE, inst.field, np.concatenate([eye[None], A + c * eye]))
     sol = solve_instances([probe])[0]
     if sol.status != OPTIMAL:
         return SlaterReport(False, (), math.inf, indeterminate=True)

@@ -30,7 +30,6 @@ from hqopt.instances import (
     generate_report,
 )
 from hqopt.lowrank import reduce_rank
-from hqopt.matrices import SymMatrix
 from hqopt.probability import (
     CHI2_ASYM_BOUND,
     EXP_ASYM_BOUND,
@@ -115,12 +114,9 @@ class TestCanonicalExamples:
         # bounding x_1^2 instead of x_2^2 makes x = (1, 0) optimal on both sides
         for M in (1.0, 10.0, 100.0):
             inst = canonical(MIN_COUPLING, M=M).instance
-            variant = type(inst)(
-                sense=inst.sense,
-                field=inst.field,
-                objective=inst.objective,
-                constraints=(SymMatrix(np.diag([1.0, 0.0])),) + inst.constraints[1:],
-            )
+            stack = np.array(inst.field_stack)
+            stack[1] = np.diag([1.0, 0.0])
+            variant = type(inst)(inst.sense, inst.field, stack)
             sol = solve_instance(variant)
             assert sol.status == OPTIMAL
             assert sol.objective_value == pytest.approx(1.0, abs=1e-6)
@@ -182,16 +178,14 @@ class TestLemmaSuite:
         assert out.passed, out.notes
         assert len(out.results) == 200
         for res in out.results:
-            stderr = math.sqrt(res.estimate * (1.0 - res.estimate) / res.samples)
-            assert res.estimate - 3.0 * stderr > CHI2_ASYM_BOUND
+            assert res.estimate - res.confidence_radius > CHI2_ASYM_BOUND
 
     def test_exp_asymmetry_million_samples_200_profiles(self):
         out = run_lemma_check("L3_4", samples=10**6, cases=200)
         assert out.passed, out.notes
         assert len(out.results) == 200
         for res in out.results:
-            stderr = math.sqrt(res.estimate * (1.0 - res.estimate) / res.samples)
-            assert res.estimate - 3.0 * stderr > EXP_ASYM_BOUND
+            assert res.estimate - res.confidence_radius > EXP_ASYM_BOUND
 
     def test_sharpened_coefficient_beats_generic_on_grid(self):
         grid = np.linspace(0.5, 1000.0, 4000)

@@ -22,8 +22,7 @@ from hqopt.experiment import (
     run_experiment,
     write_csv,
 )
-from hqopt.instances import CASE_A, CASE_B, CASE_C
-from hqopt.matrices import SymMatrix
+from hqopt.instances import CANONICAL_IDS, CASE_A, CASE_B, CASE_C, MAX_COUPLING, MIN_COUPLING
 from hqopt.rounding import GAUSSIAN_MAX, GAUSSIAN_MIN, SIGN_MAX
 from hqopt.sdp import COMPLEX, MINIMIZE, OPTIMAL, REAL, QcqpInstance
 
@@ -31,6 +30,7 @@ from oracles import run_single
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(argv):
@@ -40,12 +40,7 @@ def run_cli(argv):
 
 
 def write_identity_instance(path, n=3):
-    inst = QcqpInstance(
-        sense=MINIMIZE,
-        field=REAL,
-        objective=SymMatrix(np.eye(n)),
-        constraints=(SymMatrix(np.eye(n)),),
-    )
+    inst = QcqpInstance(MINIMIZE, REAL, np.stack([np.eye(n), np.eye(n)]))
     path.write_text(json.dumps(inst.to_json_dict()))
     return inst
 
@@ -254,12 +249,7 @@ class TestCliSolve:
 
     def test_infeasible_relaxation_prints_its_farkas_certificate(self, tmp_path):
         # min |x|^2 subject to -|x|^2 >= 1 and x_1^2 >= 1
-        inst = QcqpInstance(
-            sense=MINIMIZE,
-            field=REAL,
-            objective=SymMatrix(np.eye(2)),
-            constraints=(SymMatrix(-np.eye(2)), SymMatrix(np.diag([1.0, 0.0]))),
-        )
+        inst = QcqpInstance(MINIMIZE, REAL, np.stack([np.eye(2), -np.eye(2), np.diag([1.0, 0.0])]))
         path = tmp_path / "infeasible.json"
         path.write_text(json.dumps(inst.to_json_dict()))
         rc, text = run_cli(["solve", str(path)])
@@ -293,8 +283,9 @@ class TestCliSolve:
         [
             {"sense": "min", "field": "real", "C": {"n": 1, "re": [1]}, "A": 5},
             {"sense": "min", "field": "real", "C": {"n": True, "re": [1]}, "A": [{"n": 1, "re": [1]}]},
+            {"sense": "min", "field": "real", "C": {"n": 1, "re": [{}]}, "A": [{"n": 1, "re": [1]}]},
         ],
-        ids=["int-constraints", "bool-dimension"],
+        ids=["int-constraints", "bool-dimension", "object-entry"],
     )
     def test_malformed_instance_exits_two(self, tmp_path, payload, capsys):
         path = tmp_path / "bad.json"
@@ -483,6 +474,34 @@ class TestCliExample:
         with pytest.raises(SystemExit) as err:
             run_cli(["example", "--id", "mystery"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("example_id", CANONICAL_IDS)
+    def test_prints_the_committed_bytes(self, example_id):
+        coupling = ["--M", "10"] if example_id in (MIN_COUPLING, MAX_COUPLING) else []
+        rc, text = run_cli(["example", "--id", example_id, *coupling])
+        assert rc == 0 and text == (GOLDEN / f"example_{example_id}.json").read_text()
+
+
+class TestInstanceFiles:
+    """Instance files as QcqpInstance reads and writes them: {"n", "re"[, "im"]} per matrix."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_load_and_write_back_keeps_the_text(self, field):
+        text = (GOLDEN / f"instance_{field}.json").read_text()
+        inst = QcqpInstance.from_json_dict(json.loads(text))
+        assert json.dumps(inst.to_json_dict(), indent=2) + "\n" == text
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_slightly_asymmetric_matrices_are_symmetrized(self, field):
+        data = json.loads((GOLDEN / f"instance_{field}.json").read_text())
+        blocks = ("re", "im") if field == "complex" else ("re",)
+        for key in blocks:
+            data["A"][0][key][1] += 1e-12  # entry (0, 1) of a 3 x 3 matrix; (1, 0) is entry 3
+        A0 = QcqpInstance.from_json_dict(data).field_view.A[0]
+        re, im = data["A"][0]["re"], data["A"][0].get("im")
+        assert A0.real[0, 1] == A0.real[1, 0] == 0.5 * (re[1] + re[3])
+        if im is not None:
+            assert A0.imag[0, 1] == -A0.imag[1, 0] == 0.5 * (im[1] - im[3])
 
 
 def run_python(args, blas: dict):

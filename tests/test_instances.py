@@ -24,7 +24,6 @@ from hqopt.instances import (
     generate_report,
     indefinite_matrix,
 )
-from hqopt.matrices import HermMatrix, SymMatrix
 from hqopt.sdp import (
     COMPLEX,
     INDEFINITE,
@@ -137,7 +136,7 @@ class TestGenerate:
     def test_complex_field(self):
         inst = generate(spec_a(n=4, m=3, field=COMPLEX, seed=6))
         assert inst.field == COMPLEX
-        assert all(isinstance(a, HermMatrix) for a in inst.constraints)
+        assert np.iscomplexobj(inst.field_view.A)
         assert inst.tags[0] == INDEFINITE
         assert all(t == PSD for t in inst.tags[1:])
 
@@ -255,66 +254,31 @@ class TestCanonicalUnboundedRelaxation:
 class TestBruteForce:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_identity_min(self, n):
-        inst = QcqpInstance(
-            sense=MINIMIZE,
-            field=REAL,
-            objective=SymMatrix(np.eye(n)),
-            constraints=(SymMatrix(np.eye(n)),),
-        )
+        inst = QcqpInstance(MINIMIZE, REAL, np.stack([np.eye(n), np.eye(n)]))
         assert brute_force_qcqp(inst) == pytest.approx(1.0, abs=1e-5)
 
     def test_identity_max(self):
-        inst = QcqpInstance(
-            sense=MAXIMIZE,
-            field=REAL,
-            objective=SymMatrix(np.eye(2)),
-            constraints=(SymMatrix(np.eye(2)),),
-        )
+        inst = QcqpInstance(MAXIMIZE, REAL, np.stack([np.eye(2), np.eye(2)]))
         assert brute_force_qcqp(inst) == pytest.approx(1.0, abs=1e-5)
 
     def test_unbounded_max_ray(self):
-        inst = QcqpInstance(
-            sense=MAXIMIZE,
-            field=REAL,
-            objective=SymMatrix(np.eye(2)),
-            constraints=(SymMatrix(np.diag([1.0, -1.0])),),
-        )
+        inst = QcqpInstance(MAXIMIZE, REAL, np.stack([np.eye(2), np.diag([1.0, -1.0])]))
         assert brute_force_qcqp(inst) == math.inf
 
     def test_unbounded_min_ray(self):
-        inst = QcqpInstance(
-            sense=MINIMIZE,
-            field=REAL,
-            objective=SymMatrix(np.diag([1.0, -1.0])),
-            constraints=(SymMatrix(np.eye(2)),),
-        )
+        inst = QcqpInstance(MINIMIZE, REAL, np.stack([np.diag([1.0, -1.0]), np.eye(2)]))
         assert brute_force_qcqp(inst) == -math.inf
 
     def test_infeasible_raises(self):
-        inst = QcqpInstance(
-            sense=MINIMIZE,
-            field=REAL,
-            objective=SymMatrix(np.eye(2)),
-            constraints=(SymMatrix(-np.eye(2)),),
-        )
+        inst = QcqpInstance(MINIMIZE, REAL, np.stack([np.eye(2), -np.eye(2)]))
         with pytest.raises(ValueError, match="feasible"):
             brute_force_qcqp(inst)
 
     def test_dimension_and_field_limits(self):
-        big = QcqpInstance(
-            sense=MINIMIZE,
-            field=REAL,
-            objective=SymMatrix(np.eye(4)),
-            constraints=(SymMatrix(np.eye(4)),),
-        )
+        big = QcqpInstance(MINIMIZE, REAL, np.stack([np.eye(4), np.eye(4)]))
         with pytest.raises(ValueError, match="n <= 3"):
             brute_force_qcqp(big)
-        cplx = QcqpInstance(
-            sense=MINIMIZE,
-            field=COMPLEX,
-            objective=HermMatrix.from_complex(np.eye(2)),
-            constraints=(HermMatrix.from_complex(np.eye(2)),),
-        )
+        cplx = QcqpInstance(MINIMIZE, COMPLEX, np.stack([np.eye(2), np.eye(2)]))
         with pytest.raises(ValueError, match="real"):
             brute_force_qcqp(cplx)
 

@@ -30,7 +30,7 @@ from hqopt.instances import (
     indefinite_matrix,
     random_matrices,
 )
-from hqopt.matrices import HermMatrix, SymMatrix
+from hqopt.matrices import hermitian_part
 from hqopt.sdp import (
     COMPLEX,
     INDEFINITE,
@@ -86,7 +86,7 @@ class TestFlatOperators:
 
     def test_schur_matches_trace_definition(self, data):
         A, W, G, d2 = data["A"], data["W"], data["Gfull"], data["d2"]
-        got = _ipm.schur_matrix(data["A2"], data["G"], W, d2)
+        got = _ipm.schur_matrix(data["A2"], data["G"], W, d2, _ipm._schur_work(3, 7, 5, W.dtype))
         for k in range(len(got)):
             traces = [[np.trace(Ai @ W[k] @ Al @ W[k]) for Al in A[k]] for Ai in A[k]]
             want = np.array(traces) + (G[k] * d2[k]) @ G[k].T
@@ -95,9 +95,10 @@ class TestFlatOperators:
 
     def test_schur_formed_in_parts_is_unchanged(self, data, monkeypatch):
         A2, G, W, d2 = data["A2"], data["G"], data["W"], data["d2"]
-        whole = _ipm.schur_matrix(A2, G, W, d2)
+        whole = _ipm.schur_matrix(A2, G, W, d2, _ipm._schur_work(3, 7, 5, W.dtype))
         monkeypatch.setattr(_ipm, "_BATCH_ELEMENTS", 4 * 7 * 25)  # one instance a part
-        assert np.array_equal(_ipm.schur_matrix(A2, G, W, d2), whole)
+        parts = _ipm.schur_matrix(A2, G, W, d2, _ipm._schur_work(3, 7, 5, W.dtype))
+        assert np.array_equal(parts, whole)
 
     def test_complex_operators_match_trace_definitions(self):
         # Hermitian data: the same real calls over the float64 views give
@@ -116,7 +117,7 @@ class TestFlatOperators:
         d2 = rng.random((B, p)) + 0.1
         A2 = A.view(np.float64).reshape(B, p, 2 * n * n)
         got_a, got_at = _ipm.op_a(A2, g, X, s), _ipm.op_at(A2, y, n)
-        got_m = _ipm.schur_matrix(A2, g, W, d2)
+        got_m = _ipm.schur_matrix(A2, g, W, d2, _ipm._schur_work(B, p, n, W.dtype))
         for k in range(B):
             assert _rel(got_a[k], np.trace(A[k] @ X[k], axis1=1, axis2=2).real + G[k] @ s[k]) <= 1e-12
             assert _rel(got_at[k], np.einsum("i,ijk->jk", y[k], A[k])) <= 1e-12
@@ -173,9 +174,8 @@ class TestBatchedSolve:
             mats = []
             for _ in range(m + 1):
                 q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-                mats.append(SymMatrix(sign * q @ np.diag(rng.uniform(0.5, 2.0, n)) @ q.T))
-            return QcqpInstance(sense=MINIMIZE, field=REAL, objective=SymMatrix(np.eye(n)),
-                                constraints=tuple(mats))
+                mats.append(hermitian_part(sign * q @ np.diag(rng.uniform(0.5, 2.0, n)) @ q.T))
+            return QcqpInstance(MINIMIZE, REAL, np.stack([np.eye(n), *mats]))
 
         insts = [draw(1.0), draw(-1.0), draw(1.0)]  # every A_k of the middle one negative definite
         batch = solve_instances(insts)
@@ -263,7 +263,7 @@ def _one_at_a_time(rng, n, count, spectrum, complex_field):
             g = g + 1j * rng.standard_normal((n, n))
         q, _ = np.linalg.qr(g)
         mat = rng.uniform() * (np.conj(q.T) @ np.diag(d) @ q)
-        out.append(HermMatrix.from_complex(mat) if complex_field else SymMatrix(mat))
+        out.append(hermitian_part(mat))
     return out
 
 
@@ -272,7 +272,7 @@ def _indefinite_one_at_a_time(rng, n, complex_field):
     redraws = 0
     while True:
         (mat,) = _one_at_a_time(rng, n, 1, INDEFINITE_SPECTRUM, complex_field)
-        vals = np.linalg.eigvalsh(mat.a)
+        vals = np.linalg.eigvalsh(mat)
         tol = 1e-9 * max(1.0, float(np.abs(vals).max()))
         if vals[0] < -tol and vals[-1] > tol:
             return mat, redraws
@@ -295,20 +295,15 @@ def _instance_one_at_a_time(spec, draws):
             rng, spec.n, spec.m + 1 - spec.num_indefinite, spectrum, complex_field
         )
         if spec.objective_kind == OBJECTIVE_IDENTITY:
-            eye = np.eye(spec.n)
-            objective = HermMatrix.from_complex(eye) if complex_field else SymMatrix(eye)
+            objective = np.eye(spec.n)
         else:
             objective, k = _indefinite_one_at_a_time(rng, spec.n, complex_field)
             redraws += k
-    inst = QcqpInstance(
-        sense=spec.sense, field=spec.field, objective=objective, constraints=tuple(constraints)
-    )
+    inst = QcqpInstance(spec.sense, spec.field, np.stack([objective, *constraints]))
     return inst, redraws
 
 
 def _same_matrix(got, want):
-    if isinstance(want, HermMatrix):
-        return np.array_equal(got.re, want.re) and np.array_equal(got.im, want.im)
     return np.array_equal(got.a, want.a)
 
 
@@ -326,7 +321,7 @@ class TestStackedDraws:
         want = _one_at_a_time(rng_b, 6, 9, spectrum, complex_field)
         assert got.shape == (9, 6, 6) and got.dtype == (complex if complex_field else float)
         for g, w in zip(got, want):
-            assert np.array_equal(g, w.a)
+            assert np.array_equal(g, w)
         assert rng_a.standard_normal() == rng_b.standard_normal()
 
     def test_empty_draw_reads_nothing(self):
@@ -359,7 +354,7 @@ class TestGenerationReference:
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
             got, k = indefinite_matrix(rng_a, 2, complex_field)
             want, k_ref = _indefinite_one_at_a_time(rng_b, 2, complex_field)
-            assert np.array_equal(got, want.a) and k == k_ref
+            assert np.array_equal(got, want) and k == k_ref
             total += k
         assert total > 0
 
@@ -387,11 +382,10 @@ class TestGenerationReference:
             assert all(map(_same_matrix, got.constraints, want.constraints))
 
     def test_generation_builds_no_matrix_wrappers(self, monkeypatch):
-        def refuse(self):
+        def refuse(self, a):
             raise AssertionError(f"{type(self).__name__} built during generation")
 
-        monkeypatch.setattr(matrices.HermMatrix, "__post_init__", refuse)
-        monkeypatch.setattr(matrices.SymMatrix, "__post_init__", refuse)
+        monkeypatch.setattr(matrices.ReadOnlyMatrix, "__init__", refuse)
         spec = GeneratorSpec(
             n=10, m=100, case=CASE_C, sense=MINIMIZE, objective_kind=OBJECTIVE_IDENTITY,
             seed=0, field=COMPLEX,

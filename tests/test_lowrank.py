@@ -15,7 +15,7 @@ from hqopt.lowrank import (
     reduce_rank,
 )
 from hqopt.instances import CASE_A, OBJECTIVE_IDENTITY, GeneratorSpec, generate
-from hqopt.matrices import HermMatrix, SymMatrix
+from hqopt.matrices import hermitian_part, read_only_view
 from hqopt.sdp import (
     COMPLEX,
     MAXIMIZE,
@@ -30,18 +30,18 @@ from hqopt.sdp import (
 
 
 def sym(rows):
-    return SymMatrix(np.array(rows, dtype=float))
+    return hermitian_part(np.array(rows, dtype=float))
 
 
 def rand_psd(n, rng, floor=0.1):
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    return SymMatrix(Q @ np.diag(np.abs(rng.standard_normal(n)) + floor) @ Q.T)
+    return hermitian_part(Q @ np.diag(np.abs(rng.standard_normal(n)) + floor) @ Q.T)
 
 
 def rand_herm_psd(n, rng):
     M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     H = M @ np.conj(M.T) / n + 0.1 * np.eye(n)
-    return HermMatrix(H.real, H.imag)
+    return hermitian_part(H)
 
 
 def real_values(inst, X):
@@ -80,31 +80,32 @@ class TestPatakiBound:
 
 class TestFactorize:
     def test_identity(self):
-        U = factorize(SymMatrix(np.eye(2)).a)
+        U = factorize(sym(np.eye(2)))
         assert U.shape == (2, 2)
         assert np.allclose(U @ U.T, np.eye(2), atol=1e-12)
 
     def test_rank_one_diag(self):
-        U = factorize(sym([[4.0, 0.0], [0.0, 0.0]]).a)
+        U = factorize(sym([[4.0, 0.0], [0.0, 0.0]]))
         assert U.shape == (2, 1)
         assert np.allclose(np.abs(U[:, 0]), [2.0, 0.0], atol=1e-12)
 
     def test_zero_matrix(self):
-        U = factorize(SymMatrix(np.zeros((3, 3))).a)
+        U = factorize(sym(np.zeros((3, 3))))
         assert U.shape == (3, 0)
 
     def test_not_psd_raises(self):
         with pytest.raises(NotPsdError):
-            factorize(sym([[1.0, 0.0], [0.0, -1e-3]]).a)
+            factorize(sym([[1.0, 0.0], [0.0, -1e-3]]))
 
     def test_small_negative_within_tol(self):
-        U = factorize(sym([[1.0, 0.0], [0.0, -1e-12]]).a)
+        U = factorize(sym([[1.0, 0.0], [0.0, -1e-12]]))
         assert U.shape == (2, 1)
 
     def test_hermitian_input(self):
-        H = HermMatrix(np.array([[2.0, 0.0], [0.0, 2.0]]), np.array([[0.0, -1.0], [1.0, 0.0]]))
-        U = factorize(H.a)
-        assert np.allclose(U @ np.conj(U.T), H.to_complex(), atol=1e-12)
+        H = hermitian_part(np.array([[2.0, 0.0], [0.0, 2.0]])
+                           + 1j * np.array([[0.0, -1.0], [1.0, 0.0]]))
+        U = factorize(H)
+        assert np.allclose(U @ np.conj(U.T), H, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=8), st.integers())
@@ -112,16 +113,19 @@ class TestFactorize:
         k = min(k, n)
         rng = np.random.default_rng(seed % 2**32)
         Y = rng.standard_normal((n, k))
-        X = SymMatrix(Y @ Y.T)
-        U = factorize(X.a)
-        assert np.linalg.norm(U @ U.T - X.a) <= 1e-8 * (1.0 + np.linalg.norm(X.a))
+        X = sym(Y @ Y.T)
+        U = factorize(X)
+        assert np.linalg.norm(U @ U.T - X) <= 1e-8 * (1.0 + np.linalg.norm(X))
         assert U.shape[1] == np.linalg.matrix_rank(Y) if k else U.shape[1] == 0
 
 
 class TestReduceRank:
     def test_rank_one_input_unchanged(self):
         # objective aligned with the single constraint: optimizer is rank one
-        inst = QcqpInstance(MINIMIZE, REAL, sym([[1.0, 0.0], [0.0, 2.0]]), (sym([[1.0, 0.0], [0.0, 0.0]]),))
+        inst = QcqpInstance(MINIMIZE, REAL, np.stack([
+            sym([[1.0, 0.0], [0.0, 2.0]]),
+            sym([[1.0, 0.0], [0.0, 0.0]]),
+        ]))
         sol = solve_instance(inst)
         low = reduce_rank(sol, inst)
         assert low.r == 1
@@ -132,28 +136,29 @@ class TestReduceRank:
         # identity objective, identity constraint: the solver's interior point
         # has full rank, reduction must collapse it to one
         n = 5
-        inst = QcqpInstance(MINIMIZE, REAL, SymMatrix(np.eye(n)), (SymMatrix(np.eye(n)),))
+        inst = QcqpInstance(MINIMIZE, REAL, np.stack([np.eye(n), np.eye(n)]))
         sol = solve_instance(inst)
         assert np.linalg.matrix_rank(sol.X.a, tol=1e-6) > 1
         low = reduce_rank(sol, inst)
         assert low.r == 1
         assert low.meets_bound
-        Xr = low.reconstruct()
+        Xr = low.U @ np.conj(low.U.T)
         assert abs(np.trace(Xr) - 1.0) <= 1e-7
         assert abs(float(np.trace(inst.objective.a @ Xr)) - sol.objective_value) <= 1e-7
 
     def test_random_real_instance(self):
         rng = np.random.default_rng(7)
         n, p = 10, 6
-        inst = QcqpInstance(
-            MINIMIZE, REAL, SymMatrix(np.eye(n)), tuple(rand_psd(n, rng) for _ in range(p))
-        )
+        inst = QcqpInstance(MINIMIZE, REAL, np.stack([
+            np.eye(n),
+            *(rand_psd(n, rng) for _ in range(p)),
+        ]))
         sol = solve_instance(inst)
         assert sol.status == OPTIMAL
         low = reduce_rank(sol, inst)
         assert low.r <= 3  # r(r+1)/2 <= 6
         assert low.meets_bound
-        Xr = low.reconstruct()
+        Xr = low.U @ np.conj(low.U.T)
         v0, o0 = real_values(inst, sol.X.a)
         vr, orr = real_values(inst, Xr)
         assert max(abs(a - b) for a, b in zip(v0, vr)) <= 1e-7
@@ -164,74 +169,65 @@ class TestReduceRank:
     def test_objective_value_matches_input(self):
         rng = np.random.default_rng(3)
         n, p = 8, 4
-        inst = QcqpInstance(
-            MINIMIZE, REAL, rand_psd(n, rng), tuple(rand_psd(n, rng) for _ in range(p))
-        )
+        inst = QcqpInstance(MINIMIZE, REAL, np.stack([
+            rand_psd(n, rng),
+            *(rand_psd(n, rng) for _ in range(p)),
+        ]))
         sol = solve_instance(inst)
         low = reduce_rank(sol, inst)
         assert abs(low.objective_value - sol.objective_value) <= 1e-7
 
     def test_max_sense_instance(self):
         M = 10.0
-        inst = QcqpInstance(
-            MAXIMIZE,
-            REAL,
+        inst = QcqpInstance(MAXIMIZE, REAL, np.stack([
             sym([[1.0, 0.0], [0.0, 1.0 / M]]),
-            (
-                sym([[0.0, M / 2], [M / 2, 1.0]]),
-                sym([[0.0, -M / 2], [-M / 2, 1.0]]),
-                sym([[M, 0.0], [0.0, -M]]),
-            ),
-        )
+            sym([[0.0, M / 2], [M / 2, 1.0]]),
+            sym([[0.0, -M / 2], [-M / 2, 1.0]]),
+            sym([[M, 0.0], [0.0, -M]]),
+        ]))
         sol = solve_instance(inst)
         assert sol.status == OPTIMAL
         low = reduce_rank(sol, inst)
         assert low.meets_bound
         assert low.r <= 2
         v0, o0 = real_values(inst, sol.X.a)
-        vr, orr = real_values(inst, low.reconstruct())
+        vr, orr = real_values(inst, low.U @ np.conj(low.U.T))
         assert max(abs(a - b) for a, b in zip(v0, vr)) <= 1e-7
         assert abs(o0 - orr) <= 1e-7
 
     def test_gap_example_reduces_to_two(self):
         # four constraints: bound is r(r+1)/2 <= 4, so r = 2
-        inst = QcqpInstance(
-            MINIMIZE,
-            REAL,
+        inst = QcqpInstance(MINIMIZE, REAL, np.stack([
             sym([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]),
-            (
-                sym([[0, 0.5, 0, 0], [0.5, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
-                sym([[0, -0.5, 0, 0], [-0.5, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
-                sym([[0.5, 0, 0, 0], [0, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0]]),
-                sym([[0, 0, 0, 0], [0, 0.5, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0]]),
-            ),
-        )
+            sym([[0, 0.5, 0, 0], [0.5, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+            sym([[0, -0.5, 0, 0], [-0.5, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+            sym([[0.5, 0, 0, 0], [0, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0]]),
+            sym([[0, 0, 0, 0], [0, 0.5, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0]]),
+        ]))
         sol = solve_instance(inst)
         assert sol.status == OPTIMAL
         low = reduce_rank(sol, inst)
         assert low.r <= 2
         assert low.meets_bound
         v0, o0 = real_values(inst, sol.X.a)
-        vr, orr = real_values(inst, low.reconstruct())
+        vr, orr = real_values(inst, low.U @ np.conj(low.U.T))
         assert max(abs(a - b) for a, b in zip(v0, vr)) <= 1e-7
         assert abs(o0 - orr) <= 1e-7
 
     def test_complex_instance(self):
         rng = np.random.default_rng(11)
         n, p = 6, 5
-        inst = QcqpInstance(
-            MINIMIZE,
-            COMPLEX,
-            HermMatrix(np.eye(n), np.zeros((n, n))),
-            tuple(rand_herm_psd(n, rng) for _ in range(p)),
-        )
+        inst = QcqpInstance(MINIMIZE, COMPLEX, np.stack([
+            np.eye(n),
+            *(rand_herm_psd(n, rng) for _ in range(p)),
+        ]))
         sol = solve_instance(inst)
         assert sol.status == OPTIMAL
         low = reduce_rank(sol, inst)
         assert low.r <= 2  # r <= sqrt(5)
         assert low.meets_bound
         Xc0 = sol.X.a
-        Xcr = low.reconstruct()
+        Xcr = low.U @ np.conj(low.U.T)
         v0, o0 = complex_values(inst, Xc0)
         vr, orr = complex_values(inst, Xcr)
         assert max(abs(a - b) for a, b in zip(v0, vr)) <= 1e-7
@@ -242,9 +238,10 @@ class TestReduceRank:
     def test_rank_never_increases(self):
         rng = np.random.default_rng(5)
         n, p = 7, 10  # bound r(r+1)/2 <= 10 -> r <= 4, likely above solver rank
-        inst = QcqpInstance(
-            MINIMIZE, REAL, SymMatrix(np.eye(n)), tuple(rand_psd(n, rng) for _ in range(p))
-        )
+        inst = QcqpInstance(MINIMIZE, REAL, np.stack([
+            np.eye(n),
+            *(rand_psd(n, rng) for _ in range(p)),
+        ]))
         sol = solve_instance(inst)
         input_rank = factorize(sol.X.a).shape[1]
         low = reduce_rank(sol, inst)
@@ -253,23 +250,25 @@ class TestReduceRank:
     def test_idempotent_once_bound_met(self):
         rng = np.random.default_rng(7)
         n, p = 10, 6
-        inst = QcqpInstance(
-            MINIMIZE, REAL, SymMatrix(np.eye(n)), tuple(rand_psd(n, rng) for _ in range(p))
-        )
+        inst = QcqpInstance(MINIMIZE, REAL, np.stack([
+            np.eye(n),
+            *(rand_psd(n, rng) for _ in range(p)),
+        ]))
         sol = solve_instance(inst)
         low = reduce_rank(sol, inst)
-        sol2 = dataclasses.replace(sol, X=SymMatrix(low.reconstruct()))
+        sol2 = dataclasses.replace(sol, X=read_only_view(low.U @ np.conj(low.U.T)))
         again = reduce_rank(sol2, inst)
         assert again.r == low.r
         assert again.steps == 0
-        assert np.allclose(again.reconstruct(), low.reconstruct(), atol=1e-12)
+        assert np.allclose(again.U @ np.conj(again.U.T), low.U @ np.conj(low.U.T), atol=1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)
         n, p = 9, 5
-        inst = QcqpInstance(
-            MINIMIZE, REAL, SymMatrix(np.eye(n)), tuple(rand_psd(n, rng) for _ in range(p))
-        )
+        inst = QcqpInstance(MINIMIZE, REAL, np.stack([
+            np.eye(n),
+            *(rand_psd(n, rng) for _ in range(p)),
+        ]))
         sol = solve_instance(inst)
         a = reduce_rank(sol, inst)
         b = reduce_rank(sol, inst)
@@ -277,12 +276,11 @@ class TestReduceRank:
         assert np.array_equal(a.U, b.U)
 
     def test_rejects_non_optimal(self):
-        inst = QcqpInstance(
-            MAXIMIZE,
-            REAL,
+        inst = QcqpInstance(MAXIMIZE, REAL, np.stack([
             sym([[1.0, 0.5], [0.5, 0.0]]),
-            (sym([[0.0, 0.5], [0.5, 0.0]]), sym([[1.0, 0.0], [0.0, -1.0]])),
-        )
+            sym([[0.0, 0.5], [0.5, 0.0]]),
+            sym([[1.0, 0.0], [0.0, -1.0]]),
+        ]))
         sol = solve_instance(inst)
         assert sol.status == UNBOUNDED
         with pytest.raises(ValueError, match="Optimal"):
@@ -305,12 +303,13 @@ class TestReduceRank:
         # value-preserving direction exists and the reduction must stop honestly
         rng = np.random.default_rng(2)
         n = 3
-        inst = QcqpInstance(
-            MINIMIZE, REAL, rand_psd(n, rng), tuple(rand_psd(n, rng) for _ in range(5))
-        )
+        inst = QcqpInstance(MINIMIZE, REAL, np.stack([
+            rand_psd(n, rng),
+            *(rand_psd(n, rng) for _ in range(5)),
+        ]))
         fake = SdpSolution(
             status=OPTIMAL,
-            X=SymMatrix(np.eye(n)),
+            X=read_only_view(np.eye(n)),
             objective_value=float(np.trace(inst.objective.a)),
             dual_multipliers=(0.0,) * 5,
             dual_slack=None,
@@ -327,5 +326,5 @@ class TestReduceRank:
         low = reduce_rank(fake, inst)
         assert not low.meets_bound
         assert low.r == 3
-        vr, orr = real_values(inst, low.reconstruct())
+        vr, orr = real_values(inst, low.U @ np.conj(low.U.T))
         assert max(abs(v - t) for v, t in zip(vr, [float(np.trace(a.a)) for a in inst.constraints])) <= 1e-7

@@ -1,7 +1,9 @@
 """The package holds only what the program runs, reads every name it imports,
 and exports only names it defines.
 
-Reference computations that only tests call live in tests/oracles.py.
+Reference computations that only tests call live in tests/oracles.py.  The
+benchmark is a program that runs the package, so it counts as a reader of
+class members.
 """
 
 import ast
@@ -10,7 +12,9 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hqopt"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hqopt"
+BENCHMARK = ROOT / "benchmark"
 MODULES = sorted("hqopt" if p.stem == "__init__" else f"hqopt.{p.stem}" for p in SRC.glob("*.py"))
 
 
@@ -84,6 +88,49 @@ def test_scan_follows_dead_helpers(tmp_path):
     (tmp_path / "b.py").write_text("from .a import imported, used\nVALUE = used()\nprint(VALUE)\n")
     assert unreached_definitions(tmp_path) == [
         ("a", "LIMIT"), ("a", "dead"), ("a", "helper"), ("a", "imported")]
+
+
+def unread_members(src: pathlib.Path, program: pathlib.Path) -> list:
+    """Sorted (module, class, name) of each method or property of a src/*.py class that nothing reads.
+
+    A member is read when some file among src/*.py and the program's *.py
+    (its test_*.py files excluded) names it as an attribute.  Dunder methods
+    are called by Python itself and do not count.
+    """
+    readers = sorted(src.glob("*.py")) + [p for p in sorted(program.glob("*.py"))
+                                          if not p.name.startswith("test_")]
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in readers]
+    read = {sub.attr for tree in trees for sub in ast.walk(tree) if isinstance(sub, ast.Attribute)}
+    out = []
+    for path in sorted(src.glob("*.py")):
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(cls, ast.ClassDef):
+                out += [(path.stem, cls.name, node.name) for node in cls.body
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("__") and node.name not in read]
+    return sorted(out)
+
+
+def test_every_member_has_a_program_reader():
+    assert unread_members(SRC, BENCHMARK) == []
+
+
+def test_member_scan_counts_program_reads(tmp_path):
+    src, program = tmp_path / "src", tmp_path / "program"
+    src.mkdir()
+    program.mkdir()
+    (src / "a.py").write_text(
+        "class Box:\n"
+        "    def __init__(self):\n        self.v = 1\n"
+        "    def used(self):\n        return self.v\n"
+        "    @property\n    def shown(self):\n        return 2\n"
+        "    def dead(self):\n        return 3\n"
+        "    @staticmethod\n    def made():\n        return Box()\n"
+        "print(Box().used())\n"
+    )
+    (program / "run.py").write_text("from a import Box\nprint(Box.made().shown)\n")
+    (program / "test_run.py").write_text("from a import Box\nprint(Box().dead())\n")
+    assert unread_members(src, program) == [("a", "Box", "dead")]
 
 
 def unread_imports(src: pathlib.Path) -> list:

@@ -274,6 +274,19 @@ class TestClosedForm:
         with pytest.raises(IllConditionedError, match="form_tail"):
             exp_closed_form([1.0, 1.0 + 1e-9])
 
+    def test_gap_that_lost_digits_rejected(self):
+        # the 183rd of the draws rng.random(n) + 0.05, n = rng.integers(1, 9),
+        # from default_rng(0): 7 weights whose closest normalized pair is
+        # 5.3e-5 apart, where the partial fractions were off by 9.3e-9
+        rng = np.random.default_rng(0)
+        for _ in range(183):
+            taus = rng.random(int(rng.integers(1, 9))) + 0.05
+        t = taus / taus.sum()
+        gap = np.min(np.abs(np.subtract.outer(t, t))[np.triu_indices(7, 1)])
+        assert len(taus) == 7 and gap == pytest.approx(5.3e-5, rel=0.01)
+        with pytest.raises(IllConditionedError):
+            exp_closed_form(taus)
+
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             exp_closed_form([1.0, -0.5])
@@ -286,9 +299,10 @@ class TestClosedForm:
             n = int(rng.integers(2, 4))
             taus = np.sort(rng.random(n) + 0.02)[::-1]
             taus /= taus.sum()
-            if np.min(np.abs(np.subtract.outer(taus, taus))[np.triu_indices(n, 1)]) < 1e-5:
+            try:
+                v = exp_closed_form(taus)
+            except IllConditionedError:
                 continue
-            v = exp_closed_form(taus)
             assert 1 / 20 < v < 19 / 20
             assert v > 1 / math.e
 
@@ -299,10 +313,10 @@ class TestClosedForm:
             n = int(rng.integers(2, 7))
             taus = rng.random(n) + 0.05
             taus /= taus.sum()
-            gaps = np.abs(np.subtract.outer(taus, taus))[np.triu_indices(n, 1)]
-            if float(np.min(gaps)) < 1e-4:
+            try:
+                exact = exp_closed_form(taus)
+            except IllConditionedError:
                 continue
-            exact = exp_closed_form(taus)
             r = asym_prob("Exp", taus, samples=200_000, seed=int(rng.integers(2**31)))
             stderr = max(r.confidence_radius / 1.959963984540054, 1e-12)
             assert abs(exact - r.estimate) <= 4.0 * stderr, (taus, exact, r.estimate)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hqopt import rounding
 from hqopt.instances import CASE_A, OBJECTIVE_IDENTITY, GeneratorSpec, generate
 from hqopt.lowrank import LowRankSolution, reduce_rank
-from hqopt.matrices import HermMatrix, SymMatrix, compress
+from hqopt.matrices import compress, hermitian_part
 from hqopt.rounding import (
     GAUSSIAN_MAX,
     GAUSSIAN_MIN,
@@ -50,7 +50,7 @@ def _orth(rng, n):
 
 def rand_pd(rng, n):
     q = _orth(rng, n)
-    return SymMatrix(q.T @ np.diag(rng.uniform(0.5, 2.0, n)) @ q)
+    return hermitian_part(q.T @ np.diag(rng.uniform(0.5, 2.0, n)) @ q)
 
 
 def rand_indefinite(rng, n):
@@ -58,35 +58,33 @@ def rand_indefinite(rng, n):
     d = rng.uniform(0.5, 1.5, n)
     d[-1] = -0.3
     q = _orth(rng, n)
-    return SymMatrix(q.T @ np.diag(d) @ q)
+    return hermitian_part(q.T @ np.diag(d) @ q)
 
 
 def herm_pd(rng, n):
     b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return HermMatrix.from_complex(b @ np.conj(b.T) / n + 0.2 * np.eye(n))
+    return hermitian_part(b @ np.conj(b.T) / n + 0.2 * np.eye(n))
 
 
 def herm_indefinite(rng, n):
     # nonzero and traceless, so it has eigenvalues of both signs
-    h = herm_pd(rng, n).a
-    return HermMatrix.from_complex(h - np.trace(h).real / n * np.eye(n))
+    h = herm_pd(rng, n)
+    return hermitian_part(h - np.trace(h).real / n * np.eye(n))
 
 
 def min_case_one_indefinite(rng, n, m):
     constraints = (rand_indefinite(rng, n),) + tuple(rand_pd(rng, n) for _ in range(m))
-    return QcqpInstance(
-        sense=MINIMIZE, field=REAL, objective=SymMatrix(np.eye(n)), constraints=constraints
-    )
+    return QcqpInstance(MINIMIZE, REAL, np.stack([np.eye(n), *constraints]))
 
 
 def max_all_definite(rng, n, m):
     constraints = tuple(rand_pd(rng, n) for _ in range(m + 1))
-    return QcqpInstance(sense=MAXIMIZE, field=REAL, objective=rand_pd(rng, n), constraints=constraints)
+    return QcqpInstance(MAXIMIZE, REAL, np.stack([rand_pd(rng, n), *constraints]))
 
 
 def max_one_indefinite(rng, n, m):
     constraints = (rand_indefinite(rng, n),) + tuple(rand_pd(rng, n) for _ in range(m))
-    return QcqpInstance(sense=MAXIMIZE, field=REAL, objective=rand_pd(rng, n), constraints=constraints)
+    return QcqpInstance(MAXIMIZE, REAL, np.stack([rand_pd(rng, n), *constraints]))
 
 
 def field_point(inst, best_x):
@@ -202,8 +200,10 @@ class TestSampleStream:
         rng = np.random.default_rng(40 + r)
         field = COMPLEX if kind == "complex" else REAL
         draw = (lambda: herm_pd(rng, n)) if field == COMPLEX else (lambda: rand_pd(rng, n))
-        inst = QcqpInstance(sense=MAXIMIZE if kind == "signs" else MINIMIZE, field=field,
-                            objective=draw(), constraints=tuple(draw() for _ in range(m + 1)))
+        inst = QcqpInstance(MAXIMIZE if kind == "signs" else MINIMIZE, field, np.stack([
+            draw(),
+            *(draw() for _ in range(m + 1)),
+        ]))
         basis = _orth(rng, n) if field == REAL else np.linalg.qr(
             rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
         F = basis[:, :r] * rng.uniform(0.5, 2.0, r)
@@ -289,8 +289,10 @@ class TestSampleStream:
         # real 2n embedding [[Re, -Im], [Im, Re]] of U draws from the same row
         rng = np.random.default_rng(23)
         n, m, r, samples = 4, 5, 2, 3000
-        inst = QcqpInstance(sense=MINIMIZE, field=COMPLEX, objective=herm_pd(rng, n),
-                            constraints=tuple(herm_pd(rng, n) for _ in range(m + 1)))
+        inst = QcqpInstance(MINIMIZE, COMPLEX, np.stack([
+            herm_pd(rng, n),
+            *(herm_pd(rng, n) for _ in range(m + 1)),
+        ]))
         U = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
         v_sdp = float(np.real(np.trace(inst.objective.a @ U @ np.conj(U.T))))
         low = LowRankSolution(U=U, r=r, objective_value=v_sdp, field=COMPLEX, meets_bound=True, steps=0)
@@ -388,38 +390,29 @@ class TestBoundCertificateMax:
     def test_all_definite_uses_log_count(self):
         rng = np.random.default_rng(0)
         inst = max_all_definite(rng, n=4, m=4)
-        alpha = bound_certificate_max(inst, SymMatrix(np.eye(4)).a)
+        alpha = bound_certificate_max(inst, np.eye(4))
         assert alpha == pytest.approx(21.0 + 8.0 * math.log(5.0), rel=1e-12)
         assert all(tag == "PSD" for tag in inst.tags)
 
     def test_single_indefinite_unit_norm(self):
-        inst = QcqpInstance(
-            sense=MAXIMIZE,
-            field=REAL,
-            objective=SymMatrix(np.eye(2)),
-            constraints=(SymMatrix(np.diag([1.0, -1.0])),),
-        )
-        X_hat = SymMatrix(np.eye(2) / math.sqrt(2.0))
+        inst = QcqpInstance(MAXIMIZE, REAL, np.stack([np.eye(2), np.diag([1.0, -1.0])]))
+        X_hat = np.eye(2) / math.sqrt(2.0)
         # ||A_0 X_hat||_F = 1, so alpha = 1 + min(20, sqrt(200))
-        alpha = bound_certificate_max(inst, X_hat.a)
+        alpha = bound_certificate_max(inst, X_hat)
         assert alpha == pytest.approx(1.0 + math.sqrt(200.0), rel=1e-12)
 
     def test_coupled_pair_frobenius_norms(self):
         # max x1^2 + x2^2/M with strongly coupled indefinite constraints, M = 10
         M = 10.0
-        inst = QcqpInstance(
-            sense=MAXIMIZE,
-            field=REAL,
-            objective=SymMatrix(np.diag([1.0, 1.0 / M])),
-            constraints=(
-                SymMatrix(np.array([[0.0, M / 2], [M / 2, 1.0]])),
-                SymMatrix(np.array([[0.0, -M / 2], [-M / 2, 1.0]])),
-                SymMatrix(np.diag([M, -M])),
-            ),
-        )
-        X_hat = SymMatrix(np.diag([1.0 + 1.0 / M, 1.0]))
-        alpha = bound_certificate_max(inst, X_hat.a)
-        norms = [np.linalg.norm(a.a @ X_hat.a) for a in inst.constraints]
+        inst = QcqpInstance(MAXIMIZE, REAL, np.stack([
+            np.diag([1.0, 1.0 / M]),
+            np.array([[0.0, M / 2], [M / 2, 1.0]]),
+            np.array([[0.0, -M / 2], [-M / 2, 1.0]]),
+            np.diag([M, -M]),
+        ]))
+        X_hat = np.diag([1.0 + 1.0 / M, 1.0])
+        alpha = bound_certificate_max(inst, X_hat)
+        norms = [np.linalg.norm(a.a @ X_hat) for a in inst.constraints]
         assert norms[0] ** 2 == pytest.approx(56.25, rel=1e-12)
         assert norms[1] ** 2 == pytest.approx(56.25, rel=1e-12)
         assert norms[2] ** 2 == pytest.approx(M * M * (1.0 + 1.0 / M) ** 2 + M * M, rel=1e-12)
@@ -436,13 +429,13 @@ class TestBoundCertificateMax:
         n, m = 5, 6
         if field == REAL:
             mats = [rand_indefinite(rng, n) for _ in range(2)] + [rand_pd(rng, n) for _ in range(m - 1)]
-            objective, X_hat = rand_pd(rng, n), 10.0 * rand_pd(rng, n).a
+            objective, X_hat = rand_pd(rng, n), 10.0 * rand_pd(rng, n)
             c0, c1, c2 = 20.0, 8.0, 200.0
         else:
             mats = [herm_indefinite(rng, n) for _ in range(2)] + [herm_pd(rng, n) for _ in range(m - 1)]
-            objective, X_hat = herm_pd(rng, n), 10.0 * herm_pd(rng, n).a
+            objective, X_hat = herm_pd(rng, n), 10.0 * herm_pd(rng, n)
             c0, c1, c2 = 15.0, 4.0, 40.0
-        inst = QcqpInstance(sense=MAXIMIZE, field=field, objective=objective, constraints=tuple(mats))
+        inst = QcqpInstance(MAXIMIZE, field, np.stack([objective, *mats]))
         assert inst.indefinite_indices == (0, 1)
         norms = [np.linalg.norm(h.a @ X_hat) for h in inst.constraints]
         indefinite = min((c0 + c1 * math.log(2.0)) * max(norms[:2]),
@@ -453,14 +446,9 @@ class TestBoundCertificateMax:
         assert alpha == pytest.approx(1.0 + indefinite, rel=1e-12)
 
     def test_complex_constants(self):
-        inst = QcqpInstance(
-            sense=MAXIMIZE,
-            field=COMPLEX,
-            objective=HermMatrix.from_complex(np.array([[1.0]])),
-            constraints=(HermMatrix.from_complex(np.array([[2.0]])),),
-        )
-        X_hat = HermMatrix.from_complex(np.array([[0.5]]))
-        assert bound_certificate_max(inst, X_hat.a) == pytest.approx(16.0)
+        inst = QcqpInstance(MAXIMIZE, COMPLEX, np.stack([np.array([[1.0]]), np.array([[2.0]])]))
+        X_hat = np.array([[0.5]])
+        assert bound_certificate_max(inst, X_hat) == pytest.approx(16.0)
 
 
 class TestGaussianRoundMin:
@@ -495,12 +483,7 @@ class TestGaussianRoundMin:
         assert long.samples_feasible >= short.samples_feasible
 
     def test_single_constraint_is_exact(self):
-        inst = QcqpInstance(
-            sense=MINIMIZE,
-            field=REAL,
-            objective=SymMatrix(np.eye(4)),
-            constraints=(SymMatrix(np.eye(4)),),
-        )
+        inst = QcqpInstance(MINIMIZE, REAL, np.stack([np.eye(4), np.eye(4)]))
         sol, low = solved_pipeline(inst)
         report = gaussian_round_min(inst, low, RoundingParams(GAUSSIAN_MIN, num_samples=20))
         assert report.theoretical_bound == 1.0
@@ -510,16 +493,12 @@ class TestGaussianRoundMin:
     def test_two_indefinite_constraints_claim_no_bound(self):
         # min |x|^2 with x2^2 >= 1 and x1^2 +- 10 x1 x2 >= 1
         M = 10.0
-        inst = QcqpInstance(
-            sense=MINIMIZE,
-            field=REAL,
-            objective=SymMatrix(np.eye(2)),
-            constraints=(
-                SymMatrix(np.diag([0.0, 1.0])),
-                SymMatrix(np.array([[1.0, M / 2], [M / 2, 0.0]])),
-                SymMatrix(np.array([[1.0, -M / 2], [-M / 2, 0.0]])),
-            ),
-        )
+        inst = QcqpInstance(MINIMIZE, REAL, np.stack([
+            np.eye(2),
+            np.diag([0.0, 1.0]),
+            np.array([[1.0, M / 2], [M / 2, 0.0]]),
+            np.array([[1.0, -M / 2], [-M / 2, 0.0]]),
+        ]))
         sol, low = solved_pipeline(inst)
         report = gaussian_round_min(inst, low, RoundingParams(GAUSSIAN_MIN, num_samples=400, seed=1))
         assert report.multi_indefinite_warning
@@ -532,12 +511,7 @@ class TestGaussianRoundMin:
 
     def test_no_feasible_sample_reports_failure(self):
         # factor support lies where the only constraint is negative
-        inst = QcqpInstance(
-            sense=MINIMIZE,
-            field=REAL,
-            objective=SymMatrix(np.eye(2)),
-            constraints=(SymMatrix(np.diag([1.0, -1.0])),),
-        )
+        inst = QcqpInstance(MINIMIZE, REAL, np.stack([np.eye(2), np.diag([1.0, -1.0])]))
         low = LowRankSolution(
             U=np.array([[0.0], [1.0]]),
             r=1,
@@ -566,12 +540,10 @@ class TestGaussianRoundMin:
     def test_complex_instance_embedded_output(self):
         rng = np.random.default_rng(5)
         n, m = 4, 5
-        inst = QcqpInstance(
-            sense=MINIMIZE,
-            field=COMPLEX,
-            objective=herm_pd(rng, n),
-            constraints=tuple(herm_pd(rng, n) for _ in range(m + 1)),
-        )
+        inst = QcqpInstance(MINIMIZE, COMPLEX, np.stack([
+            herm_pd(rng, n),
+            *(herm_pd(rng, n) for _ in range(m + 1)),
+        ]))
         sol, low = solved_pipeline(inst)
         report = gaussian_round_min(inst, low, RoundingParams(GAUSSIAN_MIN, num_samples=100, seed=3))
         assert not report.failed
@@ -603,7 +575,7 @@ class TestSignRoundMax:
     def test_bound_matches_rank_formula(self, max_pipeline):
         inst, sol, low = max_pipeline
         report = sign_round_max(inst, low, RoundingParams(SIGN_MAX, num_samples=10))
-        X_hat = low.reconstruct()
+        X_hat = low.U @ np.conj(low.U.T)
         mu_eff = max(
             1, min(inst.m, max(np.linalg.matrix_rank(A.a @ X_hat) for A in inst.constraints))
         )
@@ -632,12 +604,7 @@ class TestSignRoundMax:
         assert rounding.effective_rank(A, U) == 2
         assert rounding.effective_rank(A[:1], U) == 1
         assert rounding.effective_rank(np.zeros((2, 5, 5)), U) == 0
-        inst = QcqpInstance(
-            sense=MAXIMIZE,
-            field=REAL,
-            objective=SymMatrix(np.diag([1.0, -1.0, 0.5, 0.2, 0.1])),
-            constraints=tuple(SymMatrix(a) for a in A),
-        )
+        inst = QcqpInstance(MAXIMIZE, REAL, np.stack([np.diag([1.0, -1.0, 0.5, 0.2, 0.1]), *A]))
         C_U = U.T @ inst.objective.a @ U
         low = LowRankSolution(U=U, r=3, objective_value=float(np.trace(C_U)), field=REAL,
                               meets_bound=True, steps=0)
@@ -645,12 +612,7 @@ class TestSignRoundMax:
         assert report.theoretical_bound == pytest.approx(2.0 * math.log(174.0 * 2 * 2))
 
     def test_single_constraint_is_exact(self):
-        inst = QcqpInstance(
-            sense=MAXIMIZE,
-            field=REAL,
-            objective=SymMatrix(np.eye(3)),
-            constraints=(SymMatrix(np.eye(3)),),
-        )
+        inst = QcqpInstance(MAXIMIZE, REAL, np.stack([np.eye(3), np.eye(3)]))
         sol, low = solved_pipeline(inst)
         report = sign_round_max(inst, low, RoundingParams(SIGN_MAX, num_samples=20))
         assert report.theoretical_bound == 1.0
@@ -666,12 +628,7 @@ class TestSignRoundMax:
 
     def test_rejects_complex(self):
         rng = np.random.default_rng(2)
-        inst = QcqpInstance(
-            sense=MAXIMIZE,
-            field=COMPLEX,
-            objective=herm_pd(rng, 3),
-            constraints=(herm_pd(rng, 3),),
-        )
+        inst = QcqpInstance(MAXIMIZE, COMPLEX, np.stack([herm_pd(rng, 3), herm_pd(rng, 3)]))
         low = LowRankSolution(
             U=np.eye(6)[:, :1], r=1, objective_value=1.0, field=COMPLEX, meets_bound=True, steps=0
         )
@@ -680,12 +637,7 @@ class TestSignRoundMax:
 
     def test_rejects_without_positive_aggregate(self):
         # no nonnegative combination of a single indefinite constraint is positive definite
-        inst = QcqpInstance(
-            sense=MAXIMIZE,
-            field=REAL,
-            objective=SymMatrix(np.eye(2)),
-            constraints=(SymMatrix(np.diag([1.0, -1.0])),),
-        )
+        inst = QcqpInstance(MAXIMIZE, REAL, np.stack([np.eye(2), np.diag([1.0, -1.0])]))
         low = LowRankSolution(
             U=np.array([[1.0], [0.0]]),
             r=1,
@@ -717,15 +669,11 @@ class TestGaussianRoundMax:
 
     def test_requires_optimal_solution(self):
         # relaxation of: max x1 x2 + x1^2, x1 x2 <= 1, x1^2 - x2^2 <= 1 (unbounded)
-        inst = QcqpInstance(
-            sense=MAXIMIZE,
-            field=REAL,
-            objective=SymMatrix(np.array([[1.0, 0.5], [0.5, 0.0]])),
-            constraints=(
-                SymMatrix(np.array([[0.0, 0.5], [0.5, 0.0]])),
-                SymMatrix(np.diag([1.0, -1.0])),
-            ),
-        )
+        inst = QcqpInstance(MAXIMIZE, REAL, np.stack([
+            np.array([[1.0, 0.5], [0.5, 0.0]]),
+            np.array([[0.0, 0.5], [0.5, 0.0]]),
+            np.diag([1.0, -1.0]),
+        ]))
         sol = solve_instance(inst)
         assert sol.status != OPTIMAL
         with pytest.raises(ValueError, match="Optimal"):
@@ -741,12 +689,10 @@ class TestGaussianRoundMax:
     def test_complex_instance(self):
         rng = np.random.default_rng(17)
         n, m = 3, 2
-        inst = QcqpInstance(
-            sense=MAXIMIZE,
-            field=COMPLEX,
-            objective=herm_pd(rng, n),
-            constraints=tuple(herm_pd(rng, n) for _ in range(m + 1)),
-        )
+        inst = QcqpInstance(MAXIMIZE, COMPLEX, np.stack([
+            herm_pd(rng, n),
+            *(herm_pd(rng, n) for _ in range(m + 1)),
+        ]))
         sol = solve_instance(inst)
         assert sol.status == OPTIMAL
         report = gaussian_round_max(inst, sol, RoundingParams(GAUSSIAN_MAX, num_samples=200, seed=6))
@@ -821,12 +767,10 @@ class TestComplexExactExtraction:
         for trial in range(24):
             n = 5
             m = trial % 3 + 1
-            inst = QcqpInstance(
-                sense=MINIMIZE,
-                field=COMPLEX,
-                objective=herm_pd(rng, n),
-                constraints=tuple(herm_pd(rng, n) for _ in range(m + 1)),
-            )
+            inst = QcqpInstance(MINIMIZE, COMPLEX, np.stack([
+                herm_pd(rng, n),
+                *(herm_pd(rng, n) for _ in range(m + 1)),
+            ]))
             sol = solve_instance(inst)
             if sol.status != OPTIMAL:
                 continue
@@ -878,20 +822,13 @@ class TestComplexExactExtraction:
         low = LowRankSolution(
             U=np.eye(4)[:, :1], r=1, objective_value=1.0, field=REAL, meets_bound=True, steps=0
         )
-        real_inst = QcqpInstance(
-            sense=MINIMIZE,
-            field=REAL,
-            objective=SymMatrix(np.eye(2)),
-            constraints=(SymMatrix(np.eye(2)),),
-        )
+        real_inst = QcqpInstance(MINIMIZE, REAL, np.stack([np.eye(2), np.eye(2)]))
         with pytest.raises(ValueError, match="complex"):
             complex_exact_extraction(real_inst, low)
-        many = QcqpInstance(
-            sense=MINIMIZE,
-            field=COMPLEX,
-            objective=herm_pd(rng, 3),
-            constraints=tuple(herm_pd(rng, 3) for _ in range(5)),
-        )
+        many = QcqpInstance(MINIMIZE, COMPLEX, np.stack([
+            herm_pd(rng, 3),
+            *(herm_pd(rng, 3) for _ in range(5)),
+        ]))
         with pytest.raises(ValueError, match="m <= 3"):
             complex_exact_extraction(many, low)
 
@@ -911,16 +848,12 @@ class TestSampleCounts:
     def test_gaussian_min_counts_discards(self):
         # two indefinite constraints: some samples have a negative smallest value
         M = 10.0
-        inst = QcqpInstance(
-            sense=MINIMIZE,
-            field=REAL,
-            objective=SymMatrix(np.eye(2)),
-            constraints=(
-                SymMatrix(np.diag([0.0, 1.0])),
-                SymMatrix(np.array([[1.0, M / 2], [M / 2, 0.0]])),
-                SymMatrix(np.array([[1.0, -M / 2], [-M / 2, 0.0]])),
-            ),
-        )
+        inst = QcqpInstance(MINIMIZE, REAL, np.stack([
+            np.eye(2),
+            np.diag([0.0, 1.0]),
+            np.array([[1.0, M / 2], [M / 2, 0.0]]),
+            np.array([[1.0, -M / 2], [-M / 2, 0.0]]),
+        ]))
         sol, low = solved_pipeline(inst)
         report = gaussian_round_min(inst, low, RoundingParams(GAUSSIAN_MIN, num_samples=400, seed=1))
         assert report.samples_discarded > 0
@@ -949,12 +882,7 @@ class TestRoundSolution:
     def test_no_definite_aggregate_is_a_failed_report(self, scheme):
         # max x1^2 - x2^2 s.t. x1^2 - x2^2 <= 1: bounded, but no multiple of
         # the single indefinite constraint is positive definite
-        inst = QcqpInstance(
-            sense=MAXIMIZE,
-            field=REAL,
-            objective=SymMatrix(np.diag([1.0, -1.0])),
-            constraints=(SymMatrix(np.diag([1.0, -1.0])),),
-        )
+        inst = QcqpInstance(MAXIMIZE, REAL, np.stack([np.diag([1.0, -1.0]), np.diag([1.0, -1.0])]))
         sol = solve_instance(inst)
         assert sol.status == OPTIMAL
         report = round_solution(inst, sol, RoundingParams(scheme, num_samples=20))
@@ -964,12 +892,10 @@ class TestRoundSolution:
 
     def test_exact_first_for_small_complex_min(self):
         rng = np.random.default_rng(7)
-        inst = QcqpInstance(
-            sense=MINIMIZE,
-            field=COMPLEX,
-            objective=herm_pd(rng, 4),
-            constraints=tuple(herm_pd(rng, 4) for _ in range(3)),
-        )
+        inst = QcqpInstance(MINIMIZE, COMPLEX, np.stack([
+            herm_pd(rng, 4),
+            *(herm_pd(rng, 4) for _ in range(3)),
+        ]))
         sol = solve_instance(inst)
         p = RoundingParams(GAUSSIAN_MIN, num_samples=20)
         assert round_solution(inst, sol, p, exact_first=True).scheme == "ComplexExact"

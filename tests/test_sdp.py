@@ -18,7 +18,7 @@ from hqopt.instances import (
     GeneratorSpec,
     generate,
 )
-from hqopt.matrices import HermMatrix, SymMatrix
+from hqopt.matrices import hermitian_part
 from hqopt.rounding import GAUSSIAN_MAX
 
 from oracles import run_single
@@ -37,63 +37,54 @@ def field_point(inst, x):
 
 
 def sym(a):
-    return SymMatrix(np.asarray(a, float))
+    return hermitian_part(np.asarray(a, float))
+
+
+def herm(re, im):
+    return hermitian_part(np.asarray(re, float) + 1j * np.asarray(im, float))
 
 
 def example_4_3(M):
-    return sdp.QcqpInstance(
-        sdp.MAXIMIZE,
-        sdp.REAL,
+    return sdp.QcqpInstance(sdp.MAXIMIZE, sdp.REAL, np.stack([
         sym(np.diag([1.0, 1.0 / M])),
-        (
-            sym([[0.0, M / 2], [M / 2, 1.0]]),
-            sym([[0.0, -M / 2], [-M / 2, 1.0]]),
-            sym(np.diag([M, -M])),
-        ),
-    )
+        sym([[0.0, M / 2], [M / 2, 1.0]]),
+        sym([[0.0, -M / 2], [-M / 2, 1.0]]),
+        sym(np.diag([M, -M])),
+    ]))
 
 
 def example_4_4():
-    return sdp.QcqpInstance(
-        sdp.MAXIMIZE,
-        sdp.REAL,
+    return sdp.QcqpInstance(sdp.MAXIMIZE, sdp.REAL, np.stack([
         sym([[1.0, 0.5], [0.5, 0.0]]),
-        (sym([[0.0, 0.5], [0.5, 0.0]]), sym(np.diag([1.0, -1.0]))),
-    )
+        sym([[0.0, 0.5], [0.5, 0.0]]),
+        sym(np.diag([1.0, -1.0])),
+    ]))
 
 
 def example_3_7():
     cross = np.zeros((4, 4))
     cross[0, 1] = cross[1, 0] = 0.5
     lift = np.diag([0.0, 0.0, 1.0, 1.0])
-    return sdp.QcqpInstance(
-        sdp.MINIMIZE,
-        sdp.REAL,
+    return sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, np.stack([
         sym(np.diag([0.0, 0.0, 0.0, 1.0])),
-        (
-            sym(cross + lift),
-            sym(-cross + lift),
-            sym(np.diag([0.5, 0.0, -1.0, 0.0])),
-            sym(np.diag([0.0, 0.5, -1.0, 0.0])),
-        ),
-    )
+        sym(cross + lift),
+        sym(-cross + lift),
+        sym(np.diag([0.5, 0.0, -1.0, 0.0])),
+        sym(np.diag([0.0, 0.5, -1.0, 0.0])),
+    ]))
 
 
 def coupling_min_instance(M):
     # min x1^2+x2^2 s.t. x2^2 >= 1, x1^2 +- M x1 x2 >= 1
-    return sdp.QcqpInstance(
-        sdp.MINIMIZE,
-        sdp.REAL,
+    return sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, np.stack([
         sym(np.eye(2)),
-        (
-            sym(np.diag([0.0, 1.0])),
-            sym([[1.0, M / 2], [M / 2, 0.0]]),
-            sym([[1.0, -M / 2], [-M / 2, 0.0]]),
-        ),
-    )
+        sym(np.diag([0.0, 1.0])),
+        sym([[1.0, M / 2], [M / 2, 0.0]]),
+        sym([[1.0, -M / 2], [-M / 2, 0.0]]),
+    ]))
 
 
-def random_instance(rng, n, m, sense):
+def random_real_instance(rng, n, m, sense):
     mats = []
     for _ in range(m + 1):
         kind = rng.integers(0, 3)
@@ -113,7 +104,7 @@ def random_instance(rng, n, m, sense):
         C = sym(D + D.T)
     else:
         C = sym(np.eye(n))
-    return sdp.QcqpInstance(sense, sdp.REAL, C, tuple(mats))
+    return sdp.QcqpInstance(sense, sdp.REAL, np.stack([C, *mats]))
 
 
 def clarabel_value(inst):
@@ -130,42 +121,37 @@ def clarabel_value(inst):
 
 class TestTags:
     def test_basic(self):
-        assert sdp.tag_matrix(sym(np.eye(3)).a[None]) == (sdp.PSD,)
-        assert sdp.tag_matrix(sym(-np.eye(3)).a[None]) == (sdp.NSD,)
-        assert sdp.tag_matrix(sym(np.diag([1.0, -1.0])).a[None]) == (sdp.INDEFINITE,)
-        assert sdp.tag_matrix(sym(np.zeros((2, 2))).a[None]) == (sdp.PSD,)
+        assert sdp.tag_matrix(sym(np.eye(3))[None]) == (sdp.PSD,)
+        assert sdp.tag_matrix(sym(-np.eye(3))[None]) == (sdp.NSD,)
+        assert sdp.tag_matrix(sym(np.diag([1.0, -1.0]))[None]) == (sdp.INDEFINITE,)
+        assert sdp.tag_matrix(sym(np.zeros((2, 2)))[None]) == (sdp.PSD,)
 
     def test_rank_one(self):
         v = np.array([1.0, 2.0, -1.0])
-        assert sdp.tag_matrix(sym(np.outer(v, v)).a[None]) == (sdp.PSD,)
+        assert sdp.tag_matrix(sym(np.outer(v, v))[None]) == (sdp.PSD,)
 
     def test_tolerance_scales_with_norm(self):
         base = np.diag([1e6, -1e-5])
-        assert sdp.tag_matrix(sym(base).a[None]) == (sdp.PSD,)  # -1e-5 within 1e-9 * 1e6
-        assert sdp.tag_matrix(sym(np.diag([1.0, -1e-5])).a[None]) == (sdp.INDEFINITE,)
+        assert sdp.tag_matrix(sym(base)[None]) == (sdp.PSD,)  # -1e-5 within 1e-9 * 1e6
+        assert sdp.tag_matrix(sym(np.diag([1.0, -1e-5]))[None]) == (sdp.INDEFINITE,)
 
     def test_hermitian(self):
-        h = HermMatrix(np.zeros((2, 2)), np.array([[0.0, -1.0], [1.0, 0.0]]))
-        assert sdp.tag_matrix(h.a[None]) == (sdp.INDEFINITE,)
+        h = herm(np.zeros((2, 2)), np.array([[0.0, -1.0], [1.0, 0.0]]))
+        assert sdp.tag_matrix(h[None]) == (sdp.INDEFINITE,)
 
 
 class TestInstance:
     def test_validation(self):
         with pytest.raises(ValueError):
-            sdp.QcqpInstance("Min", sdp.REAL, sym(np.eye(2)), (sym(np.eye(2)),))
+            sdp.QcqpInstance("Min", sdp.REAL, np.stack([sym(np.eye(2)), sym(np.eye(2))]))
         with pytest.raises(ValueError):
-            sdp.QcqpInstance(sdp.MINIMIZE, "Quaternion", sym(np.eye(2)), (sym(np.eye(2)),))
+            sdp.QcqpInstance(sdp.MINIMIZE, "Quaternion", np.stack([sym(np.eye(2)), sym(np.eye(2))]))
         with pytest.raises(ValueError):
-            sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, sym(np.eye(2)), ())
+            sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, np.stack([sym(np.eye(2))]))
         with pytest.raises(ValueError):
-            sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, sym(np.eye(2)), (sym(np.eye(3)),))
+            sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, [sym(np.eye(2)), sym(np.eye(3))])
         with pytest.raises(TypeError):
-            sdp.QcqpInstance(
-                sdp.MINIMIZE,
-                sdp.COMPLEX,
-                sym(np.eye(2)),
-                (sym(np.eye(2)),),
-            )
+            sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, np.stack([sym(np.eye(2)), sym(np.eye(2))]) + 0j)
 
     def test_counting_and_index_sets(self):
         inst = example_4_3(10.0)
@@ -187,10 +173,10 @@ class TestInstance:
             assert np.array_equal(a.a, b.a)
 
     def test_json_roundtrip_complex(self):
-        h = HermMatrix(np.eye(2), np.array([[0.0, -0.3], [0.3, 0.0]]))
-        inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.COMPLEX, h, (h,))
+        h = herm(np.eye(2), np.array([[0.0, -0.3], [0.3, 0.0]]))
+        inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.COMPLEX, np.stack([h, h]))
         back = sdp.QcqpInstance.from_json_dict(inst.to_json_dict())
-        assert np.array_equal(back.constraints[0].im, h.im)
+        assert np.array_equal(back.field_view.A[0].imag, h.imag)
 
     def test_malformed_payload(self):
         with pytest.raises(ValueError):
@@ -213,11 +199,11 @@ class TestInstance:
 
     def test_quad_complex_embedding_agrees(self):
         # z* H z equals xi^T embed(H) xi with xi = (Re z; Im z)
-        h = HermMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([[0.0, -0.7], [0.7, 0.0]]))
-        inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.COMPLEX, h, (h,))
+        h = herm(np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([[0.0, -0.7], [0.7, 0.0]]))
+        inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.COMPLEX, np.stack([h, h]))
         z = np.array([1.0 + 2.0j, -0.5 + 0.25j])
         xi = np.concatenate([z.real, z.imag])
-        want = xi @ embed(h.a) @ xi
+        want = xi @ embed(h) @ xi
         assert sdp.constraint_values(inst, z)[0] == pytest.approx(want, rel=1e-12)
         assert sdp.objective_value(inst, z) == pytest.approx(want, rel=1e-12)
 
@@ -229,10 +215,8 @@ def _assert_one_stored_form(inst):
     assert isinstance(inst.constraints, tuple) and len(inst.constraints) == inst.m + 1
     for k, mat in enumerate((inst.objective, *inst.constraints)):
         assert np.array_equal(mat.a, stack[k])
-        parts = (mat.re, mat.im) if inst.field == sdp.COMPLEX else (mat.a,)
-        for part in parts:
-            with pytest.raises(ValueError, match="read-only"):
-                part[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            mat.a[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         stack[0, 0, 0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -258,37 +242,37 @@ class TestStoredStack:
         assert again.field_stack.tobytes() == gen.field_stack.tobytes()
 
     @pytest.mark.parametrize("field", sdp.FIELDS)
-    def test_from_stack_matches_the_keyword_constructor(self, field):
+    def test_constructor_holds_its_own_copy(self, field):
         inst = random_instance(field, n=3, p=4, seed=5)
         source = np.array(inst.field_stack)
-        same = sdp.QcqpInstance.from_stack(inst.sense, field, source)
+        same = sdp.QcqpInstance(inst.sense, field, source)
         assert same.field_stack.tobytes() == inst.field_stack.tobytes()
         assert same.tags == inst.tags
         source[1] = 0.0  # the instance holds its own copy
         assert same.field_stack.tobytes() == inst.field_stack.tobytes()
 
-    def test_from_stack_validation(self):
+    def test_stack_validation(self):
         eye = np.stack([np.eye(2), np.eye(2)])
         with pytest.raises(TypeError):
-            sdp.QcqpInstance.from_stack(sdp.MINIMIZE, sdp.REAL, eye.astype(complex))
+            sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, eye.astype(complex))
         with pytest.raises(ValueError, match="sense"):
-            sdp.QcqpInstance.from_stack("Min", sdp.REAL, eye)
+            sdp.QcqpInstance("Min", sdp.REAL, eye)
         with pytest.raises(ValueError, match="field"):
-            sdp.QcqpInstance.from_stack(sdp.MINIMIZE, "Quaternion", eye)
+            sdp.QcqpInstance(sdp.MINIMIZE, "Quaternion", eye)
         with pytest.raises(ValueError, match="constraint"):
-            sdp.QcqpInstance.from_stack(sdp.MINIMIZE, sdp.REAL, eye[:1])
+            sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, eye[:1])
         with pytest.raises(ValueError, match="stack"):
-            sdp.QcqpInstance.from_stack(sdp.MINIMIZE, sdp.REAL, np.ones((2, 2, 3)))
+            sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, np.ones((2, 2, 3)))
         bad = eye.copy()
         bad[1, 0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            sdp.QcqpInstance.from_stack(sdp.MINIMIZE, sdp.REAL, bad)
+            sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, bad)
         bad = eye.copy()
         bad[1, 0, 1] = 0.5
         with pytest.raises(ValueError, match="symmetric"):
-            sdp.QcqpInstance.from_stack(sdp.MINIMIZE, sdp.REAL, bad)
+            sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, bad)
         with pytest.raises(ValueError, match="symmetric"):
-            sdp.QcqpInstance.from_stack(sdp.MINIMIZE, sdp.COMPLEX, eye + 0.5j)
+            sdp.QcqpInstance(sdp.MINIMIZE, sdp.COMPLEX, eye + 0.5j)
 
 
 def random_instance(field, n=3, p=3, seed=0):
@@ -298,9 +282,9 @@ def random_instance(field, n=3, p=3, seed=0):
         a = rng.standard_normal((n, n))
         if field == sdp.REAL:
             return sym(a)
-        return HermMatrix(a, rng.standard_normal((n, n)))
+        return herm(a, rng.standard_normal((n, n)))
 
-    return sdp.QcqpInstance(sdp.MINIMIZE, field, draw(), tuple(draw() for _ in range(p)))
+    return sdp.QcqpInstance(sdp.MINIMIZE, field, np.stack([draw(), *(draw() for _ in range(p))]))
 
 
 class TestFieldViews:
@@ -351,7 +335,7 @@ class TestBuildRelaxation:
 
     def test_trivial_min(self):
         # Tr(X) >= 1: with the other slack sign the minimum would be 0
-        inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, sym(np.eye(2)), (sym(np.eye(2)),))
+        inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, np.stack([sym(np.eye(2)), sym(np.eye(2))]))
         sol = sdp.solve_instance(inst)
         assert sol.status == sdp.OPTIMAL
         assert sol.objective_value == pytest.approx(1.0, abs=1e-7)
@@ -371,18 +355,18 @@ class TestBuildRelaxation:
         assert float(np.tensordot(A[0], X, 2)) == pytest.approx(10.0 * 0.2 + 0.3)
 
     def test_complex_relaxation_is_native(self):
-        h = HermMatrix(np.eye(2), np.array([[0.0, -0.5], [0.5, 0.0]]))
-        inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.COMPLEX, h, (h,))
-        assert inst.field_view.A.shape == (1, 2, 2) and np.array_equal(inst.field_view.A[0], h.a)
+        h = herm(np.eye(2), np.array([[0.0, -0.5], [0.5, 0.0]]))
+        inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.COMPLEX, np.stack([h, h]))
+        assert inst.field_view.A.shape == (1, 2, 2) and np.array_equal(inst.field_view.A[0], h)
         sol = sdp.solve_instance(inst)
         assert sol.status == sdp.OPTIMAL and sol.n == 2
-        assert isinstance(sol.X, HermMatrix) and sol.X.a.shape == (2, 2)
+        assert np.iscomplexobj(sol.X.a) and sol.X.a.shape == (2, 2)
         assert sol.objective_value == pytest.approx(1.0, abs=1e-7)
 
 
 class TestSolve:
     def test_identity_m0(self):
-        inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, sym(np.eye(3)), (sym(np.eye(3)),))
+        inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, np.stack([sym(np.eye(3)), sym(np.eye(3))]))
         sol = sdp.solve_instance(inst)
         assert sol.status == sdp.OPTIMAL
         assert sol.objective_value == pytest.approx(1.0, abs=1e-7)
@@ -425,7 +409,7 @@ class TestSolve:
         assert sol.objective_value == pytest.approx(2.0, abs=1e-6)
 
     def test_infeasible_certificate(self):
-        inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, sym(np.eye(3)), (sym(-np.eye(3)),))
+        inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, np.stack([sym(np.eye(3)), sym(-np.eye(3))]))
         sol = sdp.solve_instance(inst)
         assert sol.status == sdp.INFEASIBLE
         assert sol.objective_value == math.inf
@@ -438,9 +422,10 @@ class TestSolve:
     def test_objective_scaling_invariance(self):
         inst = example_4_3(10.0)
         base = sdp.solve_instance(inst)
-        scaled = sdp.QcqpInstance(
-            inst.sense, inst.field, sym(5.0 * inst.objective.a), inst.constraints
-        )
+        scaled = sdp.QcqpInstance(inst.sense, inst.field, np.stack([
+            5.0 * inst.field_view.C,
+            *inst.field_view.A,
+        ]))
         sol5 = sdp.solve_instance(scaled)
         assert sol5.objective_value == pytest.approx(5.0 * base.objective_value, rel=1e-7)
         assert np.allclose(sol5.X.a, base.X.a, atol=1e-6)
@@ -453,7 +438,7 @@ class TestSolve:
             n = int(rng.integers(2, 9))
             m = int(rng.integers(1, 9))
             sense = sdp.MAXIMIZE if trial % 2 else sdp.MINIMIZE
-            inst = random_instance(rng, n, m, sense)
+            inst = random_real_instance(rng, n, m, sense)
             sol = sdp.solve_instance(inst)
             ref_status, ref = clarabel_value(inst)
             if sol.status == sdp.OPTIMAL:
@@ -476,19 +461,17 @@ class TestSolve:
             n = int(rng.integers(2, 5))
             re = rng.standard_normal((n, n))
             im = rng.standard_normal((n, n))
-            A0 = HermMatrix(re @ re.T + n * np.eye(n), im - im.T)
-            inst = sdp.QcqpInstance(
-                sdp.MINIMIZE,
-                sdp.COMPLEX,
-                HermMatrix(np.eye(n), np.zeros((n, n))),
-                (A0,),
-            )
+            A0 = herm(re @ re.T + n * np.eye(n), im - im.T)
+            inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.COMPLEX, np.stack([
+                herm(np.eye(n), np.zeros((n, n))),
+                A0,
+            ]))
             sol = sdp.solve_instance(inst)
             assert sol.status == sdp.OPTIMAL
             X = cp.Variable((n, n), hermitian=True)
             pr = cp.Problem(
                 cp.Minimize(cp.real(cp.trace(X))),
-                [X >> 0, cp.real(cp.trace(A0.to_complex() @ X)) >= 1],
+                [X >> 0, cp.real(cp.trace(A0 @ X)) >= 1],
             )
             pr.solve(solver=cp.CLARABEL)
             assert sol.objective_value == pytest.approx(pr.value, rel=1e-6, abs=1e-8)
@@ -515,7 +498,7 @@ class TestSolve:
         inst = generate(spec)
         sol = sdp.solve_instance(inst)
         assert sol.status == sdp.OPTIMAL
-        assert isinstance(sol.X, HermMatrix) and isinstance(sol.dual_slack, HermMatrix)
+        assert np.iscomplexobj(sol.X.a) and np.iscomplexobj(sol.dual_slack.a)
         X = sol.X.a
         assert X.shape == (6, 6) and np.array_equal(X, np.conj(X.T))
         assert np.linalg.eigvalsh(X)[0] >= -sdp.PSD_TOL
@@ -601,9 +584,8 @@ def rotated_max_instance(field, mats, seed=0):
     if field == sdp.COMPLEX:
         G = G + 1j * rng.standard_normal((n, n))
     Q = np.linalg.qr(G)[0]
-    wrap = HermMatrix.from_complex if field == sdp.COMPLEX else SymMatrix
-    cons = tuple(wrap(np.conj(Q.T) @ np.asarray(a, float) @ Q) for a in mats)
-    return sdp.QcqpInstance(sdp.MAXIMIZE, field, wrap(np.eye(n)), cons)
+    cons = tuple(hermitian_part(np.conj(Q.T) @ np.asarray(a, float) @ Q) for a in mats)
+    return sdp.QcqpInstance(sdp.MAXIMIZE, field, np.stack([np.eye(n), *cons]))
 
 
 E1, E2 = np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])
@@ -616,7 +598,7 @@ PSD_SINGULAR = [E1, E2]
 
 class TestSlater:
     def test_identity_alone(self):
-        inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, sym(np.eye(2)), (sym(np.eye(2)),))
+        inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, np.stack([sym(np.eye(2)), sym(np.eye(2))]))
         rep = sdp.slater_check(inst)
         assert rep.dual_slater
         assert rep.certificate == pytest.approx((1.0,))
@@ -645,7 +627,7 @@ class TestSlater:
         assert not rep.indeterminate
 
     def test_negative_probe(self, ipm_calls):
-        inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, sym(np.eye(2)), (sym(-np.eye(2)),))
+        inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, np.stack([sym(np.eye(2)), sym(-np.eye(2))]))
         rep = sdp.slater_check(inst)
         assert not rep.dual_slater
         assert rep.certificate == () and rep.t == pytest.approx(-1.0)
@@ -653,8 +635,8 @@ class TestSlater:
         assert len(ipm_calls) == 0
 
     def test_complex_probe(self):
-        h = HermMatrix(np.eye(2), np.zeros((2, 2)))
-        inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.COMPLEX, h, (h,))
+        h = herm(np.eye(2), np.zeros((2, 2)))
+        inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.COMPLEX, np.stack([h, h]))
         rep = sdp.slater_check(inst)
         assert rep.dual_slater and rep.t == pytest.approx(1.0, abs=1e-6)
 
@@ -687,7 +669,7 @@ class TestSlater:
         # probe's primal bound (max_k Tr(A_k D), at least 1.9e-9) to tell, so
         # its no is indeterminate
         A0, A1 = sym(np.diag([1.9e-9, 1.0])), sym(np.diag([0.0, 1.0]))
-        inst = sdp.QcqpInstance(sdp.MAXIMIZE, sdp.REAL, sym(np.eye(2)), (A0, A1))
+        inst = sdp.QcqpInstance(sdp.MAXIMIZE, sdp.REAL, np.stack([sym(np.eye(2)), A0, A1]))
         rep = sdp.slater_check(inst)
         assert len(ipm_calls) == 1 and rep.witness is None
         assert not rep.dual_slater and rep.indeterminate and rep.certificate == ()
