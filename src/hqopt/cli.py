@@ -20,6 +20,7 @@ import sys
 from .experiment import ExperimentConfig, run_experiment, write_csv
 from .instances import CANONICAL_IDS, CASE_A, CASE_B, CASE_C, CASE_D, canonical
 from .lowrank import reduce_rank
+from .matrices import to_json
 from .probability import CHECK_IDS, run_lemma_check
 from .rounding import (
     GAUSSIAN_MAX,
@@ -87,7 +88,7 @@ def cmd_round(args, out) -> int:
         report = complex_exact_extraction(inst, reduce_rank(sol, inst))
     else:
         report = round_solution(inst, sol, RoundingParams(args.scheme, args.samples, args.seed))
-    _emit(report.to_json_dict(), out)
+    _emit(to_json(report), out)
     return EXIT_ROUNDING if report.failed else EXIT_OK
 
 
@@ -165,8 +166,7 @@ def cmd_example(args, out) -> int:
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            _emit(payload, fh)
         out.write(f"wrote {args.id} to {args.out}\n")
     else:
         _emit(payload, out)

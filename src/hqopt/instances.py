@@ -17,7 +17,6 @@ maximization family with ratio growing like 0.382 M, and a maximization
 instance whose relaxation is unbounded while the original problem is not.
 """
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -91,9 +90,6 @@ class GeneratorSpec:
     @property
     def psd_rank(self) -> int:
         return 1 if self.case in (CASE_C, CASE_D) else self.n
-
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True, eq=False)

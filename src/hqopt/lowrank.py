@@ -77,32 +77,26 @@ def _triu(r: int) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
-def _svec(S: np.ndarray) -> np.ndarray:
-    # isometry: svec(A) . svec(B) = <A, B>; S may be a (k, r, r) stack
-    i, j = _triu(S.shape[-1])
-    return np.concatenate([np.diagonal(S, axis1=-2, axis2=-1), math.sqrt(2.0) * S[..., i, j]], axis=-1)
+def _vec(H: np.ndarray) -> np.ndarray:
+    """Isometry: _vec(A) . _vec(B) = Re Tr(A B) for symmetric (Hermitian) A and B; H may be a (k, r, r) stack.
 
-
-def _unsvec(v: np.ndarray, r: int) -> np.ndarray:
-    S = np.diag(v[:r]).astype(float)
-    S[_triu(r)] = v[r:] / math.sqrt(2.0)
-    return S + np.triu(S, 1).T
-
-
-def _hvec(H: np.ndarray) -> np.ndarray:
-    # H may be a (k, r, r) stack
+    The diagonal, then sqrt(2) times the strict upper triangle's real parts,
+    then, for complex data only, sqrt(2) times its imaginary parts.
+    """
     i, j = _triu(H.shape[-1])
     up = H[..., i, j]
-    return np.concatenate(
-        [np.real(np.diagonal(H, axis1=-2, axis2=-1)), math.sqrt(2.0) * np.real(up), math.sqrt(2.0) * np.imag(up)],
-        axis=-1,
-    )
+    parts = [np.real(np.diagonal(H, axis1=-2, axis2=-1)), math.sqrt(2.0) * np.real(up)]
+    if np.iscomplexobj(H):
+        parts.append(math.sqrt(2.0) * np.imag(up))
+    return np.concatenate(parts, axis=-1)
 
 
-def _unhvec(v: np.ndarray, r: int) -> np.ndarray:
+def _unvec(v: np.ndarray, r: int, complex_field: bool) -> np.ndarray:
+    """The r x r symmetric (Hermitian when complex_field) matrix H with _vec(H) = v."""
     k = r * (r - 1) // 2
-    H = np.diag(v[:r]).astype(complex)
-    H[_triu(r)] = (v[r : r + k] + 1j * v[r + k :]) / math.sqrt(2.0)
+    H = np.diag(v[:r]).astype(complex if complex_field else float)
+    up = v[r : r + k]
+    H[_triu(r)] = (up + 1j * v[r + k :] if complex_field else up) / math.sqrt(2.0)
     return H + np.conj(np.triu(H, 1)).T
 
 
@@ -134,7 +128,6 @@ def reduce_rank(sol: SdpSolution, inst: QcqpInstance) -> LowRankSolution:
         raise ValueError("rank reduction needs an Optimal solution")
     target = sol.X.a
     C, mats = inst.field_view
-    vec, unvec = (_hvec, _unhvec) if inst.field == COMPLEX else (_svec, _unsvec)
 
     values = _traces(inst.field_stack, target)
     scale = np.maximum(1.0, np.abs(values))
@@ -150,7 +143,7 @@ def reduce_rank(sol: SdpSolution, inst: QcqpInstance) -> LowRankSolution:
     steps = 0
     while r > bound and steps < cap:
         # one row per constraint, then the objective's
-        system = np.concatenate([vec(compress(mats, U)), vec(compress(C, U))[None]])
+        system = np.concatenate([_vec(compress(mats, U)), _vec(compress(C, U))[None]])
         _, svals, Vh = np.linalg.svd(system, full_matrices=True)
         candidates = [Vh[-1]]
         null_dim = Vh.shape[0] - len(svals[svals > 1e-10])
@@ -160,7 +153,7 @@ def reduce_rank(sol: SdpSolution, inst: QcqpInstance) -> LowRankSolution:
             candidates.append(mixed / np.linalg.norm(mixed))
         stepped = False
         for cand in candidates:
-            Delta = unvec(cand, r)
+            Delta = _unvec(cand, r, inst.field == COMPLEX)
             lam, V = np.linalg.eigh(Delta)
             for t in _boundary_candidates(lam):
                 new_vals = 1.0 + t * lam

@@ -9,12 +9,16 @@ Conventions used throughout the package:
   and the JSON codec (``matrix_to_json``/``matrix_from_json``) reads and
   writes one matrix as a ``{"n", "re"[, "im"]}`` record, projecting on load;
 * ``read_only_view`` wraps a frozen array as a ``ReadOnlyMatrix`` for the
-  callers that take one matrix object at a time.
+  callers that take one matrix object at a time;
+* ``to_json`` writes every report the command line prints: a dataclass as
+  its fields in order, a ``ReadOnlyMatrix`` as its matrix record, NaN as
+  null and +-inf as the strings "inf" and "-inf".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -24,6 +28,7 @@ __all__ = [
     "matrix_from_json",
     "matrix_to_json",
     "read_only_view",
+    "to_json",
 ]
 
 
@@ -73,6 +78,26 @@ def matrix_to_json(a: np.ndarray) -> dict:
     if np.iscomplexobj(a):
         record["im"] = a.imag.reshape(-1).tolist()
     return record
+
+
+def to_json(value):
+    """The JSON value of a report: a dataclass as a dict of its fields in field order.
+
+    A ReadOnlyMatrix is written as its matrix_to_json record, a tuple or a
+    list entry by entry, a float as itself unless it is NaN (null) or +-inf
+    ("inf", "-inf"), and None, int, bool and str unchanged.
+    """
+    if isinstance(value, ReadOnlyMatrix):
+        return matrix_to_json(value.a)
+    if is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    if isinstance(value, float):
+        if math.isnan(value):
+            return None
+        return float(value) if math.isfinite(value) else ("inf" if value > 0 else "-inf")
+    return value
 
 
 def _finite_block(entries: list, n: int, key: str) -> np.ndarray:

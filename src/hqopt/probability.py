@@ -33,6 +33,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .matrices import to_json
+
 __all__ = [
     "AsymmetryResult",
     "CHI2_ASYM_BOUND",
@@ -44,7 +46,6 @@ __all__ = [
     "CHECK_IDS",
     "SIGN_ASYM_BOUND",
     "SHARPENED_COEFF",
-    "TailBoundParams",
     "bernoulli_moment4",
     "chebyshev_tail",
     "chernoff_tail",
@@ -107,45 +108,6 @@ class AsymmetryResult:
             raise ValueError("confidence radius must be nonnegative")
         if self.method == "Exhaustive" and self.confidence_radius != 0.0:
             raise ValueError("exhaustive estimates are exact")
-
-    def to_dict(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id,
-            "analytic_lower_bound": self.analytic_lower_bound,
-            "estimate": self.estimate,
-            "confidence_radius": self.confidence_radius,
-            "method": self.method,
-            "samples": self.samples,
-        }
-
-
-@dataclass(frozen=True)
-class TailBoundParams:
-    """Inputs of the quadratic-form deviation bound; sigma and delta are read off lambdas."""
-
-    lambdas: tuple
-    alpha: float
-    field: str
-
-    def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float)
-        if lam.size == 0:
-            raise ValueError("lambdas must be nonempty")
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
-        if self.field not in ("Real", "Complex"):
-            raise ValueError(f"unknown field {self.field!r}")
-        object.__setattr__(self, "lambdas", tuple(float(x) for x in lam))
-
-    @property
-    def sigma(self) -> float:
-        """The Frobenius norm of the weights, sqrt(sum lam^2)."""
-        return float(np.sqrt(np.sum(np.asarray(self.lambdas) ** 2)))
-
-    @property
-    def delta(self) -> float:
-        """The largest weight, or 0 when none is positive."""
-        return float(max(np.max(self.lambdas), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -422,18 +384,25 @@ def _closed_form_batch(t: np.ndarray) -> np.ndarray:
 # tail bounds
 
 
-def chernoff_tail(p: TailBoundParams) -> float:
-    """Upper bound on P{sum lam_i*eta_i^2 - sum lam_i >= alpha*sigma}.
+def chernoff_tail(lambdas, alpha: float, field: str) -> float:
+    """Upper bound on P{sum lam_i*eta_i^2 - sum lam_i >= alpha*sigma}, sigma = sqrt(sum lam^2).
 
-    exp(-min{alpha, sigma/delta}*alpha/8) for real squared normals,
-    exponent divided by 4 instead of 8 for complex ones.  With delta = 0
-    (no positive weight) the min degenerates to alpha.
+    exp(-min{alpha, sigma/delta}*alpha/8) for real squared normals, delta
+    the largest weight; exponent divided by 4 instead of 8 for complex ones.
+    With no positive weight (delta = 0) the min degenerates to alpha.
     """
-    if p.sigma <= 0.0:
+    lam = _as_weights(lambdas)
+    if alpha <= 0.0:
+        raise ValueError("alpha must be positive")
+    if field not in ("Real", "Complex"):
+        raise ValueError(f"unknown field {field!r}")
+    sigma = float(np.sqrt(np.sum(lam**2)))
+    if sigma <= 0.0:
         raise ValueError("degenerate: sigma must be positive")
-    ratio = p.alpha if p.delta == 0.0 else min(p.alpha, p.sigma / p.delta)
-    divisor = 8.0 if p.field == "Real" else 4.0
-    return math.exp(-ratio * p.alpha / divisor)
+    delta = max(float(np.max(lam)), 0.0)
+    ratio = alpha if delta == 0.0 else min(alpha, sigma / delta)
+    divisor = 8.0 if field == "Real" else 4.0
+    return math.exp(-ratio * alpha / divisor)
 
 
 def chebyshev_tail(lambdas, alpha: float) -> float:
@@ -470,12 +439,7 @@ class CheckOutcome:
     notes: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "passed": self.passed,
-            "results": [r.to_dict() for r in self.results],
-            "notes": list(self.notes),
-        }
+        return to_json(self)
 
 
 def _random_tau(rng: np.random.Generator, index: int) -> np.ndarray:
@@ -663,18 +627,18 @@ def _check_l5_1(cases: int, seed: int) -> CheckOutcome:
             lam = -np.abs(lam)  # delta = 0 branch
         alpha = float(0.5 + 5.5 * rng.random())
         fieldname = "Real" if i % 2 == 0 else "Complex"
-        params = TailBoundParams(lam, alpha, fieldname)
-        if params.sigma == 0.0:
+        sigma = float(np.sqrt(np.sum(lam**2)))
+        if sigma == 0.0:
             continue
         # P{sum lam_i(Y_i - 1) >= alpha*sigma}: real squared normals; complex
         # forms reduce to exponential weights
         kind = "ChiSq" if fieldname == "Real" else "Exp"
-        forms.append((kind, lam, alpha * params.sigma + float(np.sum(lam))))
+        forms.append((kind, lam, alpha * sigma + float(np.sum(lam))))
         # variance-route bound on a chi-square form, normalized weights
         lam_pos = np.abs(lam) / max(np.sum(np.abs(lam)), 1e-12)
         alpha_c = float(1.5 + 5.0 * rng.random())
         forms.append(("ChiSq", lam_pos, alpha_c))
-        bounds.append((i, chernoff_tail(params), chebyshev_tail(lam_pos, alpha_c)))
+        bounds.append((i, chernoff_tail(lam, alpha, fieldname), chebyshev_tail(lam_pos, alpha_c)))
     tails = _tails(forms)
     notes = []
     for (i, chernoff, cheb), deviation, form in zip(bounds, tails[0::2], tails[1::2]):

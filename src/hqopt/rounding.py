@@ -128,33 +128,6 @@ class RoundingReport:
     failed: bool
     message: str
 
-    def to_json_dict(self) -> dict:
-        def num(v: float):
-            if math.isnan(v):
-                return None
-            if math.isinf(v):
-                return "inf" if v > 0 else "-inf"
-            return float(v)
-
-        return {
-            "scheme": self.scheme,
-            "seed": self.seed,
-            "num_samples": self.num_samples,
-            "best_x": None if self.best_x is None else [float(v) for v in self.best_x],
-            "best_objective": num(self.best_objective),
-            "v_sdp": num(self.v_sdp),
-            "empirical_ratio": num(self.empirical_ratio),
-            "samples_feasible": self.samples_feasible,
-            "samples_discarded": self.samples_discarded,
-            "joint_event_count": self.joint_event_count,
-            "theoretical_bound": num(self.theoretical_bound),
-            "certificate_satisfied": self.certificate_satisfied,
-            "bound_is_claimed": self.bound_is_claimed,
-            "multi_indefinite_warning": self.multi_indefinite_warning,
-            "failed": self.failed,
-            "message": self.message,
-        }
-
 
 def _draw_rows(seed: int, start: int, count: int, r: int, scale: float | None) -> np.ndarray:
     """Rows for samples start..start+count-1: N(0, scale^2), or +-1 signs when scale is None.

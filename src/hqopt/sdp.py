@@ -42,6 +42,7 @@ from .matrices import (
     matrix_from_json,
     matrix_to_json,
     read_only_view,
+    to_json,
 )
 
 MINIMIZE = "Minimize"
@@ -222,13 +223,15 @@ class SdpSolution:
 
     X, dual_slack and ray are ReadOnlyMatrix views of symmetric (Hermitian)
     arrays in the instance's field; the program reads their ``.a``, and
-    benchmark/tracing.py reads ``X.a``.
+    benchmark/tracing.py reads ``X.a``.  to_json_dict writes the fields in
+    the order declared here, with status and field spelled as in a file
+    ("optimal", "real").
     """
 
     status: str
-    X: ReadOnlyMatrix | None = None
     objective_value: float = math.nan
     dual_multipliers: tuple = ()
+    X: ReadOnlyMatrix | None = None
     dual_slack: ReadOnlyMatrix | None = None
     primal_residual: float = math.nan
     dual_residual: float = math.nan
@@ -241,32 +244,7 @@ class SdpSolution:
     message: str
 
     def to_json_dict(self) -> dict:
-        def num(v):
-            if v is None or not np.isfinite(v):
-                return None if v is None or v != v else ("inf" if v > 0 else "-inf")
-            return float(v)
-
-        def mat(m):
-            return None if m is None else matrix_to_json(m.a)
-
-        return {
-            "status": _STATUS_JSON[self.status],
-            "objective_value": num(self.objective_value),
-            "dual_multipliers": [float(v) for v in self.dual_multipliers],
-            "X": mat(self.X),
-            "dual_slack": mat(self.dual_slack),
-            "primal_residual": num(self.primal_residual),
-            "dual_residual": num(self.dual_residual),
-            "gap": num(self.gap),
-            "iterations": self.iterations,
-            "ray": mat(self.ray),
-            "infeasibility_certificate": list(self.infeasibility_certificate)
-            if self.infeasibility_certificate is not None
-            else None,
-            "field": _FIELD_JSON[self.field],
-            "n": self.n,
-            "message": self.message,
-        }
+        return to_json(self) | {"status": _STATUS_JSON[self.status], "field": _FIELD_JSON[self.field]}
 
 
 def _package(inst: QcqpInstance, res: _ipm.ConicResult, lam_min: float) -> SdpSolution:

@@ -456,6 +456,11 @@ class TestCliVerify:
             run_cli(["verify", "--lemma", "L9_9"])
         assert err.value.code == 2
 
+    def test_prints_the_committed_bytes(self):
+        # every L4_1 value is an exhaustive sign-enumeration count, so the output bytes are fixed
+        rc, text = run_cli(["verify", "--lemma", "L4_1"])
+        assert rc == 0 and text == (GOLDEN / "verify_L4_1.json").read_text()
+
 
 class TestCliExample:
     def test_payload_shape(self):

@@ -24,6 +24,7 @@ from hqopt.instances import (
     generate_report,
     indefinite_matrix,
 )
+from hqopt.matrices import to_json
 from hqopt.sdp import (
     COMPLEX,
     INDEFINITE,
@@ -88,7 +89,7 @@ class TestGeneratorSpec:
         assert spec_a(case=CASE_D).psd_rank == 1
 
     def test_json_fields(self):
-        payload = spec_a(seed=7).to_json_dict()
+        payload = to_json(spec_a(seed=7))
         assert payload["case"] == CASE_A
         assert payload["seed"] == 7
         assert payload["field"] == REAL

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from hqopt.lowrank import (
     LowRankSolution,
     NotPsdError,
+    _unvec,
+    _vec,
     factorize,
     pataki_bound,
     reduce_rank,
@@ -328,3 +330,36 @@ class TestReduceRank:
         assert low.r == 3
         vr, orr = real_values(inst, low.U @ np.conj(low.U.T))
         assert max(abs(v - t) for v, t in zip(vr, [float(np.trace(a.a)) for a in inst.constraints])) <= 1e-7
+
+
+class TestVec:
+    """_vec writes a symmetric (Hermitian) matrix as the real vector the rank reduction's null-space system uses."""
+
+    @staticmethod
+    def draw(rng, shape, complex_field):
+        a = rng.standard_normal(shape)
+        if complex_field:
+            a = a + 1j * rng.standard_normal(shape)
+        return hermitian_part(a)
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("r", [1, 2, 5])
+    def test_isometry(self, r, complex_field):
+        rng = np.random.default_rng(r)
+        A, B = self.draw(rng, (r, r), complex_field), self.draw(rng, (r, r), complex_field)
+        assert _vec(A).shape == ((r * r,) if complex_field else (r * (r + 1) // 2,))
+        assert _vec(A) @ _vec(B) == pytest.approx(np.real(np.trace(A @ B)), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("r", [1, 2, 5])
+    def test_round_trip(self, r, complex_field):
+        rng = np.random.default_rng(10 + r)
+        H = self.draw(rng, (r, r), complex_field)
+        back = _unvec(_vec(H), r, complex_field)
+        assert back.dtype == H.dtype
+        np.testing.assert_allclose(back, H, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_stack_is_vectorized_slice_by_slice(self, complex_field):
+        stack = self.draw(np.random.default_rng(3), (4, 3, 3), complex_field)
+        np.testing.assert_array_equal(_vec(stack), np.array([_vec(H) for H in stack]))

@@ -1,9 +1,18 @@
 import json
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from hqopt.matrices import compress, hermitian_part, matrix_from_json, matrix_to_json, read_only_view
+from hqopt.matrices import (
+    compress,
+    hermitian_part,
+    matrix_from_json,
+    matrix_to_json,
+    read_only_view,
+    to_json,
+)
 
 
 def random_sym(rng, n):
@@ -101,3 +110,54 @@ class TestJson:
     def test_malformed_json_rejected(self, payload):
         with pytest.raises(ValueError):
             matrix_from_json(payload, complex_field=False)
+
+
+@dataclass(frozen=True)
+class Inner:
+    zeta: float
+    alpha: tuple
+
+
+@dataclass(frozen=True)
+class Outer:
+    name: str
+    inner: Inner
+    count: int
+    flag: bool
+    missing: object = None
+
+
+class TestToJson:
+    def test_non_finite_floats(self):
+        assert to_json(math.nan) is None
+        assert to_json(math.inf) == "inf"
+        assert to_json(-math.inf) == "-inf"
+        assert to_json(np.float64(-np.inf)) == "-inf"
+
+    def test_finite_float_is_a_plain_float(self):
+        out = to_json(np.float64(0.1))
+        assert type(out) is float and out == 0.1
+
+    def test_nested_dataclass_in_field_order(self):
+        value = Outer("x", Inner(math.nan, (1.0, math.inf)), 3, True)
+        out = to_json(value)
+        assert list(out) == ["name", "inner", "count", "flag", "missing"]
+        assert list(out["inner"]) == ["zeta", "alpha"]
+        assert out == {"name": "x", "inner": {"zeta": None, "alpha": [1.0, "inf"]},
+                       "count": 3, "flag": True, "missing": None}
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_matrix_is_its_record(self, complex_field):
+        rng = np.random.default_rng(4)
+        a = random_herm(rng, 3) if complex_field else random_sym(rng, 3)
+        out = to_json(read_only_view(a))
+        assert out == matrix_to_json(a)
+        assert ("im" in out) == complex_field
+
+    def test_tuple_and_list_become_lists(self):
+        assert to_json((1, (2.5, "a"), [None])) == [1, [2.5, "a"], [None]]
+
+    def test_bool_int_str_unchanged(self):
+        assert to_json(True) is True and to_json(False) is False
+        assert type(to_json(7)) is int and to_json(7) == 7
+        assert to_json("Optimal") == "Optimal"

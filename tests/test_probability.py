@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hqopt.probability as prob
+from hqopt.matrices import to_json
 from hqopt.probability import (
     AsymmetryResult,
     IllConditionedError,
-    TailBoundParams,
     bernoulli_moment4,
     chebyshev_tail,
     chernoff_tail,
@@ -375,28 +375,23 @@ class TestScan:
 
 class TestTailBounds:
     def test_chernoff_examples(self):
-        p = TailBoundParams([1.0], 2.0, "Real")
-        assert chernoff_tail(p) == pytest.approx(math.exp(-0.25))
-        p = TailBoundParams([1.0], 2.0, "Complex")
-        assert chernoff_tail(p) == pytest.approx(math.exp(-0.5))
-        p = TailBoundParams([1.0, -1.0], 3.0, "Real")
-        assert chernoff_tail(p) == pytest.approx(math.exp(-3.0 * math.sqrt(2.0) / 8.0))
+        assert chernoff_tail([1.0], 2.0, "Real") == pytest.approx(math.exp(-0.25))
+        assert chernoff_tail([1.0], 2.0, "Complex") == pytest.approx(math.exp(-0.5))
+        assert chernoff_tail([1.0, -1.0], 3.0, "Real") == pytest.approx(math.exp(-3.0 * math.sqrt(2.0) / 8.0))
 
     def test_chernoff_all_negative_uses_alpha(self):
-        p = TailBoundParams([-1.0, -2.0], 1.5, "Real")
-        assert p.delta == 0.0
-        assert chernoff_tail(p) == pytest.approx(math.exp(-1.5 * 1.5 / 8.0))
+        # no positive weight: delta = 0 and the min is alpha
+        assert chernoff_tail([-1.0, -2.0], 1.5, "Real") == pytest.approx(math.exp(-1.5 * 1.5 / 8.0))
 
     def test_params_validation(self):
-        # sigma and delta are read off lambdas, so no stale value can be stored
-        with pytest.raises(TypeError):
-            TailBoundParams(lambdas=(1.0,), sigma=2.0, delta=1.0, alpha=1.0, field="Real")
-        with pytest.raises(ValueError):
-            TailBoundParams([1.0], -1.0, "Real")
-        with pytest.raises(ValueError):
-            TailBoundParams([1.0], 1.0, "Quaternion")
-        with pytest.raises(ValueError):
-            chernoff_tail(TailBoundParams([0.0], 1.0, "Real"))
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            chernoff_tail([1.0], -1.0, "Real")
+        with pytest.raises(ValueError, match="unknown field"):
+            chernoff_tail([1.0], 1.0, "Quaternion")
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            chernoff_tail([0.0], 1.0, "Real")
+        with pytest.raises(ValueError, match="nonempty"):
+            chernoff_tail([], 1.0, "Real")
 
     def test_chebyshev_examples(self):
         assert chebyshev_tail([1.0], 3.0) == 0.5
@@ -418,13 +413,12 @@ class TestTailBounds:
                 lam = -np.abs(lam)
             alpha = float(0.5 + 5.0 * rng.random())
             fieldname = "Real" if i % 2 == 0 else "Complex"
-            p = TailBoundParams(lam, alpha, fieldname)
             if fieldname == "Real":
                 q = (rng.standard_normal((200_000, r)) ** 2 - 1.0) @ lam
             else:
                 q = (rng.standard_exponential((200_000, r)) - 1.0) @ lam
-            freq = float(np.mean(q >= alpha * p.sigma))
-            assert freq <= chernoff_tail(p), (i, freq)
+            freq = float(np.mean(q >= alpha * np.sqrt(np.sum(lam**2))))
+            assert freq <= chernoff_tail(lam, alpha, fieldname), (i, freq)
 
             lam_pos = np.abs(lam) / np.sum(np.abs(lam))
             alpha_c = float(1.5 + 4.0 * rng.random())
@@ -461,7 +455,7 @@ class TestResultTypes:
 
     def test_to_dict_round(self):
         r = AsymmetryResult("L3_4", 0.05, 0.4, 0.001, "Quadrature", 1000)
-        d = r.to_dict()
+        d = to_json(r)
         assert d["lemma_id"] == "L3_4" and d["samples"] == 1000
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hqopt import rounding
 from hqopt.instances import CASE_A, OBJECTIVE_IDENTITY, GeneratorSpec, generate
 from hqopt.lowrank import LowRankSolution, reduce_rank
-from hqopt.matrices import compress, hermitian_part
+from hqopt.matrices import compress, hermitian_part, to_json
 from hqopt.rounding import (
     GAUSSIAN_MAX,
     GAUSSIAN_MIN,
@@ -186,9 +186,9 @@ class TestSampleStream:
                 gaussian_round_max(mx, mx_sol, RoundingParams(GAUSSIAN_MAX, 500, seed=4)),
             ]
 
-        default = [r.to_json_dict() for r in reports()]
+        default = [to_json(r) for r in reports()]
         monkeypatch.setattr(rounding, "_SAMPLE_CHUNK", 7)
-        assert [r.to_json_dict() for r in reports()] == default
+        assert [to_json(r) for r in reports()] == default
 
     @pytest.mark.parametrize("r", [1, 3, 6])
     @pytest.mark.parametrize("kind", ["real", "complex", "signs"])
@@ -525,7 +525,7 @@ class TestGaussianRoundMin:
         assert report.best_x is None
         assert report.samples_feasible == 0
         assert "positive" in report.message
-        payload = report.to_json_dict()
+        payload = to_json(report)
         assert payload["best_objective"] is None
         assert payload["empirical_ratio"] is None
 
@@ -837,7 +837,7 @@ class TestReportJson:
     def test_infinite_bound_serializes_as_string(self, min_pipeline):
         inst, sol, low = min_pipeline
         report = gaussian_round_min(inst, low, RoundingParams(GAUSSIAN_MIN, num_samples=10))
-        payload = report.to_json_dict()
+        payload = to_json(report)
         assert payload["scheme"] == GAUSSIAN_MIN
         assert isinstance(payload["best_x"], list)
         assert isinstance(payload["empirical_ratio"], float)
@@ -911,4 +911,4 @@ class TestReportScalars:
             assert type(getattr(report, name)) is float
         for name in ("certificate_satisfied", "bound_is_claimed", "multi_indefinite_warning", "failed"):
             assert type(getattr(report, name)) is bool
-        json.dumps(report.to_json_dict())
+        json.dumps(to_json(report))

@@ -18,7 +18,7 @@ from hqopt.instances import (
     GeneratorSpec,
     generate,
 )
-from hqopt.matrices import hermitian_part
+from hqopt.matrices import hermitian_part, matrix_to_json
 from hqopt.rounding import GAUSSIAN_MAX
 
 from oracles import run_single
@@ -485,6 +485,26 @@ class TestSolve:
         assert unb["status"] == "unbounded"
         assert unb["objective_value"] == "inf"
         assert unb["ray"] is not None
+
+    def test_infeasible_solution_json(self):
+        # min |x|^2 subject to -|x|^2 >= 1 and x_1^2 >= 1, whose Farkas certificate hqopt solve prints
+        inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, np.stack([np.eye(2), -np.eye(2), np.diag([1.0, 0.0])]))
+        sol = sdp.solve_instance(inst)
+        assert sol.status == sdp.INFEASIBLE
+        d = sol.to_json_dict()
+        # the SdpSolution field order, which the README lists
+        assert list(d) == [
+            "status", "objective_value", "dual_multipliers", "X", "dual_slack", "primal_residual",
+            "dual_residual", "gap", "iterations", "ray", "infeasibility_certificate", "field", "n",
+            "message",
+        ]
+        assert d["status"] == "infeasible" and d["field"] == "real"
+        assert d["X"] is None and d["ray"] is None
+        assert d["objective_value"] == "inf"
+        assert d["primal_residual"] is None and d["gap"] is None
+        assert d["infeasibility_certificate"] == list(sol.infeasibility_certificate)
+        assert d["dual_multipliers"] == list(sol.dual_multipliers)
+        assert d["dual_slack"] == matrix_to_json(sol.dual_slack.a)
 
     @pytest.mark.parametrize(
         "sense, objective_kind",
