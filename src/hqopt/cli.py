@@ -74,7 +74,7 @@ def _emit(payload: dict, out) -> None:
 def cmd_solve(args, out) -> int:
     inst = _load_instance(args.instance)
     sol = solve_instance(inst)
-    _emit(sol.to_json_dict(), out)
+    _emit(sol.to_report_dict(), out)
     return _status_exit(sol.status)
 
 
@@ -82,7 +82,7 @@ def cmd_round(args, out) -> int:
     inst = _load_instance(args.instance)
     sol = solve_instance(inst)
     if sol.status != OPTIMAL:
-        _emit(sol.to_json_dict(), out)
+        _emit(sol.to_report_dict(), out)
         return _status_exit(sol.status)
     if args.scheme == _EXACT_SCHEME:
         report = complex_exact_extraction(inst, reduce_rank(sol, inst))

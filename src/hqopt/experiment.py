@@ -151,8 +151,6 @@ class ExperimentResult:
 
 
 def _fmt(v: float) -> str:
-    if isinstance(v, str):
-        return v
     if math.isnan(v):
         return "nan"
     if math.isinf(v):

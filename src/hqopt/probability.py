@@ -10,8 +10,10 @@ Each family carries an exact fourth-moment identity, an analytic lower
 bound on the probability of landing on the favorable side of zero, and
 deterministic evaluators that verify those bounds: contour quadrature
 (form_tail) for ChiSq and Exp, a closed form for Exp, and exhaustive
-enumeration for the signs.  The check registry at the bottom packages the
-verification runs behind stable string ids for the CLI.
+enumeration for the signs.  The check registry at the bottom, _CHECKS, is
+the one place a check is defined: each row maps a check id to the body that
+runs it and that body's parameters (its family and bound), and CHECK_IDS,
+the ids the CLI offers, are its keys in order.
 
 form_tail gives the tail P{sum_j w_j*Y_j > x} of a weighted sum of
 chi-square(1) or unit exponential variables by inverting its moment
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +44,6 @@ __all__ = [
     "EXP_ASYM_BOUND",
     "FormTail",
     "IllConditionedError",
-    "LEMMA_IDS",
     "CHECK_IDS",
     "SIGN_ASYM_BOUND",
     "SHARPENED_COEFF",
@@ -65,9 +66,6 @@ SIGN_ASYM_BOUND = 1.0 / 87.0   # P{sum_{i<j} w_ij xi_i xi_j <= 0}
 
 # Sharpened fourth-moment asymmetry coefficient: P >= (2*sqrt(3)-3)/tau.
 SHARPENED_COEFF = 2.0 * math.sqrt(3.0) - 3.0
-
-LEMMA_IDS = ("L2_1", "L2_2", "L3_1", "L3_2", "L3_4", "L3_5", "L4_1")
-CHECK_IDS = LEMMA_IDS + ("L5_1",)
 
 _METHODS = ("Exhaustive", "Quadrature")
 # kind -> (kappa per unit weight, nu): M(s) = prod_j (1 - kappa_j*s)^(-nu_j)
@@ -98,7 +96,7 @@ class AsymmetryResult:
     samples: int
 
     def __post_init__(self):
-        if self.lemma_id not in LEMMA_IDS:
+        if self.lemma_id not in CHECK_IDS:
             raise ValueError(f"unknown lemma id {self.lemma_id!r}")
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
@@ -303,15 +301,6 @@ def _tails(forms: list[tuple[str, np.ndarray, float]]) -> list[tuple[float, floa
     return out
 
 
-def _favorable(kind: str, taus: np.ndarray) -> tuple[str, np.ndarray, float]:
-    """The form whose tail is P{sum tau_i(Y_i - 1) >= 0} = P{sum tau_i*Y_i > sum tau_i}."""
-    return kind, taus, float(np.sum(taus))
-
-
-def _quadrature_result(lemma_id: str, bound: float, tail: tuple[float, float, int]) -> AsymmetryResult:
-    return AsymmetryResult(lemma_id, bound, tail[0], tail[1], "Quadrature", tail[2])
-
-
 def _judge(case: int, error: float, nodes: int, clears: bool, failure: str) -> list[str]:
     """No note for a value within 1e-9 that clears its bound; else a note saying which of the two failed."""
     if error > _TOL:
@@ -329,18 +318,15 @@ def _floor_notes(results: list[AsymmetryResult]) -> list[str]:
     return notes
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer; a bool is neither here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_seed(seed) -> None:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_integer(seed) or seed < 0:
         # it seeds np.random.PCG64, which takes non-negative integers only
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-
-
-# The favorable-side families of the asymmetry checks: the lemma id and bound
-# their results carry
-_FAMILIES = {
-    "ChiSq": ("L3_1", CHI2_ASYM_BOUND),
-    "Exp": ("L3_4", EXP_ASYM_BOUND),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +445,8 @@ def _random_tau(rng: np.random.Generator, index: int) -> np.ndarray:
     return rng.exponential(1.0, n) + 1e-6
 
 
-def _random_sign_weights(rng: np.random.Generator, index: int,
-                         n_low: int = 3, n_high: int = 12) -> np.ndarray:
-    n = int(rng.integers(n_low, n_high + 1))
+def _random_sign_weights(rng: np.random.Generator, index: int) -> np.ndarray:
+    n = int(rng.integers(3, 13))  # 3 to 12 signs
     if index % 3 == 2:  # near-rank-one profile
         u = rng.standard_normal(n)
         w = np.triu(np.outer(u, u) + 1e-3 * rng.standard_normal((n, n)), k=1)
@@ -472,24 +457,25 @@ def _random_sign_weights(rng: np.random.Generator, index: int,
     return w
 
 
-def _check_moment_families(check_id: str, bound_fn: Callable[[float], float],
-                           cases: int, seed: int) -> CheckOutcome:
-    """Shared body of the two moment-asymmetry checks.
+# The favorable side of a ChiSq or Exp profile tau is the tail form (kind, tau, sum tau):
+# P{sum tau_i(Y_i - 1) >= 0} = P{sum tau_i*Y_i > sum tau_i}.
 
-    Instantiates the three weighted families, computes the exact
-    normalized fourth moment, and verifies the favorable-side probability,
-    less its quadrature error, clears bound_fn(tau4).
+
+def _moment_families(check_id: str, coeff: float, cases: int, seed: int) -> CheckOutcome:
+    """The three weighted families' favorable-side probability, less its error, clears coeff/tau4.
+
+    tau4 is the case's exact normalized fourth moment E(Psi^4)/(E Psi^2)^2.
     """
     rng = np.random.default_rng(np.random.PCG64(seed))
     forms = []
-    drawn = []  # per case: tau4, and (estimate, sign vectors) when enumerated
+    drawn = []  # per case: tau4, method, and (estimate, error, sign vectors) when enumerated
     for i in range(cases):
         family = i % 3
         if family == 2:
             w = _random_sign_weights(rng, i)
             est, m4 = exhaustive_sign_prob(w)
             m2 = float(np.sum(w**2))
-            drawn.append((m4 / (m2 * m2), (est, 1 << w.shape[0])))
+            drawn.append((m4 / (m2 * m2), "Exhaustive", (est, 0.0, 1 << w.shape[0])))
             continue
         taus = _random_tau(rng, i)
         if family == 0:
@@ -498,51 +484,39 @@ def _check_moment_families(check_id: str, bound_fn: Callable[[float], float],
         else:
             m2 = float(np.sum(taus**2))
             tau4 = exp_moment4(taus) / (m2 * m2)
-        forms.append(_favorable("ChiSq" if family == 0 else "Exp", taus))
-        drawn.append((tau4, None))
+        forms.append(("ChiSq" if family == 0 else "Exp", taus, float(np.sum(taus))))
+        drawn.append((tau4, "Quadrature", None))
     tails = iter(_tails(forms))
     results = []
-    for tau4, exact in drawn:
-        bound = bound_fn(tau4)
-        if exact is None:
-            results.append(_quadrature_result(check_id, bound, next(tails)))
-        else:
-            results.append(AsymmetryResult(check_id, bound, exact[0], 0.0, "Exhaustive", exact[1]))
+    for tau4, method, exact in drawn:
+        prob, error, nodes = exact or next(tails)
+        results.append(AsymmetryResult(check_id, coeff / tau4, prob, error, method, nodes))
     notes = _floor_notes(results)
     return CheckOutcome(check_id, not notes, tuple(results), tuple(notes))
 
 
-def _check_l2_1(cases: int, seed: int) -> CheckOutcome:
-    return _check_moment_families("L2_1", lambda tau4: 0.25 / tau4, cases, seed)
-
-
-def _check_l2_2(cases: int, seed: int) -> CheckOutcome:
-    out = _check_moment_families("L2_2", lambda tau4: SHARPENED_COEFF / tau4, cases, seed)
-    # the sharpened coefficient must beat the generic one on a tau grid
+def _sharpened_moment_families(check_id: str, coeff: float, cases: int, seed: int) -> CheckOutcome:
+    """_moment_families, and the sharpened coefficient beats the generic 1/4 on a tau grid."""
+    out = _moment_families(check_id, coeff, cases, seed)
     grid = np.linspace(1.0, 1000.0, 2000)
-    sharper = np.all(SHARPENED_COEFF / grid > 0.25 / grid)
-    notes = out.notes + (f"sharpening 2*sqrt(3)-3 > 1/4 on grid: {bool(sharper)}",)
-    return CheckOutcome("L2_2", out.passed and bool(sharper), out.results, notes)
+    sharper = bool(np.all(coeff / grid > 0.25 / grid))
+    notes = out.notes + (f"sharpening 2*sqrt(3)-3 > 1/4 on grid: {sharper}",)
+    return CheckOutcome(check_id, out.passed and sharper, out.results, notes)
 
 
-def _asym_results(kind: str, cases: int, seed: int) -> list[AsymmetryResult]:
-    """The favorable-side probability of one random weight profile per case."""
+def _asymmetry(check_id: str, kind: str, bound: float, cases: int, seed: int) -> CheckOutcome:
+    """The favorable-side probability of one random profile per case, less its error, clears bound."""
     rng = np.random.default_rng(np.random.PCG64(seed))
-    lemma_id, bound = _FAMILIES[kind]
-    tails = _tails([_favorable(kind, _random_tau(rng, i)) for i in range(cases)])
-    return [_quadrature_result(lemma_id, bound, tail) for tail in tails]
-
-
-def _check_l3_1(cases: int, seed: int) -> CheckOutcome:
-    results = _asym_results("ChiSq", cases, seed)
+    profiles = [_random_tau(rng, i) for i in range(cases)]
+    results = [AsymmetryResult(check_id, bound, prob, error, "Quadrature", nodes)
+               for prob, error, nodes in _tails([(kind, t, float(np.sum(t))) for t in profiles])]
     notes = _floor_notes(results)
-    return CheckOutcome("L3_1", not notes, tuple(results), tuple(notes))
+    return CheckOutcome(check_id, not notes, tuple(results), tuple(notes))
 
 
-def _check_l3_4(cases: int, seed: int) -> CheckOutcome:
-    results = _asym_results("Exp", cases, seed)
-    notes = _floor_notes(results)
-    # the quadrature against the closed form
+def _exp_asymmetry(check_id: str, kind: str, bound: float, cases: int, seed: int) -> CheckOutcome:
+    """_asymmetry, and the quadrature agrees with exp_closed_form on five more profiles."""
+    out = _asymmetry(check_id, kind, bound, cases, seed)
     rng = np.random.default_rng(np.random.PCG64(seed + 1))
     closed = []
     for i in range(5):
@@ -553,18 +527,21 @@ def _check_l3_4(cases: int, seed: int) -> CheckOutcome:
             closed.append((i, taus, exp_closed_form(taus)))
         except IllConditionedError:
             continue
-    tails = _tails([_favorable("Exp", taus) for _, taus, _ in closed])
+    notes = list(out.notes)
+    tails = _tails([(kind, taus, float(np.sum(taus))) for _, taus, _ in closed])
     for (i, _, exact), (est, error, _) in zip(closed, tails):
         agree = abs(exact - est) <= _TOL and error <= _TOL
-        in_range = EXP_ASYM_BOUND < exact < 1.0 - EXP_ASYM_BOUND
+        in_range = bound < exact < 1.0 - bound
         if not (agree and in_range):
             notes.append(f"closed-form case {i}: exact {exact:.12f} vs quadrature {est:.12f} +- {error:.1e}")
-    return CheckOutcome("L3_4", not notes, tuple(results), tuple(notes))
+    return CheckOutcome(check_id, not notes, out.results, tuple(notes))
 
 
-def _quantile_event_check(check_id: str, kind: str, ceiling: float,
-                          cases: int, seed: int) -> CheckOutcome:
-    """P{Q < gamma*E(Q)} stays below ceiling for PSD-weighted forms Q."""
+def _quantile_event(check_id: str, kind: str, ceiling: float, cases: int, seed: int) -> CheckOutcome:
+    """P{Q < gamma*E(Q)} stays below ceiling for PSD-weighted forms Q.
+
+    Complex quadratic forms reduce to exponential weights in the eigenbasis.
+    """
     rng = np.random.default_rng(np.random.PCG64(seed))
     forms = []
     for i in range(cases):
@@ -583,40 +560,27 @@ def _quantile_event_check(check_id: str, kind: str, ceiling: float,
     return CheckOutcome(check_id, not notes, tuple(results), tuple(notes))
 
 
-def _check_l3_2(cases: int, seed: int) -> CheckOutcome:
-    return _quantile_event_check("L3_2", "ChiSq", 1.0 - CHI2_ASYM_BOUND, cases, seed)
-
-
-def _check_l3_5(cases: int, seed: int) -> CheckOutcome:
-    # complex quadratic forms reduce to exponential weights in the eigenbasis
-    return _quantile_event_check("L3_5", "Exp", 1.0 - EXP_ASYM_BOUND, cases, seed)
-
-
-def _check_l4_1(cases: int, seed: int) -> CheckOutcome:
+def _check_l4_1(check_id: str, cases: int, seed: int) -> CheckOutcome:
     rng = np.random.default_rng(np.random.PCG64(seed))
     results = []
     notes = []
-    passed = True
     for i in range(cases):
         w = _random_sign_weights(rng, i)
         prob, m4 = exhaustive_sign_prob(w)
-        results.append(AsymmetryResult("L4_1", SIGN_ASYM_BOUND, prob, 0.0,
+        results.append(AsymmetryResult(check_id, SIGN_ASYM_BOUND, prob, 0.0,
                                        "Exhaustive", 1 << w.shape[0]))
         if prob <= SIGN_ASYM_BOUND:
-            passed = False
             notes.append(f"case {i}: exact probability {prob:.6f} <= 1/87")
         formula = bernoulli_moment4(w)
         if abs(formula - m4) > 1e-10 * max(1.0, abs(m4)):
-            passed = False
             notes.append(f"case {i}: moment formula {formula} vs enumeration {m4}")
         s2 = float(np.sum(w**2))
         if formula > 39.0 * s2 * s2 * (1.0 + 1e-12):
-            passed = False
             notes.append(f"case {i}: fourth moment exceeds 39*(sum w^2)^2")
-    return CheckOutcome("L4_1", passed, tuple(results), tuple(notes))
+    return CheckOutcome(check_id, not notes, tuple(results), tuple(notes))
 
 
-def _check_l5_1(cases: int, seed: int) -> CheckOutcome:
+def _check_l5_1(check_id: str, cases: int, seed: int) -> CheckOutcome:
     rng = np.random.default_rng(np.random.PCG64(seed))
     forms = []  # per drawn case: the deviation tail, then the variance-route tail
     bounds = []  # per drawn case: its index, Chernoff bound and variance bound
@@ -651,31 +615,35 @@ def _check_l5_1(cases: int, seed: int) -> CheckOutcome:
         notes.append("reciprocal-exponential inequality failed on grid")
     passed = not notes
     notes.append(f"reciprocal-exponential inequality on [-5, 1/2] grid: {grid_ok}")
-    return CheckOutcome("L5_1", passed, (), tuple(notes))
+    return CheckOutcome(check_id, passed, (), tuple(notes))
 
 
-_CHECKS: dict[str, Callable[[int, int], CheckOutcome]] = {
-    "L2_1": _check_l2_1,
-    "L2_2": _check_l2_2,
-    "L3_1": _check_l3_1,
-    "L3_2": _check_l3_2,
-    "L3_4": _check_l3_4,
-    "L3_5": _check_l3_5,
-    "L4_1": _check_l4_1,
-    "L5_1": _check_l5_1,
+# check id -> (body, its parameters): the id's outcome is body(check_id, *parameters, cases, seed)
+_CHECKS = {
+    "L2_1": (_moment_families, 0.25),
+    "L2_2": (_sharpened_moment_families, SHARPENED_COEFF),
+    "L3_1": (_asymmetry, "ChiSq", CHI2_ASYM_BOUND),
+    "L3_2": (_quantile_event, "ChiSq", 1.0 - CHI2_ASYM_BOUND),
+    "L3_4": (_exp_asymmetry, "Exp", EXP_ASYM_BOUND),
+    "L3_5": (_quantile_event, "Exp", 1.0 - EXP_ASYM_BOUND),
+    "L4_1": (_check_l4_1,),
+    "L5_1": (_check_l5_1,),
 }
+CHECK_IDS = tuple(_CHECKS)
 
 
 def run_lemma_check(check_id: str, *, samples: int = 200_000, cases: int = 24,
                     seed: int = 0) -> CheckOutcome:
     """Run one registered verification by id (see CHECK_IDS).
 
-    samples is checked (>= 1) and otherwise ignored: no check samples, so
-    the outcome depends on the id, cases and seed only.
+    samples is checked (an integer >= 1) and otherwise ignored: no check
+    samples, so the outcome depends on the id, cases and seed only.
     """
     if check_id not in _CHECKS:
         raise ValueError(f"unknown check id {check_id!r}; choose from {CHECK_IDS}")
-    if samples < 1 or cases < 1:
-        raise ValueError(f"need samples >= 1 and cases >= 1, got {samples} and {cases}")
+    for name, value in (("samples", samples), ("cases", cases)):
+        if not _is_integer(value) or value < 1:
+            raise ValueError(f"need an integer {name} >= 1, got {value!r}")
     _check_seed(seed)
-    return _CHECKS[check_id](cases, seed)
+    body, *parameters = _CHECKS[check_id]
+    return body(check_id, *parameters, cases, seed)

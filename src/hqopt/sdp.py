@@ -223,7 +223,7 @@ class SdpSolution:
 
     X, dual_slack and ray are ReadOnlyMatrix views of symmetric (Hermitian)
     arrays in the instance's field; the program reads their ``.a``, and
-    benchmark/tracing.py reads ``X.a``.  to_json_dict writes the fields in
+    benchmark/tracing.py reads ``X.a``.  to_report_dict writes the fields in
     the order declared here, with status and field spelled as in a file
     ("optimal", "real").
     """
@@ -243,7 +243,7 @@ class SdpSolution:
     n: int
     message: str
 
-    def to_json_dict(self) -> dict:
+    def to_report_dict(self) -> dict:
         return to_json(self) | {"status": _STATUS_JSON[self.status], "field": _FIELD_JSON[self.field]}
 
 

@@ -17,7 +17,8 @@ import numpy as np
 
 from hqopt.experiment import ExperimentConfig, ExperimentRecord, _run_tasks
 from hqopt.probability import (
-    _FAMILIES,
+    CHI2_ASYM_BOUND,
+    EXP_ASYM_BOUND,
     SHARPENED_COEFF,
     _as_upper_weights,
     _as_weights,
@@ -380,6 +381,10 @@ class MonteCarloEstimate:
     estimate: float
     confidence_radius: float
     samples: int
+
+
+# family -> the lemma id and proven floor of its favorable-side probability
+_FAMILIES = {"ChiSq": ("L3_1", CHI2_ASYM_BOUND), "Exp": ("L3_4", EXP_ASYM_BOUND)}
 
 
 def asym_prob(kind: str, weights, samples: int = 1_000_000, seed: int = 0) -> MonteCarloEstimate:

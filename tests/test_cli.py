@@ -461,6 +461,23 @@ class TestCliVerify:
         rc, text = run_cli(["verify", "--lemma", "L4_1"])
         assert rc == 0 and text == (GOLDEN / "verify_L4_1.json").read_text()
 
+    def test_all_checks_match_the_committed_output(self):
+        # written by `hqopt verify --lemma all --seed 0`; ids, methods, node counts,
+        # verdicts and notes match exactly, and values up to the round-off that moves
+        # between numpy versions (a radius is a difference of nearly equal sums)
+        rc, text = run_cli(["verify", "--lemma", "all", "--seed", "0"])
+        got, want = json.loads(text), json.loads((GOLDEN / "verify_all_seed0.json").read_text())
+        assert rc == 0 and (got["root_seed"], got["all_passed"]) == (want["root_seed"], want["all_passed"])
+        assert [c["check_id"] for c in got["checks"]] == [c["check_id"] for c in want["checks"]]
+        for check, ref in zip(got["checks"], want["checks"]):
+            assert (check["passed"], check["notes"]) == (ref["passed"], ref["notes"]), ref["check_id"]
+            exact = [(r["lemma_id"], r["method"], r["samples"]) for r in check["results"]]
+            assert exact == [(r["lemma_id"], r["method"], r["samples"]) for r in ref["results"]]
+            for res, old in zip(check["results"], ref["results"]):
+                for key in ("estimate", "analytic_lower_bound"):
+                    assert res[key] == pytest.approx(old[key], rel=1e-12, abs=0.0), (ref["check_id"], key)
+                assert res["confidence_radius"] == pytest.approx(old["confidence_radius"], rel=0.0, abs=1e-12)
+
 
 class TestCliExample:
     def test_payload_shape(self):

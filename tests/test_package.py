@@ -96,19 +96,41 @@ def unread_members(src: pathlib.Path, program: pathlib.Path) -> list:
     A member is read when some file among src/*.py and the program's *.py
     (its test_*.py files excluded) names it as an attribute.  Dunder methods
     are called by Python itself and do not count.
+
+    A read is matched by name alone, not by class: it counts for every
+    member of that name, which is why shared_member_names must find none.
+    A method whose name equals another class's dataclass field (for example
+    ``n``, ``m`` or ``sense``) stays unattributable: a read of that field
+    counts as a read of the method.
     """
     readers = sorted(src.glob("*.py")) + [p for p in sorted(program.glob("*.py"))
                                           if not p.name.startswith("test_")]
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in readers]
     read = {sub.attr for tree in trees for sub in ast.walk(tree) if isinstance(sub, ast.Attribute)}
+    return sorted((module, cls, name) for module, cls, name in _members(src) if name not in read)
+
+
+def _members(src: pathlib.Path) -> list:
+    """(module, class, name) of each method or property a top-level src/*.py class defines, dunders excluded."""
     out = []
     for path in sorted(src.glob("*.py")):
         for cls in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(cls, ast.ClassDef):
                 out += [(path.stem, cls.name, node.name) for node in cls.body
                         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not node.name.startswith("__") and node.name not in read]
-    return sorted(out)
+                        and not node.name.startswith("__")]
+    return out
+
+
+def shared_member_names(src: pathlib.Path) -> list:
+    """Sorted (name, classes) of each method or property name that two or more src/*.py classes define.
+
+    classes is the sorted tuple of "module.Class" that define the name.
+    """
+    owners = {}
+    for module, cls, name in _members(src):
+        owners.setdefault(name, []).append(f"{module}.{cls}")
+    return sorted((name, tuple(sorted(classes))) for name, classes in owners.items() if len(classes) > 1)
 
 
 def test_every_member_has_a_program_reader():
@@ -131,6 +153,27 @@ def test_member_scan_counts_program_reads(tmp_path):
     (program / "run.py").write_text("from a import Box\nprint(Box.made().shown)\n")
     (program / "test_run.py").write_text("from a import Box\nprint(Box().dead())\n")
     assert unread_members(src, program) == [("a", "Box", "dead")]
+
+
+def test_no_two_classes_share_a_member_name():
+    assert shared_member_names(SRC) == []
+
+
+def test_shared_member_scan_flags_a_clash(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Box:\n"
+        "    def __init__(self):\n        self.v = 1\n"
+        "    def dump(self):\n        return self.v\n"
+        "    @property\n    def size(self):\n        return 1\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "class Crate:\n"
+        "    def __init__(self):\n        self.v = 2\n"
+        "    def dump(self):\n        return self.v\n"
+        "class Bag:\n"
+        "    def size(self):\n        return 3\n"
+    )
+    assert shared_member_names(tmp_path) == [("dump", ("a.Box", "b.Crate")), ("size", ("a.Box", "b.Bag"))]
 
 
 def unread_imports(src: pathlib.Path) -> list:

@@ -478,7 +478,17 @@ class TestRegistry:
         with pytest.raises(ValueError, match=">= 1"):
             run_lemma_check(check_id, **kwargs)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+    @pytest.mark.parametrize("name", ["samples", "cases"])
+    @pytest.mark.parametrize("value", [True, 2.5, "3"])
+    def test_bool_or_non_integer_count_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"need an integer {name} >= 1, got {value!r}"):
+            run_lemma_check("L3_1", **{name: value})
+
+    def test_numpy_integer_counts_and_seed_accepted(self):
+        out = run_lemma_check("L3_1", samples=np.int64(10), cases=np.int32(3), seed=np.uint8(2))
+        assert out == run_lemma_check("L3_1", samples=10, cases=3, seed=2)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", True, False])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
             run_lemma_check("L3_1", samples=10, cases=1, seed=seed)

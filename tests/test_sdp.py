@@ -478,10 +478,10 @@ class TestSolve:
 
     def test_solution_json(self):
         sol = sdp.solve_instance(example_4_3(10.0))
-        d = sol.to_json_dict()
+        d = sol.to_report_dict()
         assert d["status"] == "optimal"
         assert isinstance(d["objective_value"], float)
-        unb = sdp.solve_instance(example_4_4()).to_json_dict()
+        unb = sdp.solve_instance(example_4_4()).to_report_dict()
         assert unb["status"] == "unbounded"
         assert unb["objective_value"] == "inf"
         assert unb["ray"] is not None
@@ -491,7 +491,7 @@ class TestSolve:
         inst = sdp.QcqpInstance(sdp.MINIMIZE, sdp.REAL, np.stack([np.eye(2), -np.eye(2), np.diag([1.0, 0.0])]))
         sol = sdp.solve_instance(inst)
         assert sol.status == sdp.INFEASIBLE
-        d = sol.to_json_dict()
+        d = sol.to_report_dict()
         # the SdpSolution field order, which the README lists
         assert list(d) == [
             "status", "objective_value", "dual_multipliers", "X", "dual_slack", "primal_residual",
@@ -527,7 +527,7 @@ class TestSolve:
         traces = np.real(np.trace(A @ X, axis1=1, axis2=2))
         slack = traces - 1.0 if sense == sdp.MINIMIZE else 1.0 - traces
         assert np.all(slack >= -1e-7)
-        assert sol.to_json_dict()["X"]["n"] == 6
+        assert sol.to_report_dict()["X"]["n"] == 6
 
     @pytest.mark.parametrize("sense", sdp.SENSES)
     @pytest.mark.parametrize("case", CASES)
@@ -545,7 +545,7 @@ class TestSolve:
             C, A = inst.field_view
             p = len(A)
             ref = _ipm.solve_conic(flip * embed(C)[None], (0.5 * embed(A))[None], np.full((1, p), -flip))[0]
-            assert sol.to_json_dict()["status"] == ref.status, inst.m
+            assert sol.to_report_dict()["status"] == ref.status, inst.m
             if ref.status == "optimal":
                 assert sol.objective_value == pytest.approx(0.5 * flip * ref.objective, rel=1e-7)
 
