@@ -1,18 +1,22 @@
 """Homogeneous self-dual interior-point core for batches of QCQP relaxations.
 
-Solves, for every instance of a batch,
-    minimize    <C, X>
-    subject to  <A_i, X> + g_i s_i = 1,   i = 1..p
+Solves, for every instance of a batch, the relaxation max <C, X> s.t.
+<A_i, X> <= 1, or min <C, X> s.t. <A_i, X> >= 1, as
+    minimize    -g <C, X>
+    subject to  <A_i, X> + g s_i = 1,   i = 1..p
                 X Hermitian PSD (n x n, real symmetric for real data),
                 s >= 0 (p scalars),
 
-g_i = -1 for a >= row and +1 for a <= row (the slack signs), with
-Nesterov-Todd scaling and a Mehrotra predictor-corrector step inside the
-simplified homogeneous model, so infeasibility and unboundedness come out
-as certificates instead of crashes.  <A, B> = Re Tr(A* B), which is
-Tr(A B) for Hermitian A and B.  Residuals are reported in row-normalized
-units: each row is divided by max(1, ||(A_i, g_i)||_F) before solving, and
-the objective by max(1, ||C||_F).
+g the instance's sense sign, +1 for max and -1 for min, which is also
+every row's slack sign.  Only this module encodes a max relaxation as a
+min one: solve_conic takes C as the instance states it and returns each
+solution in the instance's own sense.  Nesterov-Todd scaling and a
+Mehrotra predictor-corrector step run inside the simplified homogeneous
+model, so infeasibility and unboundedness come out as certificates instead
+of crashes.  <A, B> = Re Tr(A* B), which is Tr(A B) for Hermitian A and B.
+Residuals are reported in row-normalized units: each row is divided by
+max(1, ||(A_i, g)||_F) before solving, and the objective by
+max(1, ||C||_F).
 
 One field.  Complex data is solved at its own dimension n, as SeDuMi
 (Sturm 1999) and SDPT3 handle Hermitian cones: X and Z are Hermitian and
@@ -44,11 +48,11 @@ has converged or found a certificate.  It leaves at the end of one when
 its step failed (scaling breakdown, degenerate Schur system, non-finite
 search direction, a LAPACK error) or its step size collapsed; its iterate
 is then the one that iteration started from.  A leaving instance gets the
-loose certificate test and the best-iterate fallback at once and is
-packaged as its own ConicResult; the rest go on with the stacks
-compacted.  A batched eigh, eigvalsh or solve that raises is redone one
-slice at a time, the Schur solve with the same regularized retry, so a
-failure is charged to its own instance only.
+loose certificate test and the best-iterate fallback at once, and its
+solution is unscaled and returned in its own sense (_results); the rest go
+on with the stacks compacted.  A batched eigh, eigvalsh or solve that
+raises is redone one slice at a time, the Schur solve with the same
+regularized retry, so a failure is charged to its own instance only.
 
 The cap.  A call is solved as consecutive batches of batch_size(p, k)
 instances, which keeps B * p * (k + 2p), the float64 slots of the stacked
@@ -65,10 +69,17 @@ faster again, but raised a min sweep's peak resident memory by 7% where
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .matrices import hermitian_part, read_only_view
+
+# solve statuses, as a sweep's CSV prints them
+OPTIMAL = "Optimal"
+INFEASIBLE = "Infeasible"
+UNBOUNDED = "Unbounded"
+NUMERICAL_FAILURE = "NumericalFailure"
 
 _STEP_FRACTION = 0.98
 _EIG_FLOOR = 1e-14
@@ -90,23 +101,6 @@ def batch_size(p: int, k: int) -> int:
     at m = 30, and 4 or 3 at m = 100.
     """
     return max(1, _BATCH_ELEMENTS // (p * (k + 2 * p)))
-
-
-@dataclass(frozen=True)
-class ConicResult:
-    """One relaxation's outcome; an unbounded one holds its improving ray in
-    X, an infeasible one its Farkas certificate in (y, Z)."""
-
-    status: str  # optimal | infeasible | unbounded | numerical_failure
-    X: np.ndarray
-    y: np.ndarray
-    Z: np.ndarray
-    iterations: int
-    message: str
-    objective: float = np.nan
-    primal_residual: float = np.nan
-    dual_residual: float = np.nan
-    rel_gap: float = np.nan
 
 
 def _t(M):
@@ -331,7 +325,7 @@ def _split(o, q):
 
 
 def _metrics(P, X, y, Z, o):
-    """pres, dres, relative gap and both objectives of the iterate over tau, and that iterate.
+    """pres, dres, relative gap and objective of the iterate over tau, and that iterate.
 
     Values of an instance with tau <= 1e-12 are not meaningful.
     """
@@ -347,7 +341,7 @@ def _metrics(P, X, y, Z, o):
     pobj = _dot(P.Cs, xh)
     dobj = _dot(P.bs, yh)
     relgap = np.abs(pobj - dobj) / (1.0 + np.maximum(np.abs(pobj), np.abs(dobj)))
-    return pres, dres, relgap, pobj, dobj, (xh, yh, Zh, oh)
+    return pres, dres, relgap, pobj, (xh, yh, Zh, oh)
 
 
 def _certificates(P, X, y, Z, o, tol, AX, Aty, Gty):
@@ -377,29 +371,29 @@ def _operators(P, X, y, o):
     return op_a(P.A2, P.Gs, X, s), op_at(P.A2, y, X.shape[-1]), P.Gs * y
 
 
-def solve_conic(C, A, G) -> list[ConicResult]:
-    """Solve a batch of relaxations of one shape; one ConicResult per instance, in order.
+def solve_conic(C, A, signs) -> list[dict]:
+    """Solve a batch of relaxations of one shape; each one's SdpSolution fields but field and n, in order.
 
-    G is the (B, p) slack signs.  A may also be a sequence of B (p, n, n)
-    arrays, which is read without stacking it.  Complex C or A make the
-    batch complex: X and Z are then Hermitian, and G stays real.
+    signs holds each instance's sense sign, +1 for max and -1 for min.  A
+    may also be a sequence of B (p, n, n) arrays, which is read without
+    stacking it.  Complex C or A make the batch complex: X and Z are then
+    Hermitian.
     """
     dtype = complex if np.iscomplexobj(C) or np.iscomplexobj(A[0]) else float
-    C = np.asarray(C, dtype)
-    G = np.asarray(G, float)
-    B, p, n = len(A), len(A[0]), C.shape[-1]
+    signs = np.asarray(signs, float)
+    C = -signs[:, None, None] * np.asarray(C, dtype)  # a max relaxation minimizes -C
+    p, n = len(A[0]), C.shape[-1]
     size = batch_size(p, _slots(n, dtype))
-    if B <= size:
-        return _solve_batch(C, A, G)
     return [
         res
-        for lo in range(0, B, size)
-        for res in _solve_batch(*(a[lo : lo + size] for a in (C, A, G)))
+        for lo in range(0, len(A), size)
+        for res in _solve_batch(*(a[lo : lo + size] for a in (C, A, signs)))
     ]
 
 
-def _solve_batch(C, A, G):
+def _solve_batch(C, A, signs):
     B, p, n = len(A), len(A[0]), C.shape[-1]
+    G = np.repeat(signs[:, None], p, axis=1)  # the slack signs
 
     # row and objective normalization (undone on exit); where() keeps Python's
     # max(1.0, x), which ignores a NaN x
@@ -445,7 +439,7 @@ def _solve_batch(C, A, G):
             P if every else P.take(idx),
             [take(v) for v in state], [take(v) for v in best], best_score[idx],
             converged[gone], certified[gone], [why(k) for k in idx.tolist()], it,
-            [(Aflat[i], G[i : i + 1], rown[i], cn[i]) for i in gone],
+            [(Aflat[i], signs[i], rown[i], cn[i]) for i in gone],
             None if mets is None else [take(v) for v in mets],
         )
         for i, res in zip(gone, results):
@@ -630,13 +624,24 @@ def _solve_batch(C, A, G):
     return out
 
 
+def _frozen(a):
+    """A Hermitian matrix as a solution carries it: projected as the JSON codec loads one, and read-only."""
+    return read_only_view(hermitian_part(a))
+
+
+def _floats(v):
+    return tuple(float(x) for x in v)
+
+
 def _results(P, state, best, best_score, converged, certified, messages, it, raw, mets):
-    """One ConicResult per row of these stacks, which leave the batch after iteration it.
+    """Each row's SdpSolution fields but field and n; the rows leave the batch after iteration it.
 
     A row that left without a verdict gets the loose certificate test and
     then the best-iterate fallback.  raw holds each row's original A (flat),
-    G, row norms and objective scale; mets, the first five values _metrics
-    gives for state, or None when they are not at hand.
+    sense sign, row norms and objective scale; mets, the first four values
+    _metrics gives for state, or None when they are not at hand.  A max
+    relaxation was solved on -C, so its objective, multipliers and dual
+    slack are flipped back here.
     """
     X, y, Z, o = state
     B, n, q = len(X), X.shape[-1], (o.shape[1] - 2) // 2
@@ -653,46 +658,50 @@ def _results(P, state, best, best_score, converged, certified, messages, it, raw
                 X[i], y[i], Z[i], o[i] = (v[i] for v in best)
                 o[i, 2 * q] = 1.0
         if mets is None or any(fallback):
-            mets = _metrics(P, X, y, Z, o)[:5]
+            mets = _metrics(P, X, y, Z, o)
     pres, dres, relgap, pobj = (v.tolist() for v in mets[:4])
     s, w, tau, _ = _split(o, q)
     converged, certified, tau = converged.tolist(), certified.tolist(), tau.tolist()
 
     out = []
-    for i, (Aflat, G, rown, cn) in enumerate(raw):
+    for i, (Aflat, sign, rown, cn) in enumerate(raw):
+        flip = -float(sign)  # -1 for max, +1 for min: undoes the -C of a max relaxation
         if kind[i]:
             message = messages[i] if certified[i] else "certificate found (loose)"
         else:
             message = "accepted best iterate at fallback tolerance" if fallback[i] else messages[i]
         if kind[i] == 1:
+            # improving ray, normalized so Tr(C D) = 1 (max) or -1 (min)
             rX, rs = X[i] / -cobj[i], s[i] / -cobj[i]
             scale = cn * max(-_dot(P.Cs[i : i + 1], rX[None])[0], 1e-300)
-            rX, rs = rX / scale, rs / scale  # <C_orig, rX> = -1
-            pres_ray = np.abs(op_a(Aflat[None], G, rX[None], rs[None])).max()
-            out.append(ConicResult(
-                status="unbounded", X=_sym(rX), y=np.zeros(len(rown)), Z=np.zeros_like(rX),
-                objective=-np.inf,
-                primal_residual=float(pres_ray), iterations=it, message=message,
-            ))
+            rX, rs = rX / scale, rs / scale
+            pres_ray = np.abs(op_a(Aflat[None], sign, rX[None], rs[None])).max()
+            sol = dict(status=UNBOUNDED, objective_value=-flip * math.inf, primal_residual=float(pres_ray),
+                       ray=_frozen(_sym(rX)))
         elif kind[i] == 2:
-            fy, fZ, fw = y[i] / by[i] / rown, Z[i] / by[i], w[i] / by[i]  # b.fy = 1
+            # Farkas certificate: sum y_k = 1 and Z = -sum y_k A_k, up to dual_residual
+            fy, fZ, fw = y[i] / by[i] / rown, Z[i] / by[i], w[i] / by[i]
             R = op_at(Aflat[None], fy[None], n)[0] + fZ
-            res = max(np.linalg.norm(R), np.max(np.abs(G[0] * fy + fw)))
-            out.append(ConicResult(
-                status="infeasible", X=np.full_like(fZ, np.nan), y=fy, Z=_sym(fZ),
-                dual_residual=float(res), iterations=it, message=message,
-            ))
+            res = max(np.linalg.norm(R), np.max(np.abs(sign * fy + fw)))
+            sol = dict(status=INFEASIBLE, objective_value=flip * math.inf,
+                       dual_multipliers=_floats(np.maximum(flip * fy, 0.0)), dual_slack=_frozen(_sym(fZ)),
+                       dual_residual=float(res), infeasibility_certificate=_floats(fy))
         else:
-            # optimal or numerical_failure: the iterate, unscaled
+            # the iterate, unscaled
             ok = tau[i] > 1e-12
             t = max(tau[i], 1e-300)
-            out.append(ConicResult(
-                status="optimal" if converged[i] or fallback[i] else "numerical_failure",
-                X=_sym(X[i] / t), y=y[i] / t * cn / rown, Z=_sym(Z[i] / t) * cn,
-                objective=pobj[i] * cn if ok else np.nan,
-                primal_residual=float(pres[i]) if ok else np.nan,
-                dual_residual=float(dres[i]) if ok else np.nan,
-                rel_gap=float(relgap[i]) if ok else np.nan,
-                iterations=it, message=message,
-            ))
+            Xi = _sym(X[i] / t)
+            # with tau at 0 the residuals keep their NaN defaults
+            sol = dict(primal_residual=pres[i], dual_residual=dres[i], gap=relgap[i]) if ok else {}
+            if converged[i] or fallback[i]:
+                Zi = _sym(Z[i] / t) * cn
+                sol.update(
+                    status=OPTIMAL, X=_frozen(Xi), objective_value=flip * pobj[i] * cn if ok else math.nan,
+                    dual_multipliers=_floats(np.maximum(flip * (y[i] / t * cn / rown), 0.0)),
+                    # not 1.0 * Zi for min: a complex product by 1.0 can turn a -0.0 into 0.0
+                    dual_slack=_frozen(flip * Zi if flip < 0 else Zi),
+                )
+            else:
+                sol.update(status=NUMERICAL_FAILURE, X=_frozen(Xi) if np.all(np.isfinite(Xi)) else None)
+        out.append(sol | {"iterations": it, "message": message})
     return out

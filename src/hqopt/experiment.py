@@ -22,8 +22,9 @@ imported modules, so a worker costs a fork and no import; nothing starts
 a thread.  A child sends its records, or its exception, back through its
 own pipe and exits.  run_experiment raises a child's exception; an
 exception in the caller's own share, Ctrl-C included, kills every child,
-and every child is reaped before the call returns.  One batch, one CPU,
-or a platform without fork runs the batches inline; to run serially, pin
+and every child is reaped before the call returns.  With one worker (one
+batch, one CPU, or a platform without fork) the caller forks nothing and
+claims every batch itself, through the same counter; to run serially, pin
 the process to one CPU (taskset -c 0).  The records are returned in task
 order, so the CSV has the same bytes for any worker count.
 
@@ -39,7 +40,7 @@ import os
 import pickle
 import signal
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,30 +57,24 @@ _SUMMARY_STATUSES = ("SummaryMin", "SummaryMean", "SummaryMax")
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One generated instance's outcome; v_hat_qp is the best rounded value."""
+    """One generated instance's outcome; v_hat_qp is the best rounded value.
+
+    The fields are declared in the order of the CSV columns, which csv_row
+    writes them in.
+    """
 
     case: str
     m: int
     instance_seed: int
+    solve_status: str
     v_sdp: float
     v_hat_qp: float
     empirical_ratio: float
     theoretical_bound: float
-    solve_status: str
 
     def csv_row(self) -> str:
-        return ",".join(
-            (
-                self.case,
-                str(self.m),
-                str(self.instance_seed),
-                self.solve_status,
-                _fmt(self.v_sdp),
-                _fmt(self.v_hat_qp),
-                _fmt(self.empirical_ratio),
-                _fmt(self.theoretical_bound),
-            )
-        )
+        values = (getattr(self, f.name) for f in fields(self))
+        return ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -279,10 +274,8 @@ def _workers(batches: int) -> int:
 
 
 def _run_batches(config: ExperimentConfig, batches: list) -> list:
-    """Each batch's records, in batch order; several workers claim the batches in that order."""
+    """Each batch's records, in batch order; the caller and its children claim the batches in that order."""
     workers = _workers(len(batches))
-    if workers < 2:
-        return [_run_tasks(config, batch) for batch in batches]
     counter = os.pipe()
     os.write(counter[1], _index(0))
     done, children = {}, []

@@ -8,15 +8,16 @@ An instance is
 
 and its relaxation replaces xx* by a PSD matrix variable: an n x n real
 symmetric one for real data and an n x n Hermitian one for complex data,
-which the interior-point core solves in its own field.  An instance holds
-its data in one form only: the read-only (m + 2, n, n) stack [C; A_0; ..;
-A_m] in its own field (``field_stack``), validated once when the instance
-is built, with ``field_view`` splitting it into C and the A_k; the solver,
-the rank reduction, the sampler and the JSON codec all read it.  A
-solution's X, dual slack and ray are Hermitian-projected arrays in the
-same field, each wrapped as a ``ReadOnlyMatrix``.  A rounded point or a
-Slater witness is reported as a tuple of reals, (Re x; Im x) for a
-complex x (``real_point``).
+which the interior-point core solves in its own field and returns in the
+instance's own sense, max or min.  An instance holds its data in one form
+only: the read-only (m + 2, n, n) stack [C; A_0; ..; A_m] in its own field
+(``field_stack``), validated once when the instance is built, with
+``field_view`` splitting it into C and the A_k; the solver, the rank
+reduction, the sampler and the JSON codec all read it.  A solution's X,
+dual slack and ray are Hermitian-projected arrays in the same field, each
+wrapped as a ``ReadOnlyMatrix``.  A rounded point or a Slater witness is
+reported as a tuple of reals, (Re x; Im x) for a complex x
+(``real_point``).
 
 slater_check decides whether some nonnegative combination of the A_k is
 positive definite, which the max-form rounding needs.  Under the paper's
@@ -35,10 +36,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _ipm
+from ._ipm import INFEASIBLE, NUMERICAL_FAILURE, OPTIMAL, UNBOUNDED
 from .matrices import (
     ReadOnlyMatrix,
     compress,
-    hermitian_part,
     matrix_from_json,
     matrix_to_json,
     read_only_view,
@@ -56,11 +57,6 @@ FIELDS = (REAL, COMPLEX)
 PSD = "PSD"
 INDEFINITE = "Indefinite"
 NSD = "NSD"
-
-OPTIMAL = "Optimal"
-INFEASIBLE = "Infeasible"
-UNBOUNDED = "Unbounded"
-NUMERICAL_FAILURE = "NumericalFailure"
 
 # an Optimal solution may have eigenvalues down to -PSD_TOL; factorizations
 # of it accept the same
@@ -247,63 +243,6 @@ class SdpSolution:
         return to_json(self) | {"status": _STATUS_JSON[self.status], "field": _FIELD_JSON[self.field]}
 
 
-def _package(inst: QcqpInstance, res: _ipm.ConicResult, lam_min: float) -> SdpSolution:
-    """inst's interior-point result as an SdpSolution; lam_min is lambda_min of an Optimal X."""
-    maximize = inst.sense == MAXIMIZE
-    flip = -1.0 if maximize else 1.0
-
-    def mat(a):
-        return read_only_view(hermitian_part(a))
-
-    status, message = NUMERICAL_FAILURE, res.message
-    if res.status == "optimal":
-        status = OPTIMAL
-        if lam_min < -PSD_TOL:
-            status, message = NUMERICAL_FAILURE, "returned iterate lost definiteness"
-        out = dict(
-            X=mat(res.X),
-            objective_value=flip * res.objective,
-            dual_multipliers=tuple(float(v) for v in np.maximum(flip * res.y, 0.0)),
-            dual_slack=mat(flip * res.Z if maximize else res.Z),
-            primal_residual=res.primal_residual,
-            dual_residual=res.dual_residual,
-            gap=res.rel_gap,
-        )
-    elif res.status == "unbounded":
-        # improving ray, normalized so Tr(C D) = 1 (max) or -1 (min)
-        status = UNBOUNDED
-        out = dict(
-            objective_value=np.inf if maximize else -np.inf,
-            primal_residual=res.primal_residual,
-            ray=mat(res.X),
-        )
-    elif res.status == "infeasible":
-        # Farkas certificate: sum y_k = 1 and Z = -sum y_k A_k, up to dual_residual
-        status = INFEASIBLE
-        out = dict(
-            objective_value=np.inf if not maximize else -np.inf,
-            dual_multipliers=tuple(float(v) for v in np.maximum(flip * res.y, 0.0)),
-            dual_slack=mat(res.Z),
-            dual_residual=res.dual_residual,
-            infeasibility_certificate=tuple(float(v) for v in res.y),
-        )
-    else:
-        out = dict(
-            X=mat(res.X) if np.all(np.isfinite(res.X)) else None,
-            primal_residual=res.primal_residual,
-            dual_residual=res.dual_residual,
-            gap=res.rel_gap,
-        )
-    return SdpSolution(
-        status=status,
-        iterations=res.iterations,
-        field=inst.field,
-        n=inst.n,
-        message=message,
-        **out,
-    )
-
-
 def batch_size(n: int, m: int, field: str) -> int:
     """How many relaxations of n x n, m-constraint instances over field one interior-point batch holds.
 
@@ -328,19 +267,19 @@ def solve_instances(insts) -> list[SdpSolution]:
     out = [None] * len(insts)
     for idx in groups.values():
         group = [insts[i] for i in idx]
-        # slack rows Tr(A_k X) - s_k = 1 for min, + s_k for max; a max relaxation minimizes -C
-        signs = [1.0 if inst.sense == MAXIMIZE else -1.0 for inst in group]
-        results = _ipm.solve_conic(
-            np.array([-sign * inst.field_view.C for inst, sign in zip(group, signs)]),
+        solved = _ipm.solve_conic(
+            np.array([inst.field_view.C for inst in group]),
             [inst.field_view.A for inst in group],
-            np.array([np.full(inst.m + 1, sign) for inst, sign in zip(group, signs)]),
+            [1.0 if inst.sense == MAXIMIZE else -1.0 for inst in group],
         )
-        optimal = [k for k, r in enumerate(results) if r.status == "optimal"]
-        lam = np.full(len(results), np.nan)
+        optimal = [fields for fields in solved if fields["status"] == OPTIMAL]
         if optimal:
-            lam[optimal] = np.linalg.eigvalsh(np.stack([results[k].X for k in optimal]))[:, 0]
-        for i, inst, r, lam_min in zip(idx, group, results, lam):
-            out[i] = _package(inst, r, lam_min)
+            lam = np.linalg.eigvalsh(np.stack([fields["X"].a for fields in optimal]))[:, 0]
+            for fields, lam_min in zip(optimal, lam.tolist()):
+                if lam_min < -PSD_TOL:
+                    fields.update(status=NUMERICAL_FAILURE, message="returned iterate lost definiteness")
+        for i, inst, fields in zip(idx, group, solved):
+            out[i] = SdpSolution(field=inst.field, n=inst.n, **fields)
     return out
 
 

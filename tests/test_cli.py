@@ -45,6 +45,22 @@ def write_identity_instance(path, n=3):
     return inst
 
 
+def assert_json_close(got, want, path="$"):
+    """got equals want with floats to 1e-8 relative or 1e-10 absolute, and everything else exactly."""
+    if isinstance(want, float) and isinstance(got, (int, float)):
+        assert got == pytest.approx(want, rel=1e-8, abs=1e-10), path
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), path
+        for key in want:
+            assert_json_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert_json_close(a, b, f"{path}[{i}]")
+    else:
+        assert got == want and type(got) is type(want), path
+
+
 class TestExperimentConfig:
     def test_defaults_are_desk_scale(self):
         config = ExperimentConfig()
@@ -267,6 +283,38 @@ class TestCliSolve:
         rc, text = run_cli(["solve", str(tmp_path / "g.json")])
         assert rc == 0
         assert abs(json.loads(text)["objective_value"]) <= 1e-7
+
+    @pytest.mark.parametrize(
+        "name, rc",
+        [
+            ("example_min_coupling", 0),
+            ("example_max_coupling", 0),
+            ("instance_complex", 0),
+            ("example_max_unbounded_relaxation", 3),
+            ("instance_infeasible", 3),
+            ("instance_complex_max", 0),
+            ("instance_numerical_failure", 1),
+        ],
+    )
+    def test_matches_the_committed_output(self, name, rc):
+        # solve_<name>.json holds `hqopt solve <name>.json`; floats may move by round-off
+        # across numpy versions, except in the numerical failure, whose 200th iterate
+        # is compared on its exact fields only
+        got_rc, text = run_cli(["solve", str(GOLDEN / f"{name}.json")])
+        got, want = json.loads(text), json.loads((GOLDEN / f"solve_{name}.json").read_text())
+        assert got_rc == rc and list(got) == list(want)
+        for key in ("status", "message", "field", "n", "iterations"):
+            assert got[key] == want[key], key
+        if want["status"] != "numerical_failure":
+            assert_json_close(got, want)
+
+    def test_numerical_failure_exits_one(self):
+        # real case C GaussianMax, n = 10, m = 5, instance seed 1877033296
+        rc, text = run_cli(["solve", str(GOLDEN / "instance_numerical_failure.json")])
+        assert rc == 1
+        payload = json.loads(text)
+        assert payload["status"] == "numerical_failure"
+        assert payload["message"] == "iteration cap reached"
 
     def test_truncated_file_exits_two(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -540,14 +540,13 @@ class TestSolve:
                                    seed=0, field=sdp.COMPLEX))
             for m in (5, 30, 100)
         ]
-        flip = -1.0 if sense == sdp.MAXIMIZE else 1.0
+        sign = 1.0 if sense == sdp.MAXIMIZE else -1.0
         for inst, sol in zip(insts, sdp.solve_instances(insts)):
             C, A = inst.field_view
-            p = len(A)
-            ref = _ipm.solve_conic(flip * embed(C)[None], (0.5 * embed(A))[None], np.full((1, p), -flip))[0]
-            assert sol.to_report_dict()["status"] == ref.status, inst.m
-            if ref.status == "optimal":
-                assert sol.objective_value == pytest.approx(0.5 * flip * ref.objective, rel=1e-7)
+            ref = _ipm.solve_conic(embed(C)[None], (0.5 * embed(A))[None], [sign])[0]
+            assert sol.status == ref["status"], inst.m
+            if ref["status"] == sdp.OPTIMAL:
+                assert sol.objective_value == pytest.approx(0.5 * ref["objective_value"], rel=1e-7)
 
 
 @pytest.fixture
