@@ -19,7 +19,11 @@ form_tail gives the tail P{sum_j w_j*Y_j > x} of a weighted sum of
 chi-square(1) or unit exponential variables by inverting its moment
 generating function on a parabola in the right half-plane (Gil-Pelaez
 inversion, as in Imhof, Biometrika 1961), along which the integrand
-decays like a Gaussian, with the trapezoid rule.  Each value carries an
+decays like a Gaussian, with the trapezoid rule.  At each node the moment
+generating function is one product: e^(-s x) divided by the factors
+1 - kappa_j*s of the nonzero weights, or by their principal square roots
+for chi-square, which are the analytic branch because no factor crosses
+the negative real axis on the parabola.  Each value carries an
 a-posteriori error: the gap between the sums on all its nodes and on every
 other node.  A check judges value and error together against its bound,
 and fails a value whose error exceeds 1e-9.  Nothing in a check samples:
@@ -72,6 +76,7 @@ _METHODS = ("Exhaustive", "Quadrature")
 _KINDS = {"ChiSq": (2.0, 0.5), "Exp": (1.0, 1.0)}
 _TOL = 1e-9  # largest quadrature error a check accepts
 _MAX_NODES = (1 << 16) + 1  # odd, like every node count
+_FOLD = 16  # factors per complex log: each is about 40/x' at most, so 16 stay finite for x' > 1e-17
 _CHUNK = 1 << 18  # rows per vectorized step of the sign enumeration
 _EXHAUSTIVE_CAP = 20  # sign vectors enumerated up to 2^20
 
@@ -220,7 +225,15 @@ def form_tail(weights, kind: str, x) -> FormTail:
         s(u) = s*(1/2 + u^2 + i u),  s* = 1/max kappa,
 
     on a parabola that passes left of every singularity of M and along
-    which e^(-s x) decays like e^(-x' u^2), x' = x*s*.  For x <= 0 the value
+    which e^(-s x) decays like e^(-x' u^2), x' = x*s*.  At each node
+    M(s) e^(-s x) is e^(-s x) over the product of the factors 1 - kappa_j*s
+    of the row's nonzero weights (Exp), or of their principal square roots
+    (ChiSq).  A factor's imaginary part, -u*kappa_j*s*, keeps one sign for
+    u > 0, and at u = 0 the factor is 1 - kappa_j*s*/2 >= 1/2, so none
+    crosses the negative real axis and the principal root is the analytic
+    branch of (1 - kappa_j*s)^(1/2).  Past every 16 factors the partial
+    product is folded into a complex log, so no product overflows however
+    many weights a row has.  For x <= 0 the value
     is 1 - P{-sum_j w_j*Y_j >= -x}; a tail with no positive kappa is 0.  The
     trapezoid rule takes N ~ 80 + 90/sqrt(x') nodes, N odd, on
     [0, sqrt(40/x') + 1].  The error is the gap between the N-node sum and
@@ -266,23 +279,45 @@ def _parabola(unit: np.ndarray, nu: float, xs: np.ndarray,
     """Trapezoid sums of form_tail's integral, and their errors, one row per form.
 
     unit holds kappa/max kappa, so that with z = s/s*, kappa*s = unit*z and
-    s*x = xs*z.  The rows' nodes lie end to end in one array, and a row's
-    sums read its own nodes only.
+    s*x = xs*z: each node's value is e^(-xs*z) over the product of the
+    factors 1 - unit_j*z, or of their principal roots (see form_tail).
+    Rows are taken in decreasing order of their nonzero count, each with
+    its nonzero weights moved to the front in order, and their nodes lie
+    end to end in one array, so the nodes that column j multiplies are one
+    leading slice.  A row's sums read its own nodes only.
     """
+    width = np.count_nonzero(unit, axis=1)
+    order = np.argsort(-width)
+    width, xs, nodes, unit = width[order], xs[order], nodes[order], unit[order]
+    filled = unit != 0.0
+    packed = np.zeros_like(unit)  # each row's nonzero weights, moved to its front in order
+    packed[np.nonzero(filled)[0], np.cumsum(filled, axis=1)[filled] - 1] = unit[filled]
     h = (np.sqrt(40.0 / xs) + 1.0) / (nodes - 1)
-    starts = np.cumsum(nodes) - nodes
+    ends = np.cumsum(nodes)
+    starts = ends - nodes
+    # depth[j] rows have more than j nonzero weights; their nodes are the first reach[j]
+    depth = np.count_nonzero(width[:, None] > np.arange(width[0] + 1), axis=0)
+    reach = np.concatenate(([0], ends))[depth]
     row = np.repeat(np.arange(nodes.size), nodes)
     k = np.arange(row.size) - starts[row]
     u = k * h[row]
     z = 0.5 + u * u + 1j * u
     log_m = -xs[row] * z
-    for col in unit.T:
-        log_m -= nu * np.log(1.0 - col[row] * z)
-    g = np.imag(np.exp(log_m) * (2.0 * u + 1j) / z)
+    prod = np.ones(z.size, dtype=complex)
+    for j in range(width[0]):
+        end = reach[j]
+        factor = 1.0 - np.repeat(packed[:depth[j], j], nodes[:depth[j]]) * z[:end]
+        prod[:end] *= factor if nu == 1.0 else np.sqrt(factor)
+        if (j + 1) % _FOLD == 0:
+            end = reach[j + 1]
+            log_m[:end] -= np.log(prod[:end])
+            prod[:end] = 1.0
+    g = np.imag(np.exp(log_m) * (2.0 * u + 1j) / (z * prod))
     g[starts] *= 0.5
     fine = np.add.reduceat(g, starts) * (h / math.pi)
     coarse = np.add.reduceat(np.where(k % 2 == 0, g, 0.0), starts) * (2.0 * h / math.pi)
-    return fine, np.abs(fine - coarse)
+    back = np.argsort(order)
+    return fine[back], np.abs(fine - coarse)[back]
 
 
 def _tails(forms: list[tuple[str, np.ndarray, float]]) -> list[tuple[float, float, int]]:

@@ -5,8 +5,9 @@ search for the true optimum of a small real instance, a scan of the
 exponential favorable-side probability over weight grids, the moment-ratio
 asymmetry bound, two more routes to the sign family's fourth moment, a
 plain Monte Carlo count of a weighted form's tail and the favorable-side
-probability of one weight vector by it, two tail bounds of the rounding
-arguments, and one sweep task run by itself.
+probability of one weight vector by it, form_tail's integrand with one
+complex log per weight, two tail bounds of the rounding arguments, and one
+sweep task run by itself.
 """
 
 import math
@@ -342,6 +343,36 @@ def _mixed_sign_scan(n: int, resolution: float, samples: int,
             best = (est, tuple(float(x) for x in row))
             worst_radius = _wilson_radius(hits, samples)
     return best[0], best[1], worst_radius
+
+
+# ---------------------------------------------------------------------------
+# form_tail's integrand, one complex log per weight
+
+
+def parabola_per_weight_log(unit: np.ndarray, nu: float, xs: np.ndarray,
+                            nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """probability._parabola's trapezoid sums and errors, with log M summed one weight at a time.
+
+    The same contour, nodes, step and every-other-node error as the
+    package's, but M(s) e^(-s x) is exp(-xs*z - nu*sum_j log(1 - unit_j*z))
+    over every column, zero padding included: one complex log per weight at
+    every node.  Run form_tail with probability._parabola replaced by this
+    function to get its reference values and node counts.
+    """
+    h = (np.sqrt(40.0 / xs) + 1.0) / (nodes - 1)
+    starts = np.cumsum(nodes) - nodes
+    row = np.repeat(np.arange(nodes.size), nodes)
+    k = np.arange(row.size) - starts[row]
+    u = k * h[row]
+    z = 0.5 + u * u + 1j * u
+    log_m = -xs[row] * z
+    for col in unit.T:
+        log_m -= nu * np.log(1.0 - col[row] * z)
+    g = np.imag(np.exp(log_m) * (2.0 * u + 1j) / z)
+    g[starts] *= 0.5
+    fine = np.add.reduceat(g, starts) * (h / math.pi)
+    coarse = np.add.reduceat(np.where(k % 2 == 0, g, 0.0), starts) * (2.0 * h / math.pi)
+    return fine, np.abs(fine - coarse)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqopt.lowrank import (
+    RANK_TOL,
     LowRankSolution,
     NotPsdError,
     _unvec,
@@ -112,13 +113,28 @@ class TestFactorize:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=8), st.integers())
     def test_reconstruction_and_rank(self, n, k, seed):
+        # Y's singular values lie in [1e-2, 1], so X's eigenvalue ratios stay
+        # above 1e-4, far from RANK_TOL, and matrix_rank(Y) is an independent oracle
         k = min(k, n)
         rng = np.random.default_rng(seed % 2**32)
-        Y = rng.standard_normal((n, k))
+        left = np.linalg.qr(rng.standard_normal((n, k)))[0]
+        right = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        Y = (left * rng.uniform(1e-2, 1.0, k)) @ right.T
         X = sym(Y @ Y.T)
         U = factorize(X)
         assert np.linalg.norm(U @ U.T - X) <= 1e-8 * (1.0 + np.linalg.norm(X))
         assert U.shape[1] == np.linalg.matrix_rank(Y) if k else U.shape[1] == 0
+
+    def test_eigenvalue_below_the_relative_cut_off_is_dropped(self):
+        # a full-rank 8x8 Gaussian Y whose smallest singular value is 1.3e-4:
+        # X = Y Y^T has lambda_min/lambda_max = 5.5e-10 < RANK_TOL, so factorize keeps 7 columns
+        Y = np.random.default_rng(3906011171).standard_normal((8, 8))
+        X = sym(Y @ Y.T)
+        lam = np.linalg.eigvalsh(X)
+        assert lam[0] / lam[-1] == pytest.approx(5.46e-10, rel=1e-3)
+        assert lam[0] / lam[-1] < RANK_TOL
+        assert np.linalg.matrix_rank(Y) == 8
+        assert factorize(X).shape == (8, 7)
 
 
 class TestReduceRank:

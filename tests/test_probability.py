@@ -32,6 +32,7 @@ from oracles import (
     erlang_tail_at_mean,
     exp_asymmetry_scan,
     monte_carlo_hits,
+    parabola_per_weight_log,
 )
 
 finite_taus = st.lists(
@@ -532,9 +533,16 @@ def _poisson_tail(k: int, y: float) -> float:
     return math.exp(-y) * sum(y**i / math.factorial(i) for i in range(k))
 
 
+def _per_weight_log_tail(monkeypatch, weights, kind, x):
+    """form_tail with the reference integrand: one complex log per weight at every node."""
+    with monkeypatch.context() as patch:
+        patch.setattr(prob, "_parabola", parabola_per_weight_log)
+        return form_tail(weights, kind, x)
+
+
 class TestFormTail:
     # the contour quadrature against closed forms, a plain Monte Carlo
-    # oracle, and its own symmetries
+    # oracle, the per-weight-log integrand, and its own symmetries
 
     def test_matches_exp_closed_form(self):
         rng = np.random.default_rng(41)
@@ -657,3 +665,40 @@ class TestFormTail:
         tail = form_tail([1.0, -0.5], "ChiSq", 1e-12)
         assert int(tail.nodes) == prob._MAX_NODES
         assert float(tail.error) > 1e-9
+
+    @pytest.mark.parametrize("kind", ["ChiSq", "Exp"])
+    def test_matches_the_per_weight_log_integrand(self, kind, monkeypatch):
+        # mixed-sign weights, rows zero-padded to each batch's width, and
+        # levels of both signs from 1e-6 to 1e2
+        rng = np.random.default_rng(29)
+        levels = np.geomspace(1e-6, 1e2, 7)
+        for width in (1, 2, 3, 8, 16, 17, 33, 64):
+            sizes = np.concatenate(([width], rng.integers(1, width + 1, size=levels.size - 1)))
+            w = np.zeros((levels.size, width))
+            for i, n in enumerate(sizes):
+                w[i, :n] = rng.standard_normal(n)
+            x = rng.permutation(levels) * rng.choice([-1.0, 1.0], size=levels.size)
+            tail = form_tail(w, kind, x)
+            ref = _per_weight_log_tail(monkeypatch, w, kind, x)
+            assert np.array_equal(tail.nodes, ref.nodes), width
+            np.testing.assert_allclose(tail.prob, ref.prob, rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(tail.error, ref.error, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("kind", ["ChiSq", "Exp"])
+    def test_wide_form_at_a_small_level_stays_finite(self, kind, monkeypatch):
+        # 96 weights in [0.5, 1], one of them negative, at x = 1e-6: at the
+        # last node the product of all 96 factors (of their roots for ChiSq)
+        # exceeds the largest double
+        w = np.linspace(0.5, 1.0, 96)
+        w[40] *= -1.0
+        scale, nu = prob._KINDS[kind]
+        unit = w / w.max()
+        xs = 1e-6 / (scale * w.max())
+        u = math.sqrt(40.0 / xs) + 1.0
+        z = 0.5 + u * u + 1j * u
+        assert nu * np.sum(np.log(np.abs(1.0 - unit * z))) > math.log(np.finfo(float).max)
+        tail = form_tail(w, kind, 1e-6)
+        ref = _per_weight_log_tail(monkeypatch, w, kind, 1e-6)
+        assert np.isfinite(tail.prob) and np.isfinite(tail.error)
+        assert int(tail.nodes) == int(ref.nodes)
+        assert float(tail.prob) == pytest.approx(float(ref.prob), abs=1e-13)

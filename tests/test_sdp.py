@@ -548,6 +548,22 @@ class TestSolve:
             if ref["status"] == sdp.OPTIMAL:
                 assert sol.objective_value == pytest.approx(0.5 * ref["objective_value"], rel=1e-7)
 
+    @pytest.mark.parametrize("sense", sdp.SENSES)
+    @pytest.mark.parametrize("case", CASES)
+    def test_real_instance_solved_in_the_complex_field_matches(self, case, sense):
+        # a real instance is also a complex one with the same relaxation value:
+        # Re X is feasible with the same traces; this runs the complex path of
+        # the interior-point core against the real one
+        kind = OBJECTIVE_IDENTITY if sense == sdp.MINIMIZE else OBJECTIVE_INDEFINITE
+        insts = [generate(GeneratorSpec(n=10, m=m, case=case, sense=sense, objective_kind=kind, seed=seed))
+                 for seed in (0, 1, 2) for m in (5, 30)]
+        as_complex = [sdp.QcqpInstance(inst.sense, sdp.COMPLEX, inst.field_stack.astype(complex))
+                      for inst in insts]
+        for inst, real, cplx in zip(insts, sdp.solve_instances(insts), sdp.solve_instances(as_complex)):
+            assert cplx.status == real.status, inst.m
+            if real.status == sdp.OPTIMAL:
+                assert cplx.objective_value == pytest.approx(real.objective_value, rel=1e-7)
+
 
 @pytest.fixture
 def ipm_calls(monkeypatch):
