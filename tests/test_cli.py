@@ -509,6 +509,11 @@ class TestCliVerify:
         rc, text = run_cli(["verify", "--lemma", "L4_1"])
         assert rc == 0 and text == (GOLDEN / "verify_L4_1.json").read_text()
 
+    def test_prints_the_committed_bytes_at_seed_3(self):
+        # written by `hqopt verify --lemma L4_1 --seed 3` when each case was enumerated by its own call
+        rc, text = run_cli(["verify", "--lemma", "L4_1", "--seed", "3"])
+        assert rc == 0 and text == (GOLDEN / "verify_L4_1_seed3.json").read_text()
+
     def test_all_checks_match_the_committed_output(self):
         # written by `hqopt verify --lemma all --seed 0`; ids, methods, node counts,
         # verdicts and notes match exactly, and values up to the round-off that moves

@@ -1,6 +1,7 @@
 import itertools
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,26 @@ finite_taus = st.lists(
 
 def upper_weights(rng, n):
     return np.triu(rng.standard_normal((n, n)), k=1)
+
+
+def sign_forms(w):
+    """Psi of one upper matrix on each of the 2^n sign vectors of itertools.product."""
+    signs = np.array(list(itertools.product([-1.0, 1.0], repeat=w.shape[0])))
+    return 0.5 * np.einsum("ij,ij->i", signs @ (w + w.T), signs)
+
+
+def all_sign_vectors(w):
+    """(P{Psi <= 0}, mean Psi^4) of one upper matrix over all 2^n sign vectors."""
+    psi = sign_forms(w)
+    return np.count_nonzero(psi <= 0.0) / psi.size, float(np.mean(psi**4))
+
+
+def padded(ws, n):
+    """The upper matrices ws, each zero-padded to n x n, as one stack."""
+    stack = np.zeros((len(ws), n, n))
+    for out, w in zip(stack, ws):
+        out[:w.shape[0], :w.shape[0]] = w
+    return stack
 
 
 class TestMomentFormulas:
@@ -175,11 +196,10 @@ class TestAsymProb:
     def test_sign_enumeration_matches_all_sign_vectors(self, n):
         # half the vectors are enumerated; the law is the one over all 2^n
         w = upper_weights(np.random.default_rng(n), n)
-        signs = np.array(list(itertools.product([-1.0, 1.0], repeat=n)))
-        psi = 0.5 * np.einsum("ij,ij->i", signs @ (w + w.T), signs)
+        want_prob, want_m4 = all_sign_vectors(w)
         prob_le0, m4 = exhaustive_sign_prob(w)
-        assert prob_le0 == np.count_nonzero(psi <= 0.0) / 2**n
-        assert m4 == pytest.approx(float(np.mean(psi**4)), rel=1e-12)
+        assert prob_le0 == want_prob
+        assert m4 == pytest.approx(want_m4, rel=1e-12)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="all-zero"):
@@ -239,6 +259,7 @@ class TestLemmaFloorsBulk:
 
     def test_bernoulli_thousand_profiles(self):
         rng = np.random.default_rng(13)
+        ws = []
         for i in range(1000):
             n = int(rng.integers(2, 13))
             if i % 3 == 2:
@@ -248,8 +269,120 @@ class TestLemmaFloorsBulk:
                 w = upper_weights(rng, n)
             if not np.any(w):
                 w[0, 1] = 1.0
-            prob_le0, _ = exhaustive_sign_prob(w)
+            ws.append(w)
+        # zero-padding to n = 12 keeps every probability: four stacked calls of 250
+        probs = np.concatenate([exhaustive_sign_prob(padded(ws[start:start + 250], 12))[0]
+                                for start in range(0, 1000, 250)])
+        for i, (w, prob_le0) in enumerate(zip(ws, probs)):
             assert prob_le0 > 1 / 87, (i, w)
+
+
+class TestStackedSigns:
+    # exhaustive_sign_prob and bernoulli_moment4 on stacks (..., n, n)
+
+    @staticmethod
+    def mixed_stack(seed, count):
+        """count upper matrices of n in 2..12: Gaussian, near rank one, and small integers (Psi = 0 occurs)."""
+        rng = np.random.default_rng(seed)
+        ws = []
+        for i in range(count):
+            n = 2 + i % 11
+            if i % 3 == 0:
+                u = rng.standard_normal(n)
+                w = np.triu(np.outer(u, u) + 1e-3 * rng.standard_normal((n, n)), k=1)
+            elif i % 3 == 1:
+                w = np.triu(rng.integers(-2, 3, (n, n)).astype(float), k=1)
+            else:
+                w = upper_weights(rng, n)
+            if not np.any(w):
+                w[0, 1] = 1.0
+            ws.append(w)
+        return ws
+
+    def test_mixed_sizes_match_all_sign_vectors(self):
+        ws = self.mixed_stack(0, 44)
+        stack = padded(ws, 12)
+        probs, m4s = exhaustive_sign_prob(stack)
+        formulas = bernoulli_moment4(stack)
+        assert probs.shape == m4s.shape == formulas.shape == (44,)
+        ties = 0
+        for w, prob_le0, m4, formula in zip(ws, probs, m4s, formulas):
+            want_prob, want_m4 = all_sign_vectors(w)
+            assert prob_le0 == want_prob
+            assert m4 == pytest.approx(want_m4, rel=1e-12)
+            assert formula == pytest.approx(want_m4, rel=1e-12)
+            assert formula == pytest.approx(bernoulli_moment4(w), rel=1e-12)
+            ties += bool(np.any(sign_forms(w) == 0.0))
+        # Psi = 0 exactly on some vectors of some integer matrices: those count as <= 0
+        assert ties > 0
+
+    def test_stack_of_one_equals_the_matrix(self):
+        for w in self.mixed_stack(1, 11):
+            prob_le0, m4 = exhaustive_sign_prob(w)
+            assert type(prob_le0) is float and type(m4) is float
+            assert type(bernoulli_moment4(w)) is float
+            probs, m4s = exhaustive_sign_prob(w[None])
+            assert probs.shape == m4s.shape == (1,)
+            assert (probs[0], m4s[0]) == (prob_le0, m4)
+            assert bernoulli_moment4(w[None])[0] == bernoulli_moment4(w)
+
+    def test_leading_axes_kept(self):
+        stack = padded(self.mixed_stack(2, 6), 7).reshape(2, 3, 7, 7)
+        probs, m4s = exhaustive_sign_prob(stack)
+        assert probs.shape == m4s.shape == bernoulli_moment4(stack).shape == (2, 3)
+        assert probs[1, 2] == exhaustive_sign_prob(stack[1, 2])[0]
+        empty = np.zeros((0, 5, 5))
+        assert [a.shape for a in (*exhaustive_sign_prob(empty), bernoulli_moment4(empty))] == [(0,)] * 3
+
+    @pytest.mark.parametrize("size", [3, 12, 20])
+    def test_zero_padded_matrix_keeps_its_bits(self, size):
+        rng = np.random.default_rng(size)
+        for n in range(2, min(size, 12) + 1):
+            w = upper_weights(rng, n)
+            prob_le0, m4 = exhaustive_sign_prob(w)
+            big_prob, big_m4 = exhaustive_sign_prob(padded([w], size)[0])
+            assert big_prob == prob_le0
+            assert big_m4 == pytest.approx(m4, rel=1e-12)
+            assert bernoulli_moment4(padded([w], size)[0]) == pytest.approx(bernoulli_moment4(w), rel=1e-12)
+
+    def test_bad_slices_refused(self):
+        stack = padded(self.mixed_stack(3, 5), 6)
+        zero = stack.copy()
+        zero[2] = 0.0
+        with pytest.raises(ValueError, match="degenerate all-zero weights"):
+            exhaustive_sign_prob(zero)
+        lower = stack.copy()
+        lower[4, 3, 1] = 1.0
+        for evaluator in (exhaustive_sign_prob, bernoulli_moment4):
+            with pytest.raises(ValueError, match="sign weights must be strictly upper triangular"):
+                evaluator(lower)
+            for shape in [(4, 1, 1), (4, 3, 2), (5,)]:
+                with pytest.raises(ValueError, match="sign weights must form a square matrix, n >= 2"):
+                    evaluator(np.zeros(shape))
+        with pytest.raises(ValueError, match="capped at n = 20"):
+            exhaustive_sign_prob(padded([np.triu(np.ones((3, 3)), 1)], 21))
+
+
+class TestSignEnumerationMemory:
+    # tracemalloc peaks of one call, measured with numpy 2.4: about 430 KB at n = 20
+    # and 340 KB for the stack, against 42 MB per temporary at n = 20 when chunks
+    # held 2^18 vectors
+
+    @staticmethod
+    def peak(stack):
+        tracemalloc.start()
+        try:
+            exhaustive_sign_prob(stack)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_n20_matrix_peak(self):
+        assert self.peak(upper_weights(np.random.default_rng(20), 20)) < 1_000_000
+
+    def test_stack_of_64_at_n12_peak(self):
+        rng = np.random.default_rng(12)
+        assert self.peak(np.stack([upper_weights(rng, 12) for _ in range(64)])) < 1_000_000
 
 
 class TestClosedForm:
@@ -436,6 +569,15 @@ class TestTailBounds:
     @given(st.floats(min_value=-50.0, max_value=0.5))
     def test_recip_exp_bound_on_range(self, t):
         assert recip_exp_bound_holds(t)
+
+    def test_recip_exp_bound_on_an_array(self):
+        grid = np.linspace(-5.0, 0.5, 1101)
+        holds = recip_exp_bound_holds(grid)
+        assert holds.shape == grid.shape and holds.dtype == bool
+        assert holds.tolist() == [recip_exp_bound_holds(float(t)) for t in grid] == [True] * 1101
+        assert recip_exp_bound_holds(np.array([0.0])).tolist() == [True]  # equality at t = 0
+        with pytest.raises(ValueError):
+            recip_exp_bound_holds(np.array([-1.0, 0.25, 0.6]))
 
 
 class TestResultTypes:
